@@ -14,16 +14,7 @@ Each benchmark prints the regenerated paper table; use ``-s`` to see them.
 
 from __future__ import annotations
 
-import os
-import sys
-
 import pytest
-
-# make `benchmarks.perf` importable when pytest is invoked from the repo
-# root (benchmarks/ itself is not a package)
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if _REPO_ROOT not in sys.path:
-    sys.path.insert(0, _REPO_ROOT)
 
 from repro.experiments import ExperimentContext
 

@@ -79,7 +79,7 @@ from . import concurrency
 
 #: SHA-256 pin of the frozen legacy kernels (R002).
 REFERENCE_OPS_SHA256 = (
-    "a32fb5287a3c1d7744ebc6fe31953ad08f98b708e66f929de83f803626c8de31"
+    "d6761e40e6219f77248d26e2fd5dceab3cb7486367c5905f7132ad59839fe1cb"
 )
 
 #: NumPy calls that allocate fresh float64 arrays when dtype is omitted.
@@ -229,7 +229,7 @@ class _R003Visitor(ast.NodeVisitor):
 class _R010Visitor(ast.NodeVisitor):
     """Allocating calls inside engine ``execute*``/``run_step`` bodies
     — the static side of the steady-state zero-allocation contract
-    (``benchmarks/perf/engine_runner.py`` measures the dynamic side)."""
+    (``tests/test_engine.py`` measures the dynamic side)."""
 
     def __init__(self):
         self.findings: list[tuple[int, int, str]] = []

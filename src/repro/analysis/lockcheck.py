@@ -84,8 +84,6 @@ LOCK_HIERARCHY: dict[str, int] = {
     "SuperNet._lock": 30,
     "WeightCache._lock": 40,
     "AsyncCheckpointWriter._lock": 50,
-    "_BaseTransport._lock": 60,
-    "transport._attach_lock": 70,
 }
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})

@@ -21,20 +21,12 @@ from .resilience import (
 from .scheduler import SCHEMES, SearchDriver, run_search
 from .simcluster import CostModel, FaultModel, SimulatedCluster
 from .trace import Trace, TraceRecord, checkpoint_key
-from .transport import (
-    MmapFileTransport,
-    SharedMemoryTransport,
-    WeightHandle,
-    make_transport,
-)
 
 __all__ = [
     "run_search", "SCHEMES", "SearchDriver",
     "SerialEvaluator", "ThreadPoolEvaluator", "ProcessPoolEvaluator",
     "SimulatedCluster", "CostModel", "FaultModel",
     "Trace", "TraceRecord", "checkpoint_key",
-    "SharedMemoryTransport", "MmapFileTransport", "WeightHandle",
-    "make_transport",
     "ChaosEvaluator", "CorruptCheckpointError", "FaultStats",
     "InjectedFault", "RetryPolicy", "TaskError", "TaskFailure",
     "TaskTimeout", "TraceJournal", "WaitTimeout", "WorkerLost",

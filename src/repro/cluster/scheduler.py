@@ -35,8 +35,6 @@ critical path while keeping traces semantically identical:
   saves become write-behind; a drain barrier before the trace is
   finalized guarantees every checkpoint is durable and back-fills
   ``ckpt_bytes``.
-- ``transport`` — zero-copy provider shipping for process pools via
-  shared memory (auto-enabled for :class:`ProcessPoolEvaluator`).
 
 I/O accounting stays honest: ``record.overhead`` remains the *total*
 checkpoint I/O seconds (so Fig. 11 and the simulator calibration are
@@ -98,7 +96,6 @@ from .resilience import (
     WaitTimeout,
 )
 from .trace import Trace, TraceRecord, checkpoint_key
-from .transport import make_transport, resolve_provider_ref
 
 SCHEMES = ("baseline", "lp", "lcs")
 
@@ -114,14 +111,10 @@ class _Pending:
     deadline: Optional[float] = None      # monotonic, None = no deadline
 
 
-def _evaluate_task(problem, arch_seq, seed, provider_ref, matcher,
+def _evaluate_task(problem, arch_seq, seed, provider_weights, matcher,
                    keep_weights, engine="eager"):
-    """Module-level so ProcessPoolEvaluator can pickle it.
-
-    ``provider_ref`` is either the provider weights themselves or a
-    :class:`repro.cluster.transport.WeightHandle` the worker resolves
-    zero-copy from shared memory / an mmapped file."""
-    provider_weights = resolve_provider_ref(provider_ref)
+    """Module-level so ProcessPoolEvaluator can pickle it; a process
+    pool receives the provider weights pickled inside the task."""
     return estimate_candidate(
         problem, arch_seq, seed=seed, provider_weights=provider_weights,
         matcher=matcher, keep_weights=keep_weights, engine=engine,
@@ -206,7 +199,7 @@ class SearchDriver:
                  name: Optional[str] = None,
                  transfer_backend="checkpoint",
                  cache=None, prefetch: bool = False, async_io=False,
-                 transport=None, retry: Optional[RetryPolicy] = None,
+                 retry: Optional[RetryPolicy] = None,
                  task_timeout: Optional[float] = None,
                  journal=None, resume=None,
                  engine: str = "eager",
@@ -261,7 +254,7 @@ class SearchDriver:
 
         # -- I/O fast-path plumbing (all inert for the default sync run;
         # the supernet backend performs no checkpoint I/O at all, so the
-        # prefetcher / write-behind writer / transport stay off and a
+        # prefetcher and write-behind writer stay off and a
         # cache is only created when the caller explicitly passes one) --
         uses_store = self.transfers and self.backend is None
         self.weight_cache = make_cache(cache, prefetch and uses_store) \
@@ -277,15 +270,12 @@ class SearchDriver:
         self.prefetcher = None
         if uses_store and prefetch:
             self.prefetcher = ProviderPrefetcher(store, self.weight_cache)
-        if transport is None:
-            transport = "auto" if (uses_store and
-                                   isinstance(self.evaluator,
-                                              ProcessPoolEvaluator)) \
-                else False
-        self.transport_obj = make_transport(transport) if uses_store \
-            else None
-        self._owns_transport = (self.transport_obj is not None
-                                and self.transport_obj is not transport)
+        # the PlanCache is shared by every search in this process:
+        # finalize() reports only what accrued after this snapshot
+        self._plan_stats0: Optional[dict] = None
+        if engine == "plan" and not _uses_process_pool(self.evaluator):
+            from ..tensor.engine import get_plan_cache
+            self._plan_stats0 = get_plan_cache().stats()
         self._saved_keys: set[str] = set()   # saved this run (disk/queued)
         self._arch_by_id: dict[int, tuple] = {}   # ok candidates
         self._xfer_copied_bytes = 0
@@ -436,25 +426,18 @@ class SearchDriver:
             )
             self._dispatch(_Pending(record, task))
             return
-        provider_ref = None
+        provider_weights = None
         if self.transfers:
             provider = self.policy.select(proposal, self.trace.ok_records(),
                                           self.rng)
             if provider is not None:
-                key = self._key(provider)
-                weights = self._load_provider(key, record)
-                if weights is not None:
+                provider_weights = self._load_provider(self._key(provider),
+                                                       record)
+                if provider_weights is not None:
                     record.provider_id = provider
-                    if self.transport_obj is not None:
-                        io0 = time.perf_counter()
-                        provider_ref = self.transport_obj.publish(key,
-                                                                  weights)
-                        record.add_io_blocked(time.perf_counter() - io0)
-                    else:
-                        provider_ref = weights
         task = functools.partial(
             _evaluate_task, self.problem, record.arch_seq,
-            self.seed + candidate_id, provider_ref,
+            self.seed + candidate_id, provider_weights,
             self.scheme if self.transfers else "lcs", self.transfers,
             self.engine,
         )
@@ -687,10 +670,6 @@ class SearchDriver:
                         writer.close()
                     except Exception:
                         pass          # errors already in writer_errors
-        if self.transport_obj is not None:
-            io_stats["transport"] = self.transport_obj.stats()
-            if self._owns_transport:
-                self.transport_obj.close()
         if self.weight_cache is not None:
             io_stats["cache"] = self.weight_cache.stats()
         if self.prefetcher is not None:
@@ -735,10 +714,11 @@ class SearchDriver:
             self.trace.fault_stats = fault_dict
 
         if self.engine == "plan":
-            from ..tensor.engine import get_plan_cache
             engine_stats: dict = {"engine": self.engine}
-            if not _uses_process_pool(self.evaluator):
-                engine_stats.update(get_plan_cache().stats())
+            if self._plan_stats0 is not None:
+                from ..tensor.engine import get_plan_cache
+                engine_stats.update(
+                    get_plan_cache().stats_since(self._plan_stats0))
             self.trace.engine_stats = engine_stats
 
         gate = getattr(self.strategy, "gate", None)
@@ -755,7 +735,7 @@ def run_search(problem, strategy, num_candidates: int, *,
                name: Optional[str] = None,
                transfer_backend="checkpoint",
                cache=None, prefetch: bool = False, async_io=False,
-               transport=None, retry: Optional[RetryPolicy] = None,
+               retry: Optional[RetryPolicy] = None,
                task_timeout: Optional[float] = None,
                journal=None, resume=None,
                engine: str = "eager") -> Trace:
@@ -783,8 +763,8 @@ def run_search(problem, strategy, num_candidates: int, *,
     counters (``static_rejected`` / ``proxy_rejected`` /
     ``proxy_seconds``) land in ``trace.static_stats``.
 
-    ``cache`` / ``prefetch`` / ``async_io`` / ``transport`` select the
-    checkpoint I/O fast path (module docstring); all default to the
+    ``cache`` / ``prefetch`` / ``async_io`` select the checkpoint I/O
+    fast path (module docstring); all default to the
     fully synchronous paper configuration.  Fast-path runs produce
     semantically identical traces (same scores, same transfer stats) —
     only the ``io_blocked``/``io_hidden`` split changes.
@@ -803,7 +783,7 @@ def run_search(problem, strategy, num_candidates: int, *,
     (serial or thread pool — process-pool workers could never write
     their view updates back) and a transfer scheme (``"lp"``/``"lcs"``,
     which still picks the provider and the match).  The checkpoint I/O
-    knobs (``prefetch`` / ``async_io`` / ``transport``) are inert no-ops
+    knobs (``prefetch`` / ``async_io``) are inert no-ops
     under supernet; a user-supplied ``cache`` is only used to publish
     candidates' live views for inspection (zero byte budget,
     ``shared=True`` entries).  ``resume=`` replays recorded scores but
@@ -822,16 +802,18 @@ def run_search(problem, strategy, num_candidates: int, *,
     ``"eager"`` (the default interpreter) or ``"plan"`` — compiled
     :class:`repro.tensor.engine.StepPlan` schedules checked out of the
     per-process :class:`~repro.tensor.engine.PlanCache`, bit-identical
-    scores and traces, substantially faster steps.  Plan-cache counters
-    land in ``trace.engine_stats`` (for a process pool only the engine
-    name is recorded — worker caches are per-process).
+    scores and traces, substantially faster steps.  The plan-cache
+    counts accrued during the run land in ``trace.engine_stats`` (for a
+    process pool only the engine name is recorded — worker caches are
+    per-process).  The cache is shared by every search in the process,
+    so the counts of concurrently running searches overlap.
     """
     driver = SearchDriver(
         problem, strategy, num_candidates, scheme=scheme, store=store,
         evaluator=evaluator, provider_policy=provider_policy, seed=seed,
         static_gate=static_gate, zero_cost=zero_cost, name=name,
         transfer_backend=transfer_backend, cache=cache, prefetch=prefetch,
-        async_io=async_io, transport=transport, retry=retry,
+        async_io=async_io, retry=retry,
         task_timeout=task_timeout, journal=journal, resume=resume,
         engine=engine,
     )

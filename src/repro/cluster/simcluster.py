@@ -182,6 +182,9 @@ class SimulatedCluster:
         weight_cache = make_cache(cache) if uses_store else None
         arch_by_id: dict[int, tuple] = {}
         plan_sigs: set = set()     # structural signatures already traced
+        if engine == "plan":
+            from ..tensor.engine import get_plan_cache
+            plan_stats0 = get_plan_cache().stats()
         xfer_copied_bytes = 0
         xfer_resliced = 0
         trace = Trace(name=f"{self.problem.name}-{scheme}-g{self.num_gpus}",
@@ -389,13 +392,12 @@ class SimulatedCluster:
         if faults is not None:
             trace.fault_stats = fault_stats.as_dict()
         if engine == "plan":
-            from ..tensor.engine import get_plan_cache
             trace.engine_stats = {
                 "engine": engine,
                 "plans_traced_virtual": len(plan_sigs),
                 "plan_trace_virtual_seconds":
                     len(plan_sigs) * self.cost.plan_trace_seconds,
-                **get_plan_cache().stats(),
+                **get_plan_cache().stats_since(plan_stats0),
             }
         if gate is not None:
             stats = gate.stats.as_dict()

@@ -78,9 +78,9 @@ class Trace:
     #: pre-flight gate accounting (checked/admitted/rejected/by_code)
     #: when the search ran with static screening; None otherwise
     static_stats: Optional[dict] = None
-    #: checkpoint I/O fast-path accounting (cache/prefetch/writer/
-    #: transport stats + drain-barrier seconds) when the search ran with
-    #: the cache/async knobs; None otherwise
+    #: checkpoint I/O fast-path accounting (cache/prefetch/writer stats
+    #: + drain-barrier seconds) when the search ran with the
+    #: cache/async knobs; None otherwise
     io_stats: Optional[dict] = None
     #: fault-containment accounting (faults by taxonomy kind, retries,
     #: quarantined checkpoints, pool rebuilds, chaos-injection stats)
@@ -91,9 +91,10 @@ class Trace:
     #: ``"store"`` for supernet runs) when the search transferred
     #: weights; None for baseline runs
     transfer_stats: Optional[dict] = None
-    #: training-step engine accounting (``engine`` name plus PlanCache
-    #: hit/miss/trace counters for in-process evaluators) when the
-    #: search ran with ``engine="plan"``; None for eager runs
+    #: training-step engine accounting (``engine`` name plus the
+    #: PlanCache hit/miss/trace counts accrued during this run, for
+    #: in-process evaluators) when the search ran with
+    #: ``engine="plan"``; None for eager runs
     engine_stats: Optional[dict] = None
 
     def append(self, record: TraceRecord) -> None:

@@ -293,10 +293,12 @@ class SearchService:
             if session_id in self._sessions:
                 raise AdmissionError(f"session {session_id!r} exists")
         session = self._build_session(session_id, spec, resume=resume)
+        # the QUEUED manifest lands before the drive thread can see the
+        # session: once published, _promote_queued writes the same file
+        self._write_manifest(session)
         with self._lock:
             self._sessions[session_id] = session
             self._queued.append(session_id)
-        self._write_manifest(session)
         return SessionHandle(self, session_id)
 
     def _build_session(self, session_id: str, spec: SessionSpec,

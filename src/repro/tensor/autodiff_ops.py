@@ -22,8 +22,7 @@ Performance contract (see DESIGN.md "Kernel layout & performance"):
   boolean window mask (p^2 bytes/output element).
 
 The pre-optimization implementations are frozen in ``reference_ops`` and
-the two are compared op-by-op in ``tests/test_kernel_equivalence.py`` and
-``benchmarks/perf/``.
+the two are compared op-by-op in ``tests/test_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -147,7 +146,7 @@ def conv1d_forward(x, kernel, bias, padding="same"):
     Native column kernel.  The old implementation routed through the
     2-D conv with singleton axes, which re-derived the patch matrix in
     backward and lost to the legacy kernel on same-dtype inputs
-    (BENCH_kernels speedup_same_dtype 0.904).  Here one patch-matrix
+    (0.904x its speed).  Here one patch-matrix
     copy feeds a single GEMM and, unlike conv2d, the cache keeps the
     column matrix: at only k x the input it is cheap in 1-D and saves
     the backward rebuild entirely.

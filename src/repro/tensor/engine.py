@@ -8,7 +8,7 @@ ordered op schedule over a preallocated buffer arena:
   fixed slot allocated once at trace time; steady-state steps perform
   zero array allocations (lint rule R010 enforces this statically on
   every ``execute*``/``run_step`` function in this module, and
-  ``benchmarks/perf/engine_runner.py`` measures it with tracemalloc);
+  ``tests/test_engine.py`` measures it with tracemalloc);
 - the hottest op sequences are fused: conv -> bias -> activation and
   dense -> bias -> activation run as one op over shared buffers, the
   conv backward reuses the forward's im2col matrix instead of
@@ -1131,6 +1131,15 @@ class PlanCache:
                 "trace_seconds": self.trace_seconds,
                 "idle_keys": len(self._idle),
             }
+
+    def stats_since(self, before: dict) -> dict:
+        """:meth:`stats` with the counters reduced to what accrued since
+        the ``before`` snapshot; ``idle_keys`` is a level, kept as is."""
+        now = self.stats()
+        for key in ("hits", "misses", "traces", "evictions",
+                    "trace_seconds"):
+            now[key] -= before[key]
+        return now
 
 
 #: per-process default cache (one per process-pool worker); boxed so the

@@ -3,18 +3,13 @@
 These are the original, obviously-correct implementations of the conv /
 pooling kernels and optimizer update rules that ``autodiff_ops`` and
 ``optimizers`` shipped with before the memory-lean rework.  They are kept
-*verbatim* for two purposes:
-
-1. the kernel-equivalence test suite (``tests/test_kernel_equivalence.py``)
-   asserts that the optimized paths produce ``allclose`` outputs and
-   gradients against these on randomized shapes, and
-2. the perf harness (``benchmarks/perf/``) measures the optimized hot path
-   against this baseline — including the float64 promotion the old stack
-   suffered from float64 datasets — and records both sides in
-   ``BENCH_kernels.json``.
+*verbatim* for the kernel-equivalence test suite
+(``tests/test_kernel_equivalence.py``), which asserts that the optimized
+paths produce ``allclose`` outputs and gradients against these on
+randomized shapes.
 
 Do not "fix" or optimize anything here; that would silently move the
-goalposts for both consumers.  The cache layouts intentionally differ
+goalposts for those tests.  The cache layouts intentionally differ
 from ``autodiff_ops`` (these cache the full im2col matrix / boolean pool
 mask), so the two families are not mix-and-match compatible.
 """

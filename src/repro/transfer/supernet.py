@@ -103,10 +103,10 @@ class BindStats:
 
 @dataclass(frozen=True)
 class SliceDescriptor:
-    """WeightHandle-style provider reference for the supernet backend.
+    """Provider reference for the supernet backend.
 
-    Where the checkpoint path ships (or shm-publishes) the provider's
-    weight payload to the worker, the supernet path ships this: which
+    Where the checkpoint path ships the provider's weight payload to
+    the worker, the supernet path ships this: which
     candidate to inherit from and how to match against it.  The worker
     resolves it into view bindings against the shared store — a few
     dozen bytes instead of megabytes."""

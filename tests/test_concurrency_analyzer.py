@@ -451,7 +451,7 @@ def test_real_tree_declarations_match_inference():
     declared_modules = [m for m in model.modules.values()
                         if m.declared_guards is not None]
     assert {m.name for m in declared_modules} == {
-        "cache", "prefetch", "multilevel", "evaluator", "transport",
+        "cache", "prefetch", "multilevel", "evaluator",
         "supernet", "engine", "sharded", "core"}
     for m in declared_modules:
         assert model.module_inferred_guarded(m) == m.declared_guards, m.name

@@ -5,9 +5,9 @@ so every equivalence assertion here uses exact comparison
 (``np.array_equal`` / ``==``), never ``allclose``.
 """
 
-import sys
+import gc
 import threading
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,9 +39,7 @@ from repro.tensor.engine import (
 )
 from repro.tensor.training import evaluate
 
-REPO = Path(__file__).resolve().parents[1]
-
-#: fixed per-app candidates — same literals the engine benchmark uses
+#: fixed per-app candidates
 APP_SEQS = {
     "cifar10": (4, 1, 1, 4, 0, 1, 12, 1, 1, 12, 0, 1, 12, 1, 1, 12, 0, 1,
                 3, 2, 0),
@@ -409,12 +407,35 @@ def test_plan_cache_lock_is_in_the_declared_hierarchy():
 # ---------------------------------------------------------------------------
 
 
-def test_run_step_steady_state_is_allocation_free():
-    sys.path.insert(0, str(REPO))
+def steady_state_allocs(step, *, steps: int = 5) -> dict:
+    """Net retained tracemalloc allocations per warm ``step()`` call.
+
+    One traced call warms every lazy path, then ``steps`` calls run
+    between two snapshots.  tracemalloc's own snapshot bookkeeping is
+    filtered out, so a genuinely allocation-free step reads 0."""
+    gc.collect()
+    tracemalloc.start()
     try:
-        from benchmarks.perf.timing import steady_state_allocs
+        step()
+        gc.collect()
+        before = tracemalloc.take_snapshot()
+        for _ in range(steps):
+            step()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
     finally:
-        sys.path.pop(0)
+        tracemalloc.stop()
+    own = (tracemalloc.Filter(False, tracemalloc.__file__),)
+    count = size = 0
+    for stat in after.filter_traces(own).compare_to(
+            before.filter_traces(own), "filename"):
+        count += stat.count_diff
+        size += stat.size_diff
+    return {"allocs_per_step": max(0, count) // steps,
+            "alloc_bytes_per_step": max(0, size) // steps}
+
+
+def test_run_step_steady_state_is_allocation_free():
     ds, space = _tiny_dense_setup()
     model = space.build_network((), np.random.default_rng(0))
     plan = StepPlan(model, 16, [ds.x_train.dtype], ds.y_train.dtype,
@@ -444,9 +465,15 @@ def test_run_search_plan_trace_matches_eager(space, problem):
                       scheme="baseline", seed=4, engine="plan")
     assert [(r.candidate_id, r.arch_seq, r.score) for r in eager] == \
         [(r.candidate_id, r.arch_seq, r.score) for r in plan]
-    assert plan.engine_stats is not None
     assert plan.engine_stats["engine"] == "plan"
     assert eager.engine_stats is None
+    # the PlanCache is process-wide and warm for a second identical
+    # run, yet each trace counts only its own run's lookups
+    again = run_search(problem, RandomSearch(space, rng=4), 6,
+                       scheme="baseline", seed=4, engine="plan")
+    lookups = [t.engine_stats["hits"] + t.engine_stats["misses"]
+               for t in (plan, again)]
+    assert lookups[0] == lookups[1] > 0
 
 
 def test_run_search_plan_under_chaos_matches_eager(space, problem):

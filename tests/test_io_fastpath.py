@@ -1,15 +1,12 @@
-"""Checkpoint I/O fast path: determinism, drain barrier, transport, sim.
+"""Checkpoint I/O fast path: determinism, drain barrier, pools, sim.
 
 The contract under test (DESIGN.md "Checkpoint I/O pipeline"): turning
-on the cache / prefetch / write-behind / transport knobs changes *when*
+on the cache / prefetch / write-behind knobs changes *when*
 I/O happens, never *what* the search computes — fast-path traces are
 semantically identical to fully synchronous ones, and ``overhead``
 always equals ``io_blocked + io_hidden``.
 """
 
-import pickle
-
-import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointStore, WeightCache
@@ -19,14 +16,6 @@ from repro.cluster import (
     Trace,
     checkpoint_key,
     run_search,
-)
-from repro.cluster.transport import (
-    MmapFileTransport,
-    SharedMemoryTransport,
-    WeightHandle,
-    load_handle_weights,
-    make_transport,
-    resolve_provider_ref,
 )
 from repro.nas import RegularizedEvolution
 
@@ -114,91 +103,10 @@ def test_async_children_still_transfer_from_pending_parents(problem, space,
 
 
 # ---------------------------------------------------------------------------
-# zero-copy transport
+# process pools: provider weights travel pickled inside the task
 # ---------------------------------------------------------------------------
 
-def sample_weights():
-    rng = np.random.default_rng(7)
-    return {"conv.kernel": rng.normal(size=(3, 3, 2, 4)).astype(np.float32),
-            "dense.bias": rng.normal(size=6).astype(np.float64),
-            "scalar": np.float32(2.5) * np.ones((), dtype=np.float32)}
-
-
-@pytest.mark.parametrize("backend", [SharedMemoryTransport,
-                                     MmapFileTransport])
-def test_transport_round_trip_and_reuse(backend):
-    w = sample_weights()
-    with backend() as t:
-        h1 = t.publish("prov", w)
-        h2 = t.publish("prov", w)            # same key → same segment
-        assert h1 is h2
-        assert isinstance(h1, WeightHandle) and h1.kind == t.kind
-        out = load_handle_weights(h1)
-        assert list(out) == list(w)
-        for k in w:
-            assert np.array_equal(out[k], np.asarray(w[k]))
-            assert not out[k].flags.writeable
-        assert t.stats()["publishes"] == 1
-        assert t.stats()["reuses"] == 1
-        assert t.stats()["live_segments"] == 1
-
-
-@pytest.mark.parametrize("backend", [SharedMemoryTransport,
-                                     MmapFileTransport])
-def test_handles_survive_pickling(backend):
-    w = sample_weights()
-    with backend() as t:
-        handle = pickle.loads(pickle.dumps(t.publish("p", w)))
-        out = resolve_provider_ref(handle)
-        assert all(np.array_equal(out[k], np.asarray(w[k])) for k in w)
-
-
-def test_resolve_provider_ref_passthrough():
-    assert resolve_provider_ref(None) is None
-    d = {"a": np.zeros(2, dtype=np.float32)}
-    assert resolve_provider_ref(d) is d
-    with pytest.raises(TypeError):
-        resolve_provider_ref(42)
-
-
-def test_make_transport_normalisation():
-    assert make_transport(None) is None
-    assert make_transport(False) is None
-    assert isinstance(make_transport("shm"), SharedMemoryTransport)
-    assert isinstance(make_transport("mmap"), MmapFileTransport)
-    auto = make_transport("auto")
-    assert isinstance(auto, (SharedMemoryTransport, MmapFileTransport))
-    auto.close()
-    existing = MmapFileTransport()
-    assert make_transport(existing) is existing
-    existing.close()
-    with pytest.raises(ValueError):
-        make_transport("carrier-pigeon")
-
-
-def test_transport_release_and_close_destroy_segments(tmp_path):
-    t = MmapFileTransport(root=tmp_path / "seg")
-    h = t.publish("p", sample_weights())
-    import os
-    assert os.path.exists(h.name)
-    t.release("p")
-    assert not os.path.exists(h.name)
-    h2 = t.publish("q", sample_weights())
-    t.close()
-    assert not os.path.exists(h2.name)
-
-
-def test_serial_search_with_transport_matches_sync(problem, space,
-                                                   tmp_path):
-    sync, _ = search(problem, space, tmp_path, "s", n=8)
-    via_shm, _ = search(problem, space, tmp_path, "t", n=8,
-                        transport="auto")
-    assert semantics(via_shm) == semantics(sync)
-    assert via_shm.io_stats["transport"]["publishes"] > 0
-
-
-def test_process_pool_with_transport_matches_sync(problem, space,
-                                                  tmp_path):
+def test_process_pool_matches_sync(problem, space, tmp_path):
     from repro.cluster import ProcessPoolEvaluator
 
     sync, _ = search(problem, space, tmp_path, "s", n=6)
@@ -209,8 +117,7 @@ def test_process_pool_with_transport_matches_sync(problem, space,
     finally:
         ev.close()
     assert semantics(pooled) == semantics(sync)
-    # transport auto-enables for process pools on transfer schemes
-    assert pooled.io_stats["transport"]["publishes"] > 0
+    assert any(r.transferred for r in pooled.ok_records())
 
 
 # ---------------------------------------------------------------------------

@@ -151,17 +151,24 @@ def test_failed_task_lands_as_failed_record(space, problem):
 # ---------------------------------------------------------------------------
 
 def test_chaos_with_retry_completes_all_candidates(space, problem):
-    ev = ChaosEvaluator(SerialEvaluator(), crash_prob=0.4, seed=3)
-    trace = run_search(problem, RandomSearch(space, rng=0), 8,
-                       scheme="baseline", evaluator=ev, seed=0,
-                       retry=RetryPolicy(max_attempts=4, base_delay=0.0,
-                                         jitter=0.0))
+    def run():
+        ev = ChaosEvaluator(SerialEvaluator(), crash_prob=0.4, seed=3)
+        return run_search(problem, RandomSearch(space, rng=0), 8,
+                          scheme="baseline", evaluator=ev, seed=0,
+                          retry=RetryPolicy(max_attempts=4, base_delay=0.0,
+                                            jitter=0.0))
+
+    trace = run()
     assert len(trace) == 8
     assert all(r.ok for r in trace)
     fs = trace.fault_stats
+    assert fs["chaos"]["injected"]["crash"] > 0
     assert fs["retries"] > 0
     assert fs["failed_records"] == 0
     assert max(r.attempts for r in trace) > 1
+    # an identical chaos run replays the same crashes and retries
+    assert [(r.score, r.attempts) for r in run()] == \
+        [(r.score, r.attempts) for r in trace]
 
 
 def test_chaos_crashes_do_not_perturb_scores(space, problem):

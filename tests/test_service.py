@@ -1,7 +1,9 @@
 """Multi-tenant search service: multiplexing, isolation, drain/recover."""
 
+import json
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -216,6 +218,51 @@ def test_draining_service_rejects_submissions(space, problem, tmp_path):
     svc.request_drain()
     with pytest.raises(AdmissionError, match="draining"):
         svc.submit(_spec(space, problem, 0, scheme="baseline"))
+
+
+def test_submit_while_driving_keeps_manifests_consistent(space, problem,
+                                                         tmp_path):
+    """Tenant threads submit while the drive thread promotes and
+    finishes sessions.  Each session's first manifest is written before
+    the drive thread can see the session, so no two writes race on the
+    same temp file and no late QUEUED write hides a newer state."""
+    svc = SearchService(evaluator=SerialEvaluator(),
+                        journal_dir=tmp_path / "j", max_active_sessions=2)
+    handles = [svc.submit(_spec(space, problem, 0, n=12,
+                                scheme="baseline"))]
+    errors = []
+
+    def guarded(fn, *args):
+        try:
+            fn(*args)
+        except Exception as exc:          # pragma: no cover - the race
+            errors.append(exc)
+
+    def tenant(t):
+        for i in range(6):
+            handles.append(svc.submit(_spec(
+                space, problem, 10 * t + i, n=2, tenant=f"t{t}",
+                scheme="baseline")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=guarded, args=(svc.drive,))]
+        threads += [threading.Thread(target=guarded, args=(tenant, t))
+                    for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    svc.drive()        # sessions admitted after the drive loop went idle
+    manifests = sorted((tmp_path / "j").glob("*.manifest.json"))
+    assert len(manifests) == len(handles) == 25
+    for path in manifests:
+        assert json.loads(path.read_text())["state"] == SessionState.DONE
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from repro.apps.mnist import build_space
 from repro.apps.mnist import problem as mnist_problem
+from repro.checkpoint import CheckpointStore
 from repro.cluster import run_search
 from repro.cluster.evaluator import ProcessPoolEvaluator, SerialEvaluator
 from repro.cluster.resilience import ChaosEvaluator, RetryPolicy
@@ -248,7 +249,7 @@ def test_slice_descriptor_is_tiny_and_frozen():
         desc.provider_id = 9
 
 
-def test_run_search_supernet_end_to_end():
+def test_run_search_supernet_end_to_end(tmp_path):
     problem = mnist_problem(seed=0)
     trace = run_search(problem, RandomSearch(problem.space, rng=3), 8,
                        scheme="lcs", transfer_backend="supernet",
@@ -260,6 +261,13 @@ def test_run_search_supernet_end_to_end():
     assert trace.transfer_stats["resliced_params"] > 0
     assert any(r.transferred for r in trace.records)
     assert trace.total_io_blocked == 0.0          # nothing touches disk
+    # the checkpoint backend sees the same proposals (random search is
+    # tell-independent) and pays for the copies the supernet avoids
+    ckpt = run_search(problem, RandomSearch(problem.space, rng=3), 8,
+                      scheme="lcs", store=CheckpointStore(tmp_path),
+                      provider_policy="nearest", seed=5)
+    assert [r.arch_seq for r in ckpt] == [r.arch_seq for r in trace]
+    assert ckpt.transfer_stats["copied_bytes"] > 0
 
 
 def test_run_search_supernet_accepts_store_none_and_shared_supernet():
@@ -307,11 +315,14 @@ def test_chaos_crashes_never_corrupt_shared_store():
             provider_policy="nearest", seed=5, evaluator=evaluator,
             retry=RetryPolicy(max_attempts=6, base_delay=0.0, jitter=0.0))
 
-    _, clean = run(chaos=False)
+    clean_backend, clean = run(chaos=False)
     backend, chaotic = run(chaos=True)
     assert chaotic.fault_stats["chaos"]["injected"]["crash"] > 0
     assert all(r.ok for r in chaotic.records)
     assert store_finite(backend.supernet)
+    clean_store = dict(clean_backend.supernet.items())
+    assert all(np.array_equal(arr, clean_store[name])
+               for name, arr in backend.supernet.items())
     assert [r.score for r in chaotic.records] == \
         [r.score for r in clean.records]
 

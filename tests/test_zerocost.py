@@ -23,7 +23,14 @@ from repro.apps import make_image_dataset
 from repro.checkpoint import CheckpointStore
 from repro.cluster import Trace, run_search
 from repro.cluster.simcluster import CostModel, SimulatedCluster
-from repro.nas import Problem, RandomSearch, RegularizedEvolution
+from repro.experiments.zerocost import _cascade_scores, _sample_valid
+from repro.metrics import kendall_tau
+from repro.nas import (
+    Problem,
+    RandomSearch,
+    RegularizedEvolution,
+    estimate_candidate,
+)
 
 from test_analysis_gate import INVALID_SEQ, VALID_SEQ, build_strict_space
 
@@ -187,6 +194,15 @@ def test_run_search_zero_cost_cascade(strict_problem, tmp_path):
     # the new per-tier keys survive the jsonl round-trip
     loaded = Trace.load_jsonl(trace.save_jsonl(tmp_path / "zc.jsonl"))
     assert loaded.static_stats == stats
+    # the cascade ranking, with the bottom quarter by proxy ranked below
+    # every survivor, keeps most of the partial-training ranking
+    seqs, _ = _sample_valid(strict_problem, 10, np.random.default_rng(7))
+    gate = ZeroCostGate(strict_problem, warmup=2, seed=0)
+    proxy = [gate.proxy_score(s) for s in seqs]
+    partial = [estimate_candidate(strict_problem, s, seed=0).score
+               for s in seqs]
+    combined, _ = _cascade_scores(proxy, partial, 0.25)
+    assert kendall_tau(combined, partial) >= 0.5
 
 
 def test_simcluster_charges_proxy_cost(strict_problem, tmp_path):
