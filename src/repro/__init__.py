@@ -6,7 +6,8 @@ Subpackages:
 - :mod:`repro.tensor`     — from-scratch NumPy deep-learning framework
 - :mod:`repro.nas`        — search spaces, strategies, candidate estimation
 - :mod:`repro.transfer`   — shape sequences, LP/LCS matching, weight transfer
-- :mod:`repro.checkpoint` — npz checkpoint store + multi-level extensions
+- :mod:`repro.checkpoint` — raw-payload checkpoint store (npz read for
+  legacy archives) + multi-level extensions
 - :mod:`repro.cluster`    — scheduler, evaluators, discrete-event simulator
 - :mod:`repro.apps`       — the four evaluated applications (synthetic data)
 - :mod:`repro.metrics`    — Kendall's tau, confidence intervals, geomean

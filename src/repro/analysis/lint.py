@@ -16,7 +16,8 @@ debugging paid for, now machine-enforced:
            hash must match the pinned SHA-256 (the perf-equivalence
            baseline must never drift).
  R003      Optimizer ``step`` bodies must not allocate: no
-           ``np.copy``/fresh-array/``.astype``/``.copy`` calls — all
+           ``np.copy``/fresh-array/``.astype``/``.copy`` calls and no
+           ``np.concatenate``/``np.stack`` without ``out=`` — all
            updates go through ``out=`` ufuncs and reused scratch
            buffers.
  R004      A module's ``_GUARDED_ATTRS`` declaration is an *assertion*
@@ -88,6 +89,9 @@ _BARE_ALLOCATORS = frozenset({"zeros", "ones", "empty", "full"})
 _STEP_ALLOCATORS = _BARE_ALLOCATORS | {
     "array", "copy", "zeros_like", "ones_like", "empty_like", "full_like",
 }
+#: NumPy gathers that allocate inside optimizer ``step`` bodies (R003)
+#: unless they write into a preallocated ``out=`` buffer.
+_STEP_GATHERS = frozenset({"concatenate", "stack"})
 #: NumPy calls banned inside engine step bodies (R010): anything that
 #: returns a fresh array.  ``np.take(..., out=)`` and ``out=`` ufuncs
 #: are the sanctioned steady-state tools.
@@ -217,6 +221,12 @@ class _R003Visitor(ast.NodeVisitor):
                     node.lineno, node.col_offset,
                     f"np.{name} allocates inside an optimizer step; use "
                     f"out= ufuncs and reused scratch buffers"))
+            elif (_is_numpy_attr(node.func, _STEP_GATHERS) is not None
+                  and not any(kw.arg == "out" for kw in node.keywords)):
+                self.findings.append((
+                    node.lineno, node.col_offset,
+                    f"np.{node.func.attr} without out= allocates inside an "
+                    f"optimizer step; gather into a preallocated buffer"))
             elif (isinstance(node.func, ast.Attribute)
                   and node.func.attr in ("copy", "astype")):
                 self.findings.append((

@@ -1,4 +1,5 @@
-"""npz checkpoint store + cache/prefetch/async multi-level extensions."""
+"""Checkpoint store (raw payload + layout sidecar; legacy npz archives
+still load) + cache/prefetch/async multi-level extensions."""
 
 from .cache import DEFAULT_CACHE_BYTES, WeightCache, make_cache, weights_nbytes
 from .multilevel import AsyncCheckpointWriter, MultiLevelStore

@@ -1,20 +1,32 @@
-"""Directory-backed npz checkpoint store (the HDF5/parallel-FS stand-in).
+"""Directory-backed checkpoint store (the HDF5/parallel-FS stand-in).
 
-One checkpoint = ``<key>.npz`` holding the named tensors plus a
-``<key>.json`` sidecar carrying the tensor order and the optional user
-metadata.  Keeping the order index in the sidecar (instead of an
-object-dtype array inside the npz, as older stores did) means ``load``
-never needs ``allow_pickle=True`` — no pickle on the I/O hot path and
-no object-array deserialisation cost.  Legacy archives that still embed
-an ``__order__`` object array remain readable through a fallback.
-Sizes are real on-disk bytes — they feed Figure 11 and the simulator's
-I/O cost model.
+One checkpoint = a ``<key>.bin`` payload plus a ``<key>.json`` sidecar.
+The payload is the tensors' raw C-contiguous bytes, concatenated in
+dict order (each offset aligned to its dtype), zlib-compressed as a
+whole when the store compresses.  The sidecar carries the tensor order
+(``__order__``), the per-tensor layout ``[dtype.str, shape, offset]``
+(``__layout__``), the codec, the optional user metadata (``__meta__``)
+and the payload's CRC32 (``__crc32__``).  A load is one sidecar read
+and one payload read into a writable buffer; each tensor comes back as
+an ``np.frombuffer`` view of it — no zip, no ``.npy`` headers, no
+pickle.  Sizes are real on-disk bytes — they feed Figure 11 and the
+simulator's I/O cost model.
+
+Legacy ``<key>.npz`` archives (written by older stores, with or
+without a sidecar, or with the order index embedded as an object
+array) stay readable through ``np.load``; every method that enumerates,
+sizes, deletes or quarantines checkpoints sees either suffix.
 
 Concurrency contract: the store itself is **lock-free** — it owns no
-shared in-memory state, and every save is an atomic ``os.replace`` of a
-fully written temp file, so concurrent readers see either the old or
-the new checkpoint, never a torn one.  Callers that layer mutable state
-on top (:class:`~repro.checkpoint.cache.WeightCache`,
+shared in-memory state, and every file is committed by an atomic
+``os.replace`` of a fully written temp file.  The sidecar is committed
+*before* the payload: ``exists`` (and so every caller's "is this a
+provider yet?" check) keys on the payload, so a reader that sees the
+payload always finds its layout.  Keys are written once per candidate;
+overwriting a key is atomic per file, not across the pair, and a reader
+caught between the two renames gets :class:`CorruptCheckpointError`
+from the CRC check.  Callers that layer mutable state on top
+(:class:`~repro.checkpoint.cache.WeightCache`,
 :class:`~repro.checkpoint.prefetch.ProviderPrefetcher`,
 ``AsyncCheckpointWriter``) bring their own locks; the whole-program
 concurrency analyzer (lint R007/R008) verifies those, and finds no lock
@@ -23,8 +35,8 @@ order through this module — store calls are leaves in the lock graph.
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import os
 import zipfile
 import zlib
@@ -33,19 +45,27 @@ from pathlib import Path
 
 import numpy as np
 
-#: Legacy in-archive order index (object dtype, needs pickle); new saves
-#: put the order in the JSON sidecar under the same reserved name.
+#: Payload suffixes: the raw codec, and the legacy npz archive.
+_RAW_SUFFIX = ".bin"
+_NPZ_SUFFIX = ".npz"
+#: Sidecar key for the tensor order (legacy archives embedded it as an
+#: object array under the same name, which needs pickle to read).
 _ORDER_KEY = "__order__"
-#: Sidecar key for the user metadata in the new sidecar format.
+#: Sidecar key for the user metadata.
 _META_KEY = "__meta__"
-#: Sidecar key for the CRC32 of the npz payload (new saves only; old
-#: sidecars without it load unchecked for backward compatibility).
+#: Sidecar key for the CRC32 of the payload file (sidecars written
+#: before it existed load unchecked for backward compatibility).
 _CRC_KEY = "__crc32__"
+#: Sidecar key for the per-tensor ``[dtype.str, shape, offset]`` layout
+#: of a raw payload; its absence marks a legacy npz checkpoint.
+_LAYOUT_KEY = "__layout__"
+#: Sidecar key for the payload codec: ``"raw"`` or ``"zlib"``.
+_CODEC_KEY = "__codec__"
 #: Sidecar directory corrupt checkpoints are quarantined into.
 QUARANTINE_DIR = ".quarantine"
 
 
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
+def _atomic_write_bytes(path: Path, blob) -> None:
     """Write ``blob`` to ``path`` via temp-file + fsync + ``os.replace``
     so a crash mid-write never leaves a torn file at the canonical name
     — readers see the old content or the new, nothing in between."""
@@ -57,9 +77,52 @@ def _atomic_write_bytes(path: Path, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _read_into_buffer(path: Path) -> bytearray:
+    """The whole file in one read, into a writable buffer."""
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]
+    return buf
+
+
+def _encode(weights: dict) -> tuple[bytearray, list]:
+    """Raw payload + layout: each tensor's C-order bytes at an offset
+    aligned to its dtype, in dict order."""
+    arrays = [np.asarray(arr) for arr in weights.values()]
+    layout, end = [], 0
+    for arr in arrays:
+        if arr.dtype.hasobject:
+            raise TypeError(f"cannot checkpoint object array ({arr.dtype})")
+        offset = end + (-end % arr.dtype.alignment)
+        layout.append([arr.dtype.str, list(arr.shape), offset])
+        end = offset + arr.nbytes
+    buf = bytearray(end)
+    for arr, (_, _, offset) in zip(arrays, layout):
+        np.copyto(np.frombuffer(buf, arr.dtype, arr.size, offset)
+                  .reshape(arr.shape), arr)
+    return buf, layout
+
+
+def _decode(buf: bytearray, order: list, layout: list) -> dict:
+    """Views of ``buf`` per the layout; the buffer length must be
+    exactly what the layout spans."""
+    if len(order) != len(layout):
+        raise ValueError(f"{len(order)} names for {len(layout)} tensors")
+    tensors = [(np.dtype(dtype), shape, math.prod(shape), offset)
+               for dtype, shape, offset in layout]
+    end = max((offset + count * dtype.itemsize
+               for dtype, _, count, offset in tensors), default=0)
+    if len(buf) != end:
+        raise ValueError(f"payload holds {len(buf)} bytes, layout spans "
+                         f"{end}")
+    return {str(name): np.frombuffer(buf, dtype, count, offset).reshape(shape)
+            for name, (dtype, shape, count, offset) in zip(order, tensors)}
+
+
 class CorruptCheckpointError(Exception):
     """``load`` found the checkpoint on disk but could not decode it
-    (truncated npz, bad zip magic, missing member, unreadable sidecar).
+    (truncated payload, CRC mismatch, bad zip magic, missing member,
+    unreadable sidecar).
 
     Distinct from :class:`FileNotFoundError` — the caller's recovery is
     different: a corrupt checkpoint should be quarantined and the
@@ -87,40 +150,53 @@ class CheckpointStore:
         self.compress = compress
 
     # -- paths ----------------------------------------------------------
+    def _payload(self, key: str, root: Path | None = None) -> Path | None:
+        """The key's payload file under ``root`` (default: the store),
+        raw before legacy npz; None when neither is on disk."""
+        root = self.root if root is None else root
+        for suffix in (_RAW_SUFFIX, _NPZ_SUFFIX):
+            path = root / f"{key}{suffix}"
+            if path.exists():
+                return path
+        return None
+
     def path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
+        """The key's payload file: ``<key>.bin``, or a legacy
+        ``<key>.npz``, whichever is on disk — in the store, else in its
+        quarantine.  A key with neither resolves to the legacy name,
+        which is where ``np.savez`` puts an archive for it."""
+        return (self._payload(key) or self._payload(key, self.quarantine_root)
+                or self.root / f"{key}{_NPZ_SUFFIX}")
 
     def meta_path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
     def exists(self, key: str) -> bool:
-        return self.path(key).exists()
+        return self._payload(key) is not None
 
     def keys(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob("*.npz"))
+        return sorted({p.stem for suffix in (_RAW_SUFFIX, _NPZ_SUFFIX)
+                       for p in self.root.glob(f"*{suffix}")})
 
     # -- save / load ----------------------------------------------------
     def save(self, key: str, weights: dict[str, np.ndarray],
              meta: dict | None = None) -> CheckpointInfo:
-        """Atomic save: npz and sidecar are each written to a temp file
-        in the same directory, fsynced, then ``os.replace``d — a crash
-        mid-save never leaves a garbage archive at the canonical key.
-        The sidecar carries a CRC32 of the npz payload; :meth:`load`
-        verifies it, catching bit-rot that still parses as valid zip."""
-        path = self.path(key)
-        payload = {name: np.asarray(arr) for name, arr in weights.items()}
-        buf = io.BytesIO()
-        if self.compress:
-            np.savez_compressed(buf, **payload)
-        else:
-            np.savez(buf, **payload)
-        blob = buf.getvalue()
-        _atomic_write_bytes(path, blob)
+        """Atomic save: sidecar, then payload, each written to a temp
+        file in the same directory, fsynced, then ``os.replace``d — a
+        crash mid-save never leaves a garbage payload at the canonical
+        key, and a visible payload always has its sidecar.  The sidecar
+        carries a CRC32 of the payload file; :meth:`load` verifies it."""
+        payload, layout = _encode(weights)
+        blob = zlib.compress(payload) if self.compress else payload
         sidecar = {_ORDER_KEY: list(weights.keys()), _META_KEY: meta,
-                   _CRC_KEY: zlib.crc32(blob) & 0xFFFFFFFF}
+                   _CRC_KEY: zlib.crc32(blob) & 0xFFFFFFFF,
+                   _LAYOUT_KEY: layout,
+                   _CODEC_KEY: "zlib" if self.compress else "raw"}
         _atomic_write_bytes(self.meta_path(key),
                             json.dumps(sidecar).encode())
-        return CheckpointInfo(key, path, path.stat().st_size)
+        path = self.root / f"{key}{_RAW_SUFFIX}"
+        _atomic_write_bytes(path, blob)
+        return CheckpointInfo(key, path, len(blob))
 
     def _sidecar(self, key: str) -> dict | None:
         mp = self.meta_path(key)
@@ -131,38 +207,61 @@ class CheckpointStore:
     def load(self, key: str) -> dict[str, np.ndarray]:
         """Ordered named tensors, insertion order preserved.
 
-        Raises :class:`CorruptCheckpointError` when the archive exists
-        but cannot be decoded (truncated/garbage npz, missing member,
-        malformed sidecar) — or decodes fine but its bytes no longer
-        match the CRC32 recorded at save time (bit-rot that still
-        parses as a valid zip) — see :meth:`quarantine` for recovery."""
-        path = self.path(key)
+        Raises :class:`CorruptCheckpointError` when the payload exists
+        but cannot be decoded (truncated payload, garbage npz, missing
+        member, malformed sidecar) — or its bytes no longer match the
+        CRC32 recorded at save time — see :meth:`quarantine` for
+        recovery."""
+        path = self.root / f"{key}{_RAW_SUFFIX}"
         try:
             sidecar = self._sidecar(key)
-            if sidecar is not None and _CRC_KEY in sidecar:
-                crc = zlib.crc32(path.read_bytes()) & 0xFFFFFFFF
-                if crc != sidecar[_CRC_KEY]:
-                    raise CorruptCheckpointError(key, path, ValueError(
-                        f"CRC32 mismatch: sidecar records "
-                        f"{sidecar[_CRC_KEY]:#010x}, archive hashes "
-                        f"{crc:#010x}"))
-            if sidecar is not None and _ORDER_KEY in sidecar:
-                order = [str(n) for n in sidecar[_ORDER_KEY]]
-                with np.load(path) as data:    # allow_pickle stays False
-                    return {name: data[name] for name in order}
-            # legacy archives: order index embedded as an object array
-            with np.load(path) as data:
-                if _ORDER_KEY not in data.files:
-                    # npz member order is zip-entry order == insertion order
-                    return {name: data[name] for name in data.files}
-            with np.load(path, allow_pickle=True) as data:
-                order = [str(n) for n in data[_ORDER_KEY]]
-                return {name: data[name] for name in order}
-        except FileNotFoundError:
+            if sidecar is not None and _LAYOUT_KEY in sidecar:
+                buf = _read_into_buffer(path)
+                self._check_crc(key, path, sidecar, buf)
+                if sidecar.get(_CODEC_KEY) == "zlib":
+                    buf = bytearray(zlib.decompress(buf))
+                return _decode(buf, sidecar[_ORDER_KEY], sidecar[_LAYOUT_KEY])
+            path = self._payload(key)
+            if path is None:
+                raise FileNotFoundError(f"no checkpoint {key!r} in "
+                                        f"{self.root}")
+            if path.suffix == _RAW_SUFFIX:
+                raise ValueError("raw payload without a layout sidecar")
+            return self._load_npz(key, path, sidecar)
+        except (FileNotFoundError, CorruptCheckpointError):
             raise
-        except (ValueError, KeyError, OSError, EOFError,
-                zipfile.BadZipFile, json.JSONDecodeError) as exc:
+        except (ValueError, TypeError, KeyError, OSError, EOFError,
+                zlib.error, zipfile.BadZipFile,
+                json.JSONDecodeError) as exc:
             raise CorruptCheckpointError(key, path, exc) from exc
+
+    @staticmethod
+    def _check_crc(key: str, path: Path, sidecar: dict, blob) -> None:
+        if _CRC_KEY not in sidecar:
+            return
+        crc = zlib.crc32(blob) & 0xFFFFFFFF
+        if crc != sidecar[_CRC_KEY]:
+            raise CorruptCheckpointError(key, path, ValueError(
+                f"CRC32 mismatch: sidecar records {sidecar[_CRC_KEY]:#010x}, "
+                f"payload hashes {crc:#010x}"))
+
+    def _load_npz(self, key: str, path: Path,
+                  sidecar: dict | None) -> dict[str, np.ndarray]:
+        """The legacy read path: an npz archive, order from the sidecar
+        or (older still) from an embedded object array."""
+        if sidecar is not None:
+            self._check_crc(key, path, sidecar, path.read_bytes())
+        if sidecar is not None and _ORDER_KEY in sidecar:
+            order = [str(n) for n in sidecar[_ORDER_KEY]]
+            with np.load(path) as data:    # allow_pickle stays False
+                return {name: data[name] for name in order}
+        with np.load(path) as data:
+            if _ORDER_KEY not in data.files:
+                # npz member order is zip-entry order == insertion order
+                return {name: data[name] for name in data.files}
+        with np.load(path, allow_pickle=True) as data:
+            order = [str(n) for n in data[_ORDER_KEY]]
+            return {name: data[name] for name in order}
 
     # -- corrupt-checkpoint quarantine ----------------------------------
     @property
@@ -170,16 +269,19 @@ class CheckpointStore:
         return self.root / QUARANTINE_DIR
 
     def quarantine(self, key: str) -> Path:
-        """Move a corrupt checkpoint (npz + sidecar) into the
+        """Move a corrupt checkpoint (payload + sidecar) into the
         ``.quarantine/`` sidecar directory so it stops poisoning loads
-        but stays on disk for post-mortem; returns the quarantined npz
-        path.  After quarantine ``exists(key)`` is False and the
-        scheduler cold-starts the candidate."""
+        but stays on disk for post-mortem; returns the quarantined
+        payload path.  After quarantine ``exists(key)`` is False and
+        the scheduler cold-starts the candidate."""
         qroot = self.quarantine_root
         qroot.mkdir(parents=True, exist_ok=True)
-        dest = qroot / self.path(key).name
-        if self.path(key).exists():
-            self.path(key).replace(dest)
+        dest = qroot / f"{key}{_RAW_SUFFIX}"
+        for suffix in (_NPZ_SUFFIX, _RAW_SUFFIX):
+            src = self.root / f"{key}{suffix}"
+            if src.exists():
+                dest = qroot / src.name
+                src.replace(dest)
         mp = self.meta_path(key)
         if mp.exists():
             mp.replace(qroot / mp.name)
@@ -188,23 +290,28 @@ class CheckpointStore:
     def quarantined_keys(self) -> list[str]:
         if not self.quarantine_root.exists():
             return []
-        return sorted(p.stem for p in self.quarantine_root.glob("*.npz"))
+        return sorted({p.stem for suffix in (_RAW_SUFFIX, _NPZ_SUFFIX)
+                       for p in self.quarantine_root.glob(f"*{suffix}")})
 
     def load_meta(self, key: str) -> dict | None:
         sidecar = self._sidecar(key)
         if sidecar is None:
             return None
-        if _ORDER_KEY in sidecar:              # new sidecar format
+        if _ORDER_KEY in sidecar:              # store-written sidecar
             return sidecar.get(_META_KEY)
         return sidecar                          # legacy: raw user meta
 
     def delete(self, key: str) -> None:
-        self.path(key).unlink(missing_ok=True)
+        for suffix in (_RAW_SUFFIX, _NPZ_SUFFIX):
+            (self.root / f"{key}{suffix}").unlink(missing_ok=True)
         self.meta_path(key).unlink(missing_ok=True)
 
     # -- size accounting ------------------------------------------------
     def nbytes(self, key: str) -> int:
-        return self.path(key).stat().st_size
+        path = self._payload(key)
+        if path is None:
+            raise FileNotFoundError(f"no checkpoint {key!r} in {self.root}")
+        return path.stat().st_size
 
     def sizes(self) -> dict[str, int]:
         return {key: self.nbytes(key) for key in self.keys()}

@@ -524,8 +524,8 @@ class SearchDriver:
                 io0 = time.perf_counter()
                 if self.writer is not None:
                     # write-behind: only the snapshot + enqueue blocks
-                    # here; the npz write lands in io_hidden at the
-                    # drain barrier
+                    # here; the payload write lands in io_hidden at
+                    # the drain barrier
                     self.writer.save(key, result.weights, meta=meta)
                     self._saved_keys.add(key)
                 else:

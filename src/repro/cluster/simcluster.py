@@ -40,8 +40,8 @@ in virtual time but with *real* side effects where it matters:
   time, then fails; the ``retry`` policy replays it (backoff charged to
   the virtual clock) or the candidate lands as a failed record;
 * **stragglers** — a slow node multiplies the attempt's duration;
-* **corrupt checkpoints** — the saved npz is *actually truncated on
-  disk*, so a later provider load genuinely raises
+* **corrupt checkpoints** — the saved payload is *actually truncated
+  on disk*, so a later provider load genuinely raises
   :class:`CorruptCheckpointError`, is quarantined, and the child
   cold-starts — the same code path as the real scheduler.
 
@@ -355,7 +355,7 @@ class SimulatedCluster:
                     record.add_io_blocked(self.cost.save_seconds(info.nbytes))
                 if faults is not None and faults.corrupt_prob and \
                         float(fault_rng.uniform()) < faults.corrupt_prob:
-                    # genuinely truncate the npz: a later provider load
+                    # genuinely truncate the payload: a later provider load
                     # hits CorruptCheckpointError and the quarantine path
                     fault_stats.record_fault("corrupt_write")
                     path = self.store.path(key)

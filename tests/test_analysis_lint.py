@@ -49,6 +49,15 @@ def test_each_fixture_file_yields_exactly_its_rules(fixture_tree, rel, codes):
     assert {f.code for f in findings} == codes
 
 
+def test_r003_flags_gathers_without_out(fixture_tree):
+    path = fixture_tree / "repro" / "tensor" / "optimizers.py"
+    lines = path.read_text().splitlines()
+    flagged = [lines[f.line - 1] for f in lint_paths([path])
+               if "concatenate" in f.message]
+    # the gather into out= is clean; only the marked one is flagged
+    assert flagged == [line for line in lines if line.endswith("# R003")]
+
+
 def test_suppression_comment_silences_finding(fixture_tree):
     assert lint_paths([fixture_tree / "repro" / "suppressed.py"]) == []
 

@@ -2,11 +2,15 @@
 
 import json
 import queue
+import tempfile
 import threading
 import time
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.checkpoint import AsyncCheckpointWriter, CheckpointStore, MultiLevelStore
 
@@ -60,17 +64,28 @@ def test_compressed_store_is_smaller_for_redundant_data(tmp_path):
     assert np.array_equal(packed.load("k")["d.kernel"], w["d.kernel"])
 
 
-def test_load_never_needs_pickle(tmp_path):
+def test_load_never_needs_pickle(tmp_path, monkeypatch):
     store = CheckpointStore(tmp_path)
     w = weights()
     store.save("k", w, meta={"score": 0.5})
-    # the archive holds only the tensors; order lives in the sidecar
-    with np.load(store.path("k")) as data:      # allow_pickle defaults off
-        assert sorted(data.files) == sorted(w)
+    # the payload is the tensors' raw bytes in dict order; order, layout
+    # and meta live in the sidecar
+    assert store.path("k").name == "k.bin"
+    assert store.path("k").read_bytes() == b"".join(
+        a.tobytes() for a in w.values())
+    f4 = np.dtype(np.float32).str
     sidecar = json.loads(store.meta_path("k").read_text())
     assert sidecar["__order__"] == list(w)
+    assert sidecar["__layout__"] == [[f4, [8, 4], 0], [f4, [4], 128]]
     assert sidecar["__meta__"] == {"score": 0.5}
-    assert list(store.load("k")) == list(w)
+
+    def no_np_load(*args, **kwargs):
+        raise AssertionError("raw checkpoints must not go through np.load")
+
+    monkeypatch.setattr(np, "load", no_np_load)
+    loaded = store.load("k")
+    assert list(loaded) == list(w)
+    assert all(np.array_equal(loaded[k], w[k]) for k in w)
 
 
 def test_legacy_object_array_archive_still_loads(tmp_path):
@@ -272,17 +287,25 @@ def test_crc_mismatch_raises_corrupt_checkpoint(tmp_path):
 
 
 def test_sidecar_without_crc_still_loads(tmp_path):
-    """Backward compatibility: checkpoints saved before CRC sidecars
-    existed (no __crc32__ key) load unchecked instead of erroring."""
+    """Backward compatibility: sidecars without a __crc32__ key load
+    unchecked instead of erroring — and the layout's length check still
+    catches a truncated raw payload."""
+    from repro.checkpoint import CorruptCheckpointError
+
     store = CheckpointStore(tmp_path)
     w = weights()
     store.save("m_000001", w)
     sidecar_path = store.meta_path("m_000001")
     sidecar = json.loads(sidecar_path.read_text())
+    assert "__layout__" in sidecar
     del sidecar["__crc32__"]
     sidecar_path.write_text(json.dumps(sidecar))
     loaded = store.load("m_000001")
     assert all(np.array_equal(loaded[k], w[k]) for k in w)
+    path = store.path("m_000001")
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(CorruptCheckpointError, match="layout spans"):
+        store.load("m_000001")
 
 
 def test_crc_roundtrips_for_compressed_stores(tmp_path):
@@ -356,3 +379,104 @@ def test_prefetcher_concurrent_close_from_two_threads(tmp_path):
     for t in threads:
         t.join()
     assert not pf._worker.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# raw codec: generated round trips, corruption, commit order
+# ---------------------------------------------------------------------------
+
+_DTYPES = [np.float32, np.float64, np.int64, np.bool_]
+
+
+@st.composite
+def _tensor(draw):
+    """A tensor of a generated dtype and shape (0-d and zero-size
+    included), given as is, as a transposed view, or as a leading-corner
+    slice of a larger array."""
+    dtype = draw(st.sampled_from(_DTYPES))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                  max_side=4))
+    layout = draw(st.sampled_from(["plain", "transposed", "corner"]))
+    if layout == "transposed":
+        return draw(hnp.arrays(dtype, shape[::-1])).T
+    if layout == "corner":
+        grown = draw(hnp.arrays(dtype, tuple(n + 2 for n in shape)))
+        return grown[tuple(slice(0, n) for n in shape)]
+    return draw(hnp.arrays(dtype, shape))
+
+
+_WEIGHTS = st.lists(_tensor(), min_size=1, max_size=4).map(
+    lambda arrays: {f"layer{i}.w": a for i, a in enumerate(arrays)})
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=_WEIGHTS, compress=st.booleans())
+def test_codec_round_trip_is_bit_exact(w, compress):
+    with tempfile.TemporaryDirectory() as root:
+        store = CheckpointStore(root, compress=compress)
+        info = store.save("k", w)
+        assert info.nbytes == store.nbytes("k")
+        loaded = store.load("k")
+        assert list(loaded) == list(w)
+        assert all(_same_bits(loaded[k], w[k]) for k in w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=_WEIGHTS, compress=st.booleans(), data=st.data())
+def test_codec_rejects_truncated_or_flipped_payloads(w, compress, data):
+    from repro.checkpoint import CorruptCheckpointError
+
+    with tempfile.TemporaryDirectory() as root:
+        store = CheckpointStore(root, compress=compress)
+        store.save("k", w)
+        path = store.path("k")
+        blob = path.read_bytes()
+        assume(blob)                     # all-empty tensors: nothing to cut
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CorruptCheckpointError):
+            store.load("k")
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        flipped = bytearray(blob)
+        flipped[pos] ^= flip
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(CorruptCheckpointError):
+            store.load("k")
+
+
+def test_reader_never_sees_payload_without_sidecar(tmp_path):
+    """A reader polling exists → load while the async writer saves must
+    never hit a payload whose sidecar is not in place yet: the sidecar
+    is committed first."""
+    store = CheckpointStore(tmp_path)
+    keys = [f"m_{i:06d}" for i in range(60)]
+    errors, loaded = [], []
+
+    def reader():
+        deadline = time.monotonic() + 30.0
+        for key in keys:
+            while not store.exists(key):
+                if time.monotonic() > deadline:
+                    return
+            try:
+                loaded.append(store.load(key)["d.bias"][0])
+            except Exception as exc:      # pragma: no cover - the bug
+                errors.append(exc)
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    with AsyncCheckpointWriter(store) as writer:
+        for i, key in enumerate(keys):
+            w = weights(i)
+            w["d.bias"][0] = i
+            writer.save(key, w)
+    thread.join()
+    assert errors == []
+    assert loaded == list(range(len(keys)))

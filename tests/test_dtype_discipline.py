@@ -17,6 +17,7 @@ import repro.tensor.autodiff_ops as ops
 from repro.apps.datasets import (make_image_dataset, make_multisource_dataset,
                                  make_profile_dataset)
 from repro.tensor.optimizers import SGD, Adam, RMSProp
+from test_kernel_equivalence import _Net, _Slot
 
 F32 = np.float32
 
@@ -129,8 +130,9 @@ def test_optimizers_keep_param_dtype_with_float64_grads(opt):
     float32 parameters (the old path paid an astype copy per step)."""
     p = _r((4, 4))
     g64 = np.random.default_rng(1).normal(size=(4, 4))
-    opt._update("w", p, g64)
-    opt._update("w", p, g64)
+    net = _Net([_Slot(p, g64)])
+    opt.step(net)
+    opt.step(net)
     assert p.dtype == F32
 
 

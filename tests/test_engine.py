@@ -412,7 +412,9 @@ def steady_state_allocs(step, *, steps: int = 5) -> dict:
 
     One traced call warms every lazy path, then ``steps`` calls run
     between two snapshots.  tracemalloc's own snapshot bookkeeping is
-    filtered out, so a genuinely allocation-free step reads 0."""
+    filtered out, so a genuinely allocation-free step reads 0.  So is
+    the gc callback hypothesis registers for the rest of the process
+    once a property test has run: it allocates on every collection."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -425,7 +427,8 @@ def steady_state_allocs(step, *, steps: int = 5) -> dict:
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    own = (tracemalloc.Filter(False, tracemalloc.__file__),)
+    own = (tracemalloc.Filter(False, tracemalloc.__file__),
+           tracemalloc.Filter(False, "*/hypothesis/*"))
     count = size = 0
     for stat in after.filter_traces(own).compare_to(
             before.filter_traces(own), "filename"):

@@ -132,11 +132,28 @@ def test_maxpool2d_tied_window_routes_gradient_once():
 # ---------------------------------------------------------------------------
 
 
+class _Slot:
+    def __init__(self, param, grad):
+        self.params = {"w": param}
+        self.grads = {"w": grad}
+
+
+class _Net:
+    def __init__(self, slots):
+        self._slots = slots
+
+    def trainable(self):
+        for i, slot in enumerate(self._slots):
+            yield f"t{i}", slot, "w"
+
+
 def _trajectory_new(opt, param, grads):
-    p = param.copy()
+    slot = _Slot(param.copy(), None)
+    net = _Net([slot])
     for g in grads:
-        opt._update("w", p, g.copy())
-    return p
+        slot.grads["w"] = g.copy()
+        opt.step(net)
+    return slot.params["w"]
 
 
 def _trajectory_ref(update, param, grads, **hp):
@@ -184,23 +201,78 @@ def test_rmsprop_trajectory_matches_reference():
 
 
 # ---------------------------------------------------------------------------
-# clipnorm: in-place scaling vs the copying reference
+# flat multi-tensor step: layout independence
 # ---------------------------------------------------------------------------
 
+_MAKERS = {
+    "adam": lambda clipnorm: Adam(1e-3, clipnorm=clipnorm),
+    "sgd-momentum": lambda clipnorm: SGD(1e-2, momentum=0.9,
+                                         clipnorm=clipnorm),
+    "rmsprop": lambda clipnorm: RMSProp(1e-3, clipnorm=clipnorm),
+}
 
-class _Slot:
-    def __init__(self, param, grad):
-        self.params = {"w": param}
-        self.grads = {"w": grad}
+
+@pytest.mark.parametrize("clipnorm", [None, 1.0])
+@pytest.mark.parametrize("name", sorted(_MAKERS))
+def test_flat_step_is_layout_independent(name, clipnorm):
+    """Stepping one 3-tensor network equals stepping three 1-tensor
+    networks bit for bit.  With clipnorm the lone networks get the
+    gradients clipped by the joint norm, which is what the joint step
+    clips by.  The joint network's first parameter is a non-contiguous
+    leading-corner view, as the supernet backend binds them."""
+    rng = _rng(6)
+    shapes = [(5, 3), (3,), (2, 2, 4)]
+    params = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    steps = [[10.0 * rng.normal(size=s).astype(np.float32) for s in shapes]
+             for _ in range(4)]
+    base = np.zeros((7, 4), np.float32)
+    corner = base[:5, :3]
+    corner[...] = params[0]
+    joint = _Net([_Slot(corner, None)]
+                 + [_Slot(p.copy(), None) for p in params[1:]])
+    lone = [_Net([_Slot(p.copy(), None)]) for p in params]
+    joint_opt = _MAKERS[name](clipnorm)
+    lone_opts = [_MAKERS[name](None) for _ in params]
+    for grads in steps:
+        for slot, g in zip(joint._slots, grads):
+            slot.grads["w"] = g.copy()
+        joint_opt.step(joint)
+        fed = ref.clip_gradients(grads, clipnorm) if clipnorm else grads
+        for net, opt, g in zip(lone, lone_opts, fed):
+            net._slots[0].grads["w"] = g.copy()
+            opt.step(net)
+    for slot, net in zip(joint._slots, lone):
+        assert np.ascontiguousarray(slot.params["w"]).tobytes() == \
+            net._slots[0].params["w"].tobytes()
+    assert not base[5:].any() and not base[:, 3:].any()
 
 
-class _Net:
-    def __init__(self, slots):
-        self._slots = slots
+def test_relayout_keeps_surviving_state():
+    """A tensor joining the step rebuilds the flat layout; the tensors
+    already there keep their moments, bit for bit."""
+    rng = _rng(7)
+    params = [rng.normal(size=s).astype(np.float32)
+              for s in [(4, 3), (3,), (6,)]]
+    grads = [[rng.normal(size=p.shape).astype(np.float32) for p in params]
+             for _ in range(3)]
+    steady = _Net([_Slot(p.copy(), None) for p in params[:2]])
+    grown = _Net([_Slot(p.copy(), None) for p in params[:2]])
+    steady_opt, grown_opt = Adam(1e-2), Adam(1e-2)
+    for i, gs in enumerate(grads):
+        if i == 2:
+            grown._slots.append(_Slot(params[2].copy(), None))
+        for net in (steady, grown):
+            for slot, g in zip(net._slots, gs):
+                slot.grads["w"] = g.copy()
+        steady_opt.step(steady)
+        grown_opt.step(grown)
+    for a, b in zip(steady._slots, grown._slots):
+        assert a.params["w"].tobytes() == b.params["w"].tobytes()
 
-    def trainable(self):
-        for i, slot in enumerate(self._slots):
-            yield f"t{i}", slot, "w"
+
+# ---------------------------------------------------------------------------
+# clipnorm: in-place scaling vs the copying reference
+# ---------------------------------------------------------------------------
 
 
 def test_clipnorm_step_matches_copying_reference():
