@@ -1,11 +1,10 @@
 #!/usr/bin/env python
-"""Checkpointing extensions: async write-behind, multi-level tiers,
-compression (the paper's Section IX/X complementary directions).
+"""Checkpointing extensions: async write-behind and compression (the
+paper's Section IX/X complementary directions).
 
 Measures, on a real model checkpoint:
 
 * synchronous save latency vs enqueue latency of the write-behind writer;
-* a VELOC-style two-tier store (fast local + slow "parallel filesystem");
 * plain vs compressed checkpoint sizes.
 
 Run:  python examples/checkpoint_tiers.py
@@ -20,11 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.apps import get_app
-from repro.checkpoint import (
-    AsyncCheckpointWriter,
-    CheckpointStore,
-    MultiLevelStore,
-)
+from repro.checkpoint import AsyncCheckpointWriter, CheckpointStore
 
 
 def main() -> None:
@@ -57,17 +52,7 @@ def main() -> None:
     print(f"write-behind enqueue:    {1000 * enqueue_s:7.1f} ms/checkpoint "
           f"(+{1000 * drain_s:.0f} ms off the critical path)")
 
-    # 2. multi-level tier
-    with MultiLevelStore(root / "local", root / "pfs") as tiers:
-        t0 = time.perf_counter()
-        tiers.save("cand", weights)
-        local_s = time.perf_counter() - t0
-        tiers.flush()
-        assert tiers.pfs.exists("cand")
-    print(f"two-tier local save:     {1000 * local_s:7.1f} ms "
-          f"(PFS copy arrives asynchronously)")
-
-    # 3. compression
+    # 2. compression
     plain = CheckpointStore(root / "plain").save("c", weights).nbytes
     packed = CheckpointStore(root / "packed", compress=True).save("c", weights).nbytes
     print(f"\ncheckpoint size plain:      {plain / 1e6:6.2f} MB")

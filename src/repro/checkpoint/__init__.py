@@ -1,8 +1,8 @@
 """Checkpoint store (raw payload + layout sidecar; legacy npz archives
-still load) + cache/prefetch/async multi-level extensions."""
+still load) + cache/prefetch/async write-behind extensions."""
 
 from .cache import DEFAULT_CACHE_BYTES, WeightCache, make_cache, weights_nbytes
-from .multilevel import AsyncCheckpointWriter, MultiLevelStore
+from .multilevel import AsyncCheckpointWriter
 from .prefetch import ProviderPrefetcher
 from .sharded import ShardBreaker, ShardedCheckpointStore, StoreUnavailableError
 from .store import CheckpointInfo, CheckpointStore, CorruptCheckpointError
@@ -12,7 +12,6 @@ __all__ = [
     "CheckpointInfo",
     "CorruptCheckpointError",
     "AsyncCheckpointWriter",
-    "MultiLevelStore",
     "WeightCache",
     "ProviderPrefetcher",
     "ShardBreaker",

@@ -18,8 +18,8 @@ Hidden-cost attribution: a loader that populated the cache off the
 critical path (the prefetcher) records its load seconds via
 ``put(..., hidden_seconds=...)``; the first consumer of that entry
 collects them through :meth:`take_hidden_seconds` and books them as
-``io_hidden`` on its trace record — so Fig. 11 / simulator accounting
-still sees the true I/O cost, just split into blocked vs hidden.
+``io_hidden`` on its trace record — so Fig. 11 accounting still
+sees the true I/O cost, just split into blocked vs hidden.
 """
 
 from __future__ import annotations

@@ -1,11 +1,8 @@
-"""Async write-behind and two-tier checkpointing (VELOC-flavoured, §IX/§X).
+"""Async write-behind checkpointing (VELOC-flavoured, §IX/§X).
 
-- :class:`AsyncCheckpointWriter` — a background thread drains a save
-  queue so checkpoint I/O leaves the training critical path.
-- :class:`MultiLevelStore` — synchronous save to a fast local tier plus
-  asynchronous propagation to a slower "parallel filesystem" tier.
-
-Both are context managers; exiting flushes and stops the worker.
+:class:`AsyncCheckpointWriter` — a background thread drains a save
+queue so checkpoint I/O leaves the training critical path.  It is a
+context manager; exiting flushes and stops the worker.
 
 Error contract (tested in ``tests/test_checkpoint.py``): background
 write failures are captured, never lost.  The first captured exception
@@ -152,62 +149,6 @@ class AsyncCheckpointWriter:
             self._worker.join()
 
     def __enter__(self) -> "AsyncCheckpointWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class MultiLevelStore:
-    """Fast local tier (synchronous) + slow PFS tier (write-behind)."""
-
-    def __init__(self, local_root, pfs_root, compress_pfs: bool = False,
-                 max_queue: int = 64):
-        self.local = CheckpointStore(local_root)
-        self.pfs = CheckpointStore(pfs_root, compress=compress_pfs)
-        self._writer = AsyncCheckpointWriter(self.pfs, max_queue=max_queue)
-
-    @property
-    def writer(self) -> AsyncCheckpointWriter:
-        return self._writer
-
-    def save(self, key: str, weights: dict,
-             meta: dict | None = None) -> CheckpointInfo:
-        info = self.local.save(key, weights, meta)
-        self._writer.save(key, weights, meta)
-        return info
-
-    def load(self, key: str) -> dict:
-        """Prefer the fast tier; fall back to the PFS tier."""
-        if self.local.exists(key):
-            return self.local.load(key)
-        return self.pfs.load(key)
-
-    def load_meta(self, key: str) -> dict | None:
-        if self.local.exists(key):
-            return self.local.load_meta(key)
-        return self.pfs.load_meta(key)
-
-    def exists(self, key: str) -> bool:
-        return self.local.exists(key) or self.pfs.exists(key)
-
-    def nbytes(self, key: str) -> int:
-        if self.local.exists(key):
-            return self.local.nbytes(key)
-        return self.pfs.nbytes(key)
-
-    def evict_local(self, key: str) -> None:
-        """Drop the local copy (the PFS copy remains authoritative)."""
-        self.flush()
-        self.local.delete(key)
-
-    def flush(self) -> None:
-        self._writer.flush()
-
-    def close(self) -> None:
-        self._writer.close()
-
-    def __enter__(self) -> "MultiLevelStore":
         return self
 
     def __exit__(self, *exc) -> None:

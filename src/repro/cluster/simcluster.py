@@ -17,20 +17,11 @@ dispatched, but the time it is charged comes from a per-application
 Heterogeneous clusters (Table II's A100/K80 mix) are modelled with
 ``gpu_speeds`` — per-GPU multipliers on training throughput.
 
-The I/O fast path of :func:`repro.cluster.run_search` has matching cost
-parameters so simulated and real traces use the same accounting:
-``run(cache=...)`` models (and actually uses — the simulator really
-loads weights) an in-memory provider cache whose hits cost
-``cache_hit_seconds`` instead of a modelled disk read, and
-``run(async_io=True)`` models write-behind saves — only the snapshot
-memcpy (``bytes / memcpy_bandwidth``) blocks the virtual critical path
-while the modelled disk write lands in ``record.io_hidden``.
-``record.overhead`` stays the total I/O cost in both modes, exactly as
-in the real scheduler.  ``run(transfer_backend="supernet")`` mirrors the
-zero-copy entangled-store path: no checkpoint is loaded or saved at
-all, and each candidate is charged only ``CostModel.slice_seconds`` of
-view re-binding bookkeeping — the simulated counterpart of the real
-backend's claim that per-transfer blocked I/O collapses to ~0.
+Only the paper's configuration is simulated: the parent provider,
+synchronous checkpoints, the default engine and no admission gate.  The
+loop is the same ask → select → load → transfer → train → save → tell
+sequence as :func:`repro.cluster.run_search`; at one GPU the two give
+identical records (``tests/test_simcluster.py``).
 
 Fault model (DESIGN.md "Fault tolerance"): ``run(faults=FaultModel(...))``
 injects the cluster pathologies the paper's 32-GPU campaigns live with,
@@ -58,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..checkpoint import CorruptCheckpointError, make_cache
+from ..checkpoint import CorruptCheckpointError
 from ..nas.estimation import FAILURE_SCORE, estimate_candidate
 from ..transfer.policy import get_policy
 from .resilience import FaultStats, RetryPolicy
@@ -92,20 +83,9 @@ class CostModel:
     base_seconds: float = 20.0        # fixed cost: startup, data loading
     seconds_per_param: float = 1e-4   # marginal training cost per weight
     dispatch_latency: float = 0.5     # serial scheduler, per submission
-    proxy_seconds: float = 1.0        # one zero-cost proxy score (fresh)
     ckpt_latency: float = 0.05        # fixed latency per checkpoint I/O
     write_bandwidth: float = 200e6    # bytes/s, candidate -> store
     read_bandwidth: float = 400e6     # bytes/s, store -> candidate
-    cache_hit_seconds: float = 1e-4   # in-memory provider cache hit
-    memcpy_bandwidth: float = 5e9     # bytes/s, write-behind snapshot copy
-    #: supernet view re-binding: O(tensor count) slice bookkeeping, no
-    #: payload — this replaces *both* load_seconds and save_seconds on
-    #: the zero-copy path, which is the entire speedup claim
-    slice_seconds: float = 1e-4
-    #: compiling one StepPlan (engine="plan"): charged once per *fresh*
-    #: structural signature — candidates that re-use a cached plan pay
-    #: nothing, mirroring the real PlanCache
-    plan_trace_seconds: float = 2.0
 
     def train_seconds(self, num_params: int, speed: float = 1.0) -> float:
         return (self.base_seconds + self.seconds_per_param * num_params) / speed
@@ -115,11 +95,6 @@ class CostModel:
 
     def load_seconds(self, nbytes: int) -> float:
         return self.ckpt_latency + nbytes / self.read_bandwidth
-
-    def enqueue_seconds(self, nbytes: int) -> float:
-        """Blocking cost of a write-behind save: the in-memory snapshot
-        copy; the disk write itself is hidden behind training."""
-        return nbytes / self.memcpy_bandwidth
 
 
 class SimulatedCluster:
@@ -141,35 +116,13 @@ class SimulatedCluster:
         self.gpu_speeds = [float(s) for s in gpu_speeds]
 
     def run(self, strategy, num_candidates: int, *,
-            scheme: str = "baseline", provider_policy="parent",
-            seed: int = 0, transfer_backend="checkpoint",
-            cache=None, async_io: bool = False,
-            static_gate=None, zero_cost=None,
+            scheme: str = "baseline", seed: int = 0,
             faults: Optional[FaultModel] = None,
-            retry: Optional[RetryPolicy] = None,
-            engine: str = "eager") -> Trace:
-        from .scheduler import _resolve_supernet_backend
-        if engine not in ("eager", "plan"):
-            raise ValueError(f"unknown engine {engine!r}, expected "
-                             f"'eager' or 'plan'")
+            retry: Optional[RetryPolicy] = None) -> Trace:
         transfers = scheme != "baseline"
-        backend = _resolve_supernet_backend(transfer_backend, self.problem,
-                                            scheme, seed)
-        if backend is not None and not transfers:
-            raise ValueError("transfer_backend='supernet' needs a transfer "
-                             "scheme ('lp' or 'lcs')")
-        if transfers and backend is None and self.store is None:
+        if transfers and self.store is None:
             raise ValueError(f"scheme {scheme!r} needs a checkpoint store")
-        # same gating knobs as run_search; the proxy tier's virtual cost
-        # (proxy_seconds per *fresh* score) is charged to the serial
-        # dispatcher below, mirroring where the real scheduler pays it
-        from ..analysis.zerocost import make_gate
-        made = make_gate(self.problem, static_gate=static_gate,
-                         zero_cost=zero_cost)
-        if made is not None and strategy.gate is None:
-            strategy.gate = made
-        gate = getattr(strategy, "gate", None)
-        policy = get_policy(provider_policy, space=self.problem.space)
+        policy = get_policy("parent", space=self.problem.space)
         rng = np.random.default_rng(seed)
         # dedicated streams: the fault schedule never perturbs provider
         # selection, so faults=None and faults=FaultModel() (all-zero
@@ -178,15 +131,7 @@ class SimulatedCluster:
         retry = retry or RetryPolicy(max_attempts=3, base_delay=1.0,
                                      jitter=0.0)
         fault_stats = FaultStats()
-        uses_store = transfers and backend is None
-        weight_cache = make_cache(cache) if uses_store else None
-        arch_by_id: dict[int, tuple] = {}
-        plan_sigs: set = set()     # structural signatures already traced
-        if engine == "plan":
-            from ..tensor.engine import get_plan_cache
-            plan_stats0 = get_plan_cache().stats()
-        xfer_copied_bytes = 0
-        xfer_resliced = 0
+        copied_bytes = 0
         trace = Trace(name=f"{self.problem.name}-{scheme}-g{self.num_gpus}",
                       scheme=scheme)
         # (free_time, gpu_index) — earliest-free GPU gets the next task
@@ -200,22 +145,14 @@ class SimulatedCluster:
                 _, _, record = heapq.heappop(completions)
                 strategy.tell(record.candidate_id, record.arch_seq,
                               record.score)
-                if record.ok:
-                    arch_by_id[record.candidate_id] = record.arch_seq
                 trace.append(record)
 
         for candidate_id in range(num_candidates):
             free_time, gpu = heapq.heappop(gpus)
             dispatch_at = max(dispatcher_free, free_time)
             drain(dispatch_at)
-            proxied_before = gate.stats.proxy_scored if gate else 0
             proposal = strategy.ask()
             dispatcher_free = dispatch_at + self.cost.dispatch_latency
-            if gate is not None:
-                # every fresh proxy score this ask triggered (rejected
-                # candidates included) occupies the serial dispatcher
-                fresh_scores = gate.stats.proxy_scored - proxied_before
-                dispatcher_free += fresh_scores * self.cost.proxy_seconds
             record = TraceRecord(
                 candidate_id=candidate_id,
                 arch_seq=tuple(proposal.arch_seq), score=float("nan"),
@@ -223,70 +160,30 @@ class SimulatedCluster:
                 start_time=dispatcher_free,
             )
             provider_weights = None
-            provider_seq = None
-            if transfers and backend is not None:
-                # zero-copy: no load, no payload — only the slice
-                # bookkeeping of the bind is charged to the virtual clock
+            if transfers:
                 provider = policy.select(proposal, trace.ok_records(), rng)
-                if provider is not None and provider in arch_by_id:
-                    record.provider_id = provider
-                    provider_seq = arch_by_id[provider]
-                record.add_io_blocked(self.cost.slice_seconds)
-            elif transfers:
-                provider = policy.select(proposal, trace.ok_records(), rng)
-                if provider is not None:
-                    key = checkpoint_key(provider)
-                    if weight_cache is not None:
-                        provider_weights = weight_cache.get(key)
-                    if provider_weights is not None:
-                        record.cache_hit = True
+                key = None if provider is None else checkpoint_key(provider)
+                if key is not None and self.store.exists(key):
+                    # the read cost is paid before corruption is
+                    # discovered, exactly like a real parallel FS
+                    record.add_io_blocked(self.cost.load_seconds(
+                        self.store.nbytes(key)))
+                    try:
+                        provider_weights = self.store.load(key)
+                    except CorruptCheckpointError:
+                        fault_stats.record_fault("corrupt_checkpoint")
+                        fault_stats.quarantined += 1
+                        self.store.quarantine(key)
+                    else:
                         record.provider_id = provider
-                        record.add_io_blocked(self.cost.cache_hit_seconds)
-                    elif self.store.exists(key):
-                        # the read cost is paid before corruption is
-                        # discovered, exactly like a real parallel FS
-                        record.add_io_blocked(self.cost.load_seconds(
-                            self.store.nbytes(key)))
-                        try:
-                            provider_weights = self.store.load(key)
-                        except CorruptCheckpointError:
-                            fault_stats.record_fault("corrupt_checkpoint")
-                            fault_stats.quarantined += 1
-                            self.store.quarantine(key)
-                        else:
-                            record.provider_id = provider
-                            if weight_cache is not None:
-                                weight_cache.put(key, provider_weights)
 
             # real training, virtual time
-            if backend is not None:
-                result = estimate_candidate(
-                    self.problem, record.arch_seq,
-                    seed=seed + candidate_id, supernet=backend,
-                    provider_seq=provider_seq, keep_weights=False,
-                    engine=engine,
-                )
-            else:
-                result = estimate_candidate(
-                    self.problem, record.arch_seq, seed=seed + candidate_id,
-                    provider_weights=provider_weights,
-                    matcher=scheme if transfers else "lcs",
-                    keep_weights=uses_store,
-                    engine=engine,
-                )
-            plan_overhead = 0.0
-            if engine == "plan" and result.ok:
-                # mirror the real PlanCache: tracing is paid once per
-                # fresh structural signature, re-users ride for free
-                from ..tensor.engine import network_signature
-                try:
-                    sig = network_signature(self.problem.build_model(
-                        record.arch_seq, rng=seed + candidate_id))
-                except Exception:
-                    sig = None
-                if sig is not None and sig not in plan_sigs:
-                    plan_sigs.add(sig)
-                    plan_overhead = self.cost.plan_trace_seconds
+            result = estimate_candidate(
+                self.problem, record.arch_seq, seed=seed + candidate_id,
+                provider_weights=provider_weights,
+                matcher=scheme if transfers else "lcs",
+                keep_weights=transfers,
+            )
             record.ok = result.ok
             record.score = result.score
             record.num_params = result.num_params
@@ -294,16 +191,12 @@ class SimulatedCluster:
             if result.transfer_stats is not None:
                 record.transferred = result.transfer_stats.transferred
                 record.transfer_coverage = result.transfer_stats.coverage
-                xfer_copied_bytes += int(getattr(
-                    result.transfer_stats, "copied_bytes", 0))
-                xfer_resliced += int(getattr(
-                    result.transfer_stats, "resliced_params", 0))
+                copied_bytes += result.transfer_stats.copied_bytes
             duration = self.cost.train_seconds(result.num_params,
                                                self.gpu_speeds[gpu])
 
             # -- fault injection, in virtual time -----------------------
             extra_seconds = 0.0
-            crashed = False
             if faults is not None:
                 if faults.straggler_prob and \
                         float(fault_rng.uniform()) < faults.straggler_prob:
@@ -316,29 +209,16 @@ class SimulatedCluster:
                     # the attempt dies a uniform fraction into training
                     extra_seconds += duration * float(fault_rng.uniform())
                     if not retry.should_retry(record.attempts):
-                        crashed = True
                         fault_stats.failed_records += 1
+                        record.ok = False
+                        record.score = FAILURE_SCORE
+                        record.error = "injected: crash (retries exhausted)"
                         break
                     backoff = retry.delay(record.attempts, None)
                     extra_seconds += backoff
                     fault_stats.backoff_seconds += backoff
                     fault_stats.retries += 1
                     record.attempts += 1
-            if crashed:
-                record.ok = False
-                record.score = FAILURE_SCORE
-                record.error = "injected: crash (retries exhausted)"
-                if backend is not None and result.ok:
-                    # a crashed candidate must not leave its training in
-                    # the shared store (a failed candidate never produces
-                    # a checkpoint either): scrub its slices back to
-                    # fresh values via a rebuilt model of the same shape
-                    try:
-                        model = self.problem.build_model(
-                            record.arch_seq, rng=seed + candidate_id)
-                        backend.scrub(model)
-                    except Exception:
-                        pass   # unbuildable arch never touched the store
 
             if transfers and record.ok and result.weights is not None:
                 key = checkpoint_key(candidate_id)
@@ -348,11 +228,7 @@ class SimulatedCluster:
                           "score": record.score, "scheme": scheme},
                 )
                 record.ckpt_bytes = info.nbytes
-                if async_io:
-                    record.add_io_blocked(self.cost.enqueue_seconds(info.nbytes))
-                    record.add_io_hidden(self.cost.save_seconds(info.nbytes))
-                else:
-                    record.add_io_blocked(self.cost.save_seconds(info.nbytes))
+                record.add_io_blocked(self.cost.save_seconds(info.nbytes))
                 if faults is not None and faults.corrupt_prob and \
                         float(fault_rng.uniform()) < faults.corrupt_prob:
                     # genuinely truncate the payload: a later provider load
@@ -361,12 +237,7 @@ class SimulatedCluster:
                     path = self.store.path(key)
                     blob = path.read_bytes()
                     path.write_bytes(blob[:max(1, len(blob) // 3)])
-                elif weight_cache is not None:
-                    weight_cache.put(key, result.weights)
-            # hidden I/O is, by definition, off the critical path: only
-            # the blocked seconds extend the candidate's GPU occupancy
-            record.end_time = (record.start_time + duration
-                               + plan_overhead + extra_seconds
+            record.end_time = (record.start_time + duration + extra_seconds
                                + record.io_blocked)
             heapq.heappush(completions,
                            (record.end_time, candidate_id, record))
@@ -374,36 +245,11 @@ class SimulatedCluster:
 
         drain(float("inf"))
         if transfers:
-            transfer_stats: dict = {
-                "backend": "supernet" if backend is not None
-                else "checkpoint",
-                "copied_bytes": int(xfer_copied_bytes),
-                "resliced_params": int(xfer_resliced),
-            }
-            if backend is not None:
-                transfer_stats["store"] = backend.stats()
-            trace.transfer_stats = transfer_stats
-        if weight_cache is not None or async_io:
-            trace.io_stats = {}
-            if weight_cache is not None:
-                trace.io_stats["cache"] = weight_cache.stats()
-            if async_io:
-                trace.io_stats["async_io"] = True
+            # the real driver's schema; resliced_params belongs to the
+            # supernet backend, which the simulator does not model
+            trace.transfer_stats = {"backend": "checkpoint",
+                                    "copied_bytes": int(copied_bytes),
+                                    "resliced_params": 0}
         if faults is not None:
             trace.fault_stats = fault_stats.as_dict()
-        if engine == "plan":
-            trace.engine_stats = {
-                "engine": engine,
-                "plans_traced_virtual": len(plan_sigs),
-                "plan_trace_virtual_seconds":
-                    len(plan_sigs) * self.cost.plan_trace_seconds,
-                **get_plan_cache().stats_since(plan_stats0),
-            }
-        if gate is not None:
-            stats = gate.stats.as_dict()
-            # virtual proxy cost actually charged to the dispatcher
-            # (wall-clock proxy_seconds in the stats is the real compute)
-            stats["proxy_virtual_seconds"] = (gate.stats.proxy_scored
-                                              * self.cost.proxy_seconds)
-            trace.static_stats = stats
         return trace

@@ -39,7 +39,6 @@ from .losses import get_loss, get_metric
 from .network import Network
 from .optimizers import SGD, Adam, Optimizer, RMSProp, get_optimizer
 from .schedules import CosineDecay, ExponentialDecay, StepDecay
-from .serialization import load_bundle, save_bundle
 from .training import EarlyStopping, History, evaluate, fit, predict_batched
 
 
@@ -107,6 +106,5 @@ __all__ = [
     "EarlyStopping", "History", "evaluate", "fit", "predict_batched",
     "PlanCache", "PlanUnsupportedError", "StepPlan", "get_plan_cache",
     "StepDecay", "ExponentialDecay", "CosineDecay",
-    "save_bundle", "load_bundle",
     "OpMeta", "OP_METADATA", "op_metadata",
 ]

@@ -1,4 +1,4 @@
-"""CheckpointStore, MultiLevelStore, AsyncCheckpointWriter."""
+"""CheckpointStore, AsyncCheckpointWriter."""
 
 import json
 import queue
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import AsyncCheckpointWriter, CheckpointStore, MultiLevelStore
+from repro.checkpoint import AsyncCheckpointWriter, CheckpointStore
 
 
 def weights(seed=0):
@@ -204,36 +204,6 @@ def test_async_writer_snapshots_arrays_and_records_results(tmp_path):
     assert writer.durations()["k"] > 0.0
     assert writer.pending_keys() == set()
     writer.close()
-
-
-def test_multilevel_store_reads_through_to_pfs(tmp_path):
-    ml = MultiLevelStore(tmp_path / "local", tmp_path / "pfs")
-    w = weights()
-    ml.save("k", w, meta={"score": 1.0})
-    ml.flush()
-    assert ml.exists("k")
-    assert ml.pfs.exists("k")
-    ml.evict_local("k")
-    loaded = ml.load("k")                    # falls back to the PFS tier
-    assert all(np.array_equal(loaded[k], w[k]) for k in w)
-    ml.close()
-
-
-def test_multilevel_store_propagates_meta_and_sizes(tmp_path):
-    with MultiLevelStore(tmp_path / "local", tmp_path / "pfs") as ml:
-        w = weights()
-        ml.save("k", w, meta={"score": 0.9})
-        ml.flush()
-        # both tiers carry the full checkpoint, meta included
-        assert ml.local.load_meta("k") == {"score": 0.9}
-        assert ml.pfs.load_meta("k") == {"score": 0.9}
-        assert ml.load_meta("k") == {"score": 0.9}
-        assert ml.nbytes("k") == ml.local.nbytes("k")
-        ml.evict_local("k")
-        assert ml.exists("k")                # PFS tier remains
-        assert ml.nbytes("k") == ml.pfs.nbytes("k")
-        assert ml.load_meta("k") == {"score": 0.9}
-        assert ml.writer.pending_keys() == set()
 
 
 # ---------------------------------------------------------------------------

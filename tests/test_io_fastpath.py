@@ -1,4 +1,4 @@
-"""Checkpoint I/O fast path: determinism, drain barrier, pools, sim.
+"""Checkpoint I/O fast path: determinism, drain barrier, pools.
 
 The contract under test (DESIGN.md "Checkpoint I/O pipeline"): turning
 on the cache / prefetch / write-behind knobs changes *when*
@@ -11,8 +11,6 @@ import pytest
 
 from repro.checkpoint import CheckpointStore, WeightCache
 from repro.cluster import (
-    CostModel,
-    SimulatedCluster,
     Trace,
     checkpoint_key,
     run_search,
@@ -135,35 +133,3 @@ def test_trace_jsonl_round_trips_io_fields(problem, space, tmp_path):
             (b.io_blocked, b.io_hidden, b.cache_hit)
 
 
-# ---------------------------------------------------------------------------
-# simulator cost-model parity
-# ---------------------------------------------------------------------------
-
-def sim(problem, tmp_path, tag, **kw):
-    store = CheckpointStore(tmp_path / tag)
-    cluster = SimulatedCluster(problem, store, num_gpus=4)
-    strat = RegularizedEvolution(problem.space, rng=0, population_size=4,
-                                 sample_size=2)
-    return cluster.run(strat, 10, scheme="lcs", seed=0, **kw)
-
-
-def test_sim_cache_and_async_keep_scores_and_cut_makespan(problem,
-                                                          tmp_path):
-    base = sim(problem, tmp_path, "base")
-    fast = sim(problem, tmp_path, "fast", cache=True, async_io=True)
-    assert [r.score for r in fast] == [r.score for r in base]
-    assert fast.makespan < base.makespan
-    assert fast.total_io_blocked < base.total_io_blocked
-    assert fast.total_io_hidden > 0.0
-    assert base.io_stats is None
-    assert fast.io_stats["cache"]["hits"] > 0
-    for r in fast:
-        assert r.overhead == pytest.approx(r.io_blocked + r.io_hidden)
-
-
-def test_sim_cost_model_has_fast_path_parameters():
-    cm = CostModel()
-    assert cm.cache_hit_seconds < cm.load_seconds(1)
-    nbytes = 1_000_000
-    assert cm.enqueue_seconds(nbytes) < cm.save_seconds(nbytes)
-    assert cm.enqueue_seconds(nbytes) == nbytes / cm.memcpy_bandwidth

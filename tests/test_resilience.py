@@ -450,7 +450,7 @@ def test_sim_corrupt_writes_reach_quarantine(space, problem, tmp_path):
     assert len(trace) == 12
     fs = trace.fault_stats
     assert fs["by_kind"]["corrupt_write"] > 0
-    # every provider read of a corrupted npz hit the quarantine path
+    # every provider read of a truncated payload hit the quarantine path
     assert fs["quarantined"] == fs["by_kind"].get("corrupt_checkpoint", 0)
     assert fs["quarantined"] > 0
 

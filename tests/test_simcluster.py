@@ -3,7 +3,7 @@
 import pytest
 
 from repro.checkpoint import CheckpointStore
-from repro.cluster import CostModel, SimulatedCluster
+from repro.cluster import CostModel, SimulatedCluster, run_search
 from repro.nas import RegularizedEvolution
 
 
@@ -83,3 +83,22 @@ def test_scores_are_real_not_simulated(problem, tmp_path):
     scores = [r.score for r in trace.ok_records()]
     assert len(set(scores)) > 1              # actual training happened
     assert all(-1.0 <= s <= 1.0 for s in scores)
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "lp", "lcs"])
+def test_one_gpu_simulation_matches_run_search(problem, tmp_path, scheme):
+    """The figures' loop is the real one: at one GPU the simulator
+    proposes, transfers, trains and checkpoints exactly what
+    ``run_search`` does with its default serial evaluator."""
+    def view(trace):
+        return [(r.candidate_id, r.arch_seq, r.score, r.provider_id,
+                 r.transferred, r.ckpt_bytes) for r in trace]
+
+    simulated = make_cluster(problem, tmp_path, gpus=1).run(
+        strategy_for(problem.space, seed=3), 10, scheme=scheme, seed=5)
+    real = run_search(problem, strategy_for(problem.space, seed=3), 10,
+                      scheme=scheme, seed=5,
+                      store=CheckpointStore(tmp_path / "real"))
+    assert view(simulated) == view(real)
+    if scheme != "baseline":
+        assert any(r.transferred for r in real)

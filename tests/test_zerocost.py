@@ -5,7 +5,7 @@ score (one forward/backward on a fixed batch) → partial training.
 These tests pin the scorer contracts (deterministic, finite on
 buildable architectures, ``-inf`` instead of raising on anything
 else), the gate's per-tier accounting invariants, and the wiring
-through ``run_search(zero_cost=…)`` and ``SimulatedCluster``.
+through ``run_search(zero_cost=…)``; ``SimulatedCluster`` runs no gate.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from repro.analysis.zerocost import proxy_batch
 from repro.apps import make_image_dataset
 from repro.checkpoint import CheckpointStore
 from repro.cluster import Trace, run_search
-from repro.cluster.simcluster import CostModel, SimulatedCluster
+from repro.cluster.simcluster import SimulatedCluster
 from repro.experiments.zerocost import _cascade_scores, _sample_valid
 from repro.metrics import kendall_tau
 from repro.nas import (
@@ -148,7 +148,7 @@ def test_gate_validates_configuration(strict_problem):
 
 
 # ---------------------------------------------------------------------------
-# make_gate: the run_search / SimulatedCluster knob resolution
+# make_gate: the run_search knob resolution
 # ---------------------------------------------------------------------------
 
 def test_make_gate_resolution(strict_problem):
@@ -203,21 +203,6 @@ def test_run_search_zero_cost_cascade(strict_problem, tmp_path):
                for s in seqs]
     combined, _ = _cascade_scores(proxy, partial, 0.25)
     assert kendall_tau(combined, partial) >= 0.5
-
-
-def test_simcluster_charges_proxy_cost(strict_problem, tmp_path):
-    cost = CostModel(proxy_seconds=2.0)
-    sim = SimulatedCluster(strict_problem, CheckpointStore(tmp_path),
-                           num_gpus=2, cost_model=cost)
-    strategy = RandomSearch(strict_problem.space,
-                            rng=np.random.default_rng(0))
-    trace = sim.run(strategy, 6, scheme="lcs",
-                    zero_cost={"warmup": 2}, seed=0)
-    stats = trace.static_stats
-    assert stats["proxy_scored"] > 0
-    assert stats["proxy_virtual_seconds"] == \
-        stats["proxy_scored"] * cost.proxy_seconds
-    assert stats["checked"] == stats["admitted"] + stats["rejected"]
 
 
 def test_simcluster_without_gate_keeps_stats_unset(strict_problem,
