@@ -33,7 +33,6 @@ from .zerocost import (
     ZeroCostGate,
     ZeroCostScorer,
     get_scorer,
-    make_gate,
 )
 
 __all__ = [
@@ -41,5 +40,5 @@ __all__ = [
     "GraphReport", "LayerReport", "Diagnostic",
     "PreflightGate", "GateStats",
     "ZeroCostScorer", "GradNormScorer", "SynflowScorer", "NTKTraceScorer",
-    "SCORERS", "get_scorer", "ZeroCostGate", "make_gate",
+    "SCORERS", "get_scorer", "ZeroCostGate",
 ]

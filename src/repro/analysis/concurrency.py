@@ -41,8 +41,7 @@ concurrency structure of the whole program from the stdlib AST:
   (``np.frombuffer`` / ``np.memmap`` / ``memoryview`` / ``shm.buf`` /
   ``_views_from_buffer``) must never reach a pickling boundary —
   ``pickle.dump(s)`` or a ``.submit(...)`` on a process pool — where the
-  serialized copy silently severs the shared storage.  This generalizes
-  the supernet backend's runtime "reject process pools" check.
+  serialized copy silently severs the shared storage.
 
 Call resolution is deliberately conservative and syntactic: ``self.m()``
 resolves through the class and its analyzed bases; ``self.attr.m()``

@@ -85,22 +85,12 @@ class PreflightGate:
             self._cache.popitem(last=False)
         return report
 
-    def _static_rejections(self, report: GraphReport) -> list:
-        rejecting = report.errors()
-        if self.reject_warnings:
-            rejecting = rejecting + report.warnings()
-        return rejecting
-
-    def prescreen(self, arch_seq) -> bool:
-        """Static validity of ``arch_seq`` *without* stats booking — for
-        callers that pre-filter a pool and route the final pick through
-        :meth:`admits` (the single accounting choke point)."""
-        return not self._static_rejections(self.analyze(arch_seq))
-
     def admits(self, arch_seq) -> bool:
         """True when ``arch_seq`` passes every tier; updates stats."""
         report = self.analyze(arch_seq)
-        rejecting = self._static_rejections(report)
+        rejecting = report.errors()
+        if self.reject_warnings:
+            rejecting = rejecting + report.warnings()
         self.stats.checked += 1
         if rejecting:
             self.stats.rejected += 1

@@ -79,7 +79,7 @@ LOCK_HIERARCHY: dict[str, int] = {
     "SearchService._lock": 5,
     "ProviderPrefetcher._lock": 10,
     "ShardedCheckpointStore._lock": 15,
-    "_PoolEvaluator._lock": 20,
+    "ThreadPoolEvaluator._lock": 20,
     "PlanCache._lock": 25,
     "SuperNet._lock": 30,
     "WeightCache._lock": 40,

@@ -43,7 +43,7 @@ from .gate import PreflightGate
 
 __all__ = [
     "ZeroCostScorer", "GradNormScorer", "SynflowScorer", "NTKTraceScorer",
-    "SCORERS", "get_scorer", "proxy_batch", "ZeroCostGate", "make_gate",
+    "SCORERS", "get_scorer", "proxy_batch", "ZeroCostGate",
 ]
 
 
@@ -293,26 +293,3 @@ class ZeroCostGate(PreflightGate):
                 f"static {self.stats.static_rejected}, proxy "
                 f"{self.stats.proxy_rejected} of {self.stats.checked} "
                 f"rejected>")
-
-
-def make_gate(problem, static_gate=None, zero_cost=None):
-    """Resolve the ``run_search`` gating knobs into one gate (or None).
-
-    ``zero_cost`` wins when both are given — the cascade subsumes the
-    static tier.  Accepted ``zero_cost`` values: ``True`` (defaults), a
-    scorer name, a kwargs dict for :class:`ZeroCostGate`, or a
-    configured gate instance.
-    """
-    if zero_cost is not None and zero_cost is not False:
-        if isinstance(zero_cost, ZeroCostGate):
-            return zero_cost
-        if zero_cost is True:
-            return ZeroCostGate(problem)
-        if isinstance(zero_cost, str):
-            return ZeroCostGate(problem, scorer=zero_cost)
-        if isinstance(zero_cost, dict):
-            return ZeroCostGate(problem, **zero_cost)
-        raise ValueError(f"unsupported zero_cost value {zero_cost!r}")
-    if static_gate is True:
-        return PreflightGate(problem.space)
-    return static_gate

@@ -1,10 +1,6 @@
 """Cluster-scale NAS execution: scheduler, evaluators, simulator, traces."""
 
-from .evaluator import (
-    ProcessPoolEvaluator,
-    SerialEvaluator,
-    ThreadPoolEvaluator,
-)
+from .evaluator import SerialEvaluator, ThreadPoolEvaluator
 from .resilience import (
     ChaosEvaluator,
     CorruptCheckpointError,
@@ -16,7 +12,6 @@ from .resilience import (
     TaskTimeout,
     TraceJournal,
     WaitTimeout,
-    WorkerLost,
 )
 from .scheduler import SCHEMES, SearchDriver, run_search
 from .simcluster import CostModel, FaultModel, SimulatedCluster
@@ -24,10 +19,10 @@ from .trace import Trace, TraceRecord, checkpoint_key
 
 __all__ = [
     "run_search", "SCHEMES", "SearchDriver",
-    "SerialEvaluator", "ThreadPoolEvaluator", "ProcessPoolEvaluator",
+    "SerialEvaluator", "ThreadPoolEvaluator",
     "SimulatedCluster", "CostModel", "FaultModel",
     "Trace", "TraceRecord", "checkpoint_key",
     "ChaosEvaluator", "CorruptCheckpointError", "FaultStats",
     "InjectedFault", "RetryPolicy", "TaskError", "TaskFailure",
-    "TaskTimeout", "TraceJournal", "WaitTimeout", "WorkerLost",
+    "TaskTimeout", "TraceJournal", "WaitTimeout",
 ]

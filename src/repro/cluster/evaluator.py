@@ -1,24 +1,21 @@
 """Evaluators: where candidate training actually executes (Fig. 6 (4)).
 
-All three expose the same tiny interface — ``submit(task) -> ticket`` and
-``wait_any(timeout=None) -> (ticket, result)`` — so the scheduler code is
-identical over serial, thread-pool and process-pool execution.  ``task``
-must be a picklable zero-argument callable for the process pool; the
-scheduler passes module-level functions with picklable arguments.
+:class:`SerialEvaluator` and :class:`ThreadPoolEvaluator` expose the
+same tiny interface — ``submit(task) -> ticket`` and
+``wait_any(timeout=None) -> (ticket, result)`` — so the scheduler code
+is identical over serial and thread-pool execution.  ``task`` is any
+zero-argument callable.
 
 Failure containment (DESIGN.md "Fault tolerance"): a raising task never
 escapes ``wait_any`` as an exception.  Its ticket comes back paired with
 a :class:`repro.cluster.resilience.TaskFailure` carrying the original
 error and its taxonomy kind, so the scheduler books a failed record or a
-retry instead of crashing the search.  Three more resilience hooks:
+retry instead of crashing the search.  Two more resilience hooks:
 
 - ``wait_any(timeout=...)`` raises :class:`WaitTimeout` when nothing
   completes in time — the scheduler's per-task deadline sweep;
 - ``abandon(ticket)`` disowns an in-flight task (a hung straggler past
-  its deadline); its eventual completion is silently discarded;
-- a broken process pool (a worker died mid-task) is rebuilt in place:
-  every in-flight future resolves as a ``WorkerLost`` failure and
-  subsequent submits land on a fresh pool (``pool_rebuilds`` counts).
+  its deadline); its eventual completion is silently discarded.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .resilience import TaskFailure, WaitTimeout
 #: both the submitting thread and any thread calling ``wait_any`` touch.
 #: Every write must happen under ``self._lock``; the whole-program
 #: analyzer verifies this set matches what it infers from the AST.
-_GUARDED_ATTRS = ("_futures", "_next", "_pool", "pool_rebuilds")
+_GUARDED_ATTRS = ("_futures", "_next")
 
 
 class SerialEvaluator:
@@ -43,10 +40,9 @@ class SerialEvaluator:
 
     A raising task is contained at submit time: the ticket sequence
     stays intact and ``wait_any`` hands back a :class:`TaskFailure` for
-    it, exactly like the pools do."""
+    it, exactly like the thread pool does."""
 
     num_workers = 1
-    pool_rebuilds = 0        # serial: no pool to lose
 
     def __init__(self):
         self._done: deque[tuple[int, object]] = deque()
@@ -86,33 +82,29 @@ class SerialEvaluator:
         self.close()
 
 
-class _PoolEvaluator:
+class ThreadPoolEvaluator:
     """Completions flow through a done-callback into a queue, so
     ``wait_any`` is a single O(1) blocking get — the old implementation
     re-scanned every outstanding future with ``cf.wait`` on each call,
     O(n) per wait and O(n^2) over a run."""
 
-    _executor_cls: type = cf.ThreadPoolExecutor
-
     def __init__(self, num_workers: int = 4):
         self.num_workers = num_workers
-        self._pool = self._executor_cls(max_workers=num_workers)
+        self._pool = cf.ThreadPoolExecutor(max_workers=num_workers)
         self._futures: dict[cf.Future, int] = {}
         self._done: queue.SimpleQueue[cf.Future] = queue.SimpleQueue()
         self._next = 0
-        self.pool_rebuilds = 0
-        # guards _futures, the ticket counter and the pool handle:
-        # several scheduler threads may submit/drain the same evaluator
-        # concurrently (see _GUARDED_ATTRS / lint R004, R007)
-        self._lock = make_lock("_PoolEvaluator._lock")
+        # guards _futures and the ticket counter: several scheduler
+        # threads may submit/drain the same evaluator concurrently
+        # (see _GUARDED_ATTRS / lint R004, R007)
+        self._lock = make_lock("ThreadPoolEvaluator._lock")
 
     def submit(self, task: Callable[[], object]) -> int:
         # ticket allocation, pool dispatch and registration are one
         # atomic step: an unlocked `self._next += 1` hands two
-        # concurrent submitters the same ticket, and dispatching on an
-        # unlocked pool handle races _rebuild's swap.  Registering
-        # before wiring the callback keeps the instant-finish case
-        # visible to wait_any.
+        # concurrent submitters the same ticket.  Registering before
+        # wiring the callback keeps the instant-finish case visible to
+        # wait_any.
         with self._lock:
             ticket = self._next
             self._next += 1
@@ -146,12 +138,6 @@ class _PoolEvaluator:
                 return ticket, fut.result()
             except cf.CancelledError as exc:   # BaseException since 3.8
                 return ticket, TaskFailure(exc)
-            except cf.BrokenExecutor as exc:
-                # the pool is gone: heal it so the remaining in-flight
-                # futures (all erroring the same way) and future submits
-                # find a live executor, and report this task WorkerLost
-                self._rebuild()
-                return ticket, TaskFailure(exc)
             except Exception as exc:
                 return ticket, TaskFailure(exc)
 
@@ -167,17 +153,6 @@ class _PoolEvaluator:
         if fut is not None:
             fut.cancel()
 
-    def _rebuild(self) -> None:
-        """Replace a broken executor with a fresh one in place."""
-        with self._lock:
-            old = self._pool
-            self._pool = self._executor_cls(max_workers=self.num_workers)
-            self.pool_rebuilds += 1
-        try:
-            old.shutdown(wait=False)
-        except Exception:
-            pass                          # the pool is already dead
-
     @property
     def in_flight(self) -> int:
         return len(self._futures)
@@ -190,11 +165,3 @@ class _PoolEvaluator:
 
     def __exit__(self, *exc):
         self.close()
-
-
-class ThreadPoolEvaluator(_PoolEvaluator):
-    _executor_cls = cf.ThreadPoolExecutor
-
-
-class ProcessPoolEvaluator(_PoolEvaluator):
-    _executor_cls = cf.ProcessPoolExecutor

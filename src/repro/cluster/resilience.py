@@ -6,7 +6,7 @@ stragglers and corrupt checkpoints are the norm, not the exception.
 This module gives the scheduler everything it needs to survive them:
 
 - a **typed fault taxonomy** (:class:`TaskError`, :class:`TaskTimeout`,
-  :class:`WorkerLost`, plus :class:`CorruptCheckpointError` from the
+  :class:`InjectedFault`, plus :class:`CorruptCheckpointError` from the
   checkpoint store) so failures are classified, counted and retried by
   kind instead of crashing the ask→submit→tell loop;
 - :class:`TaskFailure` — the value an evaluator hands back in place of a
@@ -39,7 +39,7 @@ from ..checkpoint.store import CorruptCheckpointError
 from .trace import Trace, TraceRecord
 
 __all__ = [
-    "TaskError", "TaskTimeout", "WorkerLost", "InjectedFault",
+    "TaskError", "TaskTimeout", "InjectedFault",
     "CorruptCheckpointError", "WaitTimeout", "TaskFailure",
     "classify_failure", "RetryPolicy", "FaultStats", "TraceJournal",
     "ChaosEvaluator",
@@ -58,10 +58,6 @@ class TaskTimeout(TaskError):
     """A task exceeded its per-task deadline and was abandoned."""
 
 
-class WorkerLost(TaskError):
-    """The worker executing a task died (e.g. a broken process pool)."""
-
-
 class InjectedFault(TaskError):
     """A fault deliberately injected by :class:`ChaosEvaluator`."""
 
@@ -77,7 +73,6 @@ class WaitTimeout(Exception):
 #: kind labels used in FaultStats counters, keyed by taxonomy class
 _KIND_LABELS = (
     (TaskTimeout, "timeout"),
-    (WorkerLost, "worker_lost"),
     (InjectedFault, "injected"),
     (CorruptCheckpointError, "corrupt_checkpoint"),
 )
@@ -88,9 +83,6 @@ def classify_failure(error: BaseException) -> str:
     for cls, label in _KIND_LABELS:
         if isinstance(error, cls):
             return label
-    import concurrent.futures as _cf
-    if isinstance(error, _cf.BrokenExecutor):
-        return "worker_lost"
     return "task_error"
 
 
@@ -170,7 +162,6 @@ class FaultStats:
         self.retries = 0
         self.failed_records = 0
         self.quarantined = 0
-        self.pool_rebuilds = 0
         self.backoff_seconds = 0.0
 
     def record_fault(self, kind: str) -> None:
@@ -187,7 +178,6 @@ class FaultStats:
             "retries": self.retries,
             "failed_records": self.failed_records,
             "quarantined": self.quarantined,
-            "pool_rebuilds": self.pool_rebuilds,
             "backoff_seconds": self.backoff_seconds,
         }
 
@@ -282,9 +272,9 @@ class TraceJournal:
 # ---------------------------------------------------------------------------
 
 class _ChaosTask:
-    """Picklable task wrapper carrying the fault decision made at submit
-    time (so injection is deterministic under any evaluator, including
-    process pools where the worker-side rng state is unknowable)."""
+    """Task wrapper carrying the fault decision made at submit time, so
+    injection is deterministic under any evaluator: the draw happens on
+    the scheduler thread, never on a worker."""
 
     __slots__ = ("task", "action", "hang_seconds")
 
@@ -381,10 +371,6 @@ class ChaosEvaluator:
     @property
     def in_flight(self) -> int:
         return self.evaluator.in_flight
-
-    @property
-    def pool_rebuilds(self) -> int:
-        return getattr(self.evaluator, "pool_rebuilds", 0)
 
     def close(self) -> None:
         self.evaluator.close()

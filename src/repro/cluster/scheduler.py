@@ -51,7 +51,7 @@ scheduler books the fault by taxonomy kind, retries it under the
 provider-policy rng stream is untouched), and exhausted retries land as
 failed records on the ``FAILURE_SCORE`` path — identical to how an
 unbuildable architecture has always been handled.  ``task_timeout``
-sets a per-task deadline (pool evaluators only: serial tasks run inline
+sets a per-task deadline (thread pools only: serial tasks run inline
 on submit); overdue tickets are abandoned and retried.  A corrupt
 provider checkpoint is quarantined into the store's ``.quarantine/``
 directory and the candidate cold-starts.  ``journal=`` appends every
@@ -68,6 +68,7 @@ the candidate simply has no checkpoint to provide from.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import time
 from dataclasses import dataclass
@@ -85,7 +86,7 @@ from ..checkpoint import (
 from ..nas.estimation import FAILURE_SCORE, estimate_candidate
 from ..transfer.policy import get_policy
 from ..transfer.supernet import SuperNet, SupernetTransferBackend
-from .evaluator import ProcessPoolEvaluator, SerialEvaluator
+from .evaluator import SerialEvaluator
 from .resilience import (
     ChaosEvaluator,
     FaultStats,
@@ -111,25 +112,13 @@ class _Pending:
     deadline: Optional[float] = None      # monotonic, None = no deadline
 
 
-def _evaluate_task(problem, arch_seq, seed, provider_weights, matcher,
-                   keep_weights, engine="eager"):
-    """Module-level so ProcessPoolEvaluator can pickle it; a process
-    pool receives the provider weights pickled inside the task."""
-    return estimate_candidate(
-        problem, arch_seq, seed=seed, provider_weights=provider_weights,
-        matcher=matcher, keep_weights=keep_weights, engine=engine,
-    )
-
-
 def _evaluate_supernet_task(problem, arch_seq, seed, backend, descriptor,
                             engine="eager"):
-    """The zero-copy counterpart of :func:`_evaluate_task`: instead of a
-    weight payload the worker receives a tiny
-    :class:`~repro.transfer.SliceDescriptor` and resolves it by binding
-    the candidate to shared superweight views — training writes through
-    in place, so nothing is copied and nothing is checkpointed.  Only
-    in-process evaluators may run this (the scheduler rejects process
-    pools for the supernet backend)."""
+    """The zero-copy evaluation task: instead of a weight payload the
+    worker receives a tiny :class:`~repro.transfer.SliceDescriptor` and
+    resolves it by binding the candidate to shared superweight views —
+    training writes through in place, so nothing is copied and nothing
+    is checkpointed."""
     provider_seq = None if descriptor is None else \
         descriptor.provider_arch_seq
     return estimate_candidate(
@@ -157,11 +146,6 @@ def _resolve_supernet_backend(transfer_backend, problem, scheme,
             f"'checkpoint', 'supernet', a SuperNet or a "
             f"SupernetTransferBackend")
     return None
-
-
-def _uses_process_pool(evaluator) -> bool:
-    return isinstance(evaluator, ProcessPoolEvaluator) or isinstance(
-        getattr(evaluator, "evaluator", None), ProcessPoolEvaluator)
 
 
 class SearchDriver:
@@ -195,7 +179,7 @@ class SearchDriver:
     def __init__(self, problem, strategy, num_candidates: int, *,
                  scheme: str = "baseline", store=None, evaluator=None,
                  provider_policy="parent", seed: int = 0,
-                 static_gate=None, zero_cost=None,
+                 zero_cost: bool = False,
                  name: Optional[str] = None,
                  transfer_backend="checkpoint",
                  cache=None, prefetch: bool = False, async_io=False,
@@ -238,19 +222,14 @@ class SearchDriver:
         if self.transfers and self.backend is None and store is None:
             raise ValueError(f"scheme {scheme!r} needs a checkpoint store")
         self.retry = retry or RetryPolicy(max_attempts=1)
-        from ..analysis.zerocost import make_gate
-        gate = make_gate(problem, static_gate=static_gate,
-                         zero_cost=zero_cost)
-        if gate is not None and strategy.gate is None:
-            strategy.gate = gate
+        if not isinstance(zero_cost, bool):
+            raise TypeError(f"zero_cost must be a bool, got {zero_cost!r}; "
+                            f"pass a configured gate as the strategy's gate=")
+        if zero_cost and strategy.gate is None:
+            from ..analysis.zerocost import ZeroCostGate
+            strategy.gate = ZeroCostGate(problem)
         self.policy = get_policy(provider_policy, space=problem.space)
         self.evaluator = evaluator or SerialEvaluator()
-        if self.backend is not None and _uses_process_pool(self.evaluator):
-            raise ValueError(
-                "transfer_backend='supernet' trains through shared "
-                "in-process views; ProcessPoolEvaluator workers cannot "
-                "write their updates back — use SerialEvaluator or "
-                "ThreadPoolEvaluator")
 
         # -- I/O fast-path plumbing (all inert for the default sync run;
         # the supernet backend performs no checkpoint I/O at all, so the
@@ -273,7 +252,7 @@ class SearchDriver:
         # the PlanCache is shared by every search in this process:
         # finalize() reports only what accrued after this snapshot
         self._plan_stats0: Optional[dict] = None
-        if engine == "plan" and not _uses_process_pool(self.evaluator):
+        if engine == "plan":
             from ..tensor.engine import get_plan_cache
             self._plan_stats0 = get_plan_cache().stats()
         self._saved_keys: set[str] = set()   # saved this run (disk/queued)
@@ -436,10 +415,10 @@ class SearchDriver:
                 if provider_weights is not None:
                     record.provider_id = provider
         task = functools.partial(
-            _evaluate_task, self.problem, record.arch_seq,
-            self.seed + candidate_id, provider_weights,
-            self.scheme if self.transfers else "lcs", self.transfers,
-            self.engine,
+            estimate_candidate, self.problem, record.arch_seq,
+            seed=self.seed + candidate_id, provider_weights=provider_weights,
+            matcher=self.scheme if self.transfers else "lcs",
+            keep_weights=self.transfers, engine=self.engine,
         )
         self._dispatch(_Pending(record, task))
 
@@ -617,8 +596,8 @@ class SearchDriver:
     # -- teardown --------------------------------------------------------
     def close(self) -> None:
         """Stop the background helpers (prefetch reader, journal).
-        Idempotent; called by ``run_search``'s finally and by
-        :meth:`finalize`."""
+        Idempotent; called by :meth:`finalize`, which also drains and
+        closes an owned write-behind writer."""
         if self._closed:
             return
         self._closed = True
@@ -694,8 +673,6 @@ class SearchDriver:
         # -- fault accounting: only attached when something actually
         # went wrong (or chaos was injected / a run was resumed), so
         # clean paper runs keep fault_stats is None ---------------------
-        self.fault_stats.pool_rebuilds = getattr(self.evaluator,
-                                                 "pool_rebuilds", 0)
         fault_dict = self.fault_stats.as_dict()
         if self.resumed_records:
             fault_dict["resumed_records"] = self.resumed_records
@@ -708,18 +685,15 @@ class SearchDriver:
                 # a degraded store is a fault-domain event even when
                 # every search completed: make the degradation visible
                 fault_dict["store"] = stats
-        if (self.fault_stats.total_faults or self.fault_stats.pool_rebuilds
-                or self.resumed_records or "chaos" in fault_dict
-                or "store" in fault_dict):
+        if (self.fault_stats.total_faults or self.resumed_records
+                or "chaos" in fault_dict or "store" in fault_dict):
             self.trace.fault_stats = fault_dict
 
-        if self.engine == "plan":
-            engine_stats: dict = {"engine": self.engine}
-            if self._plan_stats0 is not None:
-                from ..tensor.engine import get_plan_cache
-                engine_stats.update(
-                    get_plan_cache().stats_since(self._plan_stats0))
-            self.trace.engine_stats = engine_stats
+        if self._plan_stats0 is not None:
+            from ..tensor.engine import get_plan_cache
+            self.trace.engine_stats = {
+                "engine": self.engine,
+                **get_plan_cache().stats_since(self._plan_stats0)}
 
         gate = getattr(self.strategy, "gate", None)
         if gate is not None:
@@ -731,7 +705,7 @@ class SearchDriver:
 def run_search(problem, strategy, num_candidates: int, *,
                scheme: str = "baseline", store=None, evaluator=None,
                provider_policy="parent", seed: int = 0,
-               static_gate=None, zero_cost=None,
+               zero_cost: bool = False,
                name: Optional[str] = None,
                transfer_backend="checkpoint",
                cache=None, prefetch: bool = False, async_io=False,
@@ -745,23 +719,16 @@ def run_search(problem, strategy, num_candidates: int, *,
     (construct, ``step()`` until done, ``finalize()``), with the exact
     historical contract.
 
-    ``static_gate`` enables pre-flight static screening: pass ``True``
-    to construct a :class:`repro.analysis.PreflightGate` over the
-    problem's space, or pass a configured gate instance.  The gate is
-    attached to the strategy (unless it already has one) so every
-    proposal is shape/dtype-checked before an evaluator sees it; its
-    rejection stats land in ``trace.static_stats``.
-
-    ``zero_cost`` upgrades the gate to the two-tier admission cascade
-    (:class:`repro.analysis.ZeroCostGate`): static analysis first, then
-    an init-time proxy score with quantile admission, so partial
-    training is spent only on candidates the proxy does not rank at the
-    bottom.  Pass ``True`` (defaults: grad-norm scorer, bottom 30%
-    rejected), a scorer name (``"gradnorm"`` / ``"synflow"`` /
-    ``"ntk"``), a kwargs dict for :class:`ZeroCostGate`, or a
-    configured gate.  ``zero_cost`` subsumes ``static_gate``; per-tier
-    counters (``static_rejected`` / ``proxy_rejected`` /
-    ``proxy_seconds``) land in ``trace.static_stats``.
+    ``zero_cost=True`` attaches the two-tier admission cascade
+    :class:`repro.analysis.ZeroCostGate` with its defaults (grad-norm
+    scorer, bottom 30% rejected) to the strategy, unless it already has
+    a gate: static analysis first, then an init-time proxy score with
+    quantile admission, so partial training is spent only on candidates
+    the proxy does not rank at the bottom.  A static-only
+    :class:`repro.analysis.PreflightGate` or a configured cascade goes
+    on the strategy's own ``gate=`` parameter instead.  Either way the
+    gate's per-tier counters (``static_rejected`` / ``proxy_rejected``
+    / ``proxy_seconds``) land in ``trace.static_stats``.
 
     ``cache`` / ``prefetch`` / ``async_io`` select the checkpoint I/O
     fast path (module docstring); all default to the
@@ -779,10 +746,9 @@ def run_search(problem, strategy, num_candidates: int, *,
     re-binding — no store is required, per-transfer blocked I/O is ~0,
     and ``copied_bytes`` is 0 by construction.  A :class:`SuperNet` or
     configured :class:`SupernetTransferBackend` may be passed to share a
-    store across runs.  Supernet runs need an in-process evaluator
-    (serial or thread pool — process-pool workers could never write
-    their view updates back) and a transfer scheme (``"lp"``/``"lcs"``,
-    which still picks the provider and the match).  The checkpoint I/O
+    store across runs.  Supernet runs need a transfer scheme
+    (``"lp"``/``"lcs"``, which still picks the provider and the
+    match).  The checkpoint I/O
     knobs (``prefetch`` / ``async_io``) are inert no-ops
     under supernet; a user-supplied ``cache`` is only used to publish
     candidates' live views for inspection (zero byte budget,
@@ -803,15 +769,14 @@ def run_search(problem, strategy, num_candidates: int, *,
     :class:`repro.tensor.engine.StepPlan` schedules checked out of the
     per-process :class:`~repro.tensor.engine.PlanCache`, bit-identical
     scores and traces, substantially faster steps.  The plan-cache
-    counts accrued during the run land in ``trace.engine_stats`` (for a
-    process pool only the engine name is recorded — worker caches are
-    per-process).  The cache is shared by every search in the process,
-    so the counts of concurrently running searches overlap.
+    counts accrued during the run land in ``trace.engine_stats``.  The
+    cache is shared by every search in the process, so the counts of
+    concurrently running searches overlap.
     """
     driver = SearchDriver(
         problem, strategy, num_candidates, scheme=scheme, store=store,
         evaluator=evaluator, provider_policy=provider_policy, seed=seed,
-        static_gate=static_gate, zero_cost=zero_cost, name=name,
+        zero_cost=zero_cost, name=name,
         transfer_backend=transfer_backend, cache=cache, prefetch=prefetch,
         async_io=async_io, retry=retry,
         task_timeout=task_timeout, journal=journal, resume=resume,
@@ -820,6 +785,11 @@ def run_search(problem, strategy, num_candidates: int, *,
     try:
         while not driver.done:
             driver.step()
-    finally:
-        driver.close()
+    except BaseException:
+        # the drain barrier also closes an owned write-behind writer, so
+        # a failed search leaves no thread still saving into the store;
+        # the search's own error is the one that propagates
+        with contextlib.suppress(Exception):
+            driver.finalize()
+        raise
     return driver.finalize()

@@ -83,7 +83,7 @@ class Trace:
     #: cache/async knobs; None otherwise
     io_stats: Optional[dict] = None
     #: fault-containment accounting (faults by taxonomy kind, retries,
-    #: quarantined checkpoints, pool rebuilds, chaos-injection stats)
+    #: quarantined checkpoints, chaos-injection stats)
     #: when any fault was contained or injected; None otherwise
     fault_stats: Optional[dict] = None
     #: transfer-backend accounting (``backend``, ``copied_bytes``,

@@ -30,7 +30,6 @@ from .strategies import (
     RandomSearch,
     RegularizedEvolution,
     Strategy,
-    SurrogateSearch,
     is_failure_score,
 )
 
@@ -40,7 +39,7 @@ __all__ = [
     "BatchNormOp", "ActivationOp", "DropoutOp", "FlattenOp", "ConcatenateOp",
     "SearchSpace", "Problem",
     "Strategy", "Proposal", "RandomSearch", "RegularizedEvolution",
-    "SurrogateSearch", "is_failure_score",
+    "is_failure_score",
     "estimate_candidate", "full_train", "EstimationResult", "FullTrainResult",
     "FAILURE_SCORE",
 ]

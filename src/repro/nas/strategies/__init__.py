@@ -1,15 +1,13 @@
-"""Search strategies: random, regularized evolution, surrogate."""
+"""Search strategies: random search and regularized evolution."""
 
 from .base import Proposal, Strategy, is_failure_score
 from .evolution import RegularizedEvolution
 from .random_search import RandomSearch
-from .surrogate import SurrogateSearch
 
 __all__ = [
     "Proposal",
     "Strategy",
     "RandomSearch",
     "RegularizedEvolution",
-    "SurrogateSearch",
     "is_failure_score",
 ]

@@ -29,8 +29,8 @@ kernel.
 
 Plans are shared across evaluations through :class:`PlanCache`, a
 thread-safe check-out/check-in pool keyed by the structural network
-signature + batch/dtype/loss.  Workers of a process pool each hold a
-per-process default cache (:func:`get_plan_cache`).  The cache lock is
+signature + batch/dtype/loss; every search in a process checks plans
+out of one default cache (:func:`get_plan_cache`).  The cache lock is
 registered in ``LOCK_HIERARCHY`` as ``"PlanCache._lock"``.
 """
 
@@ -1142,8 +1142,8 @@ class PlanCache:
         return now
 
 
-#: per-process default cache (one per process-pool worker); boxed so the
-#: benign first-call race just builds a throwaway instance
+#: per-process default cache; boxed so the benign first-call race just
+#: builds a throwaway instance
 _default_cache: list = [None]
 
 

@@ -100,9 +100,9 @@ def test_random_search_with_gate_only_proposes_buildable(strict_problem):
 def test_run_search_gated_evolution(strict_problem, tmp_path):
     strategy = RegularizedEvolution(
         strict_problem.space, rng=np.random.default_rng(3),
-        population_size=8, sample_size=4)
-    trace = run_search(strict_problem, strategy, 12, static_gate=True,
-                       seed=3, name="gated")
+        population_size=8, sample_size=4,
+        gate=PreflightGate(strict_problem.space))
+    trace = run_search(strict_problem, strategy, 12, seed=3, name="gated")
     assert len(trace) == 12
     assert all(r.ok for r in trace.records)
 

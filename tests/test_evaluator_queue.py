@@ -1,6 +1,6 @@
 """Evaluator wait_any via the done-queue: O(1) pops, order-robust.
 
-The pool evaluators used to re-scan every outstanding future with
+The thread-pool evaluator used to re-scan every outstanding future with
 ``cf.wait`` on each ``wait_any`` call (O(n) per wait, O(n^2) per run);
 completions now flow through a done-callback into a queue.  These tests
 pin the interface contract the scheduler relies on: ticket/result pairs
@@ -15,8 +15,7 @@ import time
 
 import pytest
 
-from repro.cluster.evaluator import (ProcessPoolEvaluator, SerialEvaluator,
-                                     ThreadPoolEvaluator)
+from repro.cluster.evaluator import SerialEvaluator, ThreadPoolEvaluator
 
 
 def _square(x):
@@ -24,7 +23,7 @@ def _square(x):
 
 
 class _Sleeper:
-    """Picklable task: sleeps then returns its tag."""
+    """Task that sleeps then returns its tag."""
 
     def __init__(self, delay, tag):
         self.delay = delay
@@ -95,10 +94,3 @@ def test_many_waits_drain_quickly():
         got = sorted(ev.wait_any()[1] for _ in range(n))
     assert got == list(range(n))
     assert time.perf_counter() - t0 < 10.0
-
-
-def test_process_pool_round_trip():
-    with ProcessPoolEvaluator(num_workers=2) as ev:
-        tickets = {ev.submit(_Sleeper(0.0, tag)): tag for tag in ("a", "b")}
-        results = dict(ev.wait_any() for _ in range(2))
-    assert results == tickets

@@ -4,14 +4,12 @@ The scheduler books contained faults as FAILURE_SCORE records; the
 strategies must keep those records out of their learning state — a
 failed candidate has no checkpoint, so breeding from it (or pointing
 the provider policy at it) would transfer weights that were never
-written.  These tests pin the `tell` exclusions, the single
-gate-accounting choke point in SurrogateSearch.ask, and the end-to-end
+written.  These tests pin the `tell` exclusions and the end-to-end
 invariants under chaos and resume.
 """
 
 import numpy as np
 
-from repro.analysis import PreflightGate
 from repro.checkpoint import CheckpointStore
 from repro.cluster import run_search
 from repro.cluster.resilience import ChaosEvaluator, RetryPolicy
@@ -19,7 +17,6 @@ from repro.cluster.evaluator import SerialEvaluator
 from repro.nas import (
     FAILURE_SCORE,
     RegularizedEvolution,
-    SurrogateSearch,
     is_failure_score,
 )
 from repro.cluster.trace import TraceRecord
@@ -68,20 +65,6 @@ def test_aging_tournament_never_breeds_failed_member(space):
         assert strategy.ask().parent_id != 0
 
 
-def test_surrogate_tell_excludes_failures(space):
-    strategy = SurrogateSearch(space, rng=0, warmup=2)
-    seqs = [space.sample(np.random.default_rng(i)) for i in range(3)]
-    strategy.tell(0, seqs[0], 0.9)
-    strategy.tell(1, seqs[1], FAILURE_SCORE)
-    strategy.tell(2, seqs[2], 0.8)
-    assert [cid for cid, _, _ in strategy._evaluated] == [0, 2]
-    # kNN prediction averages real scores only — one -1000 neighbour
-    # would drag every nearby estimate to the floor
-    assert strategy._predict(seqs[1]) > 0.0
-    # and the nearest-provider lookup can only return real candidates
-    assert strategy._nearest_id(seqs[1]) in (0, 2)
-
-
 def test_restore_skips_failed_records(space):
     """Resume replays journaled records through restore; failed ones
     must not be re-admitted into the population (but still fast-forward
@@ -98,42 +81,6 @@ def test_restore_skips_failed_records(space):
     evo.restore(records)
     assert [m.candidate_id for m in evo.population] == [0, 2, 4]
     assert evo._asked >= 6                   # warmup is not re-entered
-
-    sur = SurrogateSearch(space, rng=0, warmup=2)
-    sur.restore(records)
-    assert [cid for cid, _, _ in sur._evaluated] == [0, 2, 4]
-
-
-# ---------------------------------------------------------------------------
-# SurrogateSearch.ask: one accounting choke point
-# ---------------------------------------------------------------------------
-
-def test_surrogate_ask_books_gate_stats_once_per_ask(space):
-    """Before the fix the surrogate phase called gate.admits on every
-    pool member (pool_size bookings per ask) while warmup/explore
-    booked once — trace.static_stats depended on which phase proposals
-    came from.  Now every emitted proposal is booked exactly once by
-    Strategy._admit."""
-    gate = PreflightGate(space)
-    strategy = SurrogateSearch(space, rng=0, warmup=2, explore=0.0,
-                               pool_size=16, gate=gate)
-    n_asks = 8
-    for cid in range(n_asks):
-        p = strategy.ask()
-        strategy.tell(cid, p.arch_seq, float(cid) / n_asks)
-    assert strategy._asked > strategy.warmup     # surrogate phase reached
-    assert gate.stats.admitted == n_asks         # one admission per ask
-    assert gate.stats.checked == gate.stats.admitted + gate.stats.rejected
-
-
-def test_surrogate_phase_proposals_carry_provider(space):
-    strategy = SurrogateSearch(space, rng=0, warmup=2, explore=0.0,
-                               gate=PreflightGate(space))
-    for cid in range(4):
-        p = strategy.ask()
-        strategy.tell(cid, p.arch_seq, float(cid))
-    p = strategy.ask()                           # surrogate-ranked pick
-    assert p.parent_id in {cid for cid, _, _ in strategy._evaluated}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Checkpoint I/O fast path: determinism, drain barrier, pools.
+"""Checkpoint I/O fast path: determinism, drain barrier, error path.
 
 The contract under test (DESIGN.md "Checkpoint I/O pipeline"): turning
 on the cache / prefetch / write-behind knobs changes *when*
@@ -6,6 +6,8 @@ I/O happens, never *what* the search computes — fast-path traces are
 semantically identical to fully synchronous ones, and ``overhead``
 always equals ``io_blocked + io_hidden``.
 """
+
+import threading
 
 import pytest
 
@@ -15,7 +17,7 @@ from repro.cluster import (
     checkpoint_key,
     run_search,
 )
-from repro.nas import RegularizedEvolution
+from repro.nas import RegularizedEvolution, is_failure_score
 
 
 def semantics(trace):
@@ -100,22 +102,45 @@ def test_async_children_still_transfer_from_pending_parents(problem, space,
     assert any(r.transferred for r in fast.ok_records())
 
 
-# ---------------------------------------------------------------------------
-# process pools: provider weights travel pickled inside the task
-# ---------------------------------------------------------------------------
+class _FailingEvolution(RegularizedEvolution):
+    """Evolution whose ``fail_at``-th ask raises; remembers every score
+    it was told."""
 
-def test_process_pool_matches_sync(problem, space, tmp_path):
-    from repro.cluster import ProcessPoolEvaluator
+    def __init__(self, space, fail_at):
+        super().__init__(space, rng=0, population_size=4, sample_size=2)
+        self.fail_at = fail_at
+        self.asks = 0
+        self.told = {}
 
-    sync, _ = search(problem, space, tmp_path, "s", n=6)
-    ev = ProcessPoolEvaluator(num_workers=1)   # 1 worker ⇒ deterministic
-    try:
-        pooled, _ = search(problem, space, tmp_path, "p", n=6,
-                           evaluator=ev, cache=True, async_io=True)
-    finally:
-        ev.close()
-    assert semantics(pooled) == semantics(sync)
-    assert any(r.transferred for r in pooled.ok_records())
+    def ask(self):
+        self.asks += 1
+        if self.asks == self.fail_at:
+            raise RuntimeError("strategy exploded")
+        return super().ask()
+
+    def tell(self, candidate_id, arch_seq, score):
+        self.told[candidate_id] = score
+        super().tell(candidate_id, arch_seq, score)
+
+
+def test_failed_search_closes_its_write_behind_writer(problem, space,
+                                                      tmp_path):
+    """A run_search that raises must not leak its own writer: the
+    drain thread stops and every save it was handed is on disk before
+    the error reaches the caller."""
+    before = set(threading.enumerate())
+    store = CheckpointStore(tmp_path / "err")
+    strategy = _FailingEvolution(space, fail_at=4)
+    with pytest.raises(RuntimeError, match="strategy exploded"):
+        run_search(problem, strategy, 6, scheme="lcs", store=store,
+                   seed=0, async_io=True)
+    leaked = [t for t in threading.enumerate()
+              if t not in before and "_drain" in t.name]
+    assert leaked == []
+    saved = [cid for cid, score in strategy.told.items()
+             if not is_failure_score(score)]
+    assert saved
+    assert all(store.exists(checkpoint_key(cid)) for cid in saved)
 
 
 # ---------------------------------------------------------------------------

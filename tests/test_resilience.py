@@ -1,7 +1,6 @@
 """Fault tolerance: containment, retry, quarantine, journal, chaos."""
 
 import json
-import os
 import time
 
 import numpy as np
@@ -18,7 +17,6 @@ from repro.cluster import (
     ChaosEvaluator,
     FaultModel,
     InjectedFault,
-    ProcessPoolEvaluator,
     RetryPolicy,
     SerialEvaluator,
     SimulatedCluster,
@@ -26,7 +24,6 @@ from repro.cluster import (
     TaskTimeout,
     ThreadPoolEvaluator,
     TraceJournal,
-    WorkerLost,
     run_search,
 )
 from repro.cluster.resilience import classify_failure
@@ -34,13 +31,8 @@ from repro.cluster.trace import TraceRecord
 from repro.nas import FAILURE_SCORE, RandomSearch, RegularizedEvolution
 
 
-# module-level so ProcessPoolEvaluator can pickle them
 def _boom():
     raise ValueError("worker task exploded")
-
-
-def _die():
-    os._exit(13)            # kills the worker process -> broken pool
 
 
 def _const():
@@ -52,13 +44,10 @@ def _const():
 # ---------------------------------------------------------------------------
 
 def test_classify_failure_taxonomy():
-    import concurrent.futures as cf
     assert classify_failure(TaskTimeout("t")) == "timeout"
-    assert classify_failure(WorkerLost("w")) == "worker_lost"
     assert classify_failure(InjectedFault("i")) == "injected"
     assert classify_failure(
         CorruptCheckpointError("k", "p", ValueError())) == "corrupt_checkpoint"
-    assert classify_failure(cf.BrokenExecutor("b")) == "worker_lost"
     assert classify_failure(ValueError("v")) == "task_error"
 
 
@@ -100,7 +89,6 @@ def test_retry_jitter_is_seeded():
 @pytest.mark.parametrize("make", [
     SerialEvaluator,
     lambda: ThreadPoolEvaluator(2),
-    lambda: ProcessPoolEvaluator(2),
 ])
 def test_evaluators_contain_task_exceptions(make):
     with make() as ev:
@@ -111,19 +99,6 @@ def test_evaluators_contain_task_exceptions(make):
         assert result.kind == "task_error"
         assert "exploded" in str(result.error)
         # the evaluator survives: a healthy task still completes
-        ev.submit(_const)
-        _, result = ev.wait_any()
-        assert result == 42
-
-
-def test_process_pool_recovers_from_dead_worker():
-    with ProcessPoolEvaluator(2) as ev:
-        ev.submit(_die)
-        _, result = ev.wait_any()
-        assert isinstance(result, TaskFailure)
-        assert result.kind == "worker_lost"
-        assert ev.pool_rebuilds >= 1
-        # the rebuilt pool serves new work
         ev.submit(_const)
         _, result = ev.wait_any()
         assert result == 42

@@ -15,7 +15,7 @@ from repro.apps.mnist import build_space
 from repro.apps.mnist import problem as mnist_problem
 from repro.checkpoint import CheckpointStore
 from repro.cluster import run_search
-from repro.cluster.evaluator import ProcessPoolEvaluator, SerialEvaluator
+from repro.cluster.evaluator import SerialEvaluator
 from repro.cluster.resilience import ChaosEvaluator, RetryPolicy
 from repro.nas.estimation import FAILURE_SCORE, estimate_candidate
 from repro.nas.strategies.random_search import RandomSearch
@@ -283,15 +283,11 @@ def test_run_search_supernet_accepts_store_none_and_shared_supernet():
     assert len(t2) == 3
 
 
-def test_run_search_supernet_rejects_baseline_and_process_pool():
+def test_run_search_supernet_rejects_baseline_and_unknown_backend():
     problem = mnist_problem(seed=0)
     with pytest.raises(ValueError, match="baseline"):
         run_search(problem, RandomSearch(problem.space, rng=0), 2,
                    scheme="baseline", transfer_backend="supernet")
-    with pytest.raises(ValueError, match="[Pp]rocess"):
-        run_search(problem, RandomSearch(problem.space, rng=0), 2,
-                   scheme="lcs", transfer_backend="supernet",
-                   evaluator=ProcessPoolEvaluator(num_workers=2))
     with pytest.raises(ValueError, match="transfer_backend"):
         run_search(problem, RandomSearch(problem.space, rng=0), 2,
                    scheme="lcs", transfer_backend="warp-drive")

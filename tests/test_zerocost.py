@@ -5,7 +5,8 @@ score (one forward/backward on a fixed batch) → partial training.
 These tests pin the scorer contracts (deterministic, finite on
 buildable architectures, ``-inf`` instead of raising on anything
 else), the gate's per-tier accounting invariants, and the wiring
-through ``run_search(zero_cost=…)``; ``SimulatedCluster`` runs no gate.
+through a strategy's ``gate=`` into ``trace.static_stats``;
+``SimulatedCluster`` runs no gate.
 """
 
 import numpy as np
@@ -13,10 +14,8 @@ import pytest
 
 from repro.analysis import (
     SCORERS,
-    PreflightGate,
     ZeroCostGate,
     get_scorer,
-    make_gate,
 )
 from repro.analysis.zerocost import proxy_batch
 from repro.apps import make_image_dataset
@@ -148,41 +147,15 @@ def test_gate_validates_configuration(strict_problem):
 
 
 # ---------------------------------------------------------------------------
-# make_gate: the run_search knob resolution
-# ---------------------------------------------------------------------------
-
-def test_make_gate_resolution(strict_problem):
-    assert make_gate(strict_problem) is None
-    static = make_gate(strict_problem, static_gate=True)
-    assert type(static) is PreflightGate
-    assert isinstance(make_gate(strict_problem, zero_cost=True),
-                      ZeroCostGate)
-    by_name = make_gate(strict_problem, zero_cost="synflow")
-    assert by_name.scorer.name == "synflow"
-    by_kwargs = make_gate(strict_problem,
-                          zero_cost={"scorer": "ntk", "quantile": 0.6})
-    assert by_kwargs.scorer.name == "ntk" and by_kwargs.quantile == 0.6
-    gate = ZeroCostGate(strict_problem)
-    assert make_gate(strict_problem, zero_cost=gate) is gate
-    # zero_cost subsumes static_gate when both are set
-    assert isinstance(
-        make_gate(strict_problem, static_gate=True, zero_cost=True),
-        ZeroCostGate)
-    with pytest.raises(ValueError):
-        make_gate(strict_problem, zero_cost=3.5)
-
-
-# ---------------------------------------------------------------------------
 # wiring: run_search and the simulator
 # ---------------------------------------------------------------------------
 
 def test_run_search_zero_cost_cascade(strict_problem, tmp_path):
     strategy = RegularizedEvolution(
         strict_problem.space, rng=np.random.default_rng(3),
-        population_size=8, sample_size=4)
-    trace = run_search(strict_problem, strategy, 12,
-                       zero_cost={"warmup": 4, "quantile": 0.4}, seed=3,
-                       name="zc")
+        population_size=8, sample_size=4,
+        gate=ZeroCostGate(strict_problem, warmup=4, quantile=0.4))
+    trace = run_search(strict_problem, strategy, 12, seed=3, name="zc")
     assert len(trace) == 12
     assert all(r.ok for r in trace.records)
     stats = trace.static_stats
