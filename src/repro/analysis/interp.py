@@ -94,6 +94,9 @@ def _conv2d(op, node, shape):
             return _fail("shape-mismatch", node,
                          f"valid {k}x{k} conv does not fit {h}x{w}")
         padding = "same"
+    if padding == "same" and k % 2 == 0:
+        return _fail("shape-mismatch", node,
+                     f"same padding needs an odd kernel, got {k}")
     out = (h, w, f) if padding == "same" else (h - k + 1, w - k + 1, f)
     sig = ((k, k, c, f), (f,))
     flops = 2 * k * k * c * out[0] * out[1] * f
@@ -113,6 +116,9 @@ def _conv1d(op, node, shape):
             return _fail("shape-mismatch", node,
                          f"valid size-{k} conv does not fit L={length}")
         padding = "same"
+    if padding == "same" and k % 2 == 0:
+        return _fail("shape-mismatch", node,
+                     f"same padding needs an odd kernel, got {k}")
     out = (length, f) if padding == "same" else (length - k + 1, f)
     sig = ((k, c, f), (f,))
     flops = 2 * k * c * out[0] * f

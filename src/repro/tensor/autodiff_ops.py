@@ -9,7 +9,7 @@ and ``*_backward`` consumes ``(grad_out, cache)``.  Layout conventions:
 
 Convolutions are implemented with im2col so the inner loop is a single
 matmul; backprop is exact (validated against numerical gradients in
-``tests/test_autodiff.py``).
+``tests/test_tensor_autodiff.py``).
 
 Performance contract (see DESIGN.md "Kernel layout & performance"):
 
@@ -19,10 +19,17 @@ Performance contract (see DESIGN.md "Kernel layout & performance"):
 - every op preserves the input floating dtype (float32 in -> float32
   out); nothing silently promotes to float64;
 - max-pool caches flat argmax indices (1 byte/output element), not a
-  boolean window mask (p^2 bytes/output element).
+  boolean window mask (p^2 bytes/output element);
+- the conv, dense and batch-norm backwards take ``need_gx``: with
+  ``False`` (no ancestor trains, see ``Network.backward_liveness``) they
+  skip the input-gradient work and return ``gx=None``;
+- same-padding pads write into a zeroed buffer (no ``np.pad``), and
+  ``conv2d_backward`` scatters column gradients row-wise in an order
+  that keeps every float32 sum bit-identical to the per-tap loop.
 
 The pre-optimization implementations are frozen in ``reference_ops`` and
-the two are compared op-by-op in ``tests/test_kernel_equivalence.py``.
+the two are compared op-by-op in ``tests/test_kernel_equivalence.py``
+(conv2d exactly, on generated shapes).
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ def dense_forward(x, kernel, bias):
     return out, (x, kernel)
 
 
-def dense_backward(gout, cache):
+def dense_backward(gout, cache, need_gx=True):
     x, kernel = cache
-    gx = gout @ kernel.T
+    gx = gout @ kernel.T if need_gx else None
     gk = x.T @ gout
     gb = gout.sum(axis=0)
     return gx, gk, gb
@@ -56,7 +63,10 @@ def dense_backward(gout, cache):
 def _pad2d(x, ph, pw):
     if ph == 0 and pw == 0:
         return x
-    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    n, h, w, c = x.shape
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    xp[:, ph:ph + h, pw:pw + w, :] = x
+    return xp
 
 
 def patch_view6d(x, kh, kw):
@@ -89,7 +99,6 @@ def conv2d_forward(x, kernel, bias, padding="same"):
     kh, kw, cin, cout = kernel.shape
     if padding == "same":
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        # even kernels pad asymmetrically; we only use odd kernels
         xp = _pad2d(x, ph, pw)
     else:
         ph = pw = 0
@@ -100,7 +109,16 @@ def conv2d_forward(x, kernel, bias, padding="same"):
     return out, (xp, kernel, (ph, pw), x.shape)
 
 
-def conv2d_backward(gout, cache):
+def conv2d_backward(gout, cache, need_gx=True):
+    """``need_gx=False`` skips the column-gradient GEMM and scatter and
+    returns ``gx=None``.
+
+    The scatter runs per (kernel row ``i``, output column ``x``) with
+    ``x`` descending, adding each ``(n, ho, kw*cin)`` block in one
+    contiguous run.  Every ``gxp`` element still receives its ``(i, j)``
+    contributions in tap order (``i`` ascending, then ``j = X - x``
+    ascending), so the sums are bit-identical to a per-tap loop.
+    """
     xp, kernel, (ph, pw), x_shape = cache
     kh, kw, cin, cout = kernel.shape
     n, ho, wo, _ = gout.shape
@@ -110,12 +128,16 @@ def conv2d_backward(gout, cache):
     cols = im2col2d(xp, kh, kw).reshape(-1, kh * kw * cin)
     gk = (cols.T @ g2).reshape(kh, kw, cin, cout)
     gb = g2.sum(axis=0)
+    if not need_gx:
+        return None, gk, gb
     gcols = (g2 @ kernel.reshape(kh * kw * cin, cout).T).reshape(
-        n, ho, wo, kh, kw, cin)
+        n, ho, wo, kh, kw * cin)
     gxp = np.zeros(xp.shape, dtype=gout.dtype)
+    rows = gxp.reshape(n, xp.shape[1], xp.shape[2] * cin)
     for i in range(kh):
-        for j in range(kw):
-            gxp[:, i:i + ho, j:j + wo, :] += gcols[:, :, :, i, j, :]
+        for x in range(wo - 1, -1, -1):
+            dst = rows[:, i:i + ho, x * cin:(x + kw) * cin]
+            np.add(dst, gcols[:, :, x, i, :], out=dst)
     if ph or pw:
         h, w = x_shape[1], x_shape[2]
         gx = gxp[:, ph:ph + h, pw:pw + w, :]
@@ -127,7 +149,10 @@ def conv2d_backward(gout, cache):
 def _pad1d(x, p):
     if p == 0:
         return x
-    return np.pad(x, ((0, 0), (p, p), (0, 0)))
+    n, length, c = x.shape
+    xp = np.zeros((n, length + 2 * p, c), dtype=x.dtype)
+    xp[:, p:p + length, :] = x
+    return xp
 
 
 def patch_view4d(x, k):
@@ -162,7 +187,7 @@ def conv1d_forward(x, kernel, bias, padding="same"):
     return out, (cols, kernel, p, x.shape, xp.shape)
 
 
-def conv1d_backward(gout, cache):
+def conv1d_backward(gout, cache, need_gx=True):
     cols, kernel, p, x_shape, xp_shape = cache
     k, cin, cout = kernel.shape
     n, lo, _ = gout.shape
@@ -170,6 +195,8 @@ def conv1d_backward(gout, cache):
     c2 = cols.reshape(-1, k * cin)
     gk = (c2.T @ g2).reshape(k, cin, cout)
     gb = g2.sum(axis=0)
+    if not need_gx:
+        return None, gk, gb
     gcols = (g2 @ kernel.reshape(k * cin, cout).T).reshape(n, lo, k, cin)
     gxp = np.zeros(xp_shape, dtype=gout.dtype)
     for i in range(k):
@@ -286,11 +313,13 @@ def batchnorm_forward(x, gamma, beta, mean, var, eps=1e-5,
     return out, (xhat, gamma, inv, x.shape, batch_stats)
 
 
-def batchnorm_backward(gout, cache):
+def batchnorm_backward(gout, cache, need_gx=True):
     xhat, gamma, inv, x_shape, batch_stats = cache
     axes = tuple(range(gout.ndim - 1))
     ggamma = (gout * xhat).sum(axis=axes)
     gbeta = gout.sum(axis=axes)
+    if not need_gx:
+        return None, ggamma, gbeta
     if not batch_stats:
         # frozen statistics are constants w.r.t. x
         return gamma * inv * gout, ggamma, gbeta

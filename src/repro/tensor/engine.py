@@ -14,10 +14,10 @@ ordered op schedule over a preallocated buffer arena:
   conv backward reuses the forward's im2col matrix instead of
   rebuilding it (and writes its column gradient back into the same
   workspace), and loss + softmax backward share their temporaries;
-- the schedule drops dead gradient work: a layer whose input subtree
-  holds no trainable parameters never computes its input gradient (the
-  first conv of a chain skips the whole column-gradient GEMM and
-  scatter).
+- the schedule drops dead gradient work by the same rule as eager
+  (``Network.backward_liveness``): a layer whose input subtree holds no
+  trainable parameters never computes its input gradient (the first
+  conv of a chain skips the whole column-gradient GEMM and scatter).
 
 Bit-identicality contract: a plan step replicates the eager step's
 arithmetic *exactly* — same ufunc sequences via ``out=``, same operand
@@ -388,7 +388,8 @@ class _ConvOp:
     values, one big copy cheaper) and then overwrites the same workspace
     with the column gradients before scattering them into the padded
     input-gradient buffer.  The padded border is written once at trace
-    time and never touched again, replacing eager's per-step ``np.pad``.
+    time and never touched again, replacing eager's per-step pad buffer.
+    The 2-D scatter runs in eager's row-wise order.
     """
 
     def __init__(self, layer, x, n, arena):
@@ -502,11 +503,15 @@ class _ConvOp:
         self._gxp = arena.zeros(self._xp.shape, dtype=g.dtype)
         k, pad = self._layer.kernel_size, self._pad
         if self._is2d:
+            # eager conv2d_backward's row-wise scatter order
             n, ho, wo, _ = self.out.shape
-            g6 = gcols.reshape(n, ho, wo, k, k, self._kernel.shape[-2])
+            cin = self._kernel.shape[-2]
+            g5 = gcols.reshape(n, ho, wo, k, k * cin)
+            _, hp, wp, _ = self._gxp.shape
+            rows = self._gxp.reshape(n, hp, wp * cin)
             self._scatter = tuple(
-                (self._gxp[:, i:i + ho, j:j + wo, :], g6[:, :, :, i, j, :])
-                for i in range(k) for j in range(k))
+                (rows[:, i:i + ho, x * cin:(x + k) * cin], g5[:, :, x, i, :])
+                for i in range(k) for x in range(wo - 1, -1, -1))
             gx = (self._gxp[:, pad:pad + self._x.shape[1],
                             pad:pad + self._x.shape[2], :]
                   if pad else self._gxp)
@@ -933,17 +938,9 @@ class StepPlan:
         else:
             self._loss = _RegLossKernel(loss, logits, self._y, arena)
 
-        # -- backward analysis: trainables, dead-gradient elimination ---
-        def _has_trainables(layer):
-            tr = getattr(layer, "TRAINABLE", None)
-            return any(tr is None or p in tr for p in layer.params)
-
-        has_tr = [_has_trainables(layer) for layer in layers]
-        up = [False] * nl
-        for li in range(nl):
-            up[li] = any(pi >= 0 and (has_tr[pi] or up[pi])
-                         for pi in parents[li])
-        runs_bwd = [h or u for h, u in zip(has_tr, up)]
+        # -- backward analysis: dead-gradient elimination ---------------
+        live = network.backward_liveness()
+        runs_bwd = [live[layer.name] for layer in layers]
 
         counts = [0] * nl
         for li in range(nl):

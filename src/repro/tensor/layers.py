@@ -53,7 +53,10 @@ class Layer:
     def forward(self, x, training: bool = False):
         raise NotImplementedError
 
-    def backward(self, gout):
+    def backward(self, gout, need_gx: bool = True):
+        """Fill ``grads`` and return the input gradient.  With
+        ``need_gx=False`` (no ancestor trains) a parameterised layer skips
+        the input-gradient work and returns ``None``."""
         raise NotImplementedError
 
     # -- introspection -----------------------------------------------------
@@ -73,7 +76,7 @@ class Identity(Layer):
     def forward(self, x, training=False):
         return x
 
-    def backward(self, gout):
+    def backward(self, gout, need_gx=True):
         return gout
 
 
@@ -85,7 +88,7 @@ class Flatten(Layer):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, gout):
+    def backward(self, gout, need_gx=True):
         return gout.reshape(self._cache)
 
 
@@ -101,7 +104,7 @@ class Activation(Layer):
         out, self._cache = fwd(x)
         return out
 
-    def backward(self, gout):
+    def backward(self, gout, need_gx=True):
         _, bwd = ops.ACTIVATIONS[self.fn]
         return bwd(gout, self._cache)
 
@@ -121,7 +124,7 @@ class Dropout(Layer):
         out, self._cache = ops.dropout_forward(x, self.rate, self._rng)
         return out
 
-    def backward(self, gout):
+    def backward(self, gout, need_gx=True):
         if self._cache is None:
             return gout
         return ops.dropout_backward(gout, self._cache)
@@ -155,11 +158,11 @@ class Dense(Layer):
             out, self._act_cache = fwd(out)
         return out
 
-    def backward(self, gout):
+    def backward(self, gout, need_gx=True):
         if self.activation:
             _, bwd = ops.ACTIVATIONS[self.activation]
             gout = bwd(gout, self._act_cache)
-        gx, gk, gb = ops.dense_backward(gout, self._cache)
+        gx, gk, gb = ops.dense_backward(gout, self._cache, need_gx)
         self.grads["kernel"] = gk
         self.grads["bias"] = gb
         return gx
@@ -193,6 +196,10 @@ class Conv2D(Layer):
                     f"{self.name}: valid {k}x{k} conv does not fit {h}x{w}"
                 )
             self._effective_padding = "same"
+        if self._effective_padding == "same" and k % 2 == 0:
+            raise BuildError(
+                f"{self.name}: same padding needs an odd kernel, got {k}"
+            )
         init = get_initializer(self.kernel_init)
         self.params["kernel"] = init((k, k, c, self.filters), rng)
         self.params["bias"] = np.zeros(self.filters, dtype=np.float32)
@@ -210,11 +217,11 @@ class Conv2D(Layer):
             out, self._act_cache = fwd(out)
         return out
 
-    def backward(self, gout):
+    def backward(self, gout, need_gx=True):
         if self.activation:
             _, bwd = ops.ACTIVATIONS[self.activation]
             gout = bwd(gout, self._act_cache)
-        gx, gk, gb = ops.conv2d_backward(gout, self._cache)
+        gx, gk, gb = ops.conv2d_backward(gout, self._cache, need_gx)
         self.grads["kernel"] = gk
         self.grads["bias"] = gb
         return gx
@@ -248,6 +255,10 @@ class Conv1D(Layer):
                     f"{self.name}: valid size-{k} conv does not fit L={length}"
                 )
             self._effective_padding = "same"
+        if self._effective_padding == "same" and k % 2 == 0:
+            raise BuildError(
+                f"{self.name}: same padding needs an odd kernel, got {k}"
+            )
         init = get_initializer(self.kernel_init)
         self.params["kernel"] = init((k, c, self.filters), rng)
         self.params["bias"] = np.zeros(self.filters, dtype=np.float32)
@@ -265,11 +276,11 @@ class Conv1D(Layer):
             out, self._act_cache = fwd(out)
         return out
 
-    def backward(self, gout):
+    def backward(self, gout, need_gx=True):
         if self.activation:
             _, bwd = ops.ACTIVATIONS[self.activation]
             gout = bwd(gout, self._act_cache)
-        gx, gk, gb = ops.conv1d_backward(gout, self._cache)
+        gx, gk, gb = ops.conv1d_backward(gout, self._cache, need_gx)
         self.grads["kernel"] = gk
         self.grads["bias"] = gb
         return gx
@@ -317,7 +328,7 @@ class _Pool(Layer):
         out, self._cache = fwd(x, self.pool_size)
         return out
 
-    def backward(self, gout):
+    def backward(self, gout, need_gx=True):
         if self._noop:
             return gout
         bwd = {
@@ -390,8 +401,9 @@ class BatchNorm(Layer):
         )
         return out
 
-    def backward(self, gout):
-        gx, ggamma, gbeta = ops.batchnorm_backward(gout, self._cache)
+    def backward(self, gout, need_gx=True):
+        gx, ggamma, gbeta = ops.batchnorm_backward(gout, self._cache,
+                                                   need_gx)
         self.grads["gamma"] = ggamma
         self.grads["beta"] = gbeta
         return gx
@@ -413,5 +425,5 @@ class Concatenate(Layer):
     def forward(self, xs, training=False):
         return np.concatenate(xs, axis=-1)
 
-    def backward(self, gout):
+    def backward(self, gout, need_gx=True):
         return np.split(gout, self._splits, axis=-1)

@@ -94,6 +94,23 @@ class Network:
         self.built = True
         return self
 
+    def backward_liveness(self) -> dict[str, bool]:
+        """``{layer name: runs backward}`` for a built network.
+
+        A layer runs backward iff it has trainable parameters or one of
+        its parents runs backward; every other gradient is dead.  A live
+        layer needs the input gradient for a parent iff that parent is
+        live (network inputs never are).  The eager :meth:`backward` and
+        the compiled ``StepPlan`` both schedule from this one rule.
+        """
+        live: dict[str, bool] = {}
+        for layer in self._layers:
+            trainable = getattr(layer, "TRAINABLE", None)
+            live[layer.name] = any(
+                trainable is None or p in trainable for p in layer.params
+            ) or any(live.get(p, False) for p in self._inputs_of[layer.name])
+        return live
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -118,25 +135,30 @@ class Network:
 
     predict = forward
 
-    def backward(self, gout):
-        """Backprop from the output gradient; fills each layer's ``grads``
-        and returns the gradients w.r.t. each network input."""
+    def backward(self, gout) -> None:
+        """Backprop from the output gradient, filling each live layer's
+        ``grads`` (see :meth:`backward_liveness`).  A layer whose parent
+        is not live gets ``need_gx=False``; layers that are not live are
+        not called.  Input gradients w.r.t. the network inputs are never
+        computed."""
+        live = self.backward_liveness()
         pending: dict[str, np.ndarray] = {self._output: gout}
-        gin: dict[str, np.ndarray] = {}
         for layer in reversed(self._layers):
             g = pending.pop(layer.name, None)
-            if g is None:
+            if g is None or not live[layer.name]:
                 continue
-            gx = layer.backward(g)
             parents = self._inputs_of[layer.name]
-            gxs = gx if isinstance(layer, Concatenate) else [gx]
+            if isinstance(layer, Concatenate):
+                gxs = layer.backward(g)
+            else:
+                gxs = [layer.backward(g, live.get(parents[0], False))]
             for parent, gp in zip(parents, gxs):
-                target = gin if parent.startswith("input:") else pending
-                if parent in target:
-                    target[parent] = target[parent] + gp
+                if not live.get(parent, False):
+                    continue
+                if parent in pending:
+                    pending[parent] = pending[parent] + gp
                 else:
-                    target[parent] = gp
-        return [gin.get(f"input:{i}") for i in range(len(self.input_shapes))]
+                    pending[parent] = gp
 
     # ------------------------------------------------------------------
     # weights / introspection

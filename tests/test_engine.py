@@ -30,7 +30,7 @@ from repro.nas import (
     SearchSpace,
 )
 from repro.nas.estimation import estimate_candidate
-from repro.tensor import fit, get_loss
+from repro.tensor import Concatenate, Conv2D, Dense, fit, get_loss
 from repro.tensor.engine import (
     PlanCache,
     PlanUnsupportedError,
@@ -89,6 +89,82 @@ def test_estimate_candidate_plan_matches_eager():
     plan = estimate_candidate(prob, seq, seed=3, engine="plan")
     assert plan.ok and eager.ok
     assert plan.score == eager.score
+
+
+# ---------------------------------------------------------------------------
+# eager dead-gradient elimination
+# ---------------------------------------------------------------------------
+
+
+def _backward_every_layer(network, gout):
+    """Reference backward: every reached layer runs with ``need_gx=True``
+    and routes a gradient to every parent, network inputs included."""
+    pending = {network._output: gout}
+    for layer in reversed(network.layers):
+        g = pending.pop(layer.name, None)
+        if g is None:
+            continue
+        gx = layer.backward(g, need_gx=True)
+        gxs = gx if isinstance(layer, Concatenate) else [gx]
+        for parent, gp in zip(network._inputs_of[layer.name], gxs):
+            pending[parent] = pending[parent] + gp if parent in pending \
+                else gp
+
+
+def _input_fed(network) -> set:
+    """Layers whose every path back to a network input crosses no
+    parameterised layer: nothing upstream of them trains."""
+    fed = set()
+    for layer in network.layers:
+        if all(p.startswith("input:") or
+               (p in fed and not network._by_name[p].params)
+               for p in network._inputs_of[layer.name]):
+            fed.add(layer.name)
+    return fed
+
+
+@pytest.mark.parametrize("app", sorted(APP_SEQS))
+def test_eager_backward_skips_only_dead_gradients(app):
+    prob = get_app(app).problem(seed=0)
+    model = prob.build_model(prob.space.validate_seq(APP_SEQS[app]), rng=0)
+    ds, n = prob.dataset, prob.batch_size
+    x = ([a[:n] for a in ds.x_train] if isinstance(ds.x_train, (list, tuple))
+         else ds.x_train[:n])
+    _, grad = get_loss(prob.loss)(model.forward(x, training=True),
+                                  ds.y_train[:n])
+
+    _backward_every_layer(model, grad)
+    want = {name: layer.grads[p].copy()
+            for name, layer, p in model.trainable()}
+
+    calls = {}
+    for layer in model.layers:
+        def spy(g, need_gx=True, _orig=layer.backward, _name=layer.name):
+            calls[_name] = need_gx
+            return _orig(g, need_gx)
+        layer.backward = spy
+    model.backward(grad)
+
+    for name, layer, p in model.trainable():
+        assert np.array_equal(layer.grads[p], want[name]), name
+    fed = _input_fed(model)
+    assert fed
+    for name in fed:
+        if model._by_name[name].params:
+            assert calls[name] is False, name
+        else:
+            assert name not in calls, name      # dead: never called
+    assert all(calls[name] for name in calls if name not in fed)
+    if app in ("cifar10", "mnist"):
+        first_conv = next(layer for layer in model.layers
+                          if isinstance(layer, Conv2D))
+        assert calls[first_conv.name] is False
+    if app == "uno":
+        towers = [layer.name for layer in model.layers
+                  if isinstance(layer, Dense) and
+                  model._inputs_of[layer.name][0].startswith("input:")]
+        assert len(towers) == 2
+        assert all(calls[name] is False for name in towers)
 
 
 # ---------------------------------------------------------------------------

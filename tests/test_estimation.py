@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from repro.nas import FAILURE_SCORE, estimate_candidate, full_train
+from repro.analysis import analyze
+from repro.nas import (
+    FAILURE_SCORE,
+    Conv2DOp,
+    DenseOp,
+    FlattenOp,
+    Problem,
+    SearchSpace,
+    estimate_candidate,
+    full_train,
+)
 
 
 def test_estimate_returns_finite_score(space, problem):
@@ -68,3 +78,18 @@ def test_full_train_accepts_initial_weights(space, problem):
                       max_epochs=2)
     cold = full_train(problem, seq, seed=0, max_epochs=2)
     assert warm.score != cold.score          # warm start changed the run
+
+
+def test_even_same_conv_fails_at_build_not_mid_training(dataset):
+    space = SearchSpace("even-kernel", (6, 6, 2))
+    space.add_fixed(Conv2DOp(3, kernel_size=2), name="conv")
+    space.add_fixed(FlattenOp(), name="flatten")
+    space.add_fixed(DenseOp(4), name="head")
+    seq = space.validate_seq(())
+    problem = Problem("even-kernel", space, dataset, batch_size=16,
+                      estimation_epochs=1)
+    result = estimate_candidate(problem, seq, seed=0)
+    assert not result.ok
+    assert result.score == FAILURE_SCORE
+    assert "odd kernel" in result.error
+    assert not analyze(space, seq).ok    # the pre-flight gate agrees

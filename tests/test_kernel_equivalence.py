@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.tensor.autodiff_ops as ops
 import repro.tensor.reference_ops as ref
@@ -48,6 +50,44 @@ def test_conv2d_matches_reference(k, padding):
     np.testing.assert_allclose(gx_new, gx_ref, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(gk_new, gk_ref, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(gb_new, gb_ref, rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def _conv2d_case(draw):
+    n, h, w = (draw(st.integers(1, 6)), draw(st.integers(1, 10)),
+               draw(st.integers(1, 10)))
+    cin, cout = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k = draw(st.sampled_from([1, 3, 5]))
+    paddings = ["same", "valid"] if k <= min(h, w) else ["same"]
+    return (n, h, w, cin, cout, k, draw(st.sampled_from(paddings)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_conv2d_case())
+def test_conv2d_bit_identical_to_reference_on_generated_shapes(case):
+    """Exact, not allclose: the row-wise scatter and the zero-buffer pad
+    reorder no float32 addition relative to the reference's per-tap
+    loop, and ``need_gx=False`` leaves the parameter gradients as is."""
+    n, h, w, cin, cout, k, padding, seed = case
+    rng = _rng(seed)
+    x = rng.standard_normal((n, h, w, cin), dtype=np.float32)
+    kern = rng.standard_normal((k, k, cin, cout), dtype=np.float32)
+    bias = rng.standard_normal(cout, dtype=np.float32)
+
+    out, cache = ops.conv2d_forward(x, kern, bias, padding=padding)
+    out_ref, cache_ref = ref.conv2d_forward(x, kern, bias, padding=padding)
+    assert np.array_equal(out, out_ref)
+
+    gout = rng.standard_normal(out.shape, dtype=np.float32)
+    want = ref.conv2d_backward(gout, cache_ref)
+    for got, exp in zip(ops.conv2d_backward(gout, cache), want):
+        assert got.dtype == exp.dtype == np.float32
+        assert np.array_equal(got, exp)
+    gx, gk, gb = ops.conv2d_backward(gout, cache, need_gx=False)
+    assert gx is None
+    assert np.array_equal(gk, want[1])
+    assert np.array_equal(gb, want[2])
 
 
 def test_conv2d_cache_holds_no_im2col_matrix():

@@ -6,6 +6,7 @@ import pytest
 from repro.tensor import (
     BatchNorm,
     BuildError,
+    Conv1D,
     Conv2D,
     Dense,
     Dropout,
@@ -36,6 +37,29 @@ def test_conv2d_same_padding_keeps_spatial_dims():
     assert layer.build((6, 6, 2), rng()) == (6, 6, 5)
     out = layer.forward(rng().normal(size=(2, 6, 6, 2)))
     assert out.shape == (2, 6, 6, 5)
+
+
+@pytest.mark.parametrize("layer, shape", [
+    (Conv2D("c", filters=3, kernel_size=2), (6, 6, 2)),
+    (Conv1D("c", filters=3, kernel_size=2), (6, 2)),
+    # adaptive valid convs that do not fit fall back to same padding
+    (Conv2D("c", filters=3, kernel_size=4, padding="valid", adaptive=True),
+     (3, 3, 2)),
+    (Conv1D("c", filters=3, kernel_size=4, padding="valid", adaptive=True),
+     (3, 2)),
+])
+def test_even_kernel_with_same_padding_is_a_build_error(layer, shape):
+    # stride-1 same padding of an even kernel would need asymmetric
+    # padding; the kernels pad (k-1)//2 per side and lose one row
+    with pytest.raises(BuildError, match="odd kernel"):
+        layer.build(shape, rng())
+
+
+def test_even_kernel_with_valid_padding_builds():
+    layer = Conv2D("c", filters=3, kernel_size=2, padding="valid")
+    assert layer.build((6, 6, 2), rng()) == (5, 5, 3)
+    assert layer.forward(rng().normal(size=(2, 6, 6, 2))).shape == \
+        (2, 5, 5, 3)
 
 
 def test_maxpool_halves_spatial_dims():
