@@ -2,11 +2,11 @@
 
 Two halves:
 
-- **Graph analyzer** (:func:`analyze`): an abstract interpreter over
-  architecture sequences — symbolic shape/dtype propagation, parameter
-  and FLOP accounting, structural diagnostics — driven by the op
-  metadata registry in :mod:`repro.tensor`.  :class:`PreflightGate`
-  wraps it as the NAS loop's free validity check.
+- **Graph analyzer** (:func:`analyze`): shape/dtype propagation,
+  parameter accounting and structural diagnostics over architecture
+  sequences, asking each layer's own ``infer`` for its shapes.
+  :class:`PreflightGate` wraps it as the NAS loop's free validity
+  check.
 - **Invariant linter** (:mod:`repro.analysis.lint`, run as
   ``python -m repro.analysis.lint src/repro``): AST rules R001-R009
   enforcing the repo's dtype discipline, frozen reference kernels,
@@ -23,7 +23,7 @@ Two halves:
 """
 
 from .gate import GateStats, PreflightGate
-from .interp import ANALYZED_KINDS, analyze, register_handler
+from .interp import analyze
 from .report import Diagnostic, GraphReport, LayerReport
 from .zerocost import (
     SCORERS,
@@ -36,7 +36,7 @@ from .zerocost import (
 )
 
 __all__ = [
-    "analyze", "register_handler", "ANALYZED_KINDS",
+    "analyze",
     "GraphReport", "LayerReport", "Diagnostic",
     "PreflightGate", "GateStats",
     "ZeroCostScorer", "GradNormScorer", "SynflowScorer", "NTKTraceScorer",

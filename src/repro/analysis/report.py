@@ -4,9 +4,8 @@ A :class:`GraphReport` is what :func:`repro.analysis.analyze` returns:
 one :class:`LayerReport` per node of the candidate graph plus the
 collected :class:`Diagnostic` list.  ``report.ok`` means no
 error-severity diagnostic — the candidate is guaranteed to build and
-run (the analyzer mirrors every ``BuildError`` path of
-:mod:`repro.tensor.layers` exactly; the cross-validation tests pin
-that).
+run (the analyzer calls each layer's own ``infer``, the shape rule
+``Layer.build`` runs; the cross-validation tests pin that).
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ class Diagnostic:
     """One analyzer finding, attached to a graph node.
 
     ``code`` is a stable kebab-case identifier (``shape-mismatch``,
-    ``spatial-collapse``, ``dead-node``, ``unused-input``,
-    ``float64-promotion``, ``param-budget``, ``bad-op``,
-    ``unknown-op``); error severity means the candidate cannot (or must
-    not) be instantiated.
+    ``param-budget``, ``float64-promotion``, ``dead-node``,
+    ``unused-input``); error severity means the candidate cannot (or
+    must not) be instantiated.
     """
 
     code: str
@@ -57,7 +55,6 @@ class LayerReport:
     dtype: Optional[str]
     signature: Signature             # parameter-tensor shapes, decl. order
     num_params: int
-    flops: int
 
     @property
     def parameterized(self) -> bool:
@@ -95,10 +92,6 @@ class GraphReport:
     @property
     def total_params(self) -> int:
         return sum(layer.num_params for layer in self.layers)
-
-    @property
-    def total_flops(self) -> int:
-        return sum(layer.flops for layer in self.layers)
 
     @property
     def output_shape(self) -> Optional[tuple]:
@@ -147,12 +140,9 @@ class GraphReport:
         for layer in self.layers:
             lines.append(
                 f"  {layer.node:<20} {layer.description:<28} "
-                f"out={layer.output_shape} params={layer.num_params} "
-                f"flops={layer.flops}"
+                f"out={layer.output_shape} params={layer.num_params}"
             )
-        lines.append(
-            f"  total: params={self.total_params} flops={self.total_flops}"
-        )
+        lines.append(f"  total: params={self.total_params}")
         for diag in self.diagnostics:
             lines.append(f"  {diag}")
         return "\n".join(lines)

@@ -78,6 +78,9 @@ class SearchSpace:
     def _add(self, node: _Node, after) -> _Node:
         if node.name in self._by_name:
             raise ValueError(f"duplicate node name {node.name!r}")
+        for op in node.choices:
+            # a malformed op raises ValueError here, not once per candidate
+            op.to_layer(op.layer_name(node.name))
         node.parents = self._resolve_after(after)
         self._nodes.append(node)
         self._by_name[node.name] = node

@@ -1,9 +1,13 @@
 """Layer classes: named parameter tensors + build/forward/backward.
 
 A layer owns an ordered dict of named parameter tensors (``params``) and
-their gradients (``grads``).  ``build(input_shape, rng)`` materialises the
-tensors for a concrete input shape and returns the output shape; building
-twice is an error.  Shapes exclude the batch axis.
+their gradients (``grads``).  ``infer(input_shape)`` is the layer's one
+shape rule: it returns the output shape and the parameter shapes without
+allocating anything.  ``build(input_shape, rng)`` runs ``infer`` and then
+initialises the parameters from ``rng`` in declaration order; building
+twice is an error.  The static analyzer (:mod:`repro.analysis`) calls
+``infer`` too, so no shape rule exists twice.  Shapes exclude the batch
+axis.
 
 ``BuildError`` signals an architecture that cannot be instantiated (e.g. a
 valid-padding conv larger than its input).  NAS estimation converts it to
@@ -18,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff_ops as ops
-from .initializers import as_rng, get_initializer
+from .initializers import as_rng, get_initializer, ones, zeros
 
 
 class BuildError(ValueError):
@@ -26,7 +30,8 @@ class BuildError(ValueError):
 
 
 class Layer:
-    """Base class.  Subclasses set ``params`` in ``build``."""
+    """Base class.  Subclasses override ``infer`` (and ``initializer``
+    when a parameter does not start at zero)."""
 
     def __init__(self, name: str):
         self.name = name
@@ -42,12 +47,25 @@ class Layer:
         if self.built:
             raise RuntimeError(f"layer {self.name} built twice")
         self.input_shape = tuple(input_shape)
-        self.output_shape = self._build(self.input_shape, as_rng(rng))
+        self.output_shape, param_shapes = self.infer(self.input_shape)
+        rng = as_rng(rng)
+        for pname, shape in param_shapes.items():
+            self.params[pname] = self.initializer(pname)(shape, rng)
         self.built = True
         return self.output_shape
 
-    def _build(self, input_shape, rng) -> tuple:
-        return input_shape
+    def infer(self, input_shape) -> tuple[tuple, dict[str, tuple]]:
+        """``(output_shape, {param name: shape})`` for ``input_shape``,
+        parameters in declaration order.  Allocates nothing; raises
+        :class:`BuildError` when the layer cannot consume the shape.  It
+        also sets the build-time state ``forward`` reads (padding
+        fallback, pool no-op, concat splits)."""
+        return tuple(input_shape), {}
+
+    def initializer(self, param: str):
+        """``init(shape, rng)`` for parameter ``param``; zeros unless a
+        layer says otherwise."""
+        return zeros
 
     # -- execution ---------------------------------------------------------
     def forward(self, x, training: bool = False):
@@ -81,8 +99,8 @@ class Identity(Layer):
 
 
 class Flatten(Layer):
-    def _build(self, input_shape, rng):
-        return (int(np.prod(input_shape)),)
+    def infer(self, input_shape):
+        return (int(np.prod(input_shape)),), {}
 
     def forward(self, x, training=False):
         self._cache = x.shape
@@ -139,15 +157,16 @@ class Dense(Layer):
         self.kernel_init = kernel_init
         self._act_cache = None
 
-    def _build(self, input_shape, rng):
+    def infer(self, input_shape):
         if len(input_shape) != 1:
             raise BuildError(
                 f"{self.name}: Dense needs a flat input, got {input_shape}"
             )
-        init = get_initializer(self.kernel_init)
-        self.params["kernel"] = init((input_shape[0], self.units), rng)
-        self.params["bias"] = np.zeros(self.units, dtype=np.float32)
-        return (self.units,)
+        return (self.units,), {"kernel": (input_shape[0], self.units),
+                               "bias": (self.units,)}
+
+    def initializer(self, param):
+        return get_initializer(self.kernel_init) if param == "kernel" else zeros
 
     def forward(self, x, training=False):
         out, self._cache = ops.dense_forward(
@@ -168,13 +187,19 @@ class Dense(Layer):
         return gx
 
 
-class Conv2D(Layer):
+class _Conv(Layer):
+    """Stride-1 convolution over the ``NDIM - 1`` leading axes of a
+    channels-last input, with an optional fused activation.  Subclasses
+    set ``NDIM`` (input rank incl. channels) and the kernel pair."""
+
     def __init__(self, name: str, filters: int, kernel_size: int,
                  padding: str = "same", activation: Optional[str] = None,
                  adaptive: bool = False, kernel_init="glorot_uniform"):
         super().__init__(name)
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
+        if self.kernel_size < 1:
+            raise ValueError(f"kernel_size must be >= 1, got {kernel_size}")
         self.padding = padding
         self.activation = activation
         self.adaptive = adaptive
@@ -182,33 +207,39 @@ class Conv2D(Layer):
         self._act_cache = None
         self._effective_padding = padding
 
-    def _build(self, input_shape, rng):
-        if len(input_shape) != 3:
+    def infer(self, input_shape):
+        if len(input_shape) != self.NDIM:
             raise BuildError(
-                f"{self.name}: Conv2D needs (H, W, C) input, got {input_shape}"
+                f"{self.name}: {type(self).__name__} needs rank-{self.NDIM} "
+                f"channels-last input, got {input_shape}"
             )
-        h, w, c = input_shape
+        *spatial, c = input_shape
         k = self.kernel_size
         self._effective_padding = self.padding
-        if self.padding == "valid" and (k > h or k > w):
+        if self.padding == "valid" and any(k > s for s in spatial):
             if not self.adaptive:
                 raise BuildError(
-                    f"{self.name}: valid {k}x{k} conv does not fit {h}x{w}"
+                    f"{self.name}: valid size-{k} conv does not fit "
+                    f"{tuple(spatial)}"
                 )
             self._effective_padding = "same"
-        if self._effective_padding == "same" and k % 2 == 0:
-            raise BuildError(
-                f"{self.name}: same padding needs an odd kernel, got {k}"
-            )
-        init = get_initializer(self.kernel_init)
-        self.params["kernel"] = init((k, k, c, self.filters), rng)
-        self.params["bias"] = np.zeros(self.filters, dtype=np.float32)
         if self._effective_padding == "same":
-            return (h, w, self.filters)
-        return (h - k + 1, w - k + 1, self.filters)
+            if k % 2 == 0:
+                raise BuildError(
+                    f"{self.name}: same padding needs an odd kernel, got {k}"
+                )
+        else:
+            spatial = [s - k + 1 for s in spatial]
+        return (*spatial, self.filters), {
+            "kernel": (k,) * len(spatial) + (c, self.filters),
+            "bias": (self.filters,),
+        }
+
+    def initializer(self, param):
+        return get_initializer(self.kernel_init) if param == "kernel" else zeros
 
     def forward(self, x, training=False):
-        out, self._cache = ops.conv2d_forward(
+        out, self._cache = self.FORWARD(
             x, self.params["kernel"], self.params["bias"],
             self._effective_padding,
         )
@@ -221,69 +252,22 @@ class Conv2D(Layer):
         if self.activation:
             _, bwd = ops.ACTIVATIONS[self.activation]
             gout = bwd(gout, self._act_cache)
-        gx, gk, gb = ops.conv2d_backward(gout, self._cache, need_gx)
+        gx, gk, gb = self.BACKWARD(gout, self._cache, need_gx)
         self.grads["kernel"] = gk
         self.grads["bias"] = gb
         return gx
 
 
-class Conv1D(Layer):
-    def __init__(self, name: str, filters: int, kernel_size: int,
-                 padding: str = "same", activation: Optional[str] = None,
-                 adaptive: bool = False, kernel_init="glorot_uniform"):
-        super().__init__(name)
-        self.filters = int(filters)
-        self.kernel_size = int(kernel_size)
-        self.padding = padding
-        self.activation = activation
-        self.adaptive = adaptive
-        self.kernel_init = kernel_init
-        self._act_cache = None
-        self._effective_padding = padding
+class Conv2D(_Conv):
+    NDIM = 3
+    FORWARD = staticmethod(ops.conv2d_forward)
+    BACKWARD = staticmethod(ops.conv2d_backward)
 
-    def _build(self, input_shape, rng):
-        if len(input_shape) != 2:
-            raise BuildError(
-                f"{self.name}: Conv1D needs (L, C) input, got {input_shape}"
-            )
-        length, c = input_shape
-        k = self.kernel_size
-        self._effective_padding = self.padding
-        if self.padding == "valid" and k > length:
-            if not self.adaptive:
-                raise BuildError(
-                    f"{self.name}: valid size-{k} conv does not fit L={length}"
-                )
-            self._effective_padding = "same"
-        if self._effective_padding == "same" and k % 2 == 0:
-            raise BuildError(
-                f"{self.name}: same padding needs an odd kernel, got {k}"
-            )
-        init = get_initializer(self.kernel_init)
-        self.params["kernel"] = init((k, c, self.filters), rng)
-        self.params["bias"] = np.zeros(self.filters, dtype=np.float32)
-        if self._effective_padding == "same":
-            return (length, self.filters)
-        return (length - k + 1, self.filters)
 
-    def forward(self, x, training=False):
-        out, self._cache = ops.conv1d_forward(
-            x, self.params["kernel"], self.params["bias"],
-            self._effective_padding,
-        )
-        if self.activation:
-            fwd, _ = ops.ACTIVATIONS[self.activation]
-            out, self._act_cache = fwd(out)
-        return out
-
-    def backward(self, gout, need_gx=True):
-        if self.activation:
-            _, bwd = ops.ACTIVATIONS[self.activation]
-            gout = bwd(gout, self._act_cache)
-        gx, gk, gb = ops.conv1d_backward(gout, self._cache, need_gx)
-        self.grads["kernel"] = gk
-        self.grads["bias"] = gb
-        return gx
+class Conv1D(_Conv):
+    NDIM = 2
+    FORWARD = staticmethod(ops.conv1d_forward)
+    BACKWARD = staticmethod(ops.conv1d_backward)
 
 
 class _Pool(Layer):
@@ -294,12 +278,14 @@ class _Pool(Layer):
                  adaptive: bool = False):
         super().__init__(name)
         self.pool_size = int(pool_size)
+        if self.pool_size < 1:
+            raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         if stride is not None and int(stride) != self.pool_size:
             raise ValueError("only stride == pool_size pooling is supported")
         self.adaptive = adaptive
         self._noop = False
 
-    def _build(self, input_shape, rng):
+    def infer(self, input_shape):
         if len(input_shape) != self.NDIM:
             raise BuildError(
                 f"{self.name}: pooling needs rank-{self.NDIM} input, "
@@ -307,14 +293,14 @@ class _Pool(Layer):
             )
         p = self.pool_size
         spatial = input_shape[:-1]
-        if any(p > s for s in spatial):
+        self._noop = any(p > s for s in spatial)
+        if self._noop:
             if not self.adaptive:
                 raise BuildError(
                     f"{self.name}: pool {p} larger than input {spatial}"
                 )
-            self._noop = True
-            return input_shape
-        return tuple(s // p for s in spatial) + (input_shape[-1],)
+            return input_shape, {}
+        return tuple(s // p for s in spatial) + (input_shape[-1],), {}
 
     def forward(self, x, training=False):
         if self._noop:
@@ -371,13 +357,15 @@ class BatchNorm(Layer):
         self.momentum = momentum
         self.eps = eps
 
-    def _build(self, input_shape, rng):
-        c = input_shape[-1]
-        self.params["gamma"] = np.ones(c, dtype=np.float32)
-        self.params["beta"] = np.zeros(c, dtype=np.float32)
-        self.params["moving_mean"] = np.zeros(c, dtype=np.float32)
-        self.params["moving_var"] = np.ones(c, dtype=np.float32)
-        return input_shape
+    def infer(self, input_shape):
+        if not input_shape:
+            raise BuildError(f"{self.name}: BatchNorm needs a non-scalar input")
+        c = (input_shape[-1],)
+        return input_shape, {"gamma": c, "beta": c, "moving_mean": c,
+                             "moving_var": c}
+
+    def initializer(self, param):
+        return ones if param in ("gamma", "moving_var") else zeros
 
     def forward(self, x, training=False):
         if training:
@@ -412,15 +400,15 @@ class BatchNorm(Layer):
 class Concatenate(Layer):
     """Merge several flat inputs along the feature axis (multi-input Uno)."""
 
-    def _build(self, input_shape, rng):
-        # input_shape is a list of flat shapes
+    def infer(self, input_shape):
+        # input_shape is a sequence of flat shapes
         shapes = [tuple(s) for s in input_shape]
         if any(len(s) != 1 for s in shapes):
             raise BuildError(
                 f"{self.name}: Concatenate needs flat inputs, got {shapes}"
             )
         self._splits = np.cumsum([s[0] for s in shapes])[:-1]
-        return (int(sum(s[0] for s in shapes)),)
+        return (int(sum(s[0] for s in shapes)),), {}
 
     def forward(self, xs, training=False):
         return np.concatenate(xs, axis=-1)

@@ -49,7 +49,6 @@ from typing import Optional
 import numpy as np
 
 from ..analysis.lockcheck import make_lock
-from ..tensor.initializers import get_initializer
 from .matching import MATCHERS, get_matcher
 from .shapeseq import arch_shape_sequence
 from .transfer import _cached_match
@@ -142,16 +141,9 @@ class SuperNet:
 
     # -- store management ----------------------------------------------
     def _fresh(self, layer, pname: str, shape: tuple) -> np.ndarray:
-        """Fresh values for one (layer, param) region: kernels use the
-        layer's own initializer, gamma/moving_var start at one, biases
-        and the remaining tensors at zero."""
-        if pname == "kernel":
-            init = get_initializer(
-                getattr(layer, "kernel_init", "glorot_uniform"))
-            return init(shape, self._rng)
-        if pname in ("gamma", "moving_var"):
-            return np.ones(shape, dtype=np.float32)
-        return np.zeros(shape, dtype=np.float32)
+        """Fresh values for one (layer, param) region, drawn with the
+        layer's own initializer for that parameter."""
+        return layer.initializer(pname)(shape, self._rng)
 
     def _ensure(self, name: str, layer, pname: str,
                 shape: tuple) -> np.ndarray:

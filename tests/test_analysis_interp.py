@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ANALYZED_KINDS, analyze
+from repro.analysis import analyze
 from repro.nas import (
     ConcatenateOp,
     Conv2DOp,
@@ -12,7 +12,6 @@ from repro.nas import (
     MaxPool2DOp,
     SearchSpace,
 )
-from repro.tensor import OP_METADATA
 
 
 def codes(report):
@@ -41,7 +40,7 @@ def test_strict_conv_too_large_is_diagnosed():
     space.add_fixed(DenseOp(2), name="head")
     report = analyze(space, (1,))
     assert not report.ok
-    assert codes(report) & {"shape-mismatch", "spatial-collapse"}
+    assert "shape-mismatch" in codes(report)
     assert analyze(space, (0,)).ok
 
 
@@ -136,7 +135,3 @@ def test_concat_adds_feature_dims():
     assert report.ok
     cat = next(layer for layer in report.layers if layer.node == "cat")
     assert cat.output_shape == (10,)
-
-
-def test_analysis_rules_cover_all_op_kinds():
-    assert set(ANALYZED_KINDS) == set(OP_METADATA)
