@@ -59,8 +59,8 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
 
     ``engine="plan"`` trains through a compiled
     :class:`repro.tensor.engine.StepPlan` checked out of the per-process
-    :class:`~repro.tensor.engine.PlanCache` — bit-identical scores, and
-    near-identical candidates amortize one trace.
+    :class:`~repro.tensor.engine.PlanCache` — bit-identical scores; a
+    network's first estimation runs eagerly and repeats share one trace.
     """
     if supernet is not None and provider_weights is not None:
         raise ValueError("pass provider_weights (copy-transfer) or "

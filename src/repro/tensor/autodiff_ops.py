@@ -127,6 +127,8 @@ def conv2d_backward(gout, cache, need_gx=True):
     # tensordot/einsum over the 6-D view (those copy internally anyway)
     cols = im2col2d(xp, kh, kw).reshape(-1, kh * kw * cin)
     gk = (cols.T @ g2).reshape(kh, kw, cin, cout)
+    # free the columns before the gcols GEMM allocates a matrix their size
+    del cols
     gb = g2.sum(axis=0)
     if not need_gx:
         return None, gk, gb

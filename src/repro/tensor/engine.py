@@ -30,7 +30,11 @@ kernel.
 Plans are shared across evaluations through :class:`PlanCache`, a
 thread-safe check-out/check-in pool keyed by the structural network
 signature + batch/dtype/loss; every search in a process checks plans
-out of one default cache (:func:`get_plan_cache`).  The cache lock is
+out of one default cache (:func:`get_plan_cache`).  The cache admits a
+network on its second sighting only: a search breeds each candidate as
+a one-node mutation of its parent and almost never trains the same
+network twice, so the first fit of a network runs eagerly (counted as
+``deferred``) and only a repeat pays for an arena.  The cache lock is
 registered in ``LOCK_HIERARCHY`` as ``"PlanCache._lock"``.
 """
 
@@ -54,16 +58,22 @@ __all__ = [
 
 _as_strided = np.lib.stride_tricks.as_strided
 
-#: Lock-discipline assertion (lint R004/R007): the idle-plan pool and
-#: its statistics are touched by every thread that acquires or releases
-#: a plan; all writes must hold ``self._lock``.
-_GUARDED_ATTRS = ("_idle", "evictions", "hits", "misses",
-                  "trace_seconds", "traces")
+#: Lock-discipline assertion (lint R004/R007): the idle-plan pool, the
+#: sighting set and their statistics are touched by every thread that
+#: acquires or releases a plan; all writes must hold ``self._lock``.
+_GUARDED_ATTRS = ("_idle", "_seen", "deferred", "evictions", "hits",
+                  "misses", "trace_seconds", "traces")
+
+#: sightings remembered per idle-plan slot: the sighting set holds
+#: ``_SEEN_PER_PLAN * max_plans`` keys (a key is a small tuple, an arena
+#: megabytes)
+_SEEN_PER_PLAN = 32
 
 
 class PlanUnsupportedError(ValueError):
-    """The network / loss cannot be compiled; callers fall back to the
-    eager path (which is always available)."""
+    """The network / loss cannot be compiled, or :class:`PlanCache` has
+    not admitted it yet; callers fall back to the eager path (which is
+    always available)."""
 
 
 # ---------------------------------------------------------------------------
@@ -1061,24 +1071,30 @@ class StepPlan:
 
 
 class PlanCache:
-    """Thread-safe check-out/check-in pool of traced plans.
+    """Thread-safe check-out/check-in pool of traced plans, admitting a
+    network on its second sighting.
 
-    ``acquire`` pops an idle instance for the key (hit) or traces a new
-    one outside the lock (miss; concurrent misses may trace twice — both
+    ``acquire`` pops an idle instance for the key (hit).  Without one it
+    is a miss: a key never seen before is only recorded and ``acquire``
+    raises :class:`PlanUnsupportedError`, so ``fit`` trains that network
+    eagerly (``deferred``, a subset of ``misses``); a key seen before is
+    traced outside the lock (concurrent misses may trace twice — both
     instances join the pool, a duplicate trace, never a correctness
     issue).  ``release`` returns the instance; idle keys are LRU-bounded
-    by ``max_plans`` so a long search over many architectures cannot
-    grow arenas without bound."""
+    by ``max_plans`` and sightings by ``32 * max_plans``, so a long
+    search over many architectures cannot grow either without bound."""
 
     def __init__(self, max_plans: int = 8):
-        # deferred import: repro.analysis pulls the op-metadata registry
-        # from repro.tensor, so a module-level import would be circular
+        # deferred import: repro.analysis imports repro.tensor, so a
+        # module-level import would be circular
         from ..analysis.lockcheck import make_lock
         self.max_plans = int(max_plans)
         self._lock = make_lock("PlanCache._lock")
         self._idle: "OrderedDict[tuple, list[StepPlan]]" = OrderedDict()
+        self._seen: "OrderedDict[tuple, None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.deferred = 0
         self.evictions = 0
         self.traces = 0
         self.trace_seconds = 0.0
@@ -1088,6 +1104,11 @@ class PlanCache:
         key = plan_key(network, batch_size, x_dtypes, y_dtype, y_shape, loss)
         plan = None
         with self._lock:
+            first = key not in self._seen
+            self._seen[key] = None
+            self._seen.move_to_end(key)
+            if len(self._seen) > _SEEN_PER_PLAN * self.max_plans:
+                self._seen.popitem(last=False)
             bucket = self._idle.get(key)
             if bucket:
                 plan = bucket.pop()
@@ -1095,7 +1116,12 @@ class PlanCache:
                 self.hits += 1
             else:
                 self.misses += 1
+                if first:
+                    self.deferred += 1
         if plan is None:
+            if first:
+                raise PlanUnsupportedError(
+                    "first sighting of this network; planned from the next")
             t0 = time.perf_counter()
             plan = StepPlan(network, batch_size, x_dtypes, y_dtype,
                             y_shape, loss)
@@ -1115,14 +1141,18 @@ class PlanCache:
                 self.evictions += len(evicted)
 
     def clear(self) -> None:
+        """Drop every idle plan and every sighting: a cleared cache is
+        fully cold."""
         with self._lock:
             self._idle.clear()
+            self._seen.clear()
 
     def stats(self) -> dict:
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
+                "deferred": self.deferred,
                 "traces": self.traces,
                 "evictions": self.evictions,
                 "trace_seconds": self.trace_seconds,
@@ -1133,7 +1163,7 @@ class PlanCache:
         """:meth:`stats` with the counters reduced to what accrued since
         the ``before`` snapshot; ``idle_keys`` is a level, kept as is."""
         now = self.stats()
-        for key in ("hits", "misses", "traces", "evictions",
+        for key in ("hits", "misses", "deferred", "traces", "evictions",
                     "trace_seconds"):
             now[key] -= before[key]
         return now

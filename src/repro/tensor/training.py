@@ -107,9 +107,10 @@ def fit(network, x_train, y_train, *, x_val=None, y_val=None,
 
     ``engine="plan"`` runs full-size batches through a compiled
     :class:`repro.tensor.engine.StepPlan` (bit-identical to eager; the
-    ragged tail batch and any unplannable network fall back to the eager
-    path).  ``plan_cache`` is the :class:`~repro.tensor.engine.PlanCache`
-    to share plans through; defaults to the per-process cache.
+    ragged tail batch, any unplannable network and a network the cache
+    sees for the first time fall back to the eager path).  ``plan_cache``
+    is the :class:`~repro.tensor.engine.PlanCache` to share plans
+    through; defaults to the per-process cache.
     """
     if engine not in ("eager", "plan"):
         raise ValueError(f"unknown engine {engine!r}")

@@ -3,9 +3,15 @@
 The engine's contract is *bit*-identicality — not approximate closeness —
 so every equivalence assertion here uses exact comparison
 (``np.array_equal`` / ``==``), never ``allclose``.
+
+``PlanCache`` admits a network on its second sighting, so a plan test
+sights its network first and then asserts that ``traces + hits`` grew:
+without that, a plan-vs-eager comparison would quietly compare eager
+with eager.
 """
 
 import gc
+import sys
 import threading
 import tracemalloc
 
@@ -32,9 +38,11 @@ from repro.nas import (
 from repro.nas.estimation import estimate_candidate
 from repro.tensor import Concatenate, Conv2D, Dense, fit, get_loss
 from repro.tensor.engine import (
+    _SEEN_PER_PLAN,
     PlanCache,
     PlanUnsupportedError,
     StepPlan,
+    get_plan_cache,
     network_signature,
 )
 from repro.tensor.training import evaluate
@@ -47,6 +55,38 @@ APP_SEQS = {
     "nt3": (5, 1, 3, 0, 1, 0, 0, 0),
     "uno": (6, 2, 1, 2, 1, 0, 0, 0, 0, 6, 2, 2, 4),
 }
+
+
+@pytest.fixture
+def cold_plan_cache():
+    """The process-wide ``PlanCache``, cleared before and after the test
+    so no sighting or idle plan carries over between tests."""
+    cache = get_plan_cache()
+    cache.clear()
+    yield cache
+    cache.clear()
+
+
+def _plan_args(x, y, batch_size, loss) -> tuple:
+    """``PlanCache.acquire``'s arguments after the network, as ``fit``
+    passes them."""
+    xs = x if isinstance(x, (list, tuple)) else (x,)
+    return (batch_size, [a.dtype for a in xs], y.dtype, y.shape[1:], loss)
+
+
+def _sight(cache, model, args):
+    """First sighting of ``model``'s plan key: recorded and deferred, so
+    the next ``fit(..., engine="plan")`` of that network traces."""
+    before = cache.stats()
+    with pytest.raises(PlanUnsupportedError, match="first sighting"):
+        cache.acquire(model, *args)
+    assert cache.stats_since(before)["deferred"] == 1
+
+
+def _planned(cache, before) -> int:
+    """Plan steps checked out since ``before``: traced or pooled."""
+    delta = cache.stats_since(before)
+    return delta["traces"] + delta["hits"]
 
 
 def _fit_one(prob, seq, engine, epochs=2):
@@ -66,27 +106,36 @@ def _fit_one(prob, seq, engine, epochs=2):
 
 
 @pytest.mark.parametrize("app", sorted(APP_SEQS))
-def test_fit_plan_matches_eager_bit_identically(app):
+def test_fit_plan_matches_eager_bit_identically(app, cold_plan_cache):
     prob = get_app(app).problem(seed=0)
     seq = prob.space.validate_seq(APP_SEQS[app])
+    ds = prob.dataset
+    _sight(cold_plan_cache, prob.build_model(seq, rng=0),
+           _plan_args(ds.x_train, ds.y_train, prob.batch_size, prob.loss))
     model_e, hist_e = _fit_one(prob, seq, "eager")
+    before = cold_plan_cache.stats()
     model_p, hist_p = _fit_one(prob, seq, "plan")
+    assert _planned(cold_plan_cache, before) == 1
     assert hist_p.loss == hist_e.loss
     assert hist_p.val_score == hist_e.val_score
     we, wp = model_e.get_weights(), model_p.get_weights()
     assert we.keys() == wp.keys()
     for key in we:
         assert np.array_equal(we[key], wp[key]), key
-    ds = prob.dataset
     assert evaluate(model_p, ds.x_val, ds.y_val, prob.objective) == \
         evaluate(model_e, ds.x_val, ds.y_val, prob.objective)
 
 
-def test_estimate_candidate_plan_matches_eager():
+def test_estimate_candidate_plan_matches_eager(cold_plan_cache):
     prob = get_app("nt3").problem(seed=0)
     seq = prob.space.validate_seq(APP_SEQS["nt3"])
+    ds = prob.dataset
+    _sight(cold_plan_cache, prob.build_model(seq, rng=3),
+           _plan_args(ds.x_train, ds.y_train, prob.batch_size, prob.loss))
     eager = estimate_candidate(prob, seq, seed=3, engine="eager")
+    before = cold_plan_cache.stats()
     plan = estimate_candidate(prob, seq, seed=3, engine="plan")
+    assert _planned(cold_plan_cache, before) == 1
     assert plan.ok and eager.ok
     assert plan.score == eager.score
 
@@ -324,6 +373,11 @@ def _tiny_dense_setup(n_train=32, classes=4):
     return ds, space
 
 
+def _tiny_plan_args(ds, batch_size=16):
+    return _plan_args(ds.x_train, ds.y_train, batch_size,
+                      "categorical_crossentropy")
+
+
 def _tiny_fit(ds, space, engine, loss="categorical_crossentropy",
               batch_size=16):
     model = space.build_network((), np.random.default_rng(0))
@@ -333,12 +387,16 @@ def _tiny_fit(ds, space, engine, loss="categorical_crossentropy",
     return model, hist
 
 
-def test_ragged_tail_batch_falls_back_per_batch():
+def test_ragged_tail_batch_falls_back_per_batch(cold_plan_cache):
     # n_train=40, batch=16 -> two planned batches + one eager tail of 8;
     # the mixed run must still be bit-identical to all-eager
     ds, space = _tiny_dense_setup(n_train=40)
+    _sight(cold_plan_cache, space.build_network((), np.random.default_rng(0)),
+           _tiny_plan_args(ds))
     model_e, hist_e = _tiny_fit(ds, space, "eager")
+    before = cold_plan_cache.stats()
     model_p, hist_p = _tiny_fit(ds, space, "plan")
+    assert _planned(cold_plan_cache, before) == 1
     assert hist_p.loss == hist_e.loss
     assert hist_p.val_score == hist_e.val_score
     we, wp = model_e.get_weights(), model_p.get_weights()
@@ -402,8 +460,8 @@ def test_plan_cache_hit_miss_and_reuse():
     ds, space = _tiny_dense_setup()
     cache = PlanCache()
     model = space.build_network((), np.random.default_rng(0))
-    args = (16, [ds.x_train.dtype], ds.y_train.dtype,
-            ds.y_train.shape[1:], "categorical_crossentropy")
+    args = _tiny_plan_args(ds)
+    _sight(cache, model, args)
     plan = cache.acquire(model, *args)
     cache.release(plan)
     # same structure, different init: must reuse the traced instance
@@ -411,43 +469,45 @@ def test_plan_cache_hit_miss_and_reuse():
                           *args)
     assert again is plan
     stats = cache.stats()
-    assert stats["hits"] == 1 and stats["misses"] == 1
+    assert stats["hits"] == 1 and stats["misses"] == 2
+    assert stats["deferred"] == 1
     assert stats["traces"] == 1 and stats["trace_seconds"] > 0
 
 
 def test_plan_cache_checked_out_instances_are_distinct():
     ds, space = _tiny_dense_setup()
     cache = PlanCache()
-    args = (16, [ds.x_train.dtype], ds.y_train.dtype,
-            ds.y_train.shape[1:], "categorical_crossentropy")
+    args = _tiny_plan_args(ds)
+    _sight(cache, space.build_network((), np.random.default_rng(0)), args)
     a = cache.acquire(space.build_network((), np.random.default_rng(0)),
                       *args)
     b = cache.acquire(space.build_network((), np.random.default_rng(1)),
                       *args)
     assert a is not b                    # concurrent checkouts never share
+    assert cache.stats()["traces"] == 2
 
 
 def test_plan_cache_lru_eviction():
     ds = make_image_dataset(n_train=32, n_val=16, height=6, width=6,
                             channels=2, classes=4, seed=0)
     cache = PlanCache(max_plans=2)
-    args = (16, [ds.x_train.dtype], ds.y_train.dtype,
-            ds.y_train.shape[1:], "categorical_crossentropy")
+    args = _tiny_plan_args(ds)
     for units in (6, 7, 8):
         space = _fixed_space((6, 6, 2), [FlattenOp(), DenseOp(units),
                                          DenseOp(4)])
-        plan = cache.acquire(space.build_network(
-            (), np.random.default_rng(0)), *args)
-        cache.release(plan)
+        model = space.build_network((), np.random.default_rng(0))
+        _sight(cache, model, args)
+        cache.release(cache.acquire(model, *args))
     stats = cache.stats()
+    assert stats["traces"] == 3
     assert stats["idle_keys"] == 2 and stats["evictions"] == 1
 
 
 def test_plan_cache_thread_safety():
     ds, space = _tiny_dense_setup()
     cache = PlanCache()
-    args = (16, [ds.x_train.dtype], ds.y_train.dtype,
-            ds.y_train.shape[1:], "categorical_crossentropy")
+    args = _tiny_plan_args(ds)
+    _sight(cache, space.build_network((), np.random.default_rng(0)), args)
     idx = np.arange(16)
     errors = []
 
@@ -470,7 +530,97 @@ def test_plan_cache_thread_safety():
         t.join()
     assert errors == []
     stats = cache.stats()
-    assert stats["hits"] + stats["misses"] == 20
+    assert stats["hits"] + stats["misses"] == 21
+    assert stats["traces"] + stats["hits"] == 20
+    assert stats["deferred"] == 1
+
+
+# ---------------------------------------------------------------------------
+# PlanCache admission: a network is planned from its second sighting
+# ---------------------------------------------------------------------------
+
+
+def test_first_sighting_runs_eagerly_then_traces_then_hits(cold_plan_cache):
+    ds, space = _tiny_dense_setup()
+    model_e, hist_e = _tiny_fit(ds, space, "eager")
+    counts = []
+    for _ in range(3):
+        before = cold_plan_cache.stats()
+        model_p, hist_p = _tiny_fit(ds, space, "plan")
+        delta = cold_plan_cache.stats_since(before)
+        counts.append((delta["deferred"], delta["traces"], delta["hits"],
+                       delta["misses"]))
+        assert hist_p.loss == hist_e.loss
+        we, wp = model_e.get_weights(), model_p.get_weights()
+        assert all(np.array_equal(we[k], wp[k]) for k in we)
+    # (deferred, traces, hits, misses): eager, traced, pooled
+    assert counts == [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 0)]
+
+
+def test_clear_forgets_sightings():
+    ds, space = _tiny_dense_setup()
+    cache = PlanCache()
+    model = space.build_network((), np.random.default_rng(0))
+    args = _tiny_plan_args(ds)
+    _sight(cache, model, args)
+    cache.clear()
+    _sight(cache, model, args)
+    assert cache.stats()["traces"] == 0
+
+
+def test_sighting_set_is_bounded_and_evicts_its_oldest_key():
+    # the batch size is part of the key: one network, many keys
+    ds, space = _tiny_dense_setup()
+    cache = PlanCache(max_plans=1)
+    model = space.build_network((), np.random.default_rng(0))
+    bound = _SEEN_PER_PLAN * cache.max_plans
+    for batch in range(1, bound + 2):
+        _sight(cache, model, _tiny_plan_args(ds, batch))
+    # the full set dropped batch 1, its oldest key, and kept batch 2
+    plan = cache.acquire(model, *_tiny_plan_args(ds, batch_size=2))
+    assert plan.batch_size == 2
+    _sight(cache, model, _tiny_plan_args(ds, 1))
+    stats = cache.stats()
+    assert stats["deferred"] == bound + 2 and stats["traces"] == 1
+
+
+def test_racing_first_sightings_defer_exactly_once():
+    ds, space = _tiny_dense_setup()
+    cache = PlanCache()
+    model = space.build_network((), np.random.default_rng(0))
+    rounds, nthreads = 8, 4
+    barrier = threading.Barrier(nthreads, timeout=30)
+    outcomes = []
+
+    def worker():
+        for batch in range(1, rounds + 1):
+            barrier.wait()
+            try:
+                plan = cache.acquire(model, *_tiny_plan_args(ds, batch))
+            except PlanUnsupportedError:
+                outcomes.append((batch, "deferred"))
+            else:
+                outcomes.append((batch, "planned"))
+                cache.release(plan)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for batch in range(1, rounds + 1):
+        kinds = sorted(k for b, k in outcomes if b == batch)
+        assert kinds == ["deferred"] + ["planned"] * (nthreads - 1), batch
+    stats = cache.stats()
+    assert stats["hits"] + stats["misses"] == rounds * nthreads
+    assert stats["deferred"] == rounds
+    assert stats["traces"] + stats["hits"] == rounds * (nthreads - 1)
 
 
 def test_plan_cache_lock_is_in_the_declared_hierarchy():
@@ -537,32 +687,42 @@ def test_run_search_rejects_unknown_engine(space, problem):
                    scheme="baseline", seed=0, engine="jit")
 
 
-def test_run_search_plan_trace_matches_eager(space, problem):
+def test_run_search_plan_trace_matches_eager(space, problem,
+                                             cold_plan_cache):
     eager = run_search(problem, RandomSearch(space, rng=4), 6,
                        scheme="baseline", seed=4)
+    # on a cold cache every network's first fit runs eagerly; the
+    # second identical run plans every network the first one sighted
+    sighting = run_search(problem, RandomSearch(space, rng=4), 6,
+                          scheme="baseline", seed=4, engine="plan")
     plan = run_search(problem, RandomSearch(space, rng=4), 6,
                       scheme="baseline", seed=4, engine="plan")
-    assert [(r.candidate_id, r.arch_seq, r.score) for r in eager] == \
-        [(r.candidate_id, r.arch_seq, r.score) for r in plan]
-    assert plan.engine_stats["engine"] == "plan"
+    for trace in (sighting, plan):
+        assert [(r.candidate_id, r.arch_seq, r.score) for r in eager] == \
+            [(r.candidate_id, r.arch_seq, r.score) for r in trace]
+        assert trace.engine_stats["engine"] == "plan"
     assert eager.engine_stats is None
-    # the PlanCache is process-wide and warm for a second identical
-    # run, yet each trace counts only its own run's lookups
-    again = run_search(problem, RandomSearch(space, rng=4), 6,
-                       scheme="baseline", seed=4, engine="plan")
+    assert sighting.engine_stats["deferred"] > 0
+    assert plan.engine_stats["deferred"] == 0
+    assert plan.engine_stats["traces"] + plan.engine_stats["hits"] > 0
+    # the PlanCache is process-wide, yet each trace counts only its own
+    # run's lookups
     lookups = [t.engine_stats["hits"] + t.engine_stats["misses"]
-               for t in (plan, again)]
+               for t in (sighting, plan)]
     assert lookups[0] == lookups[1] > 0
 
 
-def test_run_search_plan_under_chaos_matches_eager(space, problem):
+def test_run_search_plan_under_chaos_matches_eager(space, problem,
+                                                   cold_plan_cache):
     def searched(engine):
         ev = ChaosEvaluator(SerialEvaluator(), crash_prob=0.4, seed=3)
         return run_search(problem, RandomSearch(space, rng=7), 8,
                           scheme="baseline", seed=7, evaluator=ev,
                           engine=engine)
     eager = searched("eager")
+    searched("plan")                         # sights every network
     plan = searched("plan")
+    assert plan.engine_stats["traces"] + plan.engine_stats["hits"] > 0
     assert any(not r.ok for r in eager)      # chaos actually fired
     assert [(r.candidate_id, r.arch_seq, r.score, r.ok, r.error)
             for r in eager] == \
@@ -571,7 +731,7 @@ def test_run_search_plan_under_chaos_matches_eager(space, problem):
 
 
 def test_plan_engine_resumes_eager_journal_bit_identically(
-        space, problem, tmp_path):
+        space, problem, tmp_path, cold_plan_cache):
     # an eager run's journal must be replayable — and *completable* — by
     # the plan engine with no observable difference
     import shutil
@@ -594,9 +754,14 @@ def test_plan_engine_resumes_eager_journal_bit_identically(
     shutil.copy(killed, journal_p)
     resumed_e = run_search(problem, strategy(), 8, scheme="baseline",
                            seed=5, resume=journal_e)
+    # sight every network of the run, so the continuation plans
+    run_search(problem, strategy(), 8, scheme="baseline", seed=5,
+               engine="plan")
     resumed_p = run_search(problem, strategy(), 8, scheme="baseline",
                            seed=5, resume=journal_p, engine="plan")
     assert resumed_p.fault_stats["resumed_records"] == 5
+    stats = resumed_p.engine_stats
+    assert stats["traces"] + stats["hits"] > 0
     # the replayed prefix is bit-identical to the uninterrupted run, and
     # the plan-engine continuation is bit-identical to the eager one
     assert [(r.candidate_id, r.arch_seq, r.score) for r in full][:5] == \
