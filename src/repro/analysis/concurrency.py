@@ -31,9 +31,9 @@ concurrency structure of the whole program from the stdlib AST:
 - **Lock-order graph** (R008): nodes are class-qualified lock names
   (``"WeightCache._lock"``); an edge ``A -> B`` is added when code
   holding ``A`` acquires ``B`` — by lexical nesting or through resolved
-  call-graph edges (e.g. the prefetcher consulting the cache under its
-  own lock).  Any cycle — including a non-reentrant self-cycle — is a
-  potential deadlock, reported as R008.  The graph is also checked
+  call-graph edges (a method that calls another object's locked method
+  while holding its own lock).  Any cycle — including a non-reentrant
+  self-cycle — is a potential deadlock, reported as R008.  The graph is also checked
   against the declared :data:`~repro.analysis.lockcheck.LOCK_HIERARCHY`
   ranks and exported as a dot/JSON artifact
   (``python -m repro.analysis.concurrency src/repro --json ... --dot ...``).

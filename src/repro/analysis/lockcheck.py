@@ -66,18 +66,12 @@ __all__ = [
 #: with no entry are unranked: ordering against them is checked only via
 #: the observed-edge history.
 #:
-#: Sanctioned nestings today: the prefetcher consulting the weight
-#: cache while deciding what to enqueue (``ProviderPrefetcher._lock``
-#: -> ``WeightCache._lock``), the prefetcher probing a sharded store's
-#: placement index inside :meth:`ProviderPrefetcher.request`
-#: (``ProviderPrefetcher._lock`` -> ``ShardedCheckpointStore._lock``),
-#: and the service bookkeeping above everything
-#: (``SearchService._lock`` is the outermost rank); every other lock is
-#: a leaf.  The static analyzer cross-checks its inferred acquisition
-#: edges against these ranks and R008-flags any violation.
+#: No lock nests inside another today: every lock is a leaf, so the
+#: ranks only decide what a future nesting may do.  The static analyzer
+#: cross-checks its inferred acquisition edges against these ranks and
+#: R008-flags any violation.
 LOCK_HIERARCHY: dict[str, int] = {
     "SearchService._lock": 5,
-    "ProviderPrefetcher._lock": 10,
     "ShardedCheckpointStore._lock": 15,
     "ThreadPoolEvaluator._lock": 20,
     "PlanCache._lock": 25,

@@ -1,9 +1,9 @@
 """Checkpoint store (raw payload + layout sidecar; legacy npz archives
-still load) + cache/prefetch/async write-behind extensions."""
+still load) + in-memory provider cache and async write-behind
+extensions."""
 
 from .cache import DEFAULT_CACHE_BYTES, WeightCache, make_cache, weights_nbytes
 from .multilevel import AsyncCheckpointWriter
-from .prefetch import ProviderPrefetcher
 from .sharded import ShardBreaker, ShardedCheckpointStore, StoreUnavailableError
 from .store import CheckpointInfo, CheckpointStore, CorruptCheckpointError
 
@@ -13,7 +13,6 @@ __all__ = [
     "CorruptCheckpointError",
     "AsyncCheckpointWriter",
     "WeightCache",
-    "ProviderPrefetcher",
     "ShardBreaker",
     "ShardedCheckpointStore",
     "StoreUnavailableError",

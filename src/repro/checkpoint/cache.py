@@ -6,20 +6,14 @@ re-deserialized from disk once per child.  :class:`WeightCache` keeps
 recently touched weight dicts in memory under a byte budget: a hit
 skips disk entirely and costs a dict lookup.
 
-Thread-safety: all operations take the internal lock — the scheduler
-thread, the prefetch reader and the async writer may touch the cache
-concurrently.  Cached arrays are handed out as **read-only views** of
-the stored arrays (zero-copy): ``transfer_weights`` copies matched
-tensors into the receiver anyway, and the read-only flag turns any
-accidental in-place mutation of shared cache state into an immediate
-``ValueError`` instead of silent cross-candidate corruption.
-
-Hidden-cost attribution: a loader that populated the cache off the
-critical path (the prefetcher) records its load seconds via
-``put(..., hidden_seconds=...)``; the first consumer of that entry
-collects them through :meth:`take_hidden_seconds` and books them as
-``io_hidden`` on its trace record — so Fig. 11 accounting still
-sees the true I/O cost, just split into blocked vs hidden.
+Thread-safety: every operation takes the internal lock and acquires no
+other lock while holding it, so one cache may be shared between
+searches and read from any thread.  Cached arrays are handed out as
+**read-only views** of the stored arrays (zero-copy):
+``transfer_weights`` copies matched tensors into the receiver anyway,
+and the read-only flag turns any accidental in-place mutation of
+shared cache state into an immediate ``ValueError`` instead of silent
+cross-candidate corruption.
 """
 
 from __future__ import annotations
@@ -52,11 +46,6 @@ def weights_nbytes(weights: dict) -> int:
 class _Entry:
     weights: dict
     nbytes: int
-    hidden_seconds: float = 0.0
-    #: zero-copy views of the supernet's entangled store — the bytes
-    #: belong to the shared store, not this cache, so the entry is
-    #: exempt from the byte budget (``nbytes == 0``)
-    shared: bool = False
 
 
 class WeightCache:
@@ -91,29 +80,10 @@ class WeightCache:
         with self._lock:
             return key in self._entries
 
-    def take_hidden_seconds(self, key: str) -> float:
-        """Collect (and zero) the unattributed background load seconds
-        recorded for ``key`` — consumed once by trace accounting."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return 0.0
-            seconds, entry.hidden_seconds = entry.hidden_seconds, 0.0
-            return seconds
-
     # -- insert / evict -------------------------------------------------
-    def put(self, key: str, weights: dict,
-            hidden_seconds: float = 0.0, shared: bool = False) -> bool:
+    def put(self, key: str, weights: dict) -> bool:
         """Insert (or refresh) ``key``; returns False when the payload
-        alone exceeds the byte budget and was rejected.
-
-        ``shared=True`` marks a zero-copy entry whose arrays are views
-        of storage owned elsewhere (the supernet's entangled store):
-        it counts **zero** bytes against the budget — charging it would
-        double-count the superweights once per cached candidate and
-        evict real copied checkpoints to make room for views that cost
-        nothing.  Shared entries still participate in LRU order (an
-        eviction only drops the view, never the store)."""
+        alone exceeds the byte budget and was rejected."""
         frozen = {}
         nbytes = 0
         for name, arr in weights.items():
@@ -121,8 +91,6 @@ class WeightCache:
             view.flags.writeable = False
             frozen[name] = view
             nbytes += int(view.nbytes)
-        if shared:
-            nbytes = 0
         with self._lock:
             if nbytes > self.max_bytes:
                 self.oversize_rejects += 1
@@ -132,9 +100,7 @@ class WeightCache:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._nbytes -= old.nbytes
-                hidden_seconds += old.hidden_seconds
-            self._entries[key] = _Entry(frozen, nbytes, hidden_seconds,
-                                        shared)
+            self._entries[key] = _Entry(frozen, nbytes)
             self._nbytes += nbytes
             self.insertions += 1
             while self._nbytes > self.max_bytes and len(self._entries) > 1:
@@ -181,8 +147,6 @@ class WeightCache:
                 "insertions": self.insertions,
                 "oversize_rejects": self.oversize_rejects,
                 "entries": len(self._entries),
-                "shared_entries": sum(
-                    1 for e in self._entries.values() if e.shared),
                 "current_bytes": self._nbytes,
                 "max_bytes": self.max_bytes,
             }
@@ -195,18 +159,16 @@ class WeightCache:
                 f"evictions={s['evictions']}>")
 
 
-def make_cache(cache, prefetch: bool = False) -> Optional[WeightCache]:
+def make_cache(cache) -> Optional[WeightCache]:
     """Normalise the ``run_search(cache=...)`` knob.
 
-    ``None``/``False`` → no cache (unless ``prefetch`` forces a default
-    one — prefetch without a cache has nowhere to put its loads);
-    ``True`` → default-budget cache; an int → byte budget; a
-    :class:`WeightCache` → used as-is.
+    ``None``/``False`` → no cache; ``True`` → default-budget cache; an
+    int → byte budget; a :class:`WeightCache` → used as-is.
     """
     if isinstance(cache, WeightCache):
         return cache
     if cache is None or cache is False:
-        return WeightCache() if prefetch else None
+        return None
     if cache is True:
         return WeightCache()
     return WeightCache(max_bytes=int(cache))

@@ -6,7 +6,7 @@ One service-scale store = ``num_shards`` directory shards, each a plain
 hashing — a ring of virtual nodes, so adding a shard remaps only
 ~1/num_shards of the keyspace — and the public API is the
 :class:`CheckpointStore` surface, so every existing consumer
-(scheduler, prefetcher, write-behind writer, simulator) works unchanged
+(scheduler, write-behind writer, simulator) works unchanged
 against a sharded root.
 
 **Per-shard circuit breaker** (the fault-isolation half): a shard whose
@@ -50,7 +50,7 @@ __all__ = [
 
 #: Lock-discipline assertion (lint R004/R007): the placement index,
 #: breaker transitions and degradation counters are shared between the
-#: scheduler thread, the prefetch reader and the write-behind writer.
+#: scheduler thread and the write-behind writer.
 #: Every write must hold ``self._lock``; shard I/O happens outside it.
 _GUARDED_ATTRS = ("_placement", "rerouted_writes", "failed_writes")
 

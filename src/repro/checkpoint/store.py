@@ -27,7 +27,6 @@ overwriting a key is atomic per file, not across the pair, and a reader
 caught between the two renames gets :class:`CorruptCheckpointError`
 from the CRC check.  Callers that layer mutable state on top
 (:class:`~repro.checkpoint.cache.WeightCache`,
-:class:`~repro.checkpoint.prefetch.ProviderPrefetcher`,
 ``AsyncCheckpointWriter``) bring their own locks; the whole-program
 concurrency analyzer (lint R007/R008) verifies those, and finds no lock
 order through this module — store calls are leaves in the lock graph.

@@ -23,14 +23,12 @@ wrapper and keeps its historical contract exactly.
 Checkpoint I/O fast path (DESIGN.md "Checkpoint I/O pipeline"): by
 default every provider load and candidate save runs synchronously on
 the scheduler thread — that is the paper's measured overhead, and it is
-the largest serial bottleneck of the loop.  Three knobs take it off the
+the largest serial bottleneck of the loop.  Two knobs take it off the
 critical path while keeping traces semantically identical:
 
 - ``cache=True`` (or a byte budget / :class:`WeightCache`) — an
-  in-memory LRU over provider weights; hits skip disk entirely.
-- ``prefetch=True`` — a background reader speculatively loads the
-  strategy's likely providers (its current population) into the cache
-  while workers train.
+  in-memory LRU over provider weights, written through on every save;
+  hits skip disk entirely.
 - ``async_io=True`` (or an :class:`AsyncCheckpointWriter`) — candidate
   saves become write-behind; a drain barrier before the trace is
   finalized guarantees every checkpoint is durable and back-fills
@@ -40,8 +38,8 @@ I/O accounting stays honest: ``record.overhead`` remains the *total*
 checkpoint I/O seconds (so Fig. 11 and the simulator calibration are
 unchanged), split into ``record.io_blocked`` (actually stalled the
 ask→submit→tell loop) and ``record.io_hidden`` (absorbed by the
-prefetch reader or the write-behind writer).  Synchronous runs have
-``io_hidden == 0`` and ``io_blocked == overhead``.
+write-behind writer).  Synchronous runs have ``io_hidden == 0`` and
+``io_blocked == overhead``.
 
 Fault tolerance (DESIGN.md "Fault tolerance"): worker exceptions never
 crash the loop.  An evaluator hands back a
@@ -80,7 +78,6 @@ import numpy as np
 from ..checkpoint import (
     AsyncCheckpointWriter,
     CorruptCheckpointError,
-    ProviderPrefetcher,
     make_cache,
 )
 from ..nas.estimation import FAILURE_SCORE, estimate_candidate
@@ -182,7 +179,7 @@ class SearchDriver:
                  zero_cost: bool = False,
                  name: Optional[str] = None,
                  transfer_backend="checkpoint",
-                 cache=None, prefetch: bool = False, async_io=False,
+                 cache=None, async_io=False,
                  retry: Optional[RetryPolicy] = None,
                  task_timeout: Optional[float] = None,
                  journal=None, resume=None,
@@ -232,12 +229,10 @@ class SearchDriver:
         self.evaluator = evaluator or SerialEvaluator()
 
         # -- I/O fast-path plumbing (all inert for the default sync run;
-        # the supernet backend performs no checkpoint I/O at all, so the
-        # prefetcher and write-behind writer stay off and a
-        # cache is only created when the caller explicitly passes one) --
+        # the supernet backend performs no checkpoint I/O at all, so it
+        # gets neither a cache nor a write-behind writer) --
         uses_store = self.transfers and self.backend is None
-        self.weight_cache = make_cache(cache, prefetch and uses_store) \
-            if self.transfers else None
+        self.weight_cache = make_cache(cache) if uses_store else None
         self.writer = None
         self._owns_writer = False
         if uses_store and async_io:
@@ -246,9 +241,6 @@ class SearchDriver:
             else:
                 self.writer = AsyncCheckpointWriter(store)
                 self._owns_writer = True
-        self.prefetcher = None
-        if uses_store and prefetch:
-            self.prefetcher = ProviderPrefetcher(store, self.weight_cache)
         # the PlanCache is shared by every search in this process:
         # finalize() reports only what accrued after this snapshot
         self._plan_stats0: Optional[dict] = None
@@ -270,10 +262,12 @@ class SearchDriver:
                            scheme=scheme)
         self._t0 = time.perf_counter()
         self._pending: dict[int, _Pending] = {}   # ticket -> in-flight
-        self.submitted = 0
+        #: id of the next proposal; a resumed journal may have gaps (a
+        #: crash while an earlier candidate was in flight), so this is
+        #: kept apart from the counts and never reuses a recorded id
+        self._next_id = 0
         self.completed = 0
         self._max_in_flight = getattr(self.evaluator, "num_workers", 1)
-        self._closed = False
         self._finalized: Optional[Trace] = None
 
         # -- resumable journal: replay completed records, keep appending
@@ -288,7 +282,7 @@ class SearchDriver:
             for r in replayed:
                 self.trace.append(r)
                 self.completed += 1
-                self.submitted = max(self.submitted, r.candidate_id + 1)
+                self._next_id = max(self._next_id, r.candidate_id + 1)
                 if r.ok:
                     self._arch_by_id[r.candidate_id] = tuple(r.arch_seq)
             self.resumed_records = len(replayed)
@@ -298,6 +292,12 @@ class SearchDriver:
                                          append=self.resumed_records > 0)
 
     # -- progress surface ------------------------------------------------
+    @property
+    def submitted(self) -> int:
+        """Candidates proposed so far: records landed plus tickets in
+        flight, so ``submitted == completed + in_flight`` by definition."""
+        return self.completed + len(self._pending)
+
     @property
     def done(self) -> bool:
         """Every candidate has landed as a record (ok or failed)."""
@@ -338,8 +338,6 @@ class SearchDriver:
             weights = weight_cache.get(key)
             if weights is not None:
                 record.cache_hit = True
-                # a prefetched entry carries the background load seconds
-                record.add_io_hidden(weight_cache.take_hidden_seconds(key))
                 return weights
         if key not in self._saved_keys and not store.exists(key):
             return None
@@ -366,20 +364,14 @@ class SearchDriver:
             weight_cache.put(key, weights)
         return weights
 
-    def _request_prefetch(self) -> None:
-        if self.prefetcher is None:
-            return
-        candidates = getattr(self.strategy, "provider_candidates", tuple)()
-        self.prefetcher.request(self._key(cid) for cid in candidates)
-
     # -- submit side -----------------------------------------------------
     def submit_next(self) -> None:
         """Ask the strategy for one proposal and dispatch its evaluation
         task (the re-entrant half of the old inner submit loop).  The
         caller is responsible for capacity — this method always submits."""
         proposal = self.strategy.ask()
-        candidate_id = self.submitted
-        self.submitted += 1
+        candidate_id = self._next_id
+        self._next_id += 1
         record = TraceRecord(
             candidate_id=candidate_id, arch_seq=tuple(proposal.arch_seq),
             score=float("nan"), scheme=self.scheme,
@@ -448,7 +440,6 @@ class SearchDriver:
                            record.score)
         self.trace.append(record)
         self.completed += 1
-        self._request_prefetch()
         if self.on_record is not None:
             self.on_record(record)
 
@@ -487,16 +478,10 @@ class SearchDriver:
                     result.transfer_stats, "copied_bytes", 0))
                 self._xfer_resliced += int(getattr(
                     result.transfer_stats, "resliced_params", 0))
-            if self.backend is not None:
-                # nothing to checkpoint — the trained slices already
-                # live in the entangled store.  A caller-supplied cache
-                # doubles as a zero-byte registry of the live views.
-                if result.ok and result.weights is not None \
-                        and self.weight_cache is not None:
-                    self.weight_cache.put(self._key(record.candidate_id),
-                                          result.weights, shared=True)
-                return
-            if self.transfers and result.ok and result.weights is not None:
+            # the supernet backend has nothing to checkpoint: the
+            # trained slices already live in its entangled store
+            if self.transfers and self.backend is None \
+                    and result.ok and result.weights is not None:
                 key = self._key(record.candidate_id)
                 meta = {"arch_seq": list(record.arch_seq),
                         "score": record.score, "scheme": self.scheme}
@@ -595,14 +580,8 @@ class SearchDriver:
 
     # -- teardown --------------------------------------------------------
     def close(self) -> None:
-        """Stop the background helpers (prefetch reader, journal).
-        Idempotent; called by :meth:`finalize`, which also drains and
-        closes an owned write-behind writer."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.prefetcher is not None:
-            self.prefetcher.close()
+        """Close the journal.  Idempotent; called by :meth:`finalize`,
+        which also drains and closes an owned write-behind writer."""
         if self._journal is not None:
             self._journal.close()
 
@@ -651,8 +630,6 @@ class SearchDriver:
                         pass          # errors already in writer_errors
         if self.weight_cache is not None:
             io_stats["cache"] = self.weight_cache.stats()
-        if self.prefetcher is not None:
-            io_stats["prefetch"] = self.prefetcher.stats()
         if io_stats:
             self.trace.io_stats = io_stats
 
@@ -708,7 +685,7 @@ def run_search(problem, strategy, num_candidates: int, *,
                zero_cost: bool = False,
                name: Optional[str] = None,
                transfer_backend="checkpoint",
-               cache=None, prefetch: bool = False, async_io=False,
+               cache=None, async_io=False,
                retry: Optional[RetryPolicy] = None,
                task_timeout: Optional[float] = None,
                journal=None, resume=None,
@@ -730,9 +707,9 @@ def run_search(problem, strategy, num_candidates: int, *,
     gate's per-tier counters (``static_rejected`` / ``proxy_rejected``
     / ``proxy_seconds``) land in ``trace.static_stats``.
 
-    ``cache`` / ``prefetch`` / ``async_io`` select the checkpoint I/O
-    fast path (module docstring); all default to the
-    fully synchronous paper configuration.  Fast-path runs produce
+    ``cache`` / ``async_io`` select the checkpoint I/O fast path
+    (module docstring); both default to the fully synchronous paper
+    configuration.  Fast-path runs produce
     semantically identical traces (same scores, same transfer stats) —
     only the ``io_blocked``/``io_hidden`` split changes.
 
@@ -748,11 +725,8 @@ def run_search(problem, strategy, num_candidates: int, *,
     configured :class:`SupernetTransferBackend` may be passed to share a
     store across runs.  Supernet runs need a transfer scheme
     (``"lp"``/``"lcs"``, which still picks the provider and the
-    match).  The checkpoint I/O
-    knobs (``prefetch`` / ``async_io``) are inert no-ops
-    under supernet; a user-supplied ``cache`` is only used to publish
-    candidates' live views for inspection (zero byte budget,
-    ``shared=True`` entries).  ``resume=`` replays recorded scores but
+    match).  The checkpoint I/O knobs (``cache`` / ``async_io``) are
+    inert no-ops under supernet.  ``resume=`` replays recorded scores but
     the store itself restarts cold — weights are views, never
     serialized.
 
@@ -777,7 +751,7 @@ def run_search(problem, strategy, num_candidates: int, *,
         problem, strategy, num_candidates, scheme=scheme, store=store,
         evaluator=evaluator, provider_policy=provider_policy, seed=seed,
         zero_cost=zero_cost, name=name,
-        transfer_backend=transfer_backend, cache=cache, prefetch=prefetch,
+        transfer_backend=transfer_backend, cache=cache,
         async_io=async_io, retry=retry,
         task_timeout=task_timeout, journal=journal, resume=resume,
         engine=engine,

@@ -37,8 +37,8 @@ class TraceRecord:
     overhead: float = 0.0
     #: I/O seconds that blocked the scheduler's ask→submit→tell loop
     io_blocked: float = 0.0
-    #: I/O seconds spent off the critical path (prefetch reader loads,
-    #: write-behind saves) but still attributable to this candidate
+    #: I/O seconds spent off the critical path (write-behind saves) but
+    #: still attributable to this candidate
     io_hidden: float = 0.0
     #: provider weights came from the in-memory WeightCache, not disk
     cache_hit: bool = False
@@ -64,8 +64,8 @@ class TraceRecord:
         self.overhead += seconds
 
     def add_io_hidden(self, seconds: float) -> None:
-        """Book I/O seconds absorbed off the critical path (prefetch
-        reader loads, write-behind saves)."""
+        """Book I/O seconds absorbed off the critical path
+        (write-behind saves)."""
         self.io_hidden += seconds
         self.overhead += seconds
 
@@ -78,7 +78,7 @@ class Trace:
     #: pre-flight gate accounting (checked/admitted/rejected/by_code)
     #: when the search ran with static screening; None otherwise
     static_stats: Optional[dict] = None
-    #: checkpoint I/O fast-path accounting (cache/prefetch/writer stats
+    #: checkpoint I/O fast-path accounting (cache/writer stats
     #: + drain-barrier seconds) when the search ran with the
     #: cache/async knobs; None otherwise
     io_stats: Optional[dict] = None
@@ -133,8 +133,8 @@ class Trace:
 
     @property
     def total_io_hidden(self) -> float:
-        """Checkpoint I/O seconds hidden behind training by the cache,
-        the prefetch reader, or the write-behind writer."""
+        """Checkpoint I/O seconds hidden behind training by the
+        write-behind writer."""
         return float(sum(r.io_hidden for r in self.records))
 
     @property

@@ -63,14 +63,6 @@ class Strategy:
         for r in records:
             self.tell(r.candidate_id, r.arch_seq, r.score)
 
-    def provider_candidates(self) -> tuple:
-        """Candidate ids likely to be selected as weight providers for
-        upcoming proposals — the scheduler's prefetch reader warms the
-        weight cache with their checkpoints while workers train.
-        Purely advisory (a wrong guess costs nothing but a wasted
-        background read); the default strategy has no forecast."""
-        return ()
-
     def _admit(self, make_proposal: Callable[[], Proposal]) -> Proposal:
         """Draw proposals until one passes the gate (or the retry budget
         runs out — then the last draw is returned and the runtime

@@ -83,9 +83,3 @@ class RegularizedEvolution(Strategy):
         if records:
             self._asked = max(self._asked,
                               max(r.candidate_id for r in records) + 1)
-
-    def provider_candidates(self) -> tuple:
-        """Every population member may win the next tournament and
-        become the mutation parent (= weight provider), so the whole
-        FIFO is worth prefetching."""
-        return tuple(m.candidate_id for m in self.population)

@@ -127,6 +127,9 @@ class SessionSpec:
     retry: object = None
     task_timeout: Optional[float] = None
     cache: object = None
+    #: alias that turns on a default provider cache when ``cache`` is
+    #: unset; it goes once the svc-mix benchmark stops setting it
+    #: (ROADMAP.md item 1)
     prefetch: bool = False
     engine: str = "eager"
     #: per-session chaos: kwargs for ChaosEvaluator (crash_prob /
@@ -329,7 +332,8 @@ class SearchService:
             provider_policy=spec.provider_policy, seed=spec.seed,
             name=f"{session_id}-{spec.scheme}",
             retry=spec.retry, task_timeout=spec.task_timeout,
-            cache=spec.cache, prefetch=spec.prefetch, engine=spec.engine,
+            cache=spec.cache if spec.cache is not None else spec.prefetch,
+            engine=spec.engine,
             journal=journal, resume=resume,
             key_prefix=f"{session_id}--",
             on_dispatch=on_dispatch, on_record=on_record,
@@ -523,8 +527,8 @@ class SearchService:
                 if pick is None:
                     return
             # driver call outside the service lock: submission touches
-            # the prefetcher/store/evaluator locks (ranks 10+) and
-            # re-enters via on_dispatch
+            # the store/evaluator/cache locks (ranks 15+) and re-enters
+            # via on_dispatch
             try:
                 pick.driver.submit_next()
             except Exception as exc:

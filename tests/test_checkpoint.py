@@ -325,32 +325,6 @@ def test_async_writer_concurrent_close_from_two_threads(tmp_path):
     assert not writer._worker.is_alive()
 
 
-def test_prefetcher_double_close_is_noop(tmp_path):
-    from repro.checkpoint import ProviderPrefetcher, WeightCache
-
-    store = CheckpointStore(tmp_path)
-    store.save("k", weights())
-    pf = ProviderPrefetcher(store, WeightCache())
-    pf.request(["k"])
-    pf.close()
-    pf.close()                               # second close: no-op
-    assert not pf._worker.is_alive()
-    pf.request(["k"])                        # post-close requests ignored
-
-
-def test_prefetcher_concurrent_close_from_two_threads(tmp_path):
-    from repro.checkpoint import ProviderPrefetcher, WeightCache
-
-    store = CheckpointStore(tmp_path)
-    pf = ProviderPrefetcher(store, WeightCache())
-    threads = [threading.Thread(target=pf.close) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not pf._worker.is_alive()
-
-
 # ---------------------------------------------------------------------------
 # raw codec: generated round trips, corruption, commit order
 # ---------------------------------------------------------------------------

@@ -342,21 +342,21 @@ class C:
 
 
 def test_hierarchy_rank_violation_detected():
-    # WeightCache (rank 40) outer, ProviderPrefetcher (rank 10) inner:
+    # WeightCache (rank 40) outer, SearchService (rank 5) inner:
     # backwards against the declared hierarchy
     model = analyze_sources({"m.py": """
 import threading
 
 class WeightCache:
-    def __init__(self, pf: "ProviderPrefetcher"):
+    def __init__(self, svc: "SearchService"):
         self._lock = threading.Lock()
-        self.pf = pf
+        self.svc = svc
 
     def bad(self):
         with self._lock:
-            self.pf.tick()
+            self.svc.tick()
 
-class ProviderPrefetcher:
+class SearchService:
     def __init__(self):
         self._lock = threading.Lock()
 
@@ -451,7 +451,7 @@ def test_real_tree_declarations_match_inference():
     declared_modules = [m for m in model.modules.values()
                         if m.declared_guards is not None]
     assert {m.name for m in declared_modules} == {
-        "cache", "prefetch", "multilevel", "evaluator",
+        "cache", "multilevel", "evaluator",
         "supernet", "engine", "sharded", "core"}
     for m in declared_modules:
         assert model.module_inferred_guarded(m) == m.declared_guards, m.name
@@ -460,10 +460,8 @@ def test_real_tree_declarations_match_inference():
 def test_real_tree_lock_graph_shape():
     model = _real_model()
     model.findings()
-    edges = model.lock_edges()
-    # the one sanctioned nesting: prefetcher consults the cache while
-    # holding its own lock (ProviderPrefetcher.request)
-    assert ("ProviderPrefetcher._lock", "WeightCache._lock") in edges
+    # no lock is ever acquired while another is held
+    assert model.lock_edges() == {}
     assert model.lock_cycles() == []
     # every ranked lock the hierarchy declares exists in the tree
     graph = model.graph_dict()
@@ -475,13 +473,16 @@ def test_graph_artifacts():
     model = _real_model()
     graph = model.graph_dict()
     assert graph["hierarchy"] == LOCK_HIERARCHY
+    assert graph["edges"] == []
     assert graph["cycles"] == []
     guards = graph["inferred_guards"]
     assert "cache.WeightCache" in guards
     assert "_entries" in guards["cache.WeightCache"]["guarded"]
     dot = model.to_dot()
     assert dot.startswith("// lock-order graph")
-    assert '"ProviderPrefetcher._lock" -> "WeightCache._lock"' in dot
+    assert '"WeightCache._lock" [label="WeightCache._lock\\nrank 40"];' \
+        in dot
+    assert " -> " not in dot
 
 
 def test_cli_writes_artifacts(tmp_path, capsys):

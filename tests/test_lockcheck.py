@@ -120,8 +120,8 @@ def test_same_name_instance_pair_not_flagged(reg):
 
 
 def test_declared_hierarchy_rank_violation(reg):
-    outer = SanitizedLock("WeightCache._lock", reg=reg)          # rank 40
-    inner = SanitizedLock("ProviderPrefetcher._lock", reg=reg)   # rank 10
+    outer = SanitizedLock("WeightCache._lock", reg=reg)     # rank 40
+    inner = SanitizedLock("SearchService._lock", reg=reg)   # rank 5
     assert outer.rank == LOCK_HIERARCHY["WeightCache._lock"]
     with outer:
         with inner:
@@ -129,13 +129,14 @@ def test_declared_hierarchy_rank_violation(reg):
     kinds = [v["kind"] for v in reg.violations()]
     assert "hierarchy" in kinds
     v = next(v for v in reg.violations() if v["kind"] == "hierarchy")
-    assert v["edge"] == ["WeightCache._lock", "ProviderPrefetcher._lock"]
-    assert v["ranks"] == [40, 10]
+    assert v["edge"] == ["WeightCache._lock", "SearchService._lock"]
+    assert v["ranks"] == [40, 5]
 
 
 def test_sanctioned_hierarchy_order_is_clean(reg):
-    outer = SanitizedLock("ProviderPrefetcher._lock", reg=reg)
-    inner = SanitizedLock("WeightCache._lock", reg=reg)
+    # no code nests these two today; the hierarchy still permits it
+    outer = SanitizedLock("SearchService._lock", reg=reg)   # rank 5
+    inner = SanitizedLock("WeightCache._lock", reg=reg)     # rank 40
     with outer:
         with inner:
             pass

@@ -1,7 +1,6 @@
 """Fault tolerance: containment, retry, quarantine, journal, chaos."""
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -10,14 +9,13 @@ from repro.checkpoint import (
     AsyncCheckpointWriter,
     CheckpointStore,
     CorruptCheckpointError,
-    ProviderPrefetcher,
-    WeightCache,
 )
 from repro.cluster import (
     ChaosEvaluator,
     FaultModel,
     InjectedFault,
     RetryPolicy,
+    SearchDriver,
     SerialEvaluator,
     SimulatedCluster,
     TaskFailure,
@@ -238,26 +236,6 @@ def test_scheduler_quarantines_corrupt_provider(space, problem, tmp_path):
     assert len(store.quarantined_keys()) == fs["quarantined"]
 
 
-def test_prefetcher_counts_corrupt_loads(tmp_path):
-    store = CheckpointStore(tmp_path)
-    store.save("good", {"a": np.ones(4, dtype=np.float32)})
-    store.save("bad", {"a": np.ones(4, dtype=np.float32)})
-    _truncate(store.path("bad"))
-    cache = WeightCache()
-    with ProviderPrefetcher(store, cache) as pf:
-        pf.request(["good", "bad"])
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            stats = pf.stats()
-            if stats["loaded"] + stats["errors"] >= 2:
-                break
-            time.sleep(0.01)
-    assert stats["loaded"] == 1
-    assert stats["errors"] == 1
-    assert stats["corrupt"] == 1
-    assert stats["last_error"].startswith("bad:")
-
-
 def test_writer_error_log_keeps_every_failure(tmp_path):
     class FlakyStore(CheckpointStore):
         def save(self, key, weights, meta=None):
@@ -347,6 +325,48 @@ def test_resume_of_complete_journal_is_a_noop_run(space, problem, tmp_path):
                        scheme="baseline", seed=2, resume=journal)
     assert [(r.candidate_id, r.score) for r in again.records] == \
            [(r.candidate_id, r.score) for r in first.records]
+
+
+def test_resume_of_journal_with_id_gap_lands_every_candidate(
+        space, problem, tmp_path):
+    """A run that crashed while an earlier candidate was in flight leaves
+    a journal with an id gap (here 0, 1, 2, 4).  The resumed search must
+    still land ``num_candidates`` records under fresh, unique ids, with
+    ``submitted == completed + in_flight`` after every step."""
+    journal = tmp_path / "run.jsonl"
+    store = CheckpointStore(tmp_path / "ckpt")
+
+    def strategy():
+        return RegularizedEvolution(space, rng=3, population_size=4,
+                                    sample_size=2)
+
+    run_search(problem, strategy(), 5, scheme="lcs", store=store, seed=3,
+               journal=journal)
+    lines = journal.read_text().splitlines()
+    assert len(lines) == 6                 # header + candidates 0..4
+    journal.write_text("\n".join(lines[:4] + lines[5:]) + "\n")
+
+    driver = SearchDriver(problem, strategy(), 6, scheme="lcs", store=store,
+                          seed=3, resume=journal)
+
+    def invariant():
+        assert driver.submitted == driver.completed + driver.in_flight
+
+    invariant()
+    assert driver.completed == 4 and driver.wants_submit
+    steps = 0
+    while not driver.done:
+        driver.step()
+        invariant()
+        steps += 1
+        assert steps <= 6
+    trace = driver.finalize()
+    ids = [r.candidate_id for r in trace]
+    assert len(ids) == 6 and len(set(ids)) == 6
+    assert ids[:4] == [0, 1, 2, 4]
+    assert min(ids[4:]) > 4                # no recorded key is reused
+    _, replayed = TraceJournal.replay(journal)
+    assert [r.candidate_id for r in replayed] == ids
 
 
 def test_evolution_restore_fast_forwards_warmup(space):

@@ -54,6 +54,23 @@ def test_submit_poll_result_single_session(space, problem, tmp_path):
     assert len(trace) == 4 and all(r.ok for r in trace)
 
 
+def test_prefetch_spec_turns_on_a_provider_cache(space, problem, tmp_path):
+    """``SessionSpec.prefetch`` survives only as an alias for a default
+    provider cache: the session reports cache stats and no prefetcher."""
+    svc = SearchService(evaluator=SerialEvaluator(),
+                        store=ShardedCheckpointStore(tmp_path / "s"),
+                        journal_dir=tmp_path / "j")
+    fast = svc.submit(_spec(space, problem, 0, n=6, prefetch=True))
+    plain = svc.submit(_spec(space, problem, 0, n=6, tenant="u"))
+    svc.drive()
+    io_stats = fast.result().io_stats
+    assert "cache" in io_stats and "prefetch" not in io_stats
+    assert io_stats["cache"]["insertions"] > 0
+    assert plain.result().io_stats is None
+    assert [_record_key(r) for r in fast.result()] == \
+        [_record_key(r) for r in plain.result()]
+
+
 def test_result_before_terminal_raises(space, problem, tmp_path):
     svc = SearchService(evaluator=SerialEvaluator(),
                         journal_dir=tmp_path / "j")

@@ -1,17 +1,11 @@
-"""WeightCache (LRU byte budget, counters, thread-safety) + prefetcher."""
+"""WeightCache (LRU byte budget, counters, thread-safety)."""
 
 import threading
 
 import numpy as np
 import pytest
 
-from repro.checkpoint import (
-    CheckpointStore,
-    ProviderPrefetcher,
-    WeightCache,
-    make_cache,
-    weights_nbytes,
-)
+from repro.checkpoint import WeightCache, make_cache, weights_nbytes
 
 
 def weights(seed=0, n=64):
@@ -38,10 +32,15 @@ def test_hit_miss_counters_and_round_trip():
 
 def test_handed_out_views_are_read_only():
     cache = WeightCache(max_bytes=10 * ENTRY_BYTES)
-    cache.put("a", weights())
+    src = weights()
+    cache.put("a", src)
     got = cache.get("a")
     with pytest.raises(ValueError):
         got["d.bias"][0] = 99.0
+    # zero-copy: the frozen views share the caller's arrays, which
+    # stay writable
+    assert np.shares_memory(got["d.kernel"], src["d.kernel"])
+    assert src["d.kernel"].flags.writeable
 
 
 def test_lru_eviction_at_byte_budget():
@@ -73,14 +72,6 @@ def test_refresh_replaces_and_keeps_budget_exact():
     assert len(cache) == 1
 
 
-def test_take_hidden_seconds_is_consumed_once():
-    cache = WeightCache(max_bytes=10 * ENTRY_BYTES)
-    cache.put("a", weights(), hidden_seconds=0.25)
-    assert cache.take_hidden_seconds("a") == 0.25
-    assert cache.take_hidden_seconds("a") == 0.0
-    assert cache.take_hidden_seconds("missing") == 0.0
-
-
 def test_stats_and_discard_and_clear():
     cache = WeightCache(max_bytes=10 * ENTRY_BYTES)
     cache.put("a", weights(0))
@@ -92,29 +83,6 @@ def test_stats_and_discard_and_clear():
     assert s["entries"] == 1 and s["insertions"] == 2
     cache.clear()
     assert len(cache) == 0 and cache.current_bytes == 0
-
-
-def test_shared_entries_bypass_byte_budget():
-    """Zero-copy supernet views are registered, not charged: a cache too
-    small for even one copied entry still holds any number of shared
-    entries, and their insertion never evicts a real copied checkpoint."""
-    cache = WeightCache(max_bytes=ENTRY_BYTES)
-    cache.put("copied", weights(0))
-    for i in range(5):
-        assert cache.put(f"view{i}", weights(i + 1), shared=True)
-    assert cache.current_bytes == ENTRY_BYTES      # only the copy counts
-    assert len(cache) == 6
-    assert "copied" in cache
-    s = cache.stats()
-    assert s["shared_entries"] == 5
-    # handed-out shared views are frozen like any cache entry; the
-    # underlying store array stays writable
-    src = weights(9)
-    cache.put("v", src, shared=True)
-    got = cache.get("v")
-    assert not got["d.kernel"].flags.writeable
-    assert src["d.kernel"].flags.writeable
-    assert np.shares_memory(got["d.kernel"], src["d.kernel"])
 
 
 def test_thread_safety_under_concurrent_get_put():
@@ -150,7 +118,6 @@ def test_make_cache_normalisation():
     assert make_cache(None) is None
     assert make_cache(False) is None
     assert isinstance(make_cache(True), WeightCache)
-    assert isinstance(make_cache(None, prefetch=True), WeightCache)
     sized = make_cache(1234)
     assert sized.max_bytes == 1234
     existing = WeightCache()
@@ -158,36 +125,3 @@ def test_make_cache_normalisation():
     with pytest.raises(ValueError):
         WeightCache(max_bytes=0)
 
-
-def test_prefetcher_warms_cache_and_attributes_hidden_cost(tmp_path):
-    store = CheckpointStore(tmp_path)
-    store.save("k0", weights(0))
-    store.save("k1", weights(1))
-    cache = WeightCache(max_bytes=10 * ENTRY_BYTES)
-    with ProviderPrefetcher(store, cache) as pf:
-        pf.request(["k0", "k1", "missing"])
-        pf.close()                       # join the reader before asserting
-        assert "k0" in cache and "k1" in cache
-        assert "missing" not in cache
-        s = pf.stats()
-        assert s["loaded"] == 2 and s["errors"] == 0
-        assert s["skipped"] == 1         # the missing key
-        assert s["hidden_seconds"] > 0.0
-    assert cache.take_hidden_seconds("k0") > 0.0
-    # the consumer's read is a pure hit, no miss recorded
-    hits0 = cache.hits
-    assert cache.get("k1") is not None
-    assert cache.hits == hits0 + 1
-
-
-def test_prefetcher_skips_cached_and_inflight_keys(tmp_path):
-    store = CheckpointStore(tmp_path)
-    store.save("k0", weights(0))
-    cache = WeightCache(max_bytes=10 * ENTRY_BYTES)
-    cache.put("k0", weights(0))
-    with ProviderPrefetcher(store, cache) as pf:
-        pf.request(["k0"])
-        pf.close()
-        assert pf.stats() == {"requested": 0, "loaded": 0, "skipped": 1,
-                              "errors": 0, "corrupt": 0, "last_error": None,
-                              "hidden_seconds": 0.0}
