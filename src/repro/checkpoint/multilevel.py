@@ -1,31 +1,41 @@
 """Async write-behind checkpointing (VELOC-flavoured, §IX/§X).
 
-:class:`AsyncCheckpointWriter` — a background thread drains a save
-queue so checkpoint I/O leaves the training critical path.  It is a
-context manager; exiting flushes and stops the worker.
+:class:`AsyncCheckpointWriter` — saves are snapshotted and handed to
+one process-wide writer thread so checkpoint I/O leaves the training
+critical path.  It is a context manager; exiting flushes.
+
+One writer thread for the whole process, not one per writer: every
+new OS thread can take its own glibc malloc arena, so a thread per
+writer would grow a long-lived service's memory with every ``async_io``
+session that ever overlapped another.  The shared thread runs the saves
+of every writer one at a time, in submission order (FIFO) — so waiting
+for a writer's *last* submitted save waits for all of its saves, and a
+hung ``store.save`` delays the other writers' saves too (DESIGN.md
+"Checkpoint I/O pipeline").
 
 Error contract (tested in ``tests/test_checkpoint.py``): background
 write failures are captured, never lost.  The first captured exception
 is re-raised by the next :meth:`AsyncCheckpointWriter.flush` (or
-:meth:`close`) call, after the queue has fully drained; captured errors
-are cleared once raised, so a later flush of healthy writes succeeds.
-Raising the first error does **not** discard the rest: every captured
-failure (key + exception repr) stays in :meth:`error_log`, which the
-scheduler's drain barrier surfaces as ``trace.io_stats["writer_errors"]``
-— a run that lost three checkpoints reports all three, not one.
-``close`` always stops the worker thread, even when it re-raises.
+:meth:`close`) call, after this writer's saves have all been written;
+captured errors are cleared once raised, so a later flush of healthy
+writes succeeds.  Raising the first error does **not** discard the
+rest: every captured failure (key + exception repr) stays in
+:meth:`error_log`, which the scheduler's drain barrier surfaces as
+``trace.io_stats["writer_errors"]`` — a run that lost three
+checkpoints reports all three, not one.  Every counter is per writer.
 
-Backpressure: the queue is bounded.  ``save(..., block=True)`` (the
-default) blocks the caller once ``max_queue`` snapshots are waiting —
-the producer cannot run unboundedly ahead of the disk.  With
-``block=False`` a full queue raises :class:`queue.Full` immediately.
+Backpressure: each writer's queue is bounded.  ``save(..., block=True)``
+(the default) blocks the caller once ``max_queue`` of its snapshots are
+waiting for the writer thread — the producer cannot run unboundedly
+ahead of the disk.  With ``block=False`` a full queue raises
+:class:`queue.Full` immediately.
 """
 
 from __future__ import annotations
 
 import queue
-import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -34,16 +44,22 @@ from ..analysis.lockcheck import make_lock
 from .store import CheckpointInfo, CheckpointStore
 
 #: Lock-discipline assertion (lint R004/R007): state shared between the
-#: saving thread(s) and the background drain worker.  Every write must
-#: hold ``self._lock``; the whole-program analyzer verifies the set
-#: matches what it infers.
+#: saving thread(s) and the writer thread.  Every write must hold
+#: ``self._lock``; the whole-program analyzer verifies the set matches
+#: what it infers.
 _GUARDED_ATTRS = ("_results", "_durations", "_errors", "_error_log",
-                  "_pending", "_closed")
+                  "_pending", "_closed", "_last")
+
+#: The one writer thread every AsyncCheckpointWriter saves on; the
+#: executor starts it on the first save and keeps it for the process.
+_WRITER = ThreadPoolExecutor(max_workers=1,
+                             thread_name_prefix="checkpoint-writer")
 
 
 class AsyncCheckpointWriter:
     def __init__(self, store: CheckpointStore, max_queue: int = 64):
         self.store = store
+        # snapshots handed over but not yet picked up by the writer thread
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self._lock = make_lock("AsyncCheckpointWriter._lock")
         self._errors: list[Exception] = []
@@ -52,30 +68,26 @@ class AsyncCheckpointWriter:
         self._durations: dict[str, float] = {}
         self._pending: set[str] = set()
         self._closed = False
-        self._worker = threading.Thread(target=self._drain, daemon=True)
-        self._worker.start()
+        self._last: Optional[Future] = None   # this writer's latest save
 
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                return
-            key, weights, meta = item
-            t0 = time.perf_counter()
-            try:
-                info = self.store.save(key, weights, meta)
-                with self._lock:
-                    self._results[key] = info
-                    self._durations[key] = time.perf_counter() - t0
-            except Exception as exc:  # re-raised by the next flush/close
-                with self._lock:
-                    self._errors.append(exc)
-                    self._error_log.append((key, repr(exc)))
-            finally:
-                with self._lock:
-                    self._pending.discard(key)
-                self._queue.task_done()
+    def _write_next(self) -> None:
+        """Writer-thread task: write this writer's oldest queued save.
+        One task is submitted per queued snapshot, so there always is
+        one."""
+        key, weights, meta = self._queue.get_nowait()
+        t0 = time.perf_counter()
+        try:
+            info = self.store.save(key, weights, meta)
+            with self._lock:
+                self._results[key] = info
+                self._durations[key] = time.perf_counter() - t0
+        except Exception as exc:  # re-raised by the next flush/close
+            with self._lock:
+                self._errors.append(exc)
+                self._error_log.append((key, repr(exc)))
+        finally:
+            with self._lock:
+                self._pending.discard(key)
 
     def save(self, key: str, weights: dict, meta: dict | None = None,
              block: bool = True, timeout: Optional[float] = None) -> None:
@@ -96,6 +108,9 @@ class AsyncCheckpointWriter:
             with self._lock:
                 self._pending.discard(key)
             raise
+        with self._lock:
+            # submitted under the lock, so _last is always the newest
+            self._last = _WRITER.submit(self._write_next)
 
     # -- accounting (consumed by run_search's drain barrier) ------------
     def pending_keys(self) -> set:
@@ -120,33 +135,37 @@ class AsyncCheckpointWriter:
         with self._lock:
             return list(self._error_log)
 
+    def _wait(self) -> None:
+        """Block until every save handed to this writer is written: the
+        writer thread runs saves in FIFO order, so the last one done
+        means all of them are."""
+        with self._lock:
+            last = self._last
+        if last is not None:
+            last.result()
+
     def flush(self) -> None:
-        """Block until the queue drains; raise the first captured write
-        error (clearing the pending set — but never :meth:`error_log`)
+        """Block until this writer's saves are written; raise the first
+        captured write error (clearing it — but never :meth:`error_log`)
         — raise-on-first-error."""
-        self._queue.join()
+        self._wait()
         with self._lock:
             errors, self._errors = self._errors, []
         if errors:
             raise errors[0]
 
     def close(self) -> None:
-        """Flush then stop the worker.  The worker is always stopped,
-        even when flush re-raises a captured write error.  Idempotent:
-        a second ``close()`` (service shutdown racing session teardown)
-        is a no-op — and a *concurrent* second close blocks until the
-        worker has actually stopped instead of returning mid-drain."""
+        """Flush and refuse further saves.  Idempotent: a second
+        ``close()`` (service shutdown racing session teardown) does not
+        raise again — but a *concurrent* second close still blocks until
+        every save is written instead of returning mid-drain."""
         with self._lock:
             first = not self._closed
             self._closed = True
-        if not first:
-            self._worker.join()
-            return
-        try:
+        if first:
             self.flush()
-        finally:
-            self._queue.put(None)
-            self._worker.join()
+        else:
+            self._wait()
 
     def __enter__(self) -> "AsyncCheckpointWriter":
         return self

@@ -196,20 +196,35 @@ class TraceJournal:
     back into ``(header, records)`` so ``run_search(resume=path)`` can
     restore strategy state and continue from the last durable candidate.
     Truncated final lines (the crash case) are skipped, not fatal.
+
+    The file is opened at the first append or at :meth:`close`, header
+    included, so a journal nobody drives or closes (a service session
+    admitted but never driven) holds no open file, and a closed journal
+    always holds at least its header.  A fresh journal
+    (``append=False``) removes any old file at the path up front, so a
+    resume never replays a previous run's records.
     """
 
     def __init__(self, path, *, name: str = "trace",
                  scheme: str = "baseline", append: bool = False):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        write_header = not (append and self.path.exists()
-                            and self.path.stat().st_size > 0)
-        self._fh = open(self.path, "a" if append else "w")
-        if write_header:
-            self._write({"name": name, "scheme": scheme, "journal": True})
+        if not append:
+            self.path.unlink(missing_ok=True)
+        self._header = {"name": name, "scheme": scheme, "journal": True}
+        self._fh = None
         self._closed = False
 
+    def _open(self) -> None:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = open(self.path, "a")
+        if self._fh.tell() == 0:
+            self._write(self._header)
+
     def _write(self, obj: dict) -> None:
+        if self._closed:
+            raise ValueError(f"journal {self.path} is closed")
+        if self._fh is None:
+            self._open()
         self._fh.write(json.dumps(obj) + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
@@ -220,6 +235,8 @@ class TraceJournal:
 
     def close(self) -> None:
         if not self._closed:
+            if self._fh is None:
+                self._open()
             self._closed = True
             self._fh.close()
 

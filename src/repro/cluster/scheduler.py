@@ -48,9 +48,13 @@ scheduler books the fault by taxonomy kind, retries it under the
 ``retry`` policy (bounded, backoff with a *dedicated* jitter rng so the
 provider-policy rng stream is untouched), and exhausted retries land as
 failed records on the ``FAILURE_SCORE`` path — identical to how an
-unbuildable architecture has always been handled.  ``task_timeout``
-sets a per-task deadline (thread pools only: serial tasks run inline
-on submit); overdue tickets are abandoned and retried.  A corrupt
+unbuildable architecture has always been handled.  A backoff never
+sleeps inside ``complete``: the retry waits in a per-driver heap of due
+times, still counted in flight, and the driving loop resubmits it once
+it is due — so a multiplexing service keeps every other session
+running meanwhile.  ``task_timeout`` sets a per-task deadline (thread
+pools only: serial tasks run inline on submit); overdue tickets are
+abandoned and retried.  A corrupt
 provider checkpoint is quarantined into the store's ``.quarantine/``
 directory and the candidate cold-starts.  ``journal=`` appends every
 completed record durably to a jsonl :class:`TraceJournal` as it lands,
@@ -68,6 +72,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import heapq
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,12 +159,14 @@ class SearchDriver:
 
     - :meth:`step` — submit-what-fits + consume-one-completion; the
       single-search drive (``run_search`` calls it until :attr:`done`).
-    - :meth:`submit_next` / :meth:`complete` — the *multiplexed* drive:
-      an outer scheduler (``repro.service.SearchService``) decides when
-      this search may submit, routes completions from a **shared**
-      evaluator back by ticket, and uses :attr:`on_dispatch` to learn
-      about retry resubmissions.  ``complete`` ignores tickets it does
-      not own, so routing mistakes are inert.
+    - :meth:`submit_next` / :meth:`complete` /
+      :meth:`dispatch_due_retries` — the *multiplexed* drive: an outer
+      scheduler (``repro.service.SearchService``) decides when this
+      search may submit, routes completions from a **shared** evaluator
+      back by ticket, resubmits retries once :attr:`next_retry_due`
+      passes, and uses :attr:`on_dispatch` to learn about retry
+      resubmissions.  ``complete`` ignores tickets it does not own, so
+      routing mistakes are inert.
     - :meth:`finalize` — drain barrier + stats attachment; returns the
       :class:`Trace`.  Callable mid-run (a drained/cancelled session's
       partial trace) and idempotent.
@@ -262,6 +269,9 @@ class SearchDriver:
                            scheme=scheme)
         self._t0 = time.perf_counter()
         self._pending: dict[int, _Pending] = {}   # ticket -> in-flight
+        #: retries backing off: (due monotonic, candidate id, pending) —
+        #: in flight too, but holding no ticket until they are due
+        self._backoff: list[tuple[float, int, _Pending]] = []
         #: id of the next proposal; a resumed journal may have gaps (a
         #: crash while an earlier candidate was in flight), so this is
         #: kept apart from the counts and never reuses a recorded id
@@ -294,9 +304,9 @@ class SearchDriver:
     # -- progress surface ------------------------------------------------
     @property
     def submitted(self) -> int:
-        """Candidates proposed so far: records landed plus tickets in
+        """Candidates proposed so far: records landed plus candidates in
         flight, so ``submitted == completed + in_flight`` by definition."""
-        return self.completed + len(self._pending)
+        return self.completed + self.in_flight
 
     @property
     def done(self) -> bool:
@@ -310,8 +320,9 @@ class SearchDriver:
 
     @property
     def in_flight(self) -> int:
-        """Tickets this driver is waiting on (its own, not the fleet's)."""
-        return len(self._pending)
+        """Candidates this driver is waiting on: its own tickets (not
+        the fleet's) plus retries still backing off."""
+        return len(self._pending) + len(self._backoff)
 
     def pending_tickets(self) -> list[int]:
         """The tickets currently owned by this driver (cancel support)."""
@@ -322,6 +333,19 @@ class SearchDriver:
         """Earliest in-flight deadline (monotonic), None when none set."""
         return min((p.deadline for p in self._pending.values()
                     if p.deadline is not None), default=None)
+
+    @property
+    def next_retry_due(self) -> Optional[float]:
+        """When the earliest backing-off retry is due (monotonic), None
+        when no retry is backing off."""
+        return self._backoff[0][0] if self._backoff else None
+
+    def _wait_budget(self) -> Optional[float]:
+        """Seconds until the next deadline or retry falls due, None when
+        neither is pending."""
+        due = min((t for t in (self.next_deadline, self.next_retry_due)
+                   if t is not None), default=None)
+        return None if due is None else max(0.0, due - time.monotonic())
 
     def _key(self, candidate_id: int) -> str:
         return self.key_prefix + checkpoint_key(candidate_id)
@@ -450,12 +474,17 @@ class SearchDriver:
         self.fault_stats.record_fault(failure.kind)
         if self.retry.should_retry(pend.attempt):
             delay = self.retry.delay(pend.attempt, self._retry_rng)
-            if delay > 0.0:
-                time.sleep(delay)
-                self.fault_stats.backoff_seconds += delay
             pend.attempt += 1
             self.fault_stats.retries += 1
-            self._dispatch(pend)
+            if delay > 0.0:
+                # back off without blocking: the retry waits in the heap
+                # and the caller's loop dispatches it once it is due
+                self.fault_stats.backoff_seconds += delay
+                heapq.heappush(self._backoff,
+                               (time.monotonic() + delay,
+                                pend.record.candidate_id, pend))
+            else:
+                self._dispatch(pend)
             return
         self.fault_stats.failed_records += 1
 
@@ -527,9 +556,15 @@ class SearchDriver:
                 f"{self.task_timeout}s deadline "
                 f"(attempt {pend.attempt})")))
 
+    def dispatch_due_retries(self) -> None:
+        """Resubmit every backing-off retry whose delay has run out."""
+        now = time.monotonic()
+        while self._backoff and self._backoff[0][0] <= now:
+            self._dispatch(heapq.heappop(self._backoff)[2])
+
     def complete(self, ticket: int, result) -> bool:
         """Consume one completion routed to this driver.  Returns True
-        when a record landed (False: a retry was resubmitted, or the
+        when a record landed (False: a retry was scheduled, or the
         ticket is not ours — abandoned, or routed to the wrong session).
 
         The submitted = completed + in_flight invariant means every
@@ -554,28 +589,32 @@ class SearchDriver:
 
     def _wait_and_complete(self) -> None:
         """Wait for the next completion and consume it.  May complete
-        zero records (a retry resubmission or a deadline sweep) — the
-        outer loop re-checks."""
-        if self.task_timeout is not None:
-            earliest = self.next_deadline
-            budget = None if earliest is None else \
-                max(0.0, earliest - time.monotonic())
-            try:
-                ticket, result = self.evaluator.wait_any(timeout=budget)
-            except WaitTimeout:
-                self.sweep_deadlines()
-                return
-        else:
-            ticket, result = self.evaluator.wait_any()
+        zero records (a retry, a deadline sweep, a retry falling due) —
+        the outer loop re-checks."""
+        try:
+            ticket, result = self.evaluator.wait_any(
+                timeout=self._wait_budget())
+        except WaitTimeout:
+            self.sweep_deadlines()
+            self.dispatch_due_retries()
+            return
         self.complete(ticket, result)
 
     def step(self) -> None:
         """One re-entrant turn of the loop: submit what fits, then wait
         for (and consume) one completion.  Drive to completion with
-        ``while not driver.done: driver.step()``."""
+        ``while not driver.done: driver.step()``.  A backing-off retry
+        keeps its worker slot, so serial and one-worker runs replay the
+        same records whatever the delays."""
+        self.dispatch_due_retries()
         while (self.wants_submit
-               and self.evaluator.in_flight < self._max_in_flight):
+               and self.evaluator.in_flight + len(self._backoff)
+               < self._max_in_flight):
             self.submit_next()
+        if not self._pending and self._backoff:
+            # only backoffs left: nothing can land before the next is due
+            time.sleep(self._wait_budget())
+            self.dispatch_due_retries()
         self._wait_and_complete()
 
     # -- teardown --------------------------------------------------------

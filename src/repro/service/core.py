@@ -29,6 +29,17 @@ Fault isolation, by construction:
   the fault draw happens on the session's own seeded rng at submit
   time, so a clean tenant interleaved with chaotic ones produces the
   same records as running alone.
+- **Retry backoff**: a retrying session never sleeps on the drive
+  thread.  Its retry waits in the driver's due-time heap, and the
+  session proposes nothing new meanwhile, while the fleet keeps
+  serving every other session; the drive loop resubmits it once due
+  (draining included), bounds each ``wait_any`` by the earliest due
+  retry, and sleeps only when nothing is running.
+- **Write-behind saves**: every ``async_io`` session's saves run on
+  the one process-wide checkpoint writer thread, one at a time in
+  FIFO order, so a hung ``store.save`` delays the other sessions'
+  saves — as it already stalls them on the store they all share.
+  Counters, errors and ``flush`` stay per session.
 - **Crashes**: a driver that raises out of containment (a buggy
   strategy, a broken problem) marks *that session* FAILED; its tickets
   are abandoned and every other session keeps running.
@@ -428,11 +439,17 @@ class SearchService:
             while True:
                 self._process_cancellations()
                 self._promote_queued()
+                self._dispatch_due_retries()
                 self._finish_completed()
                 if not self._is_draining():
                     self._submit_round()
                 if self._outstanding() > 0:
                     self._wait_once()
+                    continue
+                budget = self._wait_budget()
+                if budget is not None:
+                    # nothing in flight but retries backing off
+                    time.sleep(budget)
                     continue
                 # nothing in flight: either everyone is terminal, or a
                 # drain left runnable sessions behind
@@ -469,6 +486,11 @@ class SearchService:
             return any(s.state in SessionState.ACTIVE
                        for s in self._sessions.values())
 
+    def _running(self) -> list[_Session]:
+        with self._lock:
+            return [s for s in self._sessions.values()
+                    if s.state == SessionState.RUNNING]
+
     def _promote_queued(self) -> None:
         while True:
             with self._lock:
@@ -502,10 +524,14 @@ class SearchService:
             with self._lock:
                 if len(self._ticket_owner) >= self.max_in_flight:
                     return
+                # a session backing off a retry proposes nothing new
+                # until the retry is resubmitted; its fleet slot serves
+                # the other sessions meanwhile
                 runnable = [s for s in self._sessions.values()
                             if s.state == SessionState.RUNNING
                             and not s.cancel_requested
-                            and s.driver.wants_submit]
+                            and s.driver.wants_submit
+                            and s.driver.next_retry_due is None]
                 tenants = sorted({s.spec.tenant for s in runnable})
                 if not tenants:
                     return
@@ -534,10 +560,18 @@ class SearchService:
             except Exception as exc:
                 self._fail_session(pick, exc)
 
+    def _dispatch_due_retries(self) -> None:
+        for s in self._running():
+            try:
+                s.driver.dispatch_due_retries()
+            except Exception as exc:
+                self._fail_session(s, exc)
+
     def _wait_once(self) -> None:
         """Wait on the *shared* evaluator, route one completion to its
-        owning session; sweep deadlines on timeout."""
-        budget = self._deadline_budget()
+        owning session; sweep deadlines on timeout (a retry falling due
+        is dispatched on the next loop turn)."""
+        budget = self._wait_budget()
         try:
             ticket, result = self.evaluator.wait_any(timeout=budget)
         except WaitTimeout:
@@ -561,24 +595,16 @@ class SearchService:
         if session.driver.done:
             self._finish(session, SessionState.DONE)
 
-    def _deadline_budget(self) -> Optional[float]:
-        deadlines = []
-        with self._lock:
-            sessions = list(self._sessions.values())
-        for s in sessions:
-            if s.state == SessionState.RUNNING:
-                d = s.driver.next_deadline
-                if d is not None:
-                    deadlines.append(d)
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - time.monotonic())
+    def _wait_budget(self) -> Optional[float]:
+        """Seconds until any running session's next deadline or retry
+        falls due, None when none is pending."""
+        due = [t for s in self._running()
+               for t in (s.driver.next_deadline, s.driver.next_retry_due)
+               if t is not None]
+        return max(0.0, min(due) - time.monotonic()) if due else None
 
     def _sweep_deadlines(self) -> None:
-        with self._lock:
-            sessions = [s for s in self._sessions.values()
-                        if s.state == SessionState.RUNNING]
-        for s in sessions:
+        for s in self._running():
             try:
                 s.driver.sweep_deadlines()
             except Exception as exc:

@@ -2,6 +2,7 @@
 
 import json
 import queue
+import sys
 import tempfile
 import threading
 import time
@@ -160,12 +161,15 @@ def test_async_writer_raises_first_error_on_flush(tmp_path):
     writer.close()
 
 
-def test_async_writer_close_raises_but_stops_worker(tmp_path):
-    writer = AsyncCheckpointWriter(FlakyStore(tmp_path, fail=1))
-    writer.save("bad", weights())
+def test_async_writer_close_raises_after_draining(tmp_path):
+    store = FlakyStore(tmp_path, fail=1)
+    writer = AsyncCheckpointWriter(store)
+    writer.save("bad", weights(0))
+    writer.save("good", weights(1))
     with pytest.raises(OSError):
         writer.close()
-    assert not writer._worker.is_alive()
+    # the error surfaced only after every save was handled
+    assert store.exists("good") and writer.pending_keys() == set()
     writer.close()                               # idempotent after error
     with pytest.raises(RuntimeError):
         writer.save("late", weights())
@@ -306,23 +310,85 @@ def test_async_writer_concurrent_close_from_two_threads(tmp_path):
     writer = AsyncCheckpointWriter(store)
     for i in range(8):
         writer.save(f"k{i}", weights(i))
-    errors = []
+    errors, on_return = [], []
 
     def closer():
         try:
             writer.close()
         except Exception as exc:             # pragma: no cover
             errors.append(exc)
+        on_return.append((len(store.keys()), writer.pending_keys()))
 
     threads = [threading.Thread(target=closer) for _ in range(4)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=30.0)
+    assert not any(t.is_alive() for t in threads)
     assert errors == []
-    # every closer returned only after the worker fully drained
-    assert len(store.keys()) == 8
-    assert not writer._worker.is_alive()
+    # every closer returned only after all eight saves were on disk
+    assert on_return == [(8, set())] * 4
+
+
+class ThreadRecordingStore(CheckpointStore):
+    """Records the thread every save runs on."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.threads = []
+
+    def save(self, key, weights, meta=None):
+        self.threads.append(threading.current_thread())
+        return super().save(key, weights, meta)
+
+
+def test_writers_share_one_writer_thread(tmp_path):
+    """Every writer saves on the one process-wide writer thread, so a
+    service with many write-behind sessions starts no thread per
+    session."""
+    store = ThreadRecordingStore(tmp_path)
+    writers = [AsyncCheckpointWriter(store) for _ in range(20)]
+    for i, writer in enumerate(writers):
+        writer.save(f"k{i}", weights(i))
+    for writer in writers:
+        writer.close()
+    assert len(store.keys()) == 20
+    assert len(set(store.threads)) == 1
+    assert store.threads[0] is not threading.current_thread()
+
+
+def test_concurrent_writers_keep_their_own_accounting(tmp_path):
+    """Eight threads, each with its own writer, save and flush at once
+    through the shared writer thread: every flush returns with exactly
+    its own saves written, whatever the others have queued."""
+    store = CheckpointStore(tmp_path)
+    failures = []
+
+    def worker(w):
+        writer = AsyncCheckpointWriter(store, max_queue=2)
+        keys = {f"w{w}_k{i}" for i in range(10)}
+        for i, key in enumerate(sorted(keys)):
+            writer.save(key, weights(i))
+        writer.flush()
+        if set(writer.results()) != keys or writer.pending_keys() \
+                or not all(store.exists(k) for k in keys):
+            failures.append(w)
+        writer.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,))
+                   for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(store.keys()) == 80
 
 
 # ---------------------------------------------------------------------------

@@ -148,17 +148,17 @@ class _FailingEvolution(RegularizedEvolution):
 
 def test_failed_search_closes_its_write_behind_writer(problem, space,
                                                       tmp_path):
-    """A run_search that raises must not leak its own writer: the
-    drain thread stops and every save it was handed is on disk before
-    the error reaches the caller."""
+    """A run_search that raises must not leak its own writer: every
+    save it was handed is on disk before the error reaches the caller,
+    and no thread is left behind but the shared checkpoint writer."""
     before = set(threading.enumerate())
     store = CheckpointStore(tmp_path / "err")
     strategy = _FailingEvolution(space, fail_at=4)
     with pytest.raises(RuntimeError, match="strategy exploded"):
         run_search(problem, strategy, 6, scheme="lcs", store=store,
                    seed=0, async_io=True)
-    leaked = [t for t in threading.enumerate()
-              if t not in before and "_drain" in t.name]
+    leaked = [t for t in threading.enumerate() if t not in before
+              and not t.name.startswith("checkpoint-writer")]
     assert leaked == []
     saved = [cid for cid, score in strategy.told.items()
              if not is_failure_score(score)]

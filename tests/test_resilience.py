@@ -1,6 +1,7 @@
 """Fault tolerance: containment, retry, quarantine, journal, chaos."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -167,6 +168,47 @@ def test_chaos_corrupt_result_is_contained(space, problem):
     for r in trace:
         assert not r.ok and r.score == FAILURE_SCORE
     assert trace.fault_stats["by_kind"]["corrupt_result"] == 2
+
+
+def test_retry_backoff_does_not_block_complete(space, problem):
+    """A backoff never sleeps inside ``complete``: the retry waits as an
+    in-flight candidate with a due time while the caller keeps going."""
+    driver = SearchDriver(problem, RandomSearch(space, rng=0), 2,
+                          scheme="baseline", seed=0,
+                          retry=RetryPolicy(max_attempts=2, base_delay=3.0,
+                                            jitter=0.0))
+    driver.submit_next()
+    (ticket,) = driver.pending_tickets()
+    t0 = time.monotonic()
+    landed = driver.complete(ticket, TaskFailure(ValueError("crashed")))
+    assert time.monotonic() - t0 < 1.0
+    assert not landed and driver.pending_tickets() == []
+    assert driver.in_flight == 1
+    assert driver.submitted == driver.completed + driver.in_flight
+    assert driver.next_retry_due - t0 == pytest.approx(3.0, abs=0.5)
+    assert driver.fault_stats.backoff_seconds == 3.0
+
+
+def test_backoff_retries_replay_the_same_records(space, problem):
+    """In ``step`` a backing-off retry keeps its worker slot, so a
+    serial chaos run with backoff replays the run without it."""
+    def run(base_delay):
+        driver = SearchDriver(
+            problem, RandomSearch(space, rng=0), 6, scheme="baseline",
+            seed=0, evaluator=ChaosEvaluator(SerialEvaluator(),
+                                             crash_prob=0.5, seed=11),
+            retry=RetryPolicy(max_attempts=5, base_delay=base_delay,
+                              jitter=0.0))
+        while not driver.done:
+            driver.step()
+            assert driver.submitted == driver.completed + driver.in_flight
+        return driver.finalize()
+
+    delayed, eager = run(0.01), run(0.0)
+    assert delayed.fault_stats["backoff_seconds"] > 0.0
+    assert [(r.candidate_id, r.arch_seq, r.score, r.attempts)
+            for r in delayed] == \
+        [(r.candidate_id, r.arch_seq, r.score, r.attempts) for r in eager]
 
 
 def test_task_timeout_abandons_hung_workers(space, problem):

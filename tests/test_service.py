@@ -10,7 +10,13 @@ import time
 import pytest
 
 from repro.checkpoint import ShardedCheckpointStore
-from repro.cluster import SerialEvaluator, ThreadPoolEvaluator, run_search
+from repro.cluster import (
+    RetryPolicy,
+    SerialEvaluator,
+    ThreadPoolEvaluator,
+    TraceJournal,
+    run_search,
+)
 from repro.nas import RandomSearch, RegularizedEvolution
 from repro.service import (
     AdmissionError,
@@ -177,6 +183,51 @@ def test_buggy_session_fails_alone(space, problem, tmp_path):
     assert "strategy bug" in bad.poll().error
     assert good.poll().state == SessionState.DONE
     assert len(good.result()) == 3
+
+
+def test_retry_backoff_does_not_stall_other_sessions(space, problem,
+                                                     tmp_path):
+    """While one session's retry backs off, the drive thread keeps
+    serving the other session; the retry still lands after a drain."""
+    svc = SearchService(evaluator=SerialEvaluator(),
+                        journal_dir=tmp_path / "j")
+    landed = []
+
+    def watch(tenant):
+        def on_record(record):
+            landed.append(tenant)
+            if landed.count("clean") == 2:
+                svc.request_drain()
+        return on_record
+
+    retrying = svc.submit(_spec(
+        space, problem, 0, tenant="retrying", n=1, scheme="baseline",
+        chaos={"crash_prob": 1.0, "seed": 0},
+        retry=RetryPolicy(max_attempts=2, base_delay=1.5, jitter=0.0),
+        on_record=watch("retrying")))
+    clean = svc.submit(_spec(space, problem, 1, tenant="clean", n=4,
+                             scheme="baseline", on_record=watch("clean")))
+    svc.drive()
+    assert landed == ["clean", "clean", "retrying"]
+    assert retrying.poll().state == SessionState.DONE
+    faults = retrying.result().fault_stats
+    assert faults["retries"] == 1 and faults["backoff_seconds"] == 1.5
+    assert clean.poll().state == SessionState.INTERRUPTED
+
+
+def test_queued_session_holds_no_open_journal(space, problem, tmp_path):
+    svc = SearchService(evaluator=SerialEvaluator(),
+                        journal_dir=tmp_path / "j")
+    handle = svc.submit(_spec(space, problem, 0, n=2, scheme="baseline"))
+    journal = tmp_path / "j" / f"{handle.session_id}.jsonl"
+    assert not journal.exists()
+    if os.path.isdir("/proc/self/fd"):
+        open_files = {os.path.realpath(f"/proc/self/fd/{fd}")
+                      for fd in os.listdir("/proc/self/fd")}
+        assert str(journal.resolve()) not in open_files
+    svc.drive()
+    header, records = TraceJournal.replay(journal)
+    assert header["journal"] and len(records) == 2
 
 
 # ---------------------------------------------------------------------------
