@@ -23,6 +23,9 @@ rest: every captured failure (key + exception repr) stays in
 :meth:`error_log`, which the scheduler's drain barrier surfaces as
 ``trace.io_stats["writer_errors"]`` — a run that lost three
 checkpoints reports all three, not one.  Every counter is per writer.
+Each :meth:`~AsyncCheckpointWriter.save` also returns that save's own
+future, which resolves or raises for its key alone: the scheduler waits
+on it for one provider, and books each failed save as its own fault.
 
 Backpressure: each writer's queue is bounded.  ``save(..., block=True)``
 (the default) blocks the caller once ``max_queue`` of its snapshots are
@@ -41,14 +44,13 @@ from typing import Optional
 import numpy as np
 
 from ..analysis.lockcheck import make_lock
-from .store import CheckpointInfo, CheckpointStore
+from .store import CheckpointStore
 
 #: Lock-discipline assertion (lint R004/R007): state shared between the
 #: saving thread(s) and the writer thread.  Every write must hold
 #: ``self._lock``; the whole-program analyzer verifies the set matches
 #: what it infers.
-_GUARDED_ATTRS = ("_results", "_durations", "_errors", "_error_log",
-                  "_pending", "_closed", "_last")
+_GUARDED_ATTRS = ("_errors", "_error_log", "_pending", "_closed", "_last")
 
 #: The one writer thread every AsyncCheckpointWriter saves on; the
 #: executor starts it on the first save and keeps it for the process.
@@ -64,8 +66,6 @@ class AsyncCheckpointWriter:
         self._lock = make_lock("AsyncCheckpointWriter._lock")
         self._errors: list[Exception] = []
         self._error_log: list[tuple[str, str]] = []   # (key, repr) — kept
-        self._results: dict[str, CheckpointInfo] = {}
-        self._durations: dict[str, float] = {}
         self._pending: set[str] = set()
         self._closed = False
         self._last: Optional[Future] = None   # this writer's latest save
@@ -74,35 +74,42 @@ class AsyncCheckpointWriter:
         """Writer-thread task: write this writer's oldest queued save.
         One task is submitted per queued snapshot, so there always is
         one."""
-        key, weights, meta = self._queue.get_nowait()
+        key, weights, meta, done = self._queue.get_nowait()
         t0 = time.perf_counter()
         try:
             info = self.store.save(key, weights, meta)
-            with self._lock:
-                self._results[key] = info
-                self._durations[key] = time.perf_counter() - t0
         except Exception as exc:  # re-raised by the next flush/close
             with self._lock:
                 self._errors.append(exc)
                 self._error_log.append((key, repr(exc)))
-        finally:
-            with self._lock:
                 self._pending.discard(key)
+            done.set_exception(exc)
+            return
+        seconds = time.perf_counter() - t0
+        with self._lock:
+            self._pending.discard(key)
+        done.set_result((info, seconds))
 
     def save(self, key: str, weights: dict, meta: dict | None = None,
-             block: bool = True, timeout: Optional[float] = None) -> None:
+             block: bool = True, timeout: Optional[float] = None) -> Future:
         """Enqueue; snapshots the arrays so later in-place training updates
         don't race the writer.  Raises :class:`queue.Full` when the queue
         is at ``max_queue`` and ``block`` is false (or ``timeout`` runs
-        out) — the backpressure contract."""
+        out) — the backpressure contract.
+
+        Returns this save's own future: it resolves to ``(CheckpointInfo,
+        write seconds)`` once the checkpoint is on disk, or raises the
+        write error — so a caller can wait for one key alone, without
+        :meth:`flush` raising (and clearing) another key's error."""
         if self._closed:
             raise RuntimeError("writer is closed")
         snapshot = {name: np.array(arr, copy=True)
                     for name, arr in weights.items()}
+        done: Future = Future()
         with self._lock:
             self._pending.add(key)
         try:
-            self._queue.put((key, snapshot, meta), block=block,
+            self._queue.put((key, snapshot, meta, done), block=block,
                             timeout=timeout)
         except queue.Full:
             with self._lock:
@@ -111,22 +118,12 @@ class AsyncCheckpointWriter:
         with self._lock:
             # submitted under the lock, so _last is always the newest
             self._last = _WRITER.submit(self._write_next)
+        return done
 
-    # -- accounting (consumed by run_search's drain barrier) ------------
+    # -- accounting ------------------------------------------------------
     def pending_keys(self) -> set:
         with self._lock:
             return set(self._pending)
-
-    def results(self) -> dict[str, CheckpointInfo]:
-        """CheckpointInfo per key written so far (snapshot copy)."""
-        with self._lock:
-            return dict(self._results)
-
-    def durations(self) -> dict[str, float]:
-        """Background write seconds per key (snapshot copy) — the
-        ``io_hidden`` cost the critical path never saw."""
-        with self._lock:
-            return dict(self._durations)
 
     def error_log(self) -> list[tuple[str, str]]:
         """Every write failure captured over the writer's lifetime as

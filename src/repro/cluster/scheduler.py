@@ -30,9 +30,11 @@ critical path while keeping traces semantically identical:
   in-memory LRU over provider weights, written through on every save;
   hits skip disk entirely.
 - ``async_io=True`` (or an :class:`AsyncCheckpointWriter`) — candidate
-  saves become write-behind; a drain barrier before the trace is
-  finalized guarantees every checkpoint is durable and back-fills
-  ``ckpt_bytes``.
+  saves become write-behind.  A record is told to the strategy when
+  its candidate completes, but journaled and streamed (``on_record``)
+  only once its save has landed, in completion order; the drain
+  barrier in :meth:`SearchDriver.finalize` waits for the last ones
+  before it closes the journal.
 
 I/O accounting stays honest: ``record.overhead`` remains the *total*
 checkpoint I/O seconds (so Fig. 11 and the simulator calibration are
@@ -61,11 +63,11 @@ completed record durably to a jsonl :class:`TraceJournal` as it lands,
 and ``resume=`` replays such a journal — restoring strategy state via
 :meth:`Strategy.restore` — so a killed run continues from its last
 durable candidate with already-completed records bit-identical.  All
-fault counters serialize into ``trace.fault_stats``.  A sync candidate
-save that raises (e.g. every shard of a
+fault counters serialize into ``trace.fault_stats``.  A candidate save
+that raises, sync or write-behind (e.g. every shard of a
 :class:`~repro.checkpoint.ShardedCheckpointStore` tripped its circuit
-breaker) is booked as a ``ckpt_write`` fault and the search continues —
-the candidate simply has no checkpoint to provide from.
+breaker), is booked as one ``ckpt_write`` fault and the search
+continues — the candidate simply has no checkpoint to provide from.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ import contextlib
 import functools
 import heapq
 import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -255,6 +259,11 @@ class SearchDriver:
             from ..tensor.engine import get_plan_cache
             self._plan_stats0 = get_plan_cache().stats()
         self._saved_keys: set[str] = set()   # saved this run (disk/queued)
+        #: write-behind saves whose records are still held, by key
+        self._saves: dict[str, Future] = {}
+        #: completed records not yet journaled, in completion order: a
+        #: record waits here until its write-behind save has finished
+        self._held: deque[TraceRecord] = deque()
         self._arch_by_id: dict[int, tuple] = {}   # ok candidates
         self._xfer_copied_bytes = 0
         self._xfer_resliced = 0
@@ -352,12 +361,12 @@ class SearchDriver:
 
     # -- provider plumbing ----------------------------------------------
     def _load_provider(self, key: str, record: TraceRecord):
-        """Provider weights via cache → disk → pending-writer fallback;
-        returns None when the checkpoint does not exist anywhere — or
-        turned out corrupt, in which case it is quarantined and the
-        candidate cold-starts."""
-        store, weight_cache, writer = self.store, self.weight_cache, \
-            self.writer
+        """Provider weights via cache → disk, waiting for the provider's
+        own write-behind save when it has not landed yet; returns None
+        when the checkpoint does not exist anywhere — its save failed,
+        or it turned out corrupt, in which case it is quarantined — and
+        the candidate cold-starts."""
+        store, weight_cache = self.store, self.weight_cache
         if weight_cache is not None:
             weights = weight_cache.get(key)
             if weights is not None:
@@ -366,10 +375,12 @@ class SearchDriver:
         if key not in self._saved_keys and not store.exists(key):
             return None
         io0 = time.perf_counter()
+        save = self._saves.get(key)
+        if save is not None and save.exception() is not None:
+            # the save failed: a missing provider (booked when it lands)
+            record.add_io_blocked(time.perf_counter() - io0)
+            return None
         try:
-            if writer is not None and not store.exists(key):
-                # enqueued but not yet durable (rare: cache evicted/off)
-                writer.flush()
             weights = store.load(key)
         except CorruptCheckpointError:
             record.add_io_blocked(time.perf_counter() - io0)
@@ -450,22 +461,50 @@ class SearchDriver:
     # -- completion side -------------------------------------------------
     def _finalize_record(self, pend: _Pending, record_update) -> None:
         """Book one completed candidate (success or exhausted failure):
-        journal + tell + append, in that order, so the journal is at
-        least as durable as anything derived from the trace."""
+        tell + append now, so write-behind never changes what the search
+        decides; journal + ``on_record`` once it lands (:meth:`land`)."""
         record = pend.record
         record.end_time = time.perf_counter() - self._t0
         record.attempts = pend.attempt
         record_update(record)
         if record.ok:
             self._arch_by_id[record.candidate_id] = record.arch_seq
-        if self._journal is not None:
-            self._journal.append(record)
         self.strategy.tell(record.candidate_id, record.arch_seq,
                            record.score)
         self.trace.append(record)
         self.completed += 1
-        if self.on_record is not None:
-            self.on_record(record)
+        self._held.append(record)
+        self.land()
+
+    def land(self, wait: bool = False) -> None:
+        """Journal, then hand to ``on_record``, every held record whose
+        write-behind save has finished, oldest first; stop at the first
+        whose save is still running (``wait=True``: wait for it).  So a
+        journaled record's checkpoint is on disk — or its save failed,
+        booked here as one ``ckpt_write`` fault — and a resume never
+        transfers from a provider the killed run had not saved yet."""
+        while self._held:
+            record = self._held[0]
+            key = self._key(record.candidate_id)
+            save = self._saves.get(key)
+            if save is not None:
+                if not (wait or save.done()):
+                    return
+                del self._saves[key]
+                try:
+                    info, seconds = save.result()
+                except Exception:
+                    # a failed save costs the checkpoint, not the search
+                    self.fault_stats.record_fault("ckpt_write")
+                    self._saved_keys.discard(key)
+                else:
+                    record.ckpt_bytes = info.nbytes
+                    record.add_io_hidden(seconds)
+            self._held.popleft()
+            if self._journal is not None:
+                self._journal.append(record)
+            if self.on_record is not None:
+                self.on_record(record)
 
     def _contain_failure(self, pend: _Pending,
                          failure: TaskFailure) -> None:
@@ -517,9 +556,10 @@ class SearchDriver:
                 io0 = time.perf_counter()
                 if self.writer is not None:
                     # write-behind: only the snapshot + enqueue blocks
-                    # here; the payload write lands in io_hidden at
-                    # the drain barrier
-                    self.writer.save(key, result.weights, meta=meta)
+                    # here; the payload write lands in io_hidden once
+                    # the record lands
+                    self._saves[key] = self.writer.save(
+                        key, result.weights, meta=meta)
                     self._saved_keys.add(key)
                 else:
                     try:
@@ -606,6 +646,7 @@ class SearchDriver:
         ``while not driver.done: driver.step()``.  A backing-off retry
         keeps its worker slot, so serial and one-worker runs replay the
         same records whatever the delays."""
+        self.land()
         self.dispatch_due_retries()
         while (self.wants_submit
                and self.evaluator.in_flight + len(self._backoff)
@@ -619,10 +660,14 @@ class SearchDriver:
 
     # -- teardown --------------------------------------------------------
     def close(self) -> None:
-        """Close the journal.  Idempotent; called by :meth:`finalize`,
-        which also drains and closes an owned write-behind writer."""
-        if self._journal is not None:
-            self._journal.close()
+        """Land every held record — waiting for its write-behind save —
+        then close the journal.  Idempotent; called by :meth:`finalize`,
+        which also closes an owned write-behind writer."""
+        try:
+            self.land(wait=True)
+        finally:
+            if self._journal is not None:
+                self._journal.close()
 
     def finalize(self) -> Trace:
         """Drain barrier + stats attachment; returns the trace.  Safe to
@@ -630,33 +675,17 @@ class SearchDriver:
         partial trace) and idempotent."""
         if self._finalized is not None:
             return self._finalized
-        self.close()
 
-        # -- drain barrier: make every write-behind save durable and
-        # book its hidden cost before the trace is finalized -----------
+        # -- drain barrier: every write-behind save has finished, its
+        # record landed and journaled, before the journal closes -------
         io_stats: dict = {}
         writer = self.writer
-        if writer is not None:
-            try:
-                drain0 = time.perf_counter()
-                try:
-                    writer.flush()    # raise-on-first-error contract …
-                except Exception as exc:
-                    # … but a completed search is worth more than a lost
-                    # checkpoint write: contain it (the full error list
-                    # is surfaced below), don't discard the whole trace
-                    self.fault_stats.record_fault("ckpt_write")
-                    io_stats["drain_error"] = repr(exc)
+        drain0 = time.perf_counter()
+        try:
+            self.close()
+        finally:
+            if writer is not None:
                 io_stats["drain_seconds"] = time.perf_counter() - drain0
-                infos = writer.results()
-                durations = writer.durations()
-                for record in self.trace.records:
-                    key = self._key(record.candidate_id)
-                    if record.ckpt_bytes == 0 and key in infos:
-                        record.ckpt_bytes = infos[key].nbytes
-                    if key in self._saved_keys and key in durations:
-                        record.add_io_hidden(durations[key])
-            finally:
                 # every captured write failure, not just the first raised
                 errors = writer.error_log()
                 if errors:

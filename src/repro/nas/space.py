@@ -1,10 +1,12 @@
 """Search spaces: graphs of variable nodes over operation choices.
 
-A :class:`SearchSpace` is a DAG (networkx) of *nodes*; each node is
+A :class:`SearchSpace` is an ordered list of *nodes*; each node is
 either **fixed** (always the same operation) or **variable** (one of a
 list of operation choices).  An architecture is the sequence of chosen
 indices over the variable nodes, in insertion order — the paper's
-``arch_seq``.
+``arch_seq``.  A node's parents must already exist when it is added,
+so insertion order is a topological order and the space is acyclic by
+construction.
 
 ``build_network(arch_seq, rng)`` materialises a concrete
 :class:`repro.tensor.Network`; strict operations raise
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-import networkx as nx
 import numpy as np
 
 from ..tensor import Network
@@ -46,7 +47,6 @@ class SearchSpace:
             self.input_shapes = (tuple(input_shape),)
         self._nodes: list[_Node] = []
         self._by_name: dict[str, _Node] = {}
-        self._graph = nx.DiGraph()
 
     # ------------------------------------------------------------------
     # construction
@@ -84,9 +84,6 @@ class SearchSpace:
         node.parents = self._resolve_after(after)
         self._nodes.append(node)
         self._by_name[node.name] = node
-        self._graph.add_node(node.name)
-        for p in node.parents:
-            self._graph.add_edge(p, node.name)
         return node
 
     def add_variable(self, name: str, choices: Sequence[Op],

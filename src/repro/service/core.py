@@ -39,7 +39,9 @@ Fault isolation, by construction:
   the one process-wide checkpoint writer thread, one at a time in
   FIFO order, so a hung ``store.save`` delays the other sessions'
   saves — as it already stalls them on the store they all share.
-  Counters, errors and ``flush`` stay per session.
+  Counters, errors and ``flush`` stay per session.  A record reaches
+  the journal and :meth:`~SearchService.stream` only once its save
+  has landed; each drive turn lands those that have.
 - **Crashes**: a driver that raises out of containment (a buggy
   strategy, a broken problem) marks *that session* FAILED; its tickets
   are abandoned and every other session keeps running.
@@ -51,8 +53,8 @@ service never buffers unboundedly and never silently drops.
 Graceful shutdown: :meth:`~SearchService.request_drain` (wired to
 SIGTERM/SIGINT by :meth:`~SearchService.install_signal_handlers`) stops
 new submissions, lets every in-flight evaluation land (each completed
-record is journaled durably by its session's ``TraceJournal`` *before*
-the strategy sees it), then marks unfinished sessions INTERRUPTED.  A
+record is journaled durably by its session's ``TraceJournal`` once its
+checkpoint is on disk), then marks unfinished sessions INTERRUPTED.  A
 later :meth:`~SearchService.recover` replays each interrupted session's
 journal and resumes it — completed records bit-identical, the search
 continuing from its last durable candidate.
@@ -439,7 +441,7 @@ class SearchService:
             while True:
                 self._process_cancellations()
                 self._promote_queued()
-                self._dispatch_due_retries()
+                self._tend_running()
                 self._finish_completed()
                 if not self._is_draining():
                     self._submit_round()
@@ -560,9 +562,12 @@ class SearchService:
             except Exception as exc:
                 self._fail_session(pick, exc)
 
-    def _dispatch_due_retries(self) -> None:
+    def _tend_running(self) -> None:
+        """Per running session: journal and stream the records whose
+        write-behind save has landed, resubmit the retries now due."""
         for s in self._running():
             try:
+                s.driver.land()
                 s.driver.dispatch_due_retries()
             except Exception as exc:
                 self._fail_session(s, exc)

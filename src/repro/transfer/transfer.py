@@ -120,7 +120,7 @@ def transfer_weights(receiver, provider_weights: Mapping[str, np.ndarray],
                     f"matched layer shape mismatch: {src_name} {src.shape} "
                     f"-> {dst_layer.name}.{pname} {dst.shape}"
                 )
-            dst_layer.params[pname] = src.astype(dst.dtype).copy()
+            dst_layer.params[pname] = src.astype(dst.dtype)
             moved_names.append(f"{dst_layer.name}.{pname}")
             stats.num_transferred += 1
             stats.transferred_elements += int(src.size)

@@ -199,13 +199,14 @@ def test_async_writer_snapshots_arrays_and_records_results(tmp_path):
     store = CheckpointStore(tmp_path)
     writer = AsyncCheckpointWriter(store)
     w = weights()
-    writer.save("k", w)
+    done = writer.save("k", w)
     w["d.bias"][:] = -1.0                        # mutate after enqueue
     writer.flush()
     assert not np.array_equal(store.load("k")["d.bias"], w["d.bias"])
-    infos = writer.results()
-    assert infos["k"].nbytes == store.nbytes("k")
-    assert writer.durations()["k"] > 0.0
+    assert done.done()
+    info, seconds = done.result()
+    assert info.key == "k" and info.nbytes == store.nbytes("k")
+    assert seconds > 0.0
     assert writer.pending_keys() == set()
     writer.close()
 
@@ -367,10 +368,11 @@ def test_concurrent_writers_keep_their_own_accounting(tmp_path):
     def worker(w):
         writer = AsyncCheckpointWriter(store, max_queue=2)
         keys = {f"w{w}_k{i}" for i in range(10)}
-        for i, key in enumerate(sorted(keys)):
-            writer.save(key, weights(i))
+        saves = {key: writer.save(key, weights(i))
+                 for i, key in enumerate(sorted(keys))}
         writer.flush()
-        if set(writer.results()) != keys or writer.pending_keys() \
+        if not all(f.done() and f.result()[0].key == k
+                   for k, f in saves.items()) or writer.pending_keys() \
                 or not all(store.exists(k) for k in keys):
             failures.append(w)
         writer.close()

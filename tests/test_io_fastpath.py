@@ -13,9 +13,11 @@ import pytest
 
 from repro.checkpoint import CheckpointStore
 from repro.cluster import (
+    SearchDriver,
     SerialEvaluator,
     ThreadPoolEvaluator,
     Trace,
+    TraceJournal,
     checkpoint_key,
     run_search,
 )
@@ -123,6 +125,86 @@ def test_async_children_still_transfer_from_pending_parents(problem, space,
     fast, _ = search(problem, space, tmp_path, "f", n=10, async_io=True)
     assert semantics(fast) == semantics(sync)
     assert any(r.transferred for r in fast.ok_records())
+
+
+class _FailingStore(CheckpointStore):
+    """A store whose saves of the ``fail`` keys raise ``OSError``."""
+
+    def __init__(self, root, fail):
+        super().__init__(root)
+        self.fail = set(fail)
+
+    def save(self, key, weights, meta=None):
+        if key in self.fail:
+            raise OSError(f"disk gone for {key}")
+        return super().save(key, weights, meta)
+
+
+def test_failed_write_behind_save_costs_the_checkpoint_not_the_search(
+        problem, space, tmp_path):
+    """A failed save is a missing provider on both paths: its children
+    cold-start, and each failed save is booked as one fault."""
+    fail = {checkpoint_key(i) for i in range(4)}
+    runs = {}
+    for async_io in (False, True):
+        store = _FailingStore(tmp_path / f"async{async_io}", fail)
+        runs[async_io] = run_search(problem, evolution(space), 10,
+                                    scheme="lcs", store=store, seed=0,
+                                    async_io=async_io)
+    sync, fast = runs[False], runs[True]
+    assert len(fast) == 10
+    assert all(r.ok for r in sync.records[:4])       # all four did save
+    assert decisions(fast) == decisions(sync)
+    assert sync.fault_stats["by_kind"]["ckpt_write"] == 4
+    assert fast.fault_stats["by_kind"]["ckpt_write"] == 4
+    assert len(fast.io_stats["writer_errors"]) == 4
+    assert all(r.ckpt_bytes == 0 for r in fast.records[:4])
+
+
+class _HeldStore(CheckpointStore):
+    """A store that holds back the save of ``held`` until released."""
+
+    def __init__(self, root, held):
+        super().__init__(root)
+        self.held = held
+        self.release = threading.Event()
+
+    def save(self, key, weights, meta=None):
+        if key == self.held and not self.release.wait(30):
+            raise TimeoutError(f"{key} was never released")
+        return super().save(key, weights, meta)
+
+
+def test_write_behind_record_is_journaled_once_its_save_lands(
+        problem, space, tmp_path):
+    """A journaled record's checkpoint is on disk, so a run killed while
+    a save is still running resumes only from providers that exist."""
+    journal = tmp_path / "run.jsonl"
+    held = checkpoint_key(2)
+    store = _HeldStore(tmp_path / "ckpt", held)
+    driver = SearchDriver(problem, evolution(space), 6, scheme="lcs",
+                          store=store, seed=0, cache=True, async_io=True,
+                          journal=journal)
+
+    def journaled():
+        if not journal.exists():
+            return []
+        return [r.candidate_id for r in TraceJournal.replay(journal)[1]]
+
+    try:
+        while not driver.done:
+            driver.step()
+        assert driver.trace.records[2].ok
+        assert not store.exists(held)
+        # completion order: nothing at or after candidate 2 is journaled
+        ids = journaled()
+        assert ids == [0, 1][:len(ids)]
+    finally:
+        store.release.set()
+    trace = driver.finalize()
+    assert store.exists(held)
+    assert journaled() == [r.candidate_id for r in trace] == list(range(6))
+    assert trace.records[2].ckpt_bytes == store.nbytes(held)
 
 
 class _FailingEvolution(RegularizedEvolution):

@@ -287,8 +287,8 @@ def test_writer_error_log_keeps_every_failure(tmp_path):
 
     w = {"a": np.ones(2, dtype=np.float32)}
     writer = AsyncCheckpointWriter(FlakyStore(tmp_path))
-    writer.save("fail1", w)
-    writer.save("ok", w)
+    fail1 = writer.save("fail1", w)
+    ok = writer.save("ok", w)
     writer.save("fail2", w)
     with pytest.raises(OSError):
         writer.flush()                      # raise-on-first-error contract
@@ -297,7 +297,9 @@ def test_writer_error_log_keeps_every_failure(tmp_path):
     log = writer.error_log()
     assert [k for k, _ in log] == ["fail1", "fail2"]    # both kept
     assert all("disk gone" in msg for _, msg in log)
-    assert "ok" in writer.results()
+    assert ok.result()[0].key == "ok"
+    with pytest.raises(OSError, match="fail1"):
+        fail1.result()                      # each save's own outcome
 
 
 # ---------------------------------------------------------------------------
