@@ -2,7 +2,7 @@
 still load) + in-memory provider cache and async write-behind
 extensions."""
 
-from .cache import DEFAULT_CACHE_BYTES, WeightCache, make_cache, weights_nbytes
+from .cache import DEFAULT_CACHE_BYTES, WeightCache, weights_nbytes
 from .multilevel import AsyncCheckpointWriter
 from .sharded import ShardBreaker, ShardedCheckpointStore, StoreUnavailableError
 from .store import CheckpointInfo, CheckpointStore, CorruptCheckpointError
@@ -16,7 +16,6 @@ __all__ = [
     "ShardBreaker",
     "ShardedCheckpointStore",
     "StoreUnavailableError",
-    "make_cache",
     "weights_nbytes",
     "DEFAULT_CACHE_BYTES",
 ]

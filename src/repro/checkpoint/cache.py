@@ -158,17 +158,3 @@ class WeightCache:
                 f"hits={s['hits']} misses={s['misses']} "
                 f"evictions={s['evictions']}>")
 
-
-def make_cache(cache) -> Optional[WeightCache]:
-    """Normalise the ``run_search(cache=...)`` knob.
-
-    ``None``/``False`` → no cache; ``True`` → default-budget cache; an
-    int → byte budget; a :class:`WeightCache` → used as-is.
-    """
-    if isinstance(cache, WeightCache):
-        return cache
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return WeightCache()
-    return WeightCache(max_bytes=int(cache))

@@ -26,15 +26,17 @@ the scheduler thread — that is the paper's measured overhead, and it is
 the largest serial bottleneck of the loop.  Two knobs take it off the
 critical path while keeping traces semantically identical:
 
-- ``cache=True`` (or a byte budget / :class:`WeightCache`) — an
-  in-memory LRU over provider weights, written through on every save;
-  hits skip disk entirely.
-- ``async_io=True`` (or an :class:`AsyncCheckpointWriter`) — candidate
-  saves become write-behind.  A record is told to the strategy when
-  its candidate completes, but journaled and streamed (``on_record``)
-  only once its save has landed, in completion order; the drain
-  barrier in :meth:`SearchDriver.finalize` waits for the last ones
-  before it closes the journal.
+- ``cache=True`` — an in-memory LRU over provider weights, filled by
+  every synchronous save that returned and every write-behind save
+  when it is queued (and emptied of one whose write fails); hits skip
+  disk entirely.
+- ``async_io=True`` — candidate saves become write-behind.  A record
+  is told to the strategy when its candidate completes, but journaled
+  and streamed (``on_record``) only once its save has landed, in
+  completion order; the drain barrier in :meth:`SearchDriver.finalize`
+  waits for the last ones before it closes the journal.
+
+Both knobs take a bool; ``None`` and ``False`` mean off.
 
 I/O accounting stays honest: ``record.overhead`` remains the *total*
 checkpoint I/O seconds (so Fig. 11 and the simulator calibration are
@@ -87,7 +89,7 @@ import numpy as np
 from ..checkpoint import (
     AsyncCheckpointWriter,
     CorruptCheckpointError,
-    make_cache,
+    WeightCache,
 )
 from ..nas.estimation import FAILURE_SCORE, estimate_candidate
 from ..transfer.policy import get_policy
@@ -166,11 +168,11 @@ class SearchDriver:
     - :meth:`submit_next` / :meth:`complete` /
       :meth:`dispatch_due_retries` — the *multiplexed* drive: an outer
       scheduler (``repro.service.SearchService``) decides when this
-      search may submit, routes completions from a **shared** evaluator
-      back by ticket, resubmits retries once :attr:`next_retry_due`
-      passes, and uses :attr:`on_dispatch` to learn about retry
-      resubmissions.  ``complete`` ignores tickets it does not own, so
-      routing mistakes are inert.
+      search may submit, routes each completion from a **shared**
+      evaluator to the driver that :meth:`owns` its ticket, and
+      resubmits retries once :attr:`next_retry_due` passes.  The driver
+      is the only record of its tickets; ``complete`` ignores tickets
+      it does not own, so routing mistakes are inert.
     - :meth:`finalize` — drain barrier + stats attachment; returns the
       :class:`Trace`.  Callable mid-run (a drained/cancelled session's
       partial trace) and idempotent.
@@ -196,7 +198,6 @@ class SearchDriver:
                  journal=None, resume=None,
                  engine: str = "eager",
                  key_prefix: str = "",
-                 on_dispatch: Optional[Callable[[int], None]] = None,
                  on_record: Optional[Callable[[TraceRecord], None]] = None):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected {SCHEMES}")
@@ -212,10 +213,6 @@ class SearchDriver:
         self.seed = seed
         self.task_timeout = task_timeout
         self.key_prefix = key_prefix
-        #: outer-scheduler hook: called with every ticket this driver
-        #: submits (first attempts *and* retry resubmissions), so a
-        #: shared-evaluator multiplexer can route completions back here
-        self.on_dispatch = on_dispatch
         #: called with every completed record after it is journaled and
         #: told to the strategy — the service's streaming surface
         self.on_record = on_record
@@ -230,6 +227,10 @@ class SearchDriver:
         if self.transfers and self.backend is None and store is None:
             raise ValueError(f"scheme {scheme!r} needs a checkpoint store")
         self.retry = retry or RetryPolicy(max_attempts=1)
+        for knob, value in (("cache", cache), ("async_io", async_io)):
+            if value is not None and not isinstance(value, bool):
+                raise TypeError(f"{knob} must be a bool or None, got "
+                                f"{value!r}")
         if not isinstance(zero_cost, bool):
             raise TypeError(f"zero_cost must be a bool, got {zero_cost!r}; "
                             f"pass a configured gate as the strategy's gate=")
@@ -243,22 +244,15 @@ class SearchDriver:
         # the supernet backend performs no checkpoint I/O at all, so it
         # gets neither a cache nor a write-behind writer) --
         uses_store = self.transfers and self.backend is None
-        self.weight_cache = make_cache(cache) if uses_store else None
-        self.writer = None
-        self._owns_writer = False
-        if uses_store and async_io:
-            if isinstance(async_io, AsyncCheckpointWriter):
-                self.writer = async_io
-            else:
-                self.writer = AsyncCheckpointWriter(store)
-                self._owns_writer = True
+        self.weight_cache = WeightCache() if uses_store and cache else None
+        self.writer = AsyncCheckpointWriter(store) \
+            if uses_store and async_io else None
         # the PlanCache is shared by every search in this process:
         # finalize() reports only what accrued after this snapshot
         self._plan_stats0: Optional[dict] = None
         if engine == "plan":
             from ..tensor.engine import get_plan_cache
             self._plan_stats0 = get_plan_cache().stats()
-        self._saved_keys: set[str] = set()   # saved this run (disk/queued)
         #: write-behind saves whose records are still held, by key
         self._saves: dict[str, Future] = {}
         #: completed records not yet journaled, in completion order: a
@@ -334,8 +328,14 @@ class SearchDriver:
         return len(self._pending) + len(self._backoff)
 
     def pending_tickets(self) -> list[int]:
-        """The tickets currently owned by this driver (cancel support)."""
+        """The tickets currently owned by this driver: what a
+        multiplexer counts as in flight and abandons at teardown."""
         return list(self._pending)
+
+    def owns(self, ticket: int) -> bool:
+        """Whether ``ticket`` is one of this driver's in-flight tickets
+        (how a multiplexer routes a completion from a shared fleet)."""
+        return ticket in self._pending
 
     @property
     def next_deadline(self) -> Optional[float]:
@@ -365,36 +365,33 @@ class SearchDriver:
         own write-behind save when it has not landed yet; returns None
         when the checkpoint does not exist anywhere — its save failed,
         or it turned out corrupt, in which case it is quarantined — and
-        the candidate cold-starts."""
+        the candidate cold-starts.  A cache hit never waits on a save
+        still running; a save known to have failed skips the cache."""
         store, weight_cache = self.store, self.weight_cache
-        if weight_cache is not None:
+        save = self._saves.get(key)
+        failed = save is not None and save.done() \
+            and save.exception() is not None
+        if weight_cache is not None and not failed:
             weights = weight_cache.get(key)
             if weights is not None:
                 record.cache_hit = True
                 return weights
-        if key not in self._saved_keys and not store.exists(key):
-            return None
         io0 = time.perf_counter()
-        save = self._saves.get(key)
-        if save is not None and save.exception() is not None:
-            # the save failed: a missing provider (booked when it lands)
-            record.add_io_blocked(time.perf_counter() - io0)
-            return None
         try:
+            if save is not None and save.exception() is not None:
+                return None        # a failed save: booked when it lands
             weights = store.load(key)
         except CorruptCheckpointError:
-            record.add_io_blocked(time.perf_counter() - io0)
             self.fault_stats.record_fault("corrupt_checkpoint")
             self.fault_stats.quarantined += 1
             store.quarantine(key)
-            self._saved_keys.discard(key)
             if weight_cache is not None:
                 weight_cache.discard(key)
             return None                    # cold-start fallback
         except FileNotFoundError:
+            return None                    # never saved, or save failed
+        finally:
             record.add_io_blocked(time.perf_counter() - io0)
-            return None
-        record.add_io_blocked(time.perf_counter() - io0)
         if weight_cache is not None:
             weight_cache.put(key, weights)
         return weights
@@ -453,10 +450,7 @@ class SearchDriver:
         """(Re)submit a pending candidate's task to the evaluator."""
         if self.task_timeout is not None:
             pend.deadline = time.monotonic() + self.task_timeout
-        ticket = self.evaluator.submit(pend.task)
-        self._pending[ticket] = pend
-        if self.on_dispatch is not None:
-            self.on_dispatch(ticket)
+        self._pending[self.evaluator.submit(pend.task)] = pend
 
     # -- completion side -------------------------------------------------
     def _finalize_record(self, pend: _Pending, record_update) -> None:
@@ -496,7 +490,8 @@ class SearchDriver:
                 except Exception:
                     # a failed save costs the checkpoint, not the search
                     self.fault_stats.record_fault("ckpt_write")
-                    self._saved_keys.discard(key)
+                    if self.weight_cache is not None:
+                        self.weight_cache.discard(key)
                 else:
                     record.ckpt_bytes = info.nbytes
                     record.add_io_hidden(seconds)
@@ -553,6 +548,7 @@ class SearchDriver:
                 key = self._key(record.candidate_id)
                 meta = {"arch_seq": list(record.arch_seq),
                         "score": record.score, "scheme": self.scheme}
+                saved = True
                 io0 = time.perf_counter()
                 if self.writer is not None:
                     # write-behind: only the snapshot + enqueue blocks
@@ -560,7 +556,6 @@ class SearchDriver:
                     # the record lands
                     self._saves[key] = self.writer.save(
                         key, result.weights, meta=meta)
-                    self._saved_keys.add(key)
                 else:
                     try:
                         info = self.store.save(key, result.weights,
@@ -570,13 +565,14 @@ class SearchDriver:
                         # open, disk gone) costs the checkpoint, not
                         # the search: children cold-start instead
                         self.fault_stats.record_fault("ckpt_write")
+                        saved = False
                     else:
                         record.ckpt_bytes = info.nbytes
-                        self._saved_keys.add(key)
                 record.add_io_blocked(time.perf_counter() - io0)
-                if self.weight_cache is not None:
+                if saved and self.weight_cache is not None:
                     # write-through: children of this candidate hit in
-                    # memory
+                    # memory (a write-behind save that fails is
+                    # discarded again when it lands)
                     self.weight_cache.put(key, result.weights)
         self._finalize_record(pend, apply)
 
@@ -662,7 +658,7 @@ class SearchDriver:
     def close(self) -> None:
         """Land every held record — waiting for its write-behind save —
         then close the journal.  Idempotent; called by :meth:`finalize`,
-        which also closes an owned write-behind writer."""
+        which also closes the write-behind writer."""
         try:
             self.land(wait=True)
         finally:
@@ -691,11 +687,8 @@ class SearchDriver:
                 if errors:
                     io_stats["writer_errors"] = [
                         f"{key}: {msg}" for key, msg in errors]
-                if self._owns_writer:
-                    try:
-                        writer.close()
-                    except Exception:
-                        pass          # errors already in writer_errors
+                with contextlib.suppress(Exception):
+                    writer.close()    # errors already in writer_errors
         if self.weight_cache is not None:
             io_stats["cache"] = self.weight_cache.stats()
         if io_stats:
@@ -828,7 +821,7 @@ def run_search(problem, strategy, num_candidates: int, *,
         while not driver.done:
             driver.step()
     except BaseException:
-        # the drain barrier also closes an owned write-behind writer, so
+        # the drain barrier also closes the write-behind writer, so
         # a failed search leaves no thread still saving into the store;
         # the search's own error is the one that propagates
         with contextlib.suppress(Exception):

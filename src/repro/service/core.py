@@ -11,9 +11,11 @@ The building block is the re-entrant
 :class:`repro.cluster.scheduler.SearchDriver`: the service never calls
 ``driver.step()`` — it calls ``driver.submit_next()`` when the fair-share
 scheduler grants the session a slot, waits on the *shared* evaluator,
-and routes each completion back to its owning driver by ticket
-(``driver.complete`` ignores tickets it does not own, so routing
-mistakes are inert).
+and routes each completion to the running session whose driver
+:meth:`~repro.cluster.scheduler.SearchDriver.owns` its ticket.  The
+drivers are the only record of which tickets are in flight: the fleet's
+and each tenant's in-flight counts are summed from them, never kept
+alongside.
 
 Fault isolation, by construction:
 
@@ -45,6 +47,11 @@ Fault isolation, by construction:
 - **Crashes**: a driver that raises out of containment (a buggy
   strategy, a broken problem) marks *that session* FAILED; its tickets
   are abandoned and every other session keeps running.
+- **Teardown**: every session ends through one path — its tickets are
+  abandoned, then its driver finalizes (landing held records, closing
+  its journal) under containment, so a session whose last records
+  raise on landing ends with the error in its status, cancelled,
+  failed or interrupted alike, and never takes the drive loop down.
 
 Admission control is reject-with-backpressure: a full session queue or
 an over-quota tenant gets an immediate :class:`AdmissionError` — the
@@ -87,12 +94,11 @@ __all__ = [
 ]
 
 #: Lock-discipline assertion (lint R004/R007): the session table, the
-#: ticket routing map, the tenant accounting and the drain flag are
-#: shared between the drive thread and tenant-facing API calls.  Every
-#: write must hold ``self._lock`` (rank 5 — the outermost lock in the
-#: repo hierarchy); driver/evaluator/store calls happen outside it.
-_GUARDED_ATTRS = ("_sessions", "_queued", "_ticket_owner",
-                  "_tenant_inflight", "_tenant_rotor", "_draining",
+#: admission queue, the tenant rotor and the drain flag are shared
+#: between the drive thread and tenant-facing API calls.  Every write
+#: must hold ``self._lock`` (rank 5 — the outermost lock in the repo
+#: hierarchy); driver/evaluator/store calls happen outside it.
+_GUARDED_ATTRS = ("_sessions", "_queued", "_tenant_rotor", "_draining",
                   "_driving", "_seq")
 
 _RECORD_DONE = object()          # per-session stream sentinel
@@ -198,16 +204,29 @@ class _Session:
     or under the service lock (flags)."""
 
     def __init__(self, session_id: str, spec: SessionSpec,
-                 driver: SearchDriver, evaluator):
+                 driver: SearchDriver):
         self.session_id = session_id
         self.spec = spec
         self.driver = driver
-        self.evaluator = evaluator       # session view (maybe chaos-wrapped)
         self.state = SessionState.QUEUED
         self.error: Optional[str] = None
         self.cancel_requested = False
         self.trace: Optional[Trace] = None
         self.records: "queue.SimpleQueue" = queue.SimpleQueue()
+
+
+def _tickets_by_tenant(running: list[_Session]) -> dict[str, int]:
+    """Fleet tickets held per tenant, summed from the given running
+    sessions' drivers — the only record of what is in flight.  A retry
+    backing off holds no ticket, so it takes no fleet slot.  Callers
+    snapshot the sessions under ``SearchService._lock`` and count
+    outside it."""
+    by_tenant: dict[str, int] = {}
+    for s in running:
+        n = len(s.driver.pending_tickets())
+        if n:
+            by_tenant[s.spec.tenant] = by_tenant.get(s.spec.tenant, 0) + n
+    return by_tenant
 
 
 class SearchService:
@@ -266,8 +285,6 @@ class SearchService:
         self._lock = make_lock("SearchService._lock")
         self._sessions: dict[str, _Session] = {}
         self._queued: list[str] = []            # admission FIFO
-        self._ticket_owner: dict[int, str] = {} # shared-fleet routing map
-        self._tenant_inflight: dict[str, int] = {}
         self._draining = False
         self._driving = False
         self._seq = 0
@@ -327,13 +344,6 @@ class SearchService:
             journal = self.journal_dir / f"{session_id}.jsonl"
         holder: dict[str, _Session] = {}
 
-        def on_dispatch(ticket: int) -> None:
-            with self._lock:
-                self._ticket_owner[ticket] = session_id
-                tenant = spec.tenant
-                self._tenant_inflight[tenant] = \
-                    self._tenant_inflight.get(tenant, 0) + 1
-
         def on_record(record: TraceRecord) -> None:
             holder["session"].records.put(record)
             if spec.on_record is not None:
@@ -349,10 +359,10 @@ class SearchService:
             engine=spec.engine,
             journal=journal, resume=resume,
             key_prefix=f"{session_id}--",
-            on_dispatch=on_dispatch, on_record=on_record,
+            on_record=on_record,
             **spec.extra_driver_kwargs,
         )
-        session = _Session(session_id, spec, driver, evaluator)
+        session = _Session(session_id, spec, driver)
         holder["session"] = session
         return session
 
@@ -404,27 +414,25 @@ class SearchService:
         s = self._get(session_id)
         s.cancel_requested = True
 
-    def sessions(self) -> list[SessionStatus]:
-        with self._lock:
-            ids = list(self._sessions)
-        return [self.poll(sid) for sid in ids]
-
     def stats(self) -> dict:
         """Service-level aggregate (fleet + admission view)."""
         with self._lock:
             sessions = list(self._sessions.values())
-            by_state: dict[str, int] = {}
-            for s in sessions:
-                by_state[s.state] = by_state.get(s.state, 0) + 1
-            return {
-                "sessions": len(sessions),
-                "by_state": by_state,
-                "queued": len(self._queued),
-                "in_flight": len(self._ticket_owner),
-                "tenant_inflight": {t: n for t, n in
-                                    self._tenant_inflight.items() if n},
-                "draining": self._draining,
-            }
+            queued = len(self._queued)
+            draining = self._draining
+        by_state: dict[str, int] = {}
+        for s in sessions:
+            by_state[s.state] = by_state.get(s.state, 0) + 1
+        tenant_inflight = _tickets_by_tenant(
+            [s for s in sessions if s.state == SessionState.RUNNING])
+        return {
+            "sessions": len(sessions),
+            "by_state": by_state,
+            "queued": queued,
+            "in_flight": sum(tenant_inflight.values()),
+            "tenant_inflight": tenant_inflight,
+            "draining": draining,
+        }
 
     # ------------------------------------------------------------------
     # the drive loop (single thread: caller's or the background one)
@@ -445,7 +453,7 @@ class SearchService:
                 self._finish_completed()
                 if not self._is_draining():
                     self._submit_round()
-                if self._outstanding() > 0:
+                if self._outstanding():
                     self._wait_once()
                     continue
                 budget = self._wait_budget()
@@ -479,9 +487,8 @@ class SearchService:
         with self._lock:
             return self._draining
 
-    def _outstanding(self) -> int:
-        with self._lock:
-            return len(self._ticket_owner)
+    def _outstanding(self) -> bool:
+        return any(s.driver.pending_tickets() for s in self._running())
 
     def _any_active(self) -> bool:
         with self._lock:
@@ -523,26 +530,26 @@ class SearchService:
         tenant per turn, until the fleet is full or nobody is eligible.
         Per-tenant in-flight stays under ``tenant_quota``."""
         while True:
+            running = self._running()
+            tenant_inflight = _tickets_by_tenant(running)
+            if sum(tenant_inflight.values()) >= self.max_in_flight:
+                return
+            # a session backing off a retry proposes nothing new until
+            # the retry is resubmitted; its fleet slot serves the other
+            # sessions meanwhile
+            runnable = [s for s in running
+                        if not s.cancel_requested
+                        and s.driver.wants_submit
+                        and s.driver.next_retry_due is None]
+            tenants = sorted({s.spec.tenant for s in runnable})
+            if not tenants:
+                return
             with self._lock:
-                if len(self._ticket_owner) >= self.max_in_flight:
-                    return
-                # a session backing off a retry proposes nothing new
-                # until the retry is resubmitted; its fleet slot serves
-                # the other sessions meanwhile
-                runnable = [s for s in self._sessions.values()
-                            if s.state == SessionState.RUNNING
-                            and not s.cancel_requested
-                            and s.driver.wants_submit
-                            and s.driver.next_retry_due is None]
-                tenants = sorted({s.spec.tenant for s in runnable})
-                if not tenants:
-                    return
                 pick = None
                 for i in range(len(tenants)):
                     tenant = tenants[(self._tenant_rotor + i)
                                      % len(tenants)]
-                    if self._tenant_inflight.get(tenant, 0) \
-                            >= self.tenant_quota:
+                    if tenant_inflight.get(tenant, 0) >= self.tenant_quota:
                         continue
                     for s in runnable:      # first runnable session wins
                         if s.spec.tenant == tenant:
@@ -555,8 +562,7 @@ class SearchService:
                 if pick is None:
                     return
             # driver call outside the service lock: submission touches
-            # the store/evaluator/cache locks (ranks 15+) and re-enters
-            # via on_dispatch
+            # the store/evaluator/cache locks (ranks 15+)
             try:
                 pick.driver.submit_next()
             except Exception as exc:
@@ -573,30 +579,24 @@ class SearchService:
                 self._fail_session(s, exc)
 
     def _wait_once(self) -> None:
-        """Wait on the *shared* evaluator, route one completion to its
-        owning session; sweep deadlines on timeout (a retry falling due
-        is dispatched on the next loop turn)."""
+        """Wait on the *shared* evaluator, route one completion to the
+        running session that owns its ticket; sweep deadlines on timeout
+        (a retry falling due is dispatched on the next loop turn)."""
         budget = self._wait_budget()
         try:
             ticket, result = self.evaluator.wait_any(timeout=budget)
         except WaitTimeout:
             self._sweep_deadlines()
             return
-        with self._lock:
-            sid = self._ticket_owner.pop(ticket, None)
-            if sid is not None:
-                session = self._sessions[sid]
-                tenant = session.spec.tenant
-                self._tenant_inflight[tenant] = \
-                    max(0, self._tenant_inflight.get(tenant, 0) - 1)
-        if sid is None:
+        session = next((s for s in self._running()
+                        if s.driver.owns(ticket)), None)
+        if session is None:
             return                       # abandoned/cancelled ticket
         try:
             session.driver.complete(ticket, result)
         except Exception as exc:
             self._fail_session(session, exc)
             return
-        self._reconcile(session)
         if session.driver.done:
             self._finish(session, SessionState.DONE)
 
@@ -615,41 +615,19 @@ class SearchService:
             except Exception as exc:
                 self._fail_session(s, exc)
                 continue
-            self._reconcile(s)
             if s.driver.done:
                 self._finish(s, SessionState.DONE)
 
-    def _reconcile(self, session: _Session) -> None:
-        """Drop routing entries for tickets the driver no longer owns
-        (abandoned stragglers, swept deadlines) so the outstanding
-        count never waits on a completion that will never arrive."""
-        live = set(session.driver.pending_tickets())
-        with self._lock:
-            stale = [t for t, sid in self._ticket_owner.items()
-                     if sid == session.session_id and t not in live]
-            for t in stale:
-                del self._ticket_owner[t]
-                tenant = session.spec.tenant
-                self._tenant_inflight[tenant] = \
-                    max(0, self._tenant_inflight.get(tenant, 0) - 1)
-
     # -- lifecycle transitions (drive thread only) ----------------------
-    def _abandon_tickets(self, session: _Session) -> None:
-        with self._lock:
-            owned = [t for t, sid in self._ticket_owner.items()
-                     if sid == session.session_id]
-            for t in owned:
-                del self._ticket_owner[t]
-            tenant = session.spec.tenant
-            if owned:
-                self._tenant_inflight[tenant] = max(
-                    0, self._tenant_inflight.get(tenant, 0) - len(owned))
+    def _finish(self, session: _Session, state: str) -> None:
+        """The one way a session ends: abandon its tickets on the fleet,
+        then finalize its driver — landing held records and closing its
+        journal — under containment.  An error there is kept in the
+        session's status; it never escapes into the drive loop."""
         abandon = getattr(self.evaluator, "abandon", None)
         if abandon is not None:
-            for t in owned:
-                abandon(t)
-
-    def _finish(self, session: _Session, state: str) -> None:
+            for ticket in session.driver.pending_tickets():
+                abandon(ticket)
         session.state = state
         try:
             session.trace = session.driver.finalize()
@@ -664,11 +642,6 @@ class SearchService:
         session dies alone — tickets abandoned, partial trace kept,
         every other session untouched."""
         session.error = repr(exc)
-        self._abandon_tickets(session)
-        try:
-            session.driver.close()
-        except Exception:
-            pass
         self._finish(session, SessionState.FAILED)
 
     def _process_cancellations(self) -> None:
@@ -680,8 +653,6 @@ class SearchService:
                 if s.session_id in self._queued:
                     self._queued.remove(s.session_id)
         for s in requested:
-            self._abandon_tickets(s)
-            s.driver.close()
             self._finish(s, SessionState.CANCELLED)
 
     def _interrupt_active(self) -> None:
@@ -693,8 +664,6 @@ class SearchService:
                       if s.state in SessionState.ACTIVE]
             self._queued.clear()
         for s in active:
-            self._abandon_tickets(s)
-            s.driver.close()
             self._finish(s, SessionState.INTERRUPTED)
 
     # ------------------------------------------------------------------

@@ -91,6 +91,13 @@ def test_fast_path_trace_matches_synchronous_run(problem, space, tmp_path,
         assert fast.io_stats["cache"]["hits"] > 0
 
 
+@pytest.mark.parametrize("value", [1 << 20, "on"], ids=["budget", "str"])
+@pytest.mark.parametrize("knob", ["cache", "async_io"])
+def test_io_knobs_take_a_bool(problem, space, tmp_path, knob, value):
+    with pytest.raises(TypeError, match=knob):
+        search(problem, space, tmp_path, "knob", n=1, **{knob: value})
+
+
 def test_overhead_is_always_blocked_plus_hidden(problem, space, tmp_path):
     for tag, kw in [("a", {}), ("b", dict(cache=True, async_io=True))]:
         trace, _ = search(problem, space, tmp_path, tag, n=6, **kw)
@@ -140,25 +147,34 @@ class _FailingStore(CheckpointStore):
         return super().save(key, weights, meta)
 
 
+@pytest.mark.parametrize("cache", [None, True], ids=["nocache", "cache"])
 def test_failed_write_behind_save_costs_the_checkpoint_not_the_search(
-        problem, space, tmp_path):
+        problem, space, tmp_path, cache):
     """A failed save is a missing provider on both paths: its children
-    cold-start, and each failed save is booked as one fault."""
+    cold-start, and each failed save is booked as one fault.  The cache
+    never serves weights whose synchronous save failed."""
     fail = {checkpoint_key(i) for i in range(4)}
-    runs = {}
-    for async_io in (False, True):
-        store = _FailingStore(tmp_path / f"async{async_io}", fail)
-        runs[async_io] = run_search(problem, evolution(space), 10,
-                                    scheme="lcs", store=store, seed=0,
-                                    async_io=async_io)
-    sync, fast = runs[False], runs[True]
-    assert len(fast) == 10
+
+    def run(tag, **kw):
+        return run_search(problem, evolution(space), 10, scheme="lcs",
+                          store=_FailingStore(tmp_path / tag, fail), seed=0,
+                          **kw)
+
+    plain = run("plain")
+    sync = run("sync", cache=cache)
+    fast = run("fast", cache=cache, async_io=True)
     assert all(r.ok for r in sync.records[:4])       # all four did save
-    assert decisions(fast) == decisions(sync)
+    assert decisions(sync) == decisions(plain)
+    assert not any(r.provider_id in range(4) for r in sync)
     assert sync.fault_stats["by_kind"]["ckpt_write"] == 4
+    assert len(fast) == 10
     assert fast.fault_stats["by_kind"]["ckpt_write"] == 4
     assert len(fast.io_stats["writer_errors"]) == 4
     assert all(r.ckpt_bytes == 0 for r in fast.records[:4])
+    if cache is None:
+        # with a cache, a child may hit a write-behind save that is
+        # still running and fails later: only the uncached run is exact
+        assert decisions(fast) == decisions(plain)
 
 
 class _HeldStore(CheckpointStore):

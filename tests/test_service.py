@@ -4,12 +4,16 @@ import json
 import os
 import signal
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.checkpoint import ShardedCheckpointStore
+from repro.checkpoint import CheckpointStore, ShardedCheckpointStore
 from repro.cluster import (
     RetryPolicy,
     SerialEvaluator,
@@ -215,6 +219,35 @@ def test_retry_backoff_does_not_stall_other_sessions(space, problem,
     assert clean.poll().state == SessionState.INTERRUPTED
 
 
+def test_deadline_sweep_on_the_shared_fleet(space, problem, tmp_path):
+    """Every task of one session hangs past its deadline on a shared
+    2-worker fleet: the sweep times each attempt out, retries it once
+    and lands it failed, while the other session's records come out as
+    they do solo and nothing is left counted in flight."""
+    n = 3                      # below the population: asks ignore order
+    solo = run_search(problem, _strategy(space, 1), n, scheme="baseline",
+                      evaluator=SerialEvaluator(), seed=1)
+    with ThreadPoolEvaluator(num_workers=2) as evaluator:
+        svc = SearchService(evaluator=evaluator, journal_dir=tmp_path / "j")
+        hung = svc.submit(_spec(
+            space, problem, 0, tenant="hung", n=n, scheme="baseline",
+            chaos={"hang_prob": 1.0, "hang_seconds": 0.3, "seed": 0},
+            task_timeout=0.05,
+            retry=RetryPolicy(2, base_delay=0, jitter=0)))
+        clean = svc.submit(_spec(space, problem, 1, tenant="clean", n=n,
+                                 scheme="baseline"))
+        svc.drive()
+        assert svc.stats()["in_flight"] == 0
+    assert hung.poll().state == clean.poll().state == SessionState.DONE
+    hung_trace = hung.result()
+    assert hung_trace.fault_stats["by_kind"] == {"timeout": 2 * n}
+    assert all(not r.ok and r.error.startswith("timeout")
+               for r in hung_trace)
+    got = sorted(clean.result().records, key=lambda r: r.candidate_id)
+    assert [_record_key(r) for r in got] == \
+        [_record_key(r) for r in solo.records]
+
+
 def test_queued_session_holds_no_open_journal(space, problem, tmp_path):
     svc = SearchService(evaluator=SerialEvaluator(),
                         journal_dir=tmp_path / "j")
@@ -268,9 +301,8 @@ def test_tenant_quota_caps_in_flight_share(space, problem, tmp_path):
 
     def watched_submit_round():
         orig_submit_round()
-        with svc._lock:
-            peak["greedy"] = max(peak["greedy"],
-                                 svc._tenant_inflight.get("greedy", 0))
+        peak["greedy"] = max(peak["greedy"],
+                             svc.stats()["tenant_inflight"].get("greedy", 0))
     svc._submit_round = watched_submit_round
     for seed in range(4):
         svc.submit(_spec(space, problem, seed, tenant="greedy", n=3,
@@ -359,6 +391,70 @@ def test_cancel_mid_run_keeps_partial_trace(space, problem, tmp_path):
     assert handle.poll().state == SessionState.CANCELLED
     partial = handle.result()
     assert 2 <= len(partial) < 6
+
+
+class _GatedStore(CheckpointStore):
+    """A store whose saves wait until ``release`` is set."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.release = threading.Event()
+
+    def save(self, key, weights, meta=None):
+        if not self.release.wait(30):
+            raise TimeoutError(f"{key} was never released")
+        return super().save(key, weights, meta)
+
+
+@pytest.mark.parametrize("teardown", ["cancel", "drain"])
+def test_teardown_contains_a_record_that_raises_on_landing(
+        space, problem, tmp_path, teardown):
+    """A session torn down while its records wait on write-behind saves
+    lands them as it ends; the tenant's ``on_record`` raising there ends
+    that session with the error in its status, not the drive loop."""
+    store = _GatedStore(tmp_path / "s")
+    svc = SearchService(evaluator=SerialEvaluator(), store=store,
+                        journal_dir=tmp_path / "j")
+
+    def explode(record):
+        raise RuntimeError("tenant callback bug")
+
+    victim = svc.submit(_spec(space, problem, 0, tenant="victim", n=4,
+                              on_record=explode,
+                              extra_driver_kwargs={"async_io": True}))
+
+    held: list = []
+
+    def on_other(record):
+        if record.candidate_id != 2:             # the other's last record
+            return
+        held.append(victim.poll().completed)
+        if teardown == "cancel":
+            victim.cancel()
+            store.release.set()
+        else:
+            svc.request_drain()
+
+    other = svc.submit(_spec(space, problem, 1, tenant="other", n=3,
+                             scheme="baseline", on_record=on_other))
+    if teardown == "drain":
+        # release the saves only once the drain epilogue ends the victim
+        interrupt = svc._interrupt_active
+
+        def release_then_interrupt():
+            store.release.set()
+            interrupt()
+        svc._interrupt_active = release_then_interrupt
+    try:
+        svc.drive()
+    finally:
+        store.release.set()
+    assert held and held[0] >= 1        # a completed record was held
+    status = victim.poll()
+    assert status.state == (SessionState.CANCELLED if teardown == "cancel"
+                            else SessionState.INTERRUPTED)
+    assert "tenant callback bug" in status.error
+    assert other.poll().state == SessionState.DONE
 
 
 def test_stream_yields_records_in_completion_order(space, problem,
@@ -480,3 +576,81 @@ def test_context_manager_drains_on_exit(space, problem, tmp_path):
         for _ in handle.stream():
             pass
     assert handle.poll().state == SessionState.DONE
+
+
+# ---------------------------------------------------------------------------
+# generated interleavings
+# ---------------------------------------------------------------------------
+
+_tenants = st.lists(
+    st.tuples(st.integers(0, 99),                 # seed
+              st.integers(2, 5),                  # candidates
+              st.sampled_from([0.0, 0.3])),       # chaos crash probability
+    min_size=2, max_size=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tenants=_tenants, max_active=st.integers(1, 3),
+       cancel=st.none() | st.tuples(st.integers(0, 2), st.integers(1, 5)))
+def test_generated_interleavings_keep_the_service_invariants(
+        space, problem, tenants, max_active, cancel):
+    """Random tenant mixes, fair-share widths and self-cancellations on
+    one serial fleet: every session ends terminal, each record sees
+    ``submitted == completed + in_flight``, no candidate id repeats,
+    clean sessions match their solo runs and chaos sessions book exactly
+    the crashes injected into them."""
+    if cancel is not None:
+        cancel = (cancel[0] % len(tenants), cancel[1])
+    violations: list = []
+    handles: list = []
+
+    def watch(i):
+        seen = []
+
+        def on_record(record):
+            seen.append(record.candidate_id)
+            status = handles[i].poll()
+            if status.submitted != status.completed + status.in_flight:
+                violations.append((i, status))
+            if cancel is not None and cancel == (i, len(seen)):
+                handles[i].cancel()
+        return on_record
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        svc = SearchService(evaluator=SerialEvaluator(),
+                            store=ShardedCheckpointStore(root / "s"),
+                            journal_dir=root / "j",
+                            max_active_sessions=max_active)
+        for i, (seed, n, crash) in enumerate(tenants):
+            chaos = {"crash_prob": crash, "seed": seed} if crash else None
+            handles.append(svc.submit(_spec(
+                space, problem, seed, tenant=f"t{i}", n=n, chaos=chaos,
+                retry=RetryPolicy(2, base_delay=0, jitter=0),
+                on_record=watch(i))))
+        svc.drive()
+        assert violations == []
+        assert svc.stats()["in_flight"] == 0
+        for i, (seed, n, crash) in enumerate(tenants):
+            status = handles[i].poll()
+            assert status.state in (SessionState.DONE,
+                                    SessionState.CANCELLED), status
+            trace = handles[i].result()
+            ids = [r.candidate_id for r in trace]
+            assert len(ids) == len(set(ids))
+            cancelled = cancel is not None and cancel[0] == i \
+                and cancel[1] < n
+            if not cancelled:
+                assert status.state == SessionState.DONE
+                assert ids == list(range(n))
+            if crash:
+                faults = trace.fault_stats
+                assert faults["by_kind"].get("injected", 0) == \
+                    faults["chaos"]["injected"]["crash"]
+            elif not cancelled:
+                solo = run_search(
+                    problem, _strategy(space, seed), n, scheme="lcs",
+                    store=ShardedCheckpointStore(root / f"solo{i}"),
+                    evaluator=SerialEvaluator(), seed=seed)
+                assert [_record_key(r) for r in trace] == \
+                    [_record_key(r) for r in solo]

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.checkpoint import WeightCache, make_cache, weights_nbytes
+from repro.checkpoint import WeightCache, weights_nbytes
 
 
 def weights(seed=0, n=64):
@@ -114,14 +114,7 @@ def test_thread_safety_under_concurrent_get_put():
         e.nbytes for e in cache._entries.values())
 
 
-def test_make_cache_normalisation():
-    assert make_cache(None) is None
-    assert make_cache(False) is None
-    assert isinstance(make_cache(True), WeightCache)
-    sized = make_cache(1234)
-    assert sized.max_bytes == 1234
-    existing = WeightCache()
-    assert make_cache(existing) is existing
-    with pytest.raises(ValueError):
-        WeightCache(max_bytes=0)
 
+def test_non_positive_budget_is_rejected():
+    with pytest.raises(ValueError, match="max_bytes"):
+        WeightCache(max_bytes=0)
