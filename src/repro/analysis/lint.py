@@ -46,19 +46,12 @@ debugging paid for, now machine-enforced:
            not escape into pickling boundaries (``pickle.dump(s)``,
            process-pool ``submit``) — the serialized copy severs
            shared storage.
- R010      Compiled engine step bodies (``repro/tensor/engine.py``
-           functions named ``execute*`` or ``run_step``) must not
-           allocate: no fresh-array/``pad``/``concatenate`` NumPy
-           calls, no ``.copy``/``.astype``/``.reshape``/``.ravel``/
-           ``.flatten`` — the steady-state zero-allocation contract
-           means every buffer and view is created at trace time and
-           steps only write through ``out=``.
 ========  ============================================================
 
 Rules R004/R007-R009 come from the whole-program analyzer in
 :mod:`repro.analysis.concurrency`, which runs over every non-test file
 in the linted set at once (guard inference needs the cross-module call
-graph).  R001-R006 and R010 remain single-file checks.
+graph).  R001-R006 remain single-file checks.
 
 Suppression: append ``# lint: ignore[R001]`` (or a comma-separated
 list, or bare ``# lint: ignore``) to the offending line.
@@ -92,16 +85,6 @@ _STEP_ALLOCATORS = _BARE_ALLOCATORS | {
 #: NumPy gathers that allocate inside optimizer ``step`` bodies (R003)
 #: unless they write into a preallocated ``out=`` buffer.
 _STEP_GATHERS = frozenset({"concatenate", "stack"})
-#: NumPy calls banned inside engine step bodies (R010): anything that
-#: returns a fresh array.  ``np.take(..., out=)`` and ``out=`` ufuncs
-#: are the sanctioned steady-state tools.
-_ENGINE_STEP_ALLOCATORS = _STEP_ALLOCATORS | {
-    "pad", "concatenate", "stack", "split", "expand_dims",
-}
-#: ndarray methods that materialise (or may materialise) a fresh array.
-_ENGINE_ALLOC_METHODS = frozenset({
-    "copy", "astype", "reshape", "ravel", "flatten",
-})
 _NUMPY_NAMES = frozenset({"np", "numpy"})
 
 _IGNORE_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Za-z0-9,\s]+)\])?")
@@ -116,7 +99,6 @@ RULES = {
     "R007": "shared mutable state written outside the owning lock (inferred)",
     "R008": "lock-order cycle or lock-hierarchy violation",
     "R009": "zero-copy buffer view escapes into a pickling boundary",
-    "R010": "allocation inside a compiled engine step body",
 }
 
 
@@ -233,43 +215,6 @@ class _R003Visitor(ast.NodeVisitor):
                     node.lineno, node.col_offset,
                     f".{node.func.attr}() allocates inside an optimizer "
                     f"step; use out= ufuncs and reused scratch buffers"))
-        self.generic_visit(node)
-
-
-class _R010Visitor(ast.NodeVisitor):
-    """Allocating calls inside engine ``execute*``/``run_step`` bodies
-    — the static side of the steady-state zero-allocation contract
-    (``tests/test_engine.py`` measures the dynamic side)."""
-
-    def __init__(self):
-        self.findings: list[tuple[int, int, str]] = []
-        self._in_step = 0
-
-    def _visit_func(self, node) -> None:
-        is_step = (node.name == "run_step"
-                   or node.name.startswith("execute"))
-        self._in_step += is_step
-        self.generic_visit(node)
-        self._in_step -= is_step
-
-    visit_FunctionDef = _visit_func
-    visit_AsyncFunctionDef = _visit_func
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._in_step:
-            name = _is_numpy_attr(node.func, _ENGINE_STEP_ALLOCATORS)
-            if name is not None:
-                self.findings.append((
-                    node.lineno, node.col_offset,
-                    f"np.{name} allocates inside a compiled step body; "
-                    f"carve the buffer from the arena at trace time and "
-                    f"write through out="))
-            elif (isinstance(node.func, ast.Attribute)
-                  and node.func.attr in _ENGINE_ALLOC_METHODS):
-                self.findings.append((
-                    node.lineno, node.col_offset,
-                    f".{node.func.attr}() may allocate inside a compiled "
-                    f"step body; precompute the view/buffer at trace time"))
         self.generic_visit(node)
 
 
@@ -396,11 +341,6 @@ def lint_file(path: Path) -> list[Finding]:
         r006.visit(tree)
         raw.extend(("R006", *f) for f in r006.findings)
 
-    if path.name == "engine.py" and in_tensor:
-        r010 = _R010Visitor()
-        r010.visit(tree)
-        raw.extend(("R010", *f) for f in r010.findings)
-
     suppressed = _suppressed_lines(source)
     findings = []
     for code, line, col, msg in raw:
@@ -457,7 +397,7 @@ def lint_paths(paths: Sequence) -> list[Finding]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Repository invariant linter (rules R001-R010).",
+        description="Repository invariant linter (rules R001-R009).",
     )
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to lint "

@@ -74,7 +74,6 @@ LOCK_HIERARCHY: dict[str, int] = {
     "SearchService._lock": 5,
     "ShardedCheckpointStore._lock": 15,
     "ThreadPoolEvaluator._lock": 20,
-    "PlanCache._lock": 25,
     "SuperNet._lock": 30,
     "WeightCache._lock": 40,
     "AsyncCheckpointWriter._lock": 50,

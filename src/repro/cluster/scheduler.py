@@ -120,8 +120,7 @@ class _Pending:
     deadline: Optional[float] = None      # monotonic, None = no deadline
 
 
-def _evaluate_supernet_task(problem, arch_seq, seed, backend, descriptor,
-                            engine="eager"):
+def _evaluate_supernet_task(problem, arch_seq, seed, backend, descriptor):
     """The zero-copy evaluation task: instead of a weight payload the
     worker receives a tiny :class:`~repro.transfer.SliceDescriptor` and
     resolves it by binding the candidate to shared superweight views —
@@ -131,7 +130,7 @@ def _evaluate_supernet_task(problem, arch_seq, seed, backend, descriptor,
         descriptor.provider_arch_seq
     return estimate_candidate(
         problem, arch_seq, seed=seed, supernet=backend,
-        provider_seq=provider_seq, keep_weights=True, engine=engine,
+        provider_seq=provider_seq, keep_weights=True,
     )
 
 
@@ -196,19 +195,14 @@ class SearchDriver:
                  retry: Optional[RetryPolicy] = None,
                  task_timeout: Optional[float] = None,
                  journal=None, resume=None,
-                 engine: str = "eager",
                  key_prefix: str = "",
                  on_record: Optional[Callable[[TraceRecord], None]] = None):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected {SCHEMES}")
-        if engine not in ("eager", "plan"):
-            raise ValueError(f"unknown engine {engine!r}, expected "
-                             f"'eager' or 'plan'")
         self.problem = problem
         self.strategy = strategy
         self.num_candidates = int(num_candidates)
         self.scheme = scheme
-        self.engine = engine
         self.store = store
         self.seed = seed
         self.task_timeout = task_timeout
@@ -247,12 +241,6 @@ class SearchDriver:
         self.weight_cache = WeightCache() if uses_store and cache else None
         self.writer = AsyncCheckpointWriter(store) \
             if uses_store and async_io else None
-        # the PlanCache is shared by every search in this process:
-        # finalize() reports only what accrued after this snapshot
-        self._plan_stats0: Optional[dict] = None
-        if engine == "plan":
-            from ..tensor.engine import get_plan_cache
-            self._plan_stats0 = get_plan_cache().stats()
         #: write-behind saves whose records are still held, by key
         self._saves: dict[str, Future] = {}
         #: completed records not yet journaled, in completion order: a
@@ -425,7 +413,6 @@ class SearchDriver:
             task = functools.partial(
                 _evaluate_supernet_task, self.problem, record.arch_seq,
                 self.seed + candidate_id, self.backend, descriptor,
-                self.engine,
             )
             self._dispatch(_Pending(record, task))
             return
@@ -442,7 +429,7 @@ class SearchDriver:
             estimate_candidate, self.problem, record.arch_seq,
             seed=self.seed + candidate_id, provider_weights=provider_weights,
             matcher=self.scheme if self.transfers else "lcs",
-            keep_weights=self.transfers, engine=self.engine,
+            keep_weights=self.transfers,
         )
         self._dispatch(_Pending(record, task))
 
@@ -476,14 +463,17 @@ class SearchDriver:
         whose save is still running (``wait=True``: wait for it).  So a
         journaled record's checkpoint is on disk — or its save failed,
         booked here as one ``ckpt_write`` fault — and a resume never
-        transfers from a provider the killed run had not saved yet."""
+        transfers from a provider the killed run had not saved yet.  An
+        ``on_record`` that raises does not hold back the records behind
+        it: they land too, and the first error is raised afterwards."""
+        error: Optional[Exception] = None
         while self._held:
             record = self._held[0]
             key = self._key(record.candidate_id)
             save = self._saves.get(key)
             if save is not None:
                 if not (wait or save.done()):
-                    return
+                    break
                 del self._saves[key]
                 try:
                     info, seconds = save.result()
@@ -499,7 +489,12 @@ class SearchDriver:
             if self._journal is not None:
                 self._journal.append(record)
             if self.on_record is not None:
-                self.on_record(record)
+                try:
+                    self.on_record(record)
+                except Exception as exc:
+                    error = error or exc
+        if error is not None:
+            raise error
 
     def _contain_failure(self, pend: _Pending,
                          failure: TaskFailure) -> None:
@@ -668,7 +663,8 @@ class SearchDriver:
     def finalize(self) -> Trace:
         """Drain barrier + stats attachment; returns the trace.  Safe to
         call mid-run (a drained or cancelled session finalizes its
-        partial trace) and idempotent."""
+        partial trace) and idempotent.  An error from landing the last
+        records is raised only after every stat is attached."""
         if self._finalized is not None:
             return self._finalized
 
@@ -677,8 +673,11 @@ class SearchDriver:
         io_stats: dict = {}
         writer = self.writer
         drain0 = time.perf_counter()
+        error: Optional[Exception] = None
         try:
             self.close()
+        except Exception as exc:
+            error = exc
         finally:
             if writer is not None:
                 io_stats["drain_seconds"] = time.perf_counter() - drain0
@@ -727,16 +726,12 @@ class SearchDriver:
                 or "chaos" in fault_dict or "store" in fault_dict):
             self.trace.fault_stats = fault_dict
 
-        if self._plan_stats0 is not None:
-            from ..tensor.engine import get_plan_cache
-            self.trace.engine_stats = {
-                "engine": self.engine,
-                **get_plan_cache().stats_since(self._plan_stats0)}
-
         gate = getattr(self.strategy, "gate", None)
         if gate is not None:
             self.trace.static_stats = gate.stats.as_dict()
         self._finalized = self.trace
+        if error is not None:
+            raise error
         return self.trace
 
 
@@ -749,8 +744,7 @@ def run_search(problem, strategy, num_candidates: int, *,
                cache=None, async_io=False,
                retry: Optional[RetryPolicy] = None,
                task_timeout: Optional[float] = None,
-               journal=None, resume=None,
-               engine: str = "eager") -> Trace:
+               journal=None, resume=None) -> Trace:
     """Run one NAS estimation phase; returns the completed :class:`Trace`.
 
     The thin drive-to-completion wrapper over :class:`SearchDriver`
@@ -798,15 +792,6 @@ def run_search(problem, strategy, num_candidates: int, *,
     (``RetryPolicy(max_attempts=1)`` ≡ no retries, the default).
     ``resume`` replays a :class:`TraceJournal` written by ``journal=``
     (passing only ``resume=`` keeps journaling to the same path).
-
-    ``engine`` selects the training-step executor for every evaluation:
-    ``"eager"`` (the default interpreter) or ``"plan"`` — compiled
-    :class:`repro.tensor.engine.StepPlan` schedules checked out of the
-    per-process :class:`~repro.tensor.engine.PlanCache`, bit-identical
-    scores and traces, substantially faster steps.  The plan-cache
-    counts accrued during the run land in ``trace.engine_stats``.  The
-    cache is shared by every search in the process, so the counts of
-    concurrently running searches overlap.
     """
     driver = SearchDriver(
         problem, strategy, num_candidates, scheme=scheme, store=store,
@@ -815,7 +800,6 @@ def run_search(problem, strategy, num_candidates: int, *,
         transfer_backend=transfer_backend, cache=cache,
         async_io=async_io, retry=retry,
         task_timeout=task_timeout, journal=journal, resume=resume,
-        engine=engine,
     )
     try:
         while not driver.done:

@@ -18,10 +18,10 @@ Heterogeneous clusters (Table II's A100/K80 mix) are modelled with
 ``gpu_speeds`` — per-GPU multipliers on training throughput.
 
 Only the paper's configuration is simulated: the parent provider,
-synchronous checkpoints, the default engine and no admission gate.  The
-loop is the same ask → select → load → transfer → train → save → tell
-sequence as :func:`repro.cluster.run_search`; at one GPU the two give
-identical records (``tests/test_simcluster.py``).
+synchronous checkpoints and no admission gate.  The loop is the same
+ask → select → load → transfer → train → save → tell sequence as
+:func:`repro.cluster.run_search`; at one GPU the two give identical
+records (``tests/test_simcluster.py``).
 
 Fault model (DESIGN.md "Fault tolerance"): ``run(faults=FaultModel(...))``
 injects the cluster pathologies the paper's 32-GPU campaigns live with,

@@ -91,11 +91,6 @@ class Trace:
     #: ``"store"`` for supernet runs) when the search transferred
     #: weights; None for baseline runs
     transfer_stats: Optional[dict] = None
-    #: training-step engine accounting (``engine`` name plus the
-    #: PlanCache hit/miss/trace counts accrued during this run, for
-    #: in-process evaluators) when the search ran with
-    #: ``engine="plan"``; None for eager runs
-    engine_stats: Optional[dict] = None
 
     def append(self, record: TraceRecord) -> None:
         self.records.append(record)
@@ -157,8 +152,6 @@ class Trace:
                 header["fault_stats"] = self.fault_stats
             if self.transfer_stats is not None:
                 header["transfer_stats"] = self.transfer_stats
-            if self.engine_stats is not None:
-                header["engine_stats"] = self.engine_stats
             fh.write(json.dumps(header) + "\n")
             for r in self.records:
                 fh.write(json.dumps(asdict(r)) + "\n")
@@ -172,8 +165,7 @@ class Trace:
                         static_stats=header.get("static_stats"),
                         io_stats=header.get("io_stats"),
                         fault_stats=header.get("fault_stats"),
-                        transfer_stats=header.get("transfer_stats"),
-                        engine_stats=header.get("engine_stats"))
+                        transfer_stats=header.get("transfer_stats"))
             for line in fh:
                 d = json.loads(line)
                 d["arch_seq"] = tuple(d["arch_seq"])

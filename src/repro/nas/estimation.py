@@ -39,8 +39,7 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
                        matcher: str = "lcs",
                        keep_weights: bool = False,
                        supernet=None,
-                       provider_seq=None,
-                       engine: str = "eager") -> EstimationResult:
+                       provider_seq=None) -> EstimationResult:
     """One partial-training evaluation of ``arch_seq``.
 
     ``provider_weights`` (if given) are selectively transferred into the
@@ -56,11 +55,6 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
     ``keep_weights`` the result carries the live views.  A failed
     training run scrubs the candidate's slices so the shared store is
     never left with non-finite values.
-
-    ``engine="plan"`` trains through a compiled
-    :class:`repro.tensor.engine.StepPlan` checked out of the per-process
-    :class:`~repro.tensor.engine.PlanCache` — bit-identical scores; a
-    network's first estimation runs eagerly and repeats share one trace.
     """
     if supernet is not None and provider_weights is not None:
         raise ValueError("pass provider_weights (copy-transfer) or "
@@ -85,7 +79,6 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
             optimizer=problem.optimizer,
             learning_rate=problem.learning_rate,
             rng=np.random.default_rng(seed + 1),
-            engine=engine,
         )
         score = evaluate(model, ds.x_val, ds.y_val, problem.objective)
     except (FloatingPointError, ValueError) as exc:
@@ -127,8 +120,7 @@ class FullTrainResult:
 
 def full_train(problem, arch_seq, *, seed: int = 0,
                initial_weights: Optional[dict] = None,
-               max_epochs: Optional[int] = None,
-               engine: str = "eager") -> FullTrainResult:
+               max_epochs: Optional[int] = None) -> FullTrainResult:
     """Train ``arch_seq`` for the full budget, recording when the paper's
     early-stopping rule would have stopped.
 
@@ -146,7 +138,7 @@ def full_train(problem, arch_seq, *, seed: int = 0,
         epochs=max_epochs, batch_size=problem.batch_size,
         loss=problem.loss, metric=problem.objective,
         optimizer=problem.optimizer, learning_rate=problem.learning_rate,
-        rng=np.random.default_rng(seed + 1), engine=engine,
+        rng=np.random.default_rng(seed + 1),
     )
     rule = EarlyStopping(problem.es_threshold, problem.es_patience,
                          problem.es_min_epochs)

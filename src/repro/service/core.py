@@ -150,6 +150,10 @@ class SessionSpec:
     #: unset; it goes once the svc-mix benchmark stops setting it
     #: (ROADMAP.md item 1)
     prefetch: bool = False
+    #: ``"eager"`` or ``"plan"``, and never forwarded: every fit trains
+    #: eagerly, which a plan step matched bit for bit, so both decide
+    #: the same search.  It goes once the svc-mix benchmark stops
+    #: setting it (ROADMAP.md item 1)
     engine: str = "eager"
     #: per-session chaos: kwargs for ChaosEvaluator (crash_prob /
     #: hang_prob / corrupt_prob / hang_seconds / seed) — faults drawn
@@ -158,6 +162,11 @@ class SessionSpec:
     #: optional per-record callback (in addition to ``stream``)
     on_record: Optional[Callable[[TraceRecord], None]] = None
     extra_driver_kwargs: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.engine not in ("eager", "plan"):
+            raise ValueError(f"unknown engine {self.engine!r}, expected "
+                             f"'eager' or 'plan'")
 
 
 @dataclass(frozen=True)
@@ -356,7 +365,6 @@ class SearchService:
             name=f"{session_id}-{spec.scheme}",
             retry=spec.retry, task_timeout=spec.task_timeout,
             cache=spec.cache if spec.cache is not None else spec.prefetch,
-            engine=spec.engine,
             journal=journal, resume=resume,
             key_prefix=f"{session_id}--",
             on_record=on_record,

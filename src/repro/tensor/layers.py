@@ -407,11 +407,13 @@ class Concatenate(Layer):
             raise BuildError(
                 f"{self.name}: Concatenate needs flat inputs, got {shapes}"
             )
-        self._splits = np.cumsum([s[0] for s in shapes])[:-1]
+        ends = np.cumsum([s[0] for s in shapes])
+        self._slices = [slice(int(e) - s[0], int(e))
+                        for e, s in zip(ends, shapes)]
         return (int(sum(s[0] for s in shapes)),), {}
 
     def forward(self, xs, training=False):
         return np.concatenate(xs, axis=-1)
 
     def backward(self, gout, need_gx=True):
-        return np.split(gout, self._splits, axis=-1)
+        return [gout[..., s] for s in self._slices]

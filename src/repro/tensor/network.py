@@ -34,6 +34,7 @@ class Network:
         self._inputs_of: dict[str, list[str]] = {}  # layer name -> parent refs
         self._by_name: dict[str, Layer] = {}
         self._output: Optional[str] = None
+        self._live: dict[str, bool] = {}
         self.built = False
 
     # ------------------------------------------------------------------
@@ -91,6 +92,7 @@ class Network:
                     )
                 out = layer.build(in_shapes[0], rng)
             shapes[layer.name] = out
+        self._live = self.backward_liveness()
         self.built = True
         return self
 
@@ -100,8 +102,8 @@ class Network:
         A layer runs backward iff it has trainable parameters or one of
         its parents runs backward; every other gradient is dead.  A live
         layer needs the input gradient for a parent iff that parent is
-        live (network inputs never are).  The eager :meth:`backward` and
-        the compiled ``StepPlan`` both schedule from this one rule.
+        live (network inputs never are).  :meth:`build` computes it once
+        and :meth:`backward` schedules from it.
         """
         live: dict[str, bool] = {}
         for layer in self._layers:
@@ -141,7 +143,7 @@ class Network:
         is not live gets ``need_gx=False``; layers that are not live are
         not called.  Input gradients w.r.t. the network inputs are never
         computed."""
-        live = self.backward_liveness()
+        live = self._live
         pending: dict[str, np.ndarray] = {self._output: gout}
         for layer in reversed(self._layers):
             g = pending.pop(layer.name, None)

@@ -42,7 +42,6 @@ def test_fixture_triggers_every_rule(fixture_tree):
     ("cluster/racy.py", {"R007"}),
     ("cluster/locks_cycle.py", {"R008"}),
     ("bad_pickle.py", {"R009"}),
-    ("tensor/engine.py", {"R010"}),
 ])
 def test_each_fixture_file_yields_exactly_its_rules(fixture_tree, rel, codes):
     findings = lint_paths([fixture_tree / "repro" / rel])

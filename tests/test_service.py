@@ -28,6 +28,7 @@ from repro.service import (
     SessionSpec,
     SessionState,
 )
+from repro.tensor import get_plan_cache
 
 
 def _strategy(space, seed):
@@ -79,6 +80,28 @@ def test_prefetch_spec_turns_on_a_provider_cache(space, problem, tmp_path):
     assert plain.result().io_stats is None
     assert [_record_key(r) for r in fast.result()] == \
         [_record_key(r) for r in plain.result()]
+
+
+def test_plan_engine_spec_decides_what_an_eager_one_does(space, problem,
+                                                         tmp_path):
+    """``SessionSpec.engine`` survives only as a name: a ``"plan"``
+    session trains eagerly, and the retired plan cache counts nothing."""
+    zeros = {"hits": 0, "misses": 0, "traces": 0}
+    assert get_plan_cache().stats() == zeros
+    svc = SearchService(evaluator=SerialEvaluator(),
+                        store=ShardedCheckpointStore(tmp_path / "s"),
+                        journal_dir=tmp_path / "j")
+    plan = svc.submit(_spec(space, problem, 0, n=8, engine="plan"))
+    eager = svc.submit(_spec(space, problem, 0, n=8, tenant="u",
+                             engine="eager"))
+    svc.drive()
+
+    def decided(handle):
+        return [(r.candidate_id, r.arch_seq, r.score, r.provider_id)
+                for r in handle.result()]
+    assert decided(plan) == decided(eager)
+    assert any(r.provider_id is not None for r in plan.result())
+    assert get_plan_cache().stats() == zeros
 
 
 def test_result_before_terminal_raises(space, problem, tmp_path):
@@ -455,6 +478,15 @@ def test_teardown_contains_a_record_that_raises_on_landing(
                             else SessionState.INTERRUPTED)
     assert "tenant callback bug" in status.error
     assert other.poll().state == SessionState.DONE
+    # every held record landed behind the one that raised, and the
+    # run's stats are still attached
+    trace = victim.result()
+    _, journaled = TraceJournal.replay(tmp_path / "j" /
+                                       f"{victim.session_id}.jsonl")
+    assert [r.candidate_id for r in journaled] == \
+        [r.candidate_id for r in trace]
+    assert trace.io_stats is not None
+    assert trace.transfer_stats is not None
 
 
 def test_stream_yields_records_in_completion_order(space, problem,
