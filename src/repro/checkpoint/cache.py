@@ -3,8 +3,10 @@
 Evolutionary search re-selects the same providers constantly (a fit
 parent breeds many children), so the same checkpoint is re-read and
 re-deserialized from disk once per child.  :class:`WeightCache` keeps
-recently touched weight dicts in memory under a byte budget: a hit
-skips disk entirely and costs a dict lookup.
+recently touched weight dicts in memory under a byte budget, and
+optionally an entry cap: a hit skips disk entirely and costs a dict
+lookup.  The search driver caps its cache at the strategy's population,
+the only members a child's parent can come from.
 
 Thread-safety: every operation takes the internal lock and acquires no
 other lock while holding it, so one cache may be shared between
@@ -49,12 +51,18 @@ class _Entry:
 
 
 class WeightCache:
-    """Size-bounded, thread-safe LRU over checkpoint weight dicts."""
+    """Size-bounded, thread-safe LRU over checkpoint weight dicts.
+    ``max_entries`` (None: no cap) bounds the entry count on top of the
+    byte budget."""
 
-    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES):
+    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES,
+                 max_entries: Optional[int] = None):
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
+        if max_entries is not None and max_entries <= 0:
+            raise ValueError("max_entries must be positive")
         self.max_bytes = int(max_bytes)
+        self.max_entries = max_entries
         self._lock = make_lock("WeightCache._lock")
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._nbytes = 0
@@ -103,7 +111,10 @@ class WeightCache:
             self._entries[key] = _Entry(frozen, nbytes)
             self._nbytes += nbytes
             self.insertions += 1
-            while self._nbytes > self.max_bytes and len(self._entries) > 1:
+            max_entries = self.max_entries or float("inf")
+            while len(self._entries) > 1 and (
+                    self._nbytes > self.max_bytes
+                    or len(self._entries) > max_entries):
                 _, evicted = self._entries.popitem(last=False)
                 self._nbytes -= evicted.nbytes
                 self.evictions += 1
@@ -149,6 +160,7 @@ class WeightCache:
                 "entries": len(self._entries),
                 "current_bytes": self._nbytes,
                 "max_bytes": self.max_bytes,
+                "max_entries": self.max_entries,
             }
 
     def __repr__(self):

@@ -6,8 +6,8 @@ critical path.  It is a context manager; exiting flushes.
 
 One writer thread for the whole process, not one per writer: every
 new OS thread can take its own glibc malloc arena, so a thread per
-writer would grow a long-lived service's memory with every ``async_io``
-session that ever overlapped another.  The shared thread runs the saves
+writer would grow a long-lived service's memory with every session
+that ever overlapped another.  The shared thread runs the saves
 of every writer one at a time, in submission order (FIFO) — so waiting
 for a writer's *last* submitted save waits for all of its saves, and a
 hung ``store.save`` delays the other writers' saves too (DESIGN.md

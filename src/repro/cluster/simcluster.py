@@ -20,8 +20,10 @@ Heterogeneous clusters (Table II's A100/K80 mix) are modelled with
 Only the paper's configuration is simulated: the parent provider,
 synchronous checkpoints and no admission gate.  The loop is the same
 ask → select → load → transfer → train → save → tell sequence as
-:func:`repro.cluster.run_search`; at one GPU the two give identical
-records (``tests/test_simcluster.py``).
+:func:`repro.cluster.run_search`, which saves write-behind and reads
+providers through a cache; at one GPU the two give identical records
+(``tests/test_simcluster.py``), so this is the synchronous reference
+for that I/O path.
 
 Fault model (DESIGN.md "Fault tolerance"): ``run(faults=FaultModel(...))``
 injects the cluster pathologies the paper's 32-GPU campaigns live with,

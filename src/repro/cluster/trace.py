@@ -32,8 +32,9 @@ class TraceRecord:
     start_time: float = 0.0
     end_time: float = 0.0
     #: total checkpoint I/O seconds attributed to this candidate —
-    #: always ``io_blocked + io_hidden`` (synchronous runs have
-    #: ``io_hidden == 0``, so ``overhead`` keeps its historical meaning)
+    #: always ``io_blocked + io_hidden`` (the simulator's synchronous
+    #: runs have ``io_hidden == 0``, so there ``overhead`` keeps its
+    #: historical meaning)
     overhead: float = 0.0
     #: I/O seconds that blocked the scheduler's ask→submit→tell loop
     io_blocked: float = 0.0

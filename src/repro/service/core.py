@@ -37,7 +37,7 @@ Fault isolation, by construction:
   serving every other session; the drive loop resubmits it once due
   (draining included), bounds each ``wait_any`` by the earliest due
   retry, and sleeps only when nothing is running.
-- **Write-behind saves**: every ``async_io`` session's saves run on
+- **Write-behind saves**: every store-backed session's saves run on
   the one process-wide checkpoint writer thread, one at a time in
   FIFO order, so a hung ``store.save`` delays the other sessions'
   saves — as it already stalls them on the store they all share.
@@ -145,10 +145,11 @@ class SessionSpec:
     provider_policy: object = "parent"
     retry: object = None
     task_timeout: Optional[float] = None
-    cache: object = None
-    #: alias that turns on a default provider cache when ``cache`` is
-    #: unset; it goes once the svc-mix benchmark stops setting it
-    #: (ROADMAP.md item 1)
+    #: ``cache``, ``prefetch`` and an ``"async_io"`` driver kwarg are
+    #: checked to be bools and never forwarded (every session has the
+    #: one I/O path); they go once svc-mix stops setting them (ROADMAP.md
+    #: item 1)
+    cache: bool = False
     prefetch: bool = False
     #: ``"eager"`` or ``"plan"``, and never forwarded: every fit trains
     #: eagerly, which a plan step matched bit for bit, so both decide
@@ -167,6 +168,12 @@ class SessionSpec:
         if self.engine not in ("eager", "plan"):
             raise ValueError(f"unknown engine {self.engine!r}, expected "
                              f"'eager' or 'plan'")
+        for name, value in (("cache", self.cache),
+                            ("prefetch", self.prefetch),
+                            ("async_io", self.extra_driver_kwargs.get(
+                                "async_io", False))):
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -364,11 +371,11 @@ class SearchService:
             provider_policy=spec.provider_policy, seed=spec.seed,
             name=f"{session_id}-{spec.scheme}",
             retry=spec.retry, task_timeout=spec.task_timeout,
-            cache=spec.cache if spec.cache is not None else spec.prefetch,
             journal=journal, resume=resume,
             key_prefix=f"{session_id}--",
             on_record=on_record,
-            **spec.extra_driver_kwargs,
+            **{k: v for k, v in spec.extra_driver_kwargs.items()
+               if k != "async_io"},
         )
         session = _Session(session_id, spec, driver)
         holder["session"] = session

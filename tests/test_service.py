@@ -42,6 +42,27 @@ def _spec(space, problem, seed, *, tenant="t", n=4, scheme="lcs", **kw):
                        scheme=scheme, **kw)
 
 
+class _DrainingEvolution(RegularizedEvolution):
+    """Evolution that requests a drain of ``service`` once it is told
+    candidate ``at`` — as that candidate completes, while its record
+    reaches ``on_record`` only once its write-behind save has landed."""
+
+    def __init__(self, space, seed, service, at):
+        super().__init__(space, rng=seed, population_size=4, sample_size=2)
+        self.service, self.at = service, at
+
+    def tell(self, candidate_id, arch_seq, score):
+        super().tell(candidate_id, arch_seq, score)
+        if candidate_id == self.at:
+            self.service.request_drain()
+
+
+def _draining_spec(space, problem, seed, service, *, at, n):
+    return SessionSpec(problem=problem,
+                       strategy=_DrainingEvolution(space, seed, service, at),
+                       num_candidates=n, tenant="t", seed=seed)
+
+
 def _record_key(r):
     """The determinism-relevant fields (timestamps legitimately vary)."""
     return (r.candidate_id, r.arch_seq, r.score, r.provider_id, r.ok)
@@ -65,20 +86,25 @@ def test_submit_poll_result_single_session(space, problem, tmp_path):
     assert len(trace) == 4 and all(r.ok for r in trace)
 
 
-def test_prefetch_spec_turns_on_a_provider_cache(space, problem, tmp_path):
-    """``SessionSpec.prefetch`` survives only as an alias for a default
-    provider cache: the session reports cache stats and no prefetcher."""
+def test_io_spec_names_change_no_decision(space, problem, tmp_path):
+    """``SessionSpec.cache`` / ``prefetch`` and an ``async_io`` driver
+    kwarg survive only as names: every store-backed session already
+    saves write-behind and reads providers through a population-sized
+    cache, so setting them decides nothing differently."""
     svc = SearchService(evaluator=SerialEvaluator(),
                         store=ShardedCheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
-    fast = svc.submit(_spec(space, problem, 0, n=6, prefetch=True))
-    plain = svc.submit(_spec(space, problem, 0, n=6, tenant="u"))
+    named = svc.submit(_spec(space, problem, 0, n=8, cache=True,
+                             prefetch=True,
+                             extra_driver_kwargs={"async_io": True}))
+    plain = svc.submit(_spec(space, problem, 0, n=8, tenant="u"))
     svc.drive()
-    io_stats = fast.result().io_stats
-    assert "cache" in io_stats and "prefetch" not in io_stats
-    assert io_stats["cache"]["insertions"] > 0
-    assert plain.result().io_stats is None
-    assert [_record_key(r) for r in fast.result()] == \
+    for handle in (named, plain):
+        io_stats = handle.result().io_stats
+        assert "drain_seconds" in io_stats and "prefetch" not in io_stats
+        assert io_stats["cache"]["max_entries"] == 4
+        assert io_stats["cache"]["hits"] > 0
+    assert [_record_key(r) for r in named.result()] == \
         [_record_key(r) for r in plain.result()]
 
 
@@ -509,9 +535,7 @@ def test_drain_interrupts_and_journals_sessions(space, problem, tmp_path):
     svc = SearchService(evaluator=SerialEvaluator(),
                         store=ShardedCheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
-    handle = svc.submit(_spec(
-        space, problem, 7, n=6,
-        on_record=lambda r: r.candidate_id == 2 and svc.request_drain()))
+    handle = svc.submit(_draining_spec(space, problem, 7, svc, at=2, n=6))
     svc.drive()
     assert handle.poll().state == SessionState.INTERRUPTED
     # every landed record is durable in the journal
@@ -533,9 +557,7 @@ def test_recover_replays_bit_identically_and_completes(space, problem,
     store = ShardedCheckpointStore(tmp_path / "s")
     svc = SearchService(evaluator=SerialEvaluator(), store=store,
                         journal_dir=tmp_path / "j")
-    handle = svc.submit(_spec(
-        space, problem, 7, n=6,
-        on_record=lambda r: r.candidate_id == 2 and svc.request_drain()))
+    handle = svc.submit(_draining_spec(space, problem, 7, svc, at=2, n=6))
     sid = handle.session_id
     svc.drive()
     assert handle.poll().state == SessionState.INTERRUPTED
@@ -560,9 +582,7 @@ def test_recover_rejects_mismatched_spec(space, problem, tmp_path):
     svc = SearchService(evaluator=SerialEvaluator(),
                         store=ShardedCheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
-    handle = svc.submit(_spec(
-        space, problem, 7, n=6,
-        on_record=lambda r: svc.request_drain()))
+    handle = svc.submit(_draining_spec(space, problem, 7, svc, at=0, n=6))
     svc.drive()
     revived = SearchService(evaluator=SerialEvaluator(),
                             store=ShardedCheckpointStore(tmp_path / "s"),

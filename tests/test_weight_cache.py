@@ -1,4 +1,4 @@
-"""WeightCache (LRU byte budget, counters, thread-safety)."""
+"""WeightCache (LRU byte budget and entry cap, counters, thread-safety)."""
 
 import threading
 
@@ -54,6 +54,17 @@ def test_lru_eviction_at_byte_budget():
     assert all(k in cache for k in "acd")
     assert cache.evictions == 1
     assert cache.current_bytes <= cache.max_bytes
+
+
+def test_lru_eviction_at_entry_cap():
+    cache = WeightCache(max_bytes=10 * ENTRY_BYTES, max_entries=2)
+    cache.put("a", weights(0))
+    cache.put("b", weights(1))
+    cache.get("a")                       # refresh "a" → "b" is now LRU
+    cache.put("c", weights(2))
+    assert "b" not in cache and len(cache) == 2
+    assert cache.evictions == 1
+    assert cache.stats()["max_entries"] == 2
 
 
 def test_oversize_payload_rejected():
@@ -118,3 +129,5 @@ def test_thread_safety_under_concurrent_get_put():
 def test_non_positive_budget_is_rejected():
     with pytest.raises(ValueError, match="max_bytes"):
         WeightCache(max_bytes=0)
+    with pytest.raises(ValueError, match="max_entries"):
+        WeightCache(max_entries=0)
