@@ -1,4 +1,4 @@
-"""Whole-program static concurrency analyzer (rules R007-R009 + R004).
+"""Whole-program static concurrency analyzer (rules R004, R007, R008).
 
 Where the original R004 lint rule trusted a hand-maintained
 ``_GUARDED_ATTRS`` tuple in one module, this analyzer **infers** the
@@ -28,20 +28,16 @@ concurrency structure of the whole program from the stdlib AST:
   not inferred guarded (it has unguarded writes, or no writes at all),
   or inferred guarded-and-written but missing from the declaration,
   is a finding.  The tuple can never silently rot again.
-- **Lock-order graph** (R008): nodes are class-qualified lock names
-  (``"WeightCache._lock"``); an edge ``A -> B`` is added when code
-  holding ``A`` acquires ``B`` — by lexical nesting or through resolved
-  call-graph edges (a method that calls another object's locked method
-  while holding its own lock).  Any cycle — including a non-reentrant
-  self-cycle — is a potential deadlock, reported as R008.  The graph is also checked
-  against the declared :data:`~repro.analysis.lockcheck.LOCK_HIERARCHY`
-  ranks and exported as a dot/JSON artifact
-  (``python -m repro.analysis.concurrency src/repro --json ... --dot ...``).
-- **View escape** (R009): names tainted by zero-copy buffer views
-  (``np.frombuffer`` / ``np.memmap`` / ``memoryview`` / ``shm.buf`` /
-  ``_views_from_buffer``) must never reach a pickling boundary —
-  ``pickle.dump(s)`` or a ``.submit(...)`` on a process pool — where the
-  serialized copy silently severs the shared storage.
+- **Every lock is a leaf** (R008): an edge ``A -> B`` between
+  class-qualified lock names (``"WeightCache._lock"``) is recorded when
+  code holding ``A`` acquires ``B`` — by lexical nesting or through
+  resolved call-graph edges (a method that calls another object's
+  locked method while holding its own lock).  Every edge is a finding,
+  including a non-reentrant lock nested in itself; re-entering an
+  ``RLock`` is the one exception.  With no nesting there is no lock
+  order to get wrong.  The runtime sanitizer
+  (:mod:`repro.analysis.lockcheck`) enforces the same invariant on the
+  paths this analysis cannot resolve.
 
 Call resolution is deliberately conservative and syntactic: ``self.m()``
 resolves through the class and its analyzed bases; ``self.attr.m()``
@@ -56,13 +52,10 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
-
-from .lockcheck import LOCK_HIERARCHY
 
 __all__ = [
     "AnalyzerFinding",
@@ -78,10 +71,6 @@ _MUTATORS = frozenset({
     "discard", "clear", "update", "setdefault", "extend", "insert",
     "move_to_end",
 })
-#: Callables whose result taints a name as a zero-copy buffer view.
-_VIEW_SOURCES = frozenset({"frombuffer", "memmap", "memoryview"})
-#: Function-name fragments that produce view dicts.
-_VIEW_SOURCE_FRAGMENTS = ("views_from_buffer",)
 #: Escape-sink method names that hand a callable to another thread.
 _THREAD_SINKS = frozenset({"submit", "add_done_callback"})
 
@@ -499,9 +488,9 @@ class ProgramModel:
         self.classes: dict[str, list[_Class]] = {}  # simple name -> classes
         self.escape_refs: list[tuple] = []
         self.global_mutables: set[str] = set()
+        self._analyzed = False
         self._findings: Optional[list[AnalyzerFinding]] = None
         self._edges: Optional[dict] = None
-        self._cycles: Optional[list] = None
 
     # ---------------------------------------------------------------
     # construction
@@ -511,6 +500,17 @@ class ProgramModel:
         name = Path(path).stem
         module = _Module(self, path, name, tree)
         self.modules[path] = module
+
+    def _analyze(self) -> None:
+        """Run the collection, escape and entry-lock passes, once.  Every
+        public query starts here, so no query order can see a model
+        that was never analyzed."""
+        if self._analyzed:
+            return
+        self._collect()
+        self._resolve_escapes()
+        self._compute_entry_locks()
+        self._analyzed = True
 
     def _collect(self) -> None:
         # pass 0: module-level mutable globals (dicts/lists/sets/deques
@@ -764,12 +764,14 @@ class ProgramModel:
         return held | (func.entry_locks or frozenset())
 
     def lock_owning_classes(self) -> list[_Class]:
+        self._analyze()
         return [cls for module in self.modules.values()
                 for cls in module.classes.values()
                 if cls.lock_names()]
 
     def shared_attrs(self, cls: _Class) -> dict[str, str]:
         """attr -> reason it is considered shared."""
+        self._analyze()
         own_locks = cls.lock_names()
         shared: dict[str, str] = {}
         declared = cls.module.declared_guards or frozenset()
@@ -802,6 +804,7 @@ class ProgramModel:
     def inferred_guarded(self, cls: _Class) -> set[str]:
         """Attrs with >=1 non-__init__ write, all of them under the
         class's own lock (lexically or by entry-lock propagation)."""
+        self._analyze()
         own_locks = cls.lock_names()
         writes: dict[str, list[_Write]] = {}
         for name, func in cls.methods.items():
@@ -819,6 +822,7 @@ class ProgramModel:
     def module_inferred_guarded(self, module: _Module) -> set[str]:
         """Union of per-class inferred guard sets, plus module-level
         globals whose writes all hold a module-level lock."""
+        self._analyze()
         out: set[str] = set()
         for cls in module.classes.values():
             if cls.lock_names():
@@ -839,7 +843,7 @@ class ProgramModel:
         return out
 
     # ---------------------------------------------------------------
-    # lock-order graph
+    # lock nesting
     # ---------------------------------------------------------------
     def _transitive_acquires(self) -> dict[_Func, set[str]]:
         acq: dict[_Func, set[str]] = {
@@ -859,19 +863,20 @@ class ProgramModel:
         return acq
 
     def lock_edges(self) -> dict[tuple[str, str], dict]:
-        """(outer, inner) -> {site info}; lexical + call-graph edges."""
+        """(outer, inner) -> {site info} for every lock acquired while
+        another is held, lexically or through the call graph; empty when
+        every lock is a leaf."""
         if self._edges is not None:
             return self._edges
+        self._analyze()
         edges: dict[tuple[str, str], dict] = {}
 
         def add(outer: str, inner: str, func: _Func, line: int,
                 kind: str) -> None:
-            if outer == inner:
-                # re-entry, handled separately (reentrant locks are fine)
-                cls = func.cls
-                reentrant = cls is not None and cls.is_reentrant(inner)
-                if reentrant:
-                    return
+            # re-entering an RLock is the one sanctioned nesting
+            if outer == inner and func.cls is not None \
+                    and func.cls.is_reentrant(inner):
+                return
             edges.setdefault((outer, inner), {
                 "path": func.module.path, "line": line,
                 "func": func.qualname, "kind": kind,
@@ -888,166 +893,10 @@ class ProgramModel:
                     continue
                 for callee in self._resolve_call(site):
                     for inner in transitive[callee]:
-                        add_kind = "call"
                         for outer in held:
-                            add(outer, inner, func, site.line, add_kind)
+                            add(outer, inner, func, site.line, "call")
         self._edges = edges
         return edges
-
-    def lock_cycles(self) -> list[list[str]]:
-        """Elementary cycles in the lock-order graph (incl. self-loops
-        on non-reentrant locks, which surface as single-node cycles)."""
-        if self._cycles is not None:
-            return self._cycles
-        edges = self.lock_edges()
-        adj: dict[str, set[str]] = {}
-        for (a, b) in edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set())
-        # iterative Tarjan SCC
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        counter = [0]
-        sccs: list[list[str]] = []
-
-        def strongconnect(root: str) -> None:
-            work = [(root, iter(sorted(adj[root])))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for succ in it:
-                    if succ not in index:
-                        index[succ] = low[succ] = counter[0]
-                        counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(sorted(adj[succ]))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        low[node] = min(low[node], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    scc = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        scc.append(member)
-                        if member == node:
-                            break
-                    sccs.append(scc)
-
-        for node in sorted(adj):
-            if node not in index:
-                strongconnect(node)
-        cycles = [sorted(scc) for scc in sccs if len(scc) > 1]
-        for (a, b) in edges:
-            if a == b:
-                cycles.append([a])
-        self._cycles = cycles
-        return cycles
-
-    # ---------------------------------------------------------------
-    # R009: view-escape taint
-    # ---------------------------------------------------------------
-    def _taint_findings(self) -> list[AnalyzerFinding]:
-        # deduplicated via set(): a nested function's body is walked both
-        # as part of its enclosing function and on its own
-        findings: set[AnalyzerFinding] = set()
-        for module in self.modules.values():
-            for node in ast.walk(module.tree):
-                if isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                    findings.update(self._taint_function(module, node))
-        return sorted(findings, key=lambda f: (f.path, f.line, f.col))
-
-    def _taint_function(self, module: _Module,
-                        fn: ast.AST) -> list[AnalyzerFinding]:
-        tainted: set[str] = set()
-        pools: set[str] = set()
-        findings: list[AnalyzerFinding] = []
-
-        def value_tainted(node: ast.AST) -> bool:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and sub.id in tainted:
-                    return True
-                if isinstance(sub, ast.Attribute) and sub.attr == "buf":
-                    return True
-                if isinstance(sub, ast.Call):
-                    f = sub.func
-                    name = f.attr if isinstance(f, ast.Attribute) else (
-                        f.id if isinstance(f, ast.Name) else "")
-                    if name in _VIEW_SOURCES or any(
-                            frag in name
-                            for frag in _VIEW_SOURCE_FRAGMENTS):
-                        return True
-            return False
-
-        def receiver_name(f: ast.Attribute) -> str:
-            try:
-                return ast.unparse(f.value)
-            except Exception:
-                return ""
-
-        # pass 1: propagate taint through simple assignments to a
-        # fixpoint (ast.walk order is breadth-first, not source order,
-        # so a single sweep could miss `a = frombuffer(...); b = a`)
-        assigns = [s for s in ast.walk(fn) if isinstance(s, ast.Assign)]
-        changed = True
-        while changed:
-            changed = False
-            for stmt in assigns:
-                is_pool_ctor = (
-                    isinstance(stmt.value, ast.Call)
-                    and "ProcessPool" in ast.dump(stmt.value.func))
-                is_tainted = value_tainted(stmt.value)
-                for target in stmt.targets:
-                    if not isinstance(target, ast.Name):
-                        continue
-                    if is_tainted and target.id not in tainted:
-                        tainted.add(target.id)
-                        changed = True
-                    if is_pool_ctor and target.id not in pools:
-                        pools.add(target.id)
-                        changed = True
-
-        # pass 2: check sink calls against the final taint set
-        for stmt in ast.walk(fn):
-            if not isinstance(stmt, ast.Call):
-                continue
-            f = stmt.func
-            sink = None
-            if isinstance(f, ast.Attribute):
-                recv = receiver_name(f)
-                if f.attr in ("dumps", "dump") and recv.endswith("pickle"):
-                    sink = "pickle"
-                elif f.attr == "submit" and (
-                        recv in pools
-                        or "process" in recv.lower()
-                        or "ProcessPool" in recv):
-                    sink = "process pool"
-            if sink is None:
-                continue
-            args = list(stmt.args) + [kw.value for kw in stmt.keywords]
-            if any(value_tainted(a) for a in args):
-                findings.append(AnalyzerFinding(
-                    module.path, stmt.lineno, stmt.col_offset, "R009",
-                    f"zero-copy buffer view escapes into a {sink} "
-                    f"boundary — the pickled copy severs shared "
-                    f"storage (supernet views / shm buffers must "
-                    f"stay in-process)"))
-        return findings
 
     # ---------------------------------------------------------------
     # findings
@@ -1055,9 +904,7 @@ class ProgramModel:
     def findings(self) -> list[AnalyzerFinding]:
         if self._findings is not None:
             return self._findings
-        self._collect()
-        self._resolve_escapes()
-        self._compute_entry_locks()
+        self._analyze()
         out: list[AnalyzerFinding] = []
 
         # R007: shared-but-unguarded writes in lock-owning classes
@@ -1123,89 +970,21 @@ class ProgramModel:
                     f"missing from _GUARDED_ATTRS — declare it so the "
                     f"assertion stays exhaustive"))
 
-        # R008: cycles in the lock-order graph + hierarchy violations
-        edges = self.lock_edges()
-        for cycle in self.lock_cycles():
-            cyc = " -> ".join(cycle + [cycle[0]])
-            site = None
-            for (a, b), info in sorted(edges.items()):
-                if a in cycle and b in cycle:
-                    site = info
-                    break
-            if site is None:
-                continue
+        # R008: every lock is a leaf, so every nesting edge is a finding
+        for (outer, inner), info in sorted(self.lock_edges().items()):
+            if outer == inner:
+                message = (f"non-reentrant lock {inner} acquired while "
+                           f"already held — the thread deadlocks on itself")
+            else:
+                message = (f"{inner} acquired while holding {outer} "
+                           f"({info['kind']}) — every lock must be a leaf; "
+                           f"release {outer} first")
             out.append(AnalyzerFinding(
-                site["path"], site["line"], 0, "R008",
-                f"lock-order cycle {cyc}: two threads taking these locks "
-                f"in opposite orders can deadlock"))
-        for (a, b), info in sorted(edges.items()):
-            ra, rb = LOCK_HIERARCHY.get(a), LOCK_HIERARCHY.get(b)
-            if ra is not None and rb is not None and rb <= ra and a != b:
-                out.append(AnalyzerFinding(
-                    info["path"], info["line"], 0, "R008",
-                    f"acquisition {a} -> {b} violates the declared lock "
-                    f"hierarchy (ranks {ra} -> {rb}; see "
-                    f"repro.analysis.lockcheck.LOCK_HIERARCHY)"))
-
-        # R009
-        out.extend(self._taint_findings())
+                info["path"], info["line"], 0, "R008", message))
 
         out.sort(key=lambda f: (f.path, f.line, f.col, f.code))
         self._findings = out
         return out
-
-    # ---------------------------------------------------------------
-    # artifacts
-    # ---------------------------------------------------------------
-    def graph_dict(self) -> dict:
-        self.findings()                      # ensure analysis ran
-        edges = self.lock_edges()
-        nodes = sorted({n for e in edges for n in e}
-                       | set(LOCK_HIERARCHY)
-                       | {lock for m in self.modules.values()
-                          for lock in m.module_locks}
-                       | {lock for c in self.lock_owning_classes()
-                          for lock in c.lock_names()})
-        guards = {}
-        for module in sorted(self.modules.values(), key=lambda m: m.path):
-            for cls in sorted(module.classes.values(),
-                              key=lambda c: c.name):
-                if cls.lock_names():
-                    guards[f"{module.name}.{cls.name}"] = {
-                        "locks": sorted(cls.lock_names()),
-                        "guarded": sorted(self.inferred_guarded(cls)),
-                        "shared": sorted(self.shared_attrs(cls)),
-                    }
-        return {
-            "nodes": [{"name": n, "rank": LOCK_HIERARCHY.get(n)}
-                      for n in nodes],
-            "edges": [{"outer": a, "inner": b, **info}
-                      for (a, b), info in sorted(edges.items())],
-            "cycles": self.lock_cycles(),
-            "hierarchy": dict(LOCK_HIERARCHY),
-            "inferred_guards": guards,
-        }
-
-    def to_dot(self) -> str:
-        graph = self.graph_dict()
-        lines = [
-            "// lock-order graph — generated by",
-            "//   python -m repro.analysis.concurrency src/repro --dot ...",
-            "digraph lock_order {",
-            "  rankdir=TB;",
-            '  node [shape=box, fontname="monospace"];',
-        ]
-        for node in graph["nodes"]:
-            rank = node["rank"]
-            label = node["name"] + (f"\\nrank {rank}"
-                                    if rank is not None else "")
-            lines.append(f'  "{node["name"]}" [label="{label}"];')
-        for edge in graph["edges"]:
-            lines.append(
-                f'  "{edge["outer"]}" -> "{edge["inner"]}" '
-                f'[label="{edge["kind"]}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def analyze_sources(sources: dict[str, str]) -> ProgramModel:
@@ -1237,34 +1016,17 @@ def analyze_files(paths: Sequence) -> ProgramModel:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.concurrency",
-        description="Whole-program concurrency analyzer: inferred lock "
-                    "guards (R007), lock-order graph (R008), view-escape "
-                    "taint (R009).",
+        description="Whole-program concurrency analyzer: declared guards "
+                    "(R004), inferred lock guards (R007), every lock a "
+                    "leaf (R008).",
     )
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyze")
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the lock graph + inferred guards as "
-                             "JSON")
-    parser.add_argument("--dot", metavar="PATH",
-                        help="write the lock-order graph as Graphviz dot")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the findings listing")
     args = parser.parse_args(argv)
 
-    model = analyze_files(args.paths)
-    findings = model.findings()
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(model.graph_dict(), fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(model.to_dot())
-        print(f"wrote {args.dot}")
-    if not args.quiet:
-        for f in findings:
-            print(f"{f.path}:{f.line}:{f.col}: {f.code} {f.message}")
+    findings = analyze_files(args.paths).findings()
+    for f in findings:
+        print(f"{f.path}:{f.line}:{f.col}: {f.code} {f.message}")
     if findings:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1

@@ -39,19 +39,15 @@ debugging paid for, now machine-enforced:
            code, accessed under the owning class's lock, or declared
            in ``_GUARDED_ATTRS``) may only be written while holding
            that lock — lexically or via entry-lock propagation.
- R008      The cross-module lock-order graph must stay cycle-free and
-           respect the declared hierarchy
-           (:data:`repro.analysis.lockcheck.LOCK_HIERARCHY`).
- R009      Zero-copy buffer views (supernet views, shm buffers) must
-           not escape into pickling boundaries (``pickle.dump(s)``,
-           process-pool ``submit``) — the serialized copy severs
-           shared storage.
+ R008      Every lock is a leaf: no lock may be acquired while
+           another is held, lexically or through the resolved call
+           graph (re-entering an ``RLock`` excepted).
 ========  ============================================================
 
-Rules R004/R007-R009 come from the whole-program analyzer in
+Rules R004, R007 and R008 come from the whole-program analyzer in
 :mod:`repro.analysis.concurrency`, which runs over every non-test file
 in the linted set at once (guard inference needs the cross-module call
-graph).  R001-R006 remain single-file checks.
+graph).  R001-R003, R005 and R006 are single-file checks.
 
 Suppression: append ``# lint: ignore[R001]`` (or a comma-separated
 list, or bare ``# lint: ignore``) to the offending line.
@@ -97,8 +93,7 @@ RULES = {
     "R005": "reference_ops imported outside tests/benchmarks",
     "R006": "superweight view copied in the supernet transfer path",
     "R007": "shared mutable state written outside the owning lock (inferred)",
-    "R008": "lock-order cycle or lock-hierarchy violation",
-    "R009": "zero-copy buffer view escapes into a pickling boundary",
+    "R008": "lock acquired while another is held (every lock is a leaf)",
 }
 
 
@@ -293,7 +288,7 @@ def _is_test_path(path: Path) -> bool:
 def lint_file(path: Path) -> list[Finding]:
     """Single-file findings (R001-R003, R005-R006), suppressions applied.
 
-    The whole-program rules (R004, R007-R009) are added by
+    The whole-program rules (R004, R007, R008) are added by
     :func:`lint_paths`, which sees the full file set at once."""
     posix = path.as_posix()
     in_tests = _is_test_path(path)
@@ -352,7 +347,7 @@ def lint_file(path: Path) -> list[Finding]:
 
 
 def _concurrency_findings(files: Sequence) -> list[Finding]:
-    """R004/R007-R009 from the whole-program concurrency analyzer, run
+    """R004, R007 and R008 from the whole-program concurrency analyzer, run
     over every parseable non-test file in the linted set."""
     sources: dict[str, str] = {}
     for f in files:
@@ -397,7 +392,7 @@ def lint_paths(paths: Sequence) -> list[Finding]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Repository invariant linter (rules R001-R009).",
+        description="Repository invariant linter (rules R001-R008).",
     )
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to lint "

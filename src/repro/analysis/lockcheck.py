@@ -1,43 +1,33 @@
-"""Runtime lock sanitizer: instrumented locks that catch ordering bugs.
+"""Runtime lock sanitizer: instrumented locks that enforce *every lock
+is a leaf*.
 
-The static analyzer (:mod:`repro.analysis.concurrency`) proves lexical
-properties — writes under locks, acquisition nesting — but cannot see
-orders that only materialize at runtime (a callback acquiring through an
-indirection, a test wiring two components the source never composes).
-:class:`SanitizedLock` closes that gap: a drop-in replacement for
-``threading.Lock`` / ``threading.RLock`` that, per thread, records the
-stack of locks currently held and checks every new acquisition against
+The static analyzer (:mod:`repro.analysis.concurrency`) proves that no
+code path it can resolve acquires a lock while holding another, but it
+cannot see acquisitions that only materialize at runtime (a callback
+acquiring through an indirection, a test wiring two components the
+source never composes).  :class:`SanitizedLock` closes that gap: a
+drop-in replacement for ``threading.Lock`` / ``threading.RLock`` that
+keeps, per thread, the stack of sanitized locks currently held and
+raises :class:`LockCheckError` on any acquire made while that stack is
+non-empty.  Re-entering an ``RLock`` the thread already holds is the one
+sanctioned exception.  With no nesting there is no lock order, so no
+lock-order deadlock.
 
-1. the *observed* order history — acquiring ``B`` while holding ``A``
-   records the edge ``A -> B``; if the opposite edge ``B -> A`` was ever
-   observed (on any thread), that is an **inversion**: two threads taking
-   the pair in opposite orders can deadlock;
-2. the *declared* canonical hierarchy (:data:`LOCK_HIERARCHY`, the one
-   place the repo's lock order is written down) — a ranked lock may only
-   be acquired while holding locks of strictly lower rank;
-3. **re-entry**: a thread re-acquiring a non-reentrant lock it already
-   holds would deadlock silently; the sanitizer raises
-   :class:`LockCheckError` immediately instead of hanging the suite.
+Nesting is checked by object identity, not by name: two instances of
+one class (two ``WeightCache`` locks) nest as surely as two classes do.
 
 Every module that owns a lock creates it through :func:`make_lock`,
 which returns a plain ``threading.Lock``/``RLock`` (zero overhead)
 unless checking is enabled — via the ``REPRO_LOCKCHECK=1`` environment
 variable (read at each ``make_lock`` call, so it must be set before the
 owning object is constructed; the CI ``lockcheck`` job exports it for
-the whole process) or programmatically via :func:`force`.
+the whole test run) or programmatically via :func:`force`.
 
-Inversions and hierarchy violations are *recorded*, not raised — the
-run completes and the test session's teardown fixture (see
-``tests/conftest.py``) asserts the report is empty and dumps it as JSON
-(``REPRO_LOCKCHECK_REPORT=<path>``) for machine consumption.  Re-entry
-raises because proceeding would deadlock the very test that found it.
-
-Identity note: locks are compared **by name** for ordering (two
-``WeightCache`` instances share the node ``"WeightCache._lock"``), and
-by object identity for re-entry.  Nesting two *instances* of the same
-class's lock is not reported as an inversion — no code path here does
-that, and flagging it would false-positive sharded designs that order
-instances by address.
+A violation raises at the acquire, before the thread blocks, and is
+also recorded: code that contains worker exceptions (a task failure
+booked as a record) would otherwise hide it.  The test session's
+teardown fixture (see ``tests/conftest.py``) asserts the record is
+empty and dumps it as JSON (``REPRO_LOCKCHECK_REPORT=<path>``).
 """
 
 from __future__ import annotations
@@ -50,7 +40,6 @@ import traceback
 from typing import Optional, Union
 
 __all__ = [
-    "LOCK_HIERARCHY",
     "LockCheckError",
     "LockCheckRegistry",
     "SanitizedLock",
@@ -59,25 +48,6 @@ __all__ = [
     "make_lock",
     "registry",
 ]
-
-#: The canonical lock hierarchy — THE one place the repo's lock order is
-#: declared.  Lower rank = acquired first (outermost).  A thread holding
-#: a ranked lock may only acquire locks of strictly greater rank.  Locks
-#: with no entry are unranked: ordering against them is checked only via
-#: the observed-edge history.
-#:
-#: No lock nests inside another today: every lock is a leaf, so the
-#: ranks only decide what a future nesting may do.  The static analyzer
-#: cross-checks its inferred acquisition edges against these ranks and
-#: R008-flags any violation.
-LOCK_HIERARCHY: dict[str, int] = {
-    "SearchService._lock": 5,
-    "ShardedCheckpointStore._lock": 15,
-    "ThreadPoolEvaluator._lock": 20,
-    "SuperNet._lock": 30,
-    "WeightCache._lock": 40,
-    "AsyncCheckpointWriter._lock": 50,
-}
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 #: programmatic override (conftest fixture / tests); list for mutability
@@ -98,8 +68,8 @@ def force(on: bool) -> None:
 
 
 class LockCheckError(RuntimeError):
-    """A lock acquisition that would deadlock (same-thread re-entry on a
-    non-reentrant lock)."""
+    """A lock acquired while the thread holds another sanitized lock, or
+    a non-reentrant lock re-acquired by the thread that holds it."""
 
 
 def _site(skip: int = 3) -> str:
@@ -113,7 +83,7 @@ def _site(skip: int = 3) -> str:
 
 
 class LockCheckRegistry:
-    """Process-wide acquisition history + violation log.
+    """Process-wide violation log.
 
     Thread-safe via a plain (un-sanitized) meta-lock; the per-thread
     held stack lives in a ``threading.local`` so the hot path never
@@ -122,8 +92,6 @@ class LockCheckRegistry:
 
     def __init__(self):
         self._meta = threading.Lock()
-        #: (outer name, inner name) -> first-seen site string
-        self._edges: dict[tuple[str, str], str] = {}
         self._violations: list[dict] = []
         self._tls = threading.local()
         self.acquisitions = 0
@@ -139,53 +107,32 @@ class LockCheckRegistry:
         """Names of the locks the *calling* thread currently holds."""
         return [lock.name for lock in self._held()]
 
-    # -- the checks ----------------------------------------------------
+    # -- the check -----------------------------------------------------
     def before_acquire(self, lock: "SanitizedLock") -> None:
         held = self._held()
-        if lock in held:
-            if lock.reentrant:
-                return                      # RLock re-entry is the point
-            violation = {
-                "kind": "reentry",
-                "lock": lock.name,
-                "thread": threading.current_thread().name,
-                "site": _site(),
-                "stack": "".join(traceback.format_stack(limit=12)),
-            }
-            with self._meta:
-                self._violations.append(violation)
-            raise LockCheckError(
-                f"thread {threading.current_thread().name!r} re-acquired "
-                f"non-reentrant lock {lock.name!r} it already holds "
-                f"(at {violation['site']}) — this would deadlock")
+        if not held or (lock.reentrant and lock in held):
+            return                          # a leaf, or RLock re-entry
+        thread = threading.current_thread().name
         site = _site()
-        for outer in held:
-            if outer.name == lock.name:
-                continue                    # instance-pair, see module doc
-            edge = (outer.name, lock.name)
-            inverse = (lock.name, outer.name)
-            with self._meta:
-                self._edges.setdefault(edge, site)
-                inverse_site = self._edges.get(inverse)
-                if inverse_site is not None:
-                    self._violations.append({
-                        "kind": "inversion",
-                        "edge": list(edge),
-                        "site": site,
-                        "inverse_site": inverse_site,
-                        "thread": threading.current_thread().name,
-                        "stack": "".join(traceback.format_stack(limit=12)),
-                    })
-            if (lock.rank is not None and outer.rank is not None
-                    and lock.rank <= outer.rank):
-                with self._meta:
-                    self._violations.append({
-                        "kind": "hierarchy",
-                        "edge": list(edge),
-                        "ranks": [outer.rank, lock.rank],
-                        "site": site,
-                        "thread": threading.current_thread().name,
-                    })
+        if lock in held:
+            kind = "reentry"
+            message = (f"re-acquired non-reentrant lock {lock.name!r} it "
+                       f"already holds (at {site}) — this would deadlock")
+        else:
+            kind = "nested"
+            message = (f"acquired {lock.name!r} while holding "
+                       f"{[h.name for h in held]} (at {site}) — every "
+                       f"lock must be a leaf")
+        with self._meta:
+            self._violations.append({
+                "kind": kind,
+                "lock": lock.name,
+                "held": [h.name for h in held],
+                "thread": thread,
+                "site": site,
+                "stack": "".join(traceback.format_stack(limit=12)),
+            })
+        raise LockCheckError(f"thread {thread!r} {message}")
 
     def after_acquire(self, lock: "SanitizedLock") -> None:
         self._held().append(lock)
@@ -193,18 +140,13 @@ class LockCheckRegistry:
 
     def on_release(self, lock: "SanitizedLock") -> None:
         held = self._held()
-        # remove the most recent entry (LIFO is the common case, but an
-        # out-of-order release is legal for plain locks)
+        # remove the most recent entry (RLock re-entries stack up)
         for i in range(len(held) - 1, -1, -1):
             if held[i] is lock:
                 del held[i]
                 return
 
     # -- reporting -----------------------------------------------------
-    def edges(self) -> dict[tuple[str, str], str]:
-        with self._meta:
-            return dict(self._edges)
-
     def violations(self) -> list[dict]:
         with self._meta:
             return list(self._violations)
@@ -214,12 +156,7 @@ class LockCheckRegistry:
         with self._meta:
             return {
                 "acquisitions": self.acquisitions,
-                "edges": [
-                    {"outer": a, "inner": b, "site": site}
-                    for (a, b), site in sorted(self._edges.items())
-                ],
                 "violations": list(self._violations),
-                "hierarchy": dict(LOCK_HIERARCHY),
             }
 
     def dump(self, path) -> None:
@@ -228,7 +165,6 @@ class LockCheckRegistry:
 
     def reset(self) -> None:
         with self._meta:
-            self._edges.clear()
             self._violations.clear()
             self.acquisitions = 0
 
@@ -238,7 +174,7 @@ registry = LockCheckRegistry()
 
 
 class SanitizedLock:
-    """Instrumented (R)Lock: order/re-entry checks around every acquire.
+    """Instrumented (R)Lock: the leaf check around every acquire.
 
     Supports the full ``threading.Lock`` surface used in this repo —
     ``acquire(blocking, timeout)``, ``release()``, context manager —
@@ -249,7 +185,6 @@ class SanitizedLock:
                  reg: Optional[LockCheckRegistry] = None):
         self.name = name
         self.reentrant = reentrant
-        self.rank = LOCK_HIERARCHY.get(name)
         self._registry = reg if reg is not None else registry
         self._inner = threading.RLock() if reentrant else threading.Lock()
         self._count = 0                 # successful acquires - releases
@@ -281,7 +216,7 @@ class SanitizedLock:
 
     def __repr__(self):
         kind = "RLock" if self.reentrant else "Lock"
-        return f"<SanitizedLock {self.name} ({kind}, rank={self.rank})>"
+        return f"<SanitizedLock {self.name} ({kind})>"
 
 
 LockLike = Union[threading.Lock, threading.RLock, SanitizedLock]
@@ -292,9 +227,9 @@ def make_lock(name: str, reentrant: bool = False) -> LockLike:
 
     Returns a plain ``threading.Lock`` / ``threading.RLock`` (zero
     instrumentation overhead) unless lock checking is enabled, in which
-    case a :class:`SanitizedLock` registered under ``name`` — the
-    class-qualified name the static analyzer and :data:`LOCK_HIERARCHY`
-    use, e.g. ``"WeightCache._lock"``.
+    case a :class:`SanitizedLock` that raises on any acquire nested
+    inside another.  ``name`` is the class-qualified name the static
+    analyzer uses, e.g. ``"WeightCache._lock"``; it labels violations.
     """
     if enabled():
         return SanitizedLock(name, reentrant=reentrant)

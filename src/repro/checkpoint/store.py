@@ -28,8 +28,9 @@ caught between the two renames gets :class:`CorruptCheckpointError`
 from the CRC check.  Callers that layer mutable state on top
 (:class:`~repro.checkpoint.cache.WeightCache`,
 ``AsyncCheckpointWriter``) bring their own locks; the whole-program
-concurrency analyzer (lint R007/R008) verifies those, and finds no lock
-order through this module — store calls are leaves in the lock graph.
+concurrency analyzer checks their guarded writes (lint R007) and that
+each is a leaf (lint R008).  Store calls take no lock, so a caller may
+make them while holding its own.
 """
 
 from __future__ import annotations

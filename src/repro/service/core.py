@@ -96,8 +96,8 @@ __all__ = [
 #: Lock-discipline assertion (lint R004/R007): the session table, the
 #: admission queue, the tenant rotor and the drain flag are shared
 #: between the drive thread and tenant-facing API calls.  Every write
-#: must hold ``self._lock`` (rank 5 — the outermost lock in the repo
-#: hierarchy); driver/evaluator/store calls happen outside it.
+#: must hold ``self._lock``, a leaf like every lock in the repo:
+#: driver/evaluator/store calls happen outside it.
 _GUARDED_ATTRS = ("_sessions", "_queued", "_tenant_rotor", "_draining",
                   "_driving", "_seq")
 
@@ -576,8 +576,8 @@ class SearchService:
                         break
                 if pick is None:
                     return
-            # driver call outside the service lock: submission touches
-            # the store/evaluator/cache locks (ranks 15+)
+            # driver call outside the service lock: submission takes
+            # the store/evaluator/cache locks, and every lock is a leaf
             try:
                 pick.driver.submit_next()
             except Exception as exc:

@@ -1,8 +1,8 @@
-"""Fixture: one R008 violation (AB/BA lock-order cycle).
+"""Fixture: R008 violations (locks nested in both orders).
 
 ``forward`` nests alpha -> beta, ``backward`` nests beta -> alpha: two
 threads running them concurrently can each hold one lock while blocking
-on the other — the classic deadlock the lock-order graph must flag.
+on the other.  Every lock must be a leaf, so each nesting is flagged.
 """
 
 import threading

@@ -1,6 +1,5 @@
 """Fixture: would-be violations silenced by suppression comments."""
 
-import pickle
 import threading
 
 import numpy as np
@@ -41,8 +40,3 @@ def s_backward():
     with _s_beta_lock:
         with _s_alpha_lock:  # lint: ignore[R008]
             pass
-
-
-def suppressed_ship(buf):
-    view = np.frombuffer(buf, dtype=np.uint8)
-    return pickle.dumps(view)  # lint: ignore[R009]

@@ -1,4 +1,4 @@
-"""Whole-program concurrency analyzer: inference, lock graph, taint.
+"""Whole-program concurrency analyzer: guard inference and the leaf rule.
 
 Synthetic-module tests pin each inference mechanism in isolation; the
 real-tree tests are the acceptance gate — the shipped ``src/repro``
@@ -6,13 +6,14 @@ must analyze clean and every ``_GUARDED_ATTRS`` declaration must match
 the inference exactly.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analysis.concurrency import analyze_files, analyze_sources, main
-from repro.analysis.lockcheck import LOCK_HIERARCHY
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
@@ -225,7 +226,7 @@ class C:
 
 
 # ----------------------------------------------------------------------
-# R008: lock-order graph
+# R008: every lock is a leaf
 # ----------------------------------------------------------------------
 CYCLE_A = """
 import threading
@@ -262,23 +263,53 @@ class Beta:
             self.alpha.kick()
 """
 
+COUNTER = """
+import threading
+
+class C:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.n = 0
+
+    def bump(self):
+        with self._lock:
+            self.n += 1
+"""
+
 
 def test_cross_module_lock_cycle_detected():
     model = analyze_sources({"a.py": CYCLE_A, "b.py": CYCLE_B})
-    assert "R008" in codes(model)
-    (cycle,) = model.lock_cycles()
-    assert set(cycle) == {"Alpha._lock", "Beta._lock"}
+    assert codes(model) == ["R008", "R008"]
     edges = model.lock_edges()
-    assert ("Alpha._lock", "Beta._lock") in edges
-    assert ("Beta._lock", "Alpha._lock") in edges
+    assert set(edges) == {("Alpha._lock", "Beta._lock"),
+                          ("Beta._lock", "Alpha._lock")}
     assert edges[("Alpha._lock", "Beta._lock")]["kind"] == "call"
 
 
-def test_one_direction_only_is_no_cycle():
+def test_one_direction_nesting_is_flagged():
+    # no cycle, but a nesting all the same: every lock must be a leaf
     model = analyze_sources({"a.py": CYCLE_A, "b.py": CYCLE_B.replace(
         "self.alpha.kick()", "pass")})
-    assert model.lock_cycles() == []
-    assert "R008" not in codes(model)
+    assert list(model.lock_edges()) == [("Alpha._lock", "Beta._lock")]
+    (found,) = model.findings()
+    assert (found.code, found.path, found.line) == ("R008", "a.py", 16)
+    assert "Beta._lock acquired while holding Alpha._lock" in found.message
+
+
+def test_queries_on_a_fresh_model_run_the_analysis():
+    # any public query may come first, and none may cache the answer of
+    # a model whose passes never ran
+    model = analyze_sources({"a.py": CYCLE_A, "b.py": CYCLE_B})
+    assert len(model.lock_edges()) == 2
+    assert codes(model) == ["R008", "R008"]
+
+    model = analyze_sources({"m.py": COUNTER})
+    (module,) = model.modules.values()
+    assert model.module_inferred_guarded(module) == {"n"}
+    (cls,) = model.lock_owning_classes()
+    assert model.inferred_guarded(cls) == {"n"}
+    assert "n" in model.shared_attrs(cls)
+    assert codes(model) == []
 
 
 def test_lexical_nesting_cycle_detected():
@@ -298,9 +329,9 @@ def bwd():
         with _a_lock:
             pass
 """})
-    assert "R008" in codes(model)
-    (cycle,) = model.lock_cycles()
-    assert set(cycle) == {"m._a_lock", "m._b_lock"}
+    assert codes(model) == ["R008", "R008"]
+    assert set(model.lock_edges()) == {("m._a_lock", "m._b_lock"),
+                                       ("m._b_lock", "m._a_lock")}
 
 
 def test_reentrant_self_nesting_is_sanctioned():
@@ -341,95 +372,88 @@ class C:
     assert "R008" in codes(model)
 
 
-def test_hierarchy_rank_violation_detected():
-    # WeightCache (rank 40) outer, SearchService (rank 5) inner:
-    # backwards against the declared hierarchy
-    model = analyze_sources({"m.py": """
-import threading
-
-class WeightCache:
-    def __init__(self, svc: "SearchService"):
-        self._lock = threading.Lock()
-        self.svc = svc
-
-    def bad(self):
-        with self._lock:
-            self.svc.tick()
-
-class SearchService:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def tick(self):
-        with self._lock:
-            pass
-"""})
-    found = [f for f in model.findings() if f.code == "R008"]
-    assert found and any("hierarchy" in f.message for f in found)
-
-
 # ----------------------------------------------------------------------
-# R009: view-escape taint
+# the leaf rule against a brute-force walk of generated programs
 # ----------------------------------------------------------------------
-def test_pickled_view_is_flagged():
-    model = analyze_sources({"m.py": """
-import pickle
-import numpy as np
-
-def ship(buf):
-    view = np.frombuffer(buf, dtype=np.uint8)
-    return pickle.dumps(view)
-"""})
-    assert codes(model) == ["R009"]
+N_LOCKS = 3
 
 
-def test_process_pool_submit_of_view_is_flagged():
-    model = analyze_sources({"m.py": """
-from concurrent.futures import ProcessPoolExecutor
-import numpy as np
+@st.composite
+def lock_programs(draw):
+    """Module-level functions ``fn`` (public) or ``_fn`` (private
+    helpers) whose bodies take plain locks and call functions of higher
+    index, so the call graph is acyclic.  A statement is ``("with",
+    lock, body)``, ``("call", callee)`` or ``("pass",)``."""
+    n_funcs = draw(st.integers(1, 5))
+    names = [("_f%d" if draw(st.booleans()) else "f%d") % i
+             for i in range(n_funcs)]
 
-def ship(buf, fn):
-    pool = ProcessPoolExecutor(2)
-    view = np.frombuffer(buf, dtype=np.uint8)
-    return pool.submit(fn, view)
-"""})
-    assert codes(model) == ["R009"]
+    def block(index, depth):
+        stmts = []
+        for _ in range(draw(st.integers(0, 3))):
+            kinds = ["pass"] + ["with"] * (depth < 3) \
+                + ["call"] * (index + 1 < n_funcs)
+            kind = draw(st.sampled_from(kinds))
+            if kind == "with":
+                stmts.append(("with", draw(st.integers(0, N_LOCKS - 1)),
+                              block(index, depth + 1)))
+            elif kind == "call":
+                stmts.append(("call", draw(st.integers(index + 1,
+                                                       n_funcs - 1))))
+            else:
+                stmts.append(("pass",))
+        return stmts
 
-
-def test_thread_pool_submit_of_view_is_fine():
-    model = analyze_sources({"m.py": """
-from concurrent.futures import ThreadPoolExecutor
-import numpy as np
-
-def ship(buf, fn):
-    pool = ThreadPoolExecutor(2)
-    view = np.frombuffer(buf, dtype=np.uint8)
-    return pool.submit(fn, view)
-"""})
-    assert codes(model) == []
-
-
-def test_pickling_plain_data_is_fine():
-    model = analyze_sources({"m.py": """
-import pickle
-
-def ship(payload):
-    return pickle.dumps(payload)
-"""})
-    assert codes(model) == []
+    return names, [block(i, 0) for i in range(n_funcs)]
 
 
-def test_taint_propagates_through_assignment():
-    model = analyze_sources({"m.py": """
-import pickle
-import numpy as np
+def render(program) -> str:
+    names, bodies = program
 
-def ship(buf):
-    a = np.frombuffer(buf, dtype=np.uint8)
-    b = a
-    return pickle.dumps(b)
-"""})
-    assert codes(model) == ["R009"]
+    def lines(stmts, indent):
+        out = []
+        for stmt in stmts or [("pass",)]:
+            pad = "    " * indent
+            if stmt[0] == "with":
+                out.append(f"{pad}with _lock{stmt[1]}:")
+                out.extend(lines(stmt[2], indent + 1))
+            elif stmt[0] == "call":
+                out.append(f"{pad}{names[stmt[1]]}()")
+            else:
+                out.append(f"{pad}pass")
+        return out
+
+    src = ["import threading"]
+    src += [f"_lock{k} = threading.Lock()" for k in range(N_LOCKS)]
+    for name, body in zip(names, bodies):
+        src += ["", f"def {name}():"] + lines(body, 1)
+    return "\n".join(src) + "\n"
+
+
+def reaches_nested_acquire(program) -> bool:
+    """Brute force: walk every call tree from every function with no
+    lock held; true when some acquire happens while a lock is held."""
+    _, bodies = program
+
+    def walk(stmts, held):
+        for stmt in stmts:
+            if stmt[0] == "with":
+                if held or walk(stmt[2], held + 1):
+                    return True
+            elif stmt[0] == "call" and walk(bodies[stmt[1]], held):
+                return True
+        return False
+
+    return any(walk(body, 0) for body in bodies)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lock_programs())
+def test_leaf_rule_matches_brute_force_walk(program):
+    model = analyze_sources({"gen.py": render(program)})
+    nested = reaches_nested_acquire(program)
+    assert bool(model.lock_edges()) == nested, render(program)
+    assert ("R008" in codes(model)) == nested
 
 
 # ----------------------------------------------------------------------
@@ -459,41 +483,14 @@ def test_real_tree_declarations_match_inference():
 
 def test_real_tree_lock_graph_shape():
     model = _real_model()
-    model.findings()
-    # no lock is ever acquired while another is held
+    # every lock is a leaf: none is acquired while another is held ...
     assert model.lock_edges() == {}
-    assert model.lock_cycles() == []
-    # every ranked lock the hierarchy declares exists in the tree
-    graph = model.graph_dict()
-    node_names = {n["name"] for n in graph["nodes"]}
-    assert set(LOCK_HIERARCHY) <= node_names
-
-
-def test_graph_artifacts():
-    model = _real_model()
-    graph = model.graph_dict()
-    assert graph["hierarchy"] == LOCK_HIERARCHY
-    assert graph["edges"] == []
-    assert graph["cycles"] == []
-    guards = graph["inferred_guards"]
-    assert "cache.WeightCache" in guards
-    assert "_entries" in guards["cache.WeightCache"]["guarded"]
-    dot = model.to_dot()
-    assert dot.startswith("// lock-order graph")
-    assert '"WeightCache._lock" [label="WeightCache._lock\\nrank 40"];' \
-        in dot
-    assert " -> " not in dot
-
-
-def test_cli_writes_artifacts(tmp_path, capsys):
-    jpath = tmp_path / "graph.json"
-    dpath = tmp_path / "graph.dot"
-    rc = main([str(SRC), "--json", str(jpath), "--dot", str(dpath),
-               "--quiet"])
-    assert rc == 0
-    graph = json.loads(jpath.read_text())
-    assert graph["hierarchy"] == {k: v for k, v in LOCK_HIERARCHY.items()}
-    assert "digraph lock_order" in dpath.read_text()
+    # ... and the analyzer sees every lock the tree builds
+    assert {lock for cls in model.lock_owning_classes()
+            for lock in cls.lock_names()} >= {
+        "SearchService._lock", "ShardedCheckpointStore._lock",
+        "ThreadPoolEvaluator._lock", "SuperNet._lock",
+        "WeightCache._lock", "AsyncCheckpointWriter._lock"}
 
 
 def test_cli_exit_code_on_findings(tmp_path, capsys):

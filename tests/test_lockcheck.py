@@ -1,4 +1,4 @@
-"""Runtime lock sanitizer: inversion/re-entry/hierarchy detection.
+"""Runtime lock sanitizer: every lock is a leaf, re-entry is caught.
 
 Tests that provoke violations use a **private** registry so the global
 one (asserted clean by the conftest teardown fixture under
@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis import lockcheck
 from repro.analysis.lockcheck import (
-    LOCK_HIERARCHY,
     LockCheckError,
     LockCheckRegistry,
     SanitizedLock,
@@ -37,55 +36,55 @@ def test_basic_acquire_release(reg):
     assert reg.acquisitions == 1
 
 
-def test_nesting_records_edges(reg):
+def test_nested_acquire_raises(reg):
     a = SanitizedLock("t.a", reg=reg)
     b = SanitizedLock("t.b", reg=reg)
     with a:
-        with b:
-            pass
-    assert ("t.a", "t.b") in reg.edges()
-    assert reg.violations() == []
+        with pytest.raises(LockCheckError, match="must be a leaf"):
+            b.acquire()
+        assert not b.locked()               # raised before blocking
+    (v,) = reg.violations()
+    assert (v["kind"], v["lock"], v["held"]) == ("nested", "t.b", ["t.a"])
+    with b:                                 # a leaf again once a is free
+        assert reg.held_names() == ["t.b"]
+
+
+def _nest(outer, inner, errors):
+    with outer:
+        try:
+            with inner:
+                pass
+        except LockCheckError as exc:
+            errors.append(exc)
 
 
 def test_ab_ba_inversion_across_two_threads(reg):
     """The canonical AB/BA deadlock shape, taken sequentially so the
-    test itself cannot deadlock: thread 1 records A->B, thread 2 then
-    acquires B->A and the registry flags the inversion."""
+    test itself cannot deadlock: each thread's inner acquire raises
+    before it blocks, so neither half of the inversion ever holds two
+    locks."""
     a = SanitizedLock("t.a", reg=reg)
     b = SanitizedLock("t.b", reg=reg)
-
-    def ab():
-        with a:
-            with b:
-                pass
-
-    def ba():
-        with b:
-            with a:
-                pass
-
-    for fn in (ab, ba):
-        t = threading.Thread(target=fn)
+    errors: list = []
+    for outer, inner in ((a, b), (b, a)):
+        t = threading.Thread(target=_nest, args=(outer, inner, errors))
         t.start()
-        t.join()
-
-    kinds = [v["kind"] for v in reg.violations()]
-    assert kinds == ["inversion"]
-    (v,) = reg.violations()
-    assert v["edge"] == ["t.b", "t.a"]
-    assert v["inverse_site"]            # where A->B was first seen
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert len(errors) == 2
+    assert [(v["kind"], v["held"], v["lock"]) for v in reg.violations()] \
+        == [("nested", ["t.a"], "t.b"), ("nested", ["t.b"], "t.a")]
 
 
 def test_same_thread_inversion_also_detected(reg):
     a = SanitizedLock("t.a", reg=reg)
     b = SanitizedLock("t.b", reg=reg)
-    with a:
-        with b:
-            pass
-    with b:
-        with a:
-            pass
-    assert [v["kind"] for v in reg.violations()] == ["inversion"]
+    errors: list = []
+    _nest(a, b, errors)
+    _nest(b, a, errors)
+    assert len(errors) == 2
+    assert [v["kind"] for v in reg.violations()] == ["nested", "nested"]
+    assert reg.held_names() == []
 
 
 def test_reentry_on_plain_lock_raises(reg):
@@ -105,56 +104,36 @@ def test_reentry_on_rlock_is_fine(reg):
     assert not lock.locked()
 
 
-def test_same_name_instance_pair_not_flagged(reg):
-    # two instances of the same class's lock: ordering by address is a
-    # sharded-design idiom, not an inversion (see module docstring)
+def test_same_name_instance_pair_is_flagged(reg):
+    # two instances of one class's lock nest as surely as two classes do
     l1 = SanitizedLock("t.shard", reg=reg)
     l2 = SanitizedLock("t.shard", reg=reg)
     with l1:
-        with l2:
-            pass
-    with l2:
-        with l1:
-            pass
-    assert reg.violations() == []
+        with pytest.raises(LockCheckError):
+            l2.acquire()
+    assert [v["kind"] for v in reg.violations()] == ["nested"]
 
 
-def test_declared_hierarchy_rank_violation(reg):
-    outer = SanitizedLock("WeightCache._lock", reg=reg)     # rank 40
-    inner = SanitizedLock("SearchService._lock", reg=reg)   # rank 5
-    assert outer.rank == LOCK_HIERARCHY["WeightCache._lock"]
-    with outer:
-        with inner:
-            pass
-    kinds = [v["kind"] for v in reg.violations()]
-    assert "hierarchy" in kinds
-    v = next(v for v in reg.violations() if v["kind"] == "hierarchy")
-    assert v["edge"] == ["WeightCache._lock", "SearchService._lock"]
-    assert v["ranks"] == [40, 5]
-
-
-def test_sanctioned_hierarchy_order_is_clean(reg):
-    # no code nests these two today; the hierarchy still permits it
-    outer = SanitizedLock("SearchService._lock", reg=reg)   # rank 5
-    inner = SanitizedLock("WeightCache._lock", reg=reg)     # rank 40
-    with outer:
-        with inner:
-            pass
-    assert reg.violations() == []
+def test_rlock_reentry_does_not_excuse_another_lock(reg):
+    rlock = SanitizedLock("t.re", reentrant=True, reg=reg)
+    plain = SanitizedLock("t.plain", reg=reg)
+    with rlock:
+        with pytest.raises(LockCheckError):
+            plain.acquire()
+    with plain:
+        with pytest.raises(LockCheckError):
+            rlock.acquire()
+    assert [v["lock"] for v in reg.violations()] == ["t.plain", "t.re"]
 
 
 def test_report_and_dump(tmp_path, reg):
     a = SanitizedLock("t.a", reg=reg)
     b = SanitizedLock("t.b", reg=reg)
     with a:
-        with b:
-            pass
-    report = reg.report()
-    assert report["acquisitions"] == 2
-    assert report["edges"] == [
-        {"outer": "t.a", "inner": "t.b", "site": report["edges"][0]["site"]}]
-    assert report["violations"] == []
-    assert report["hierarchy"] == LOCK_HIERARCHY
+        pass
+    with b:
+        pass
+    assert reg.report() == {"acquisitions": 2, "violations": []}
     path = tmp_path / "lockcheck.json"
     reg.dump(path)
     assert json.loads(path.read_text())["acquisitions"] == 2
@@ -163,10 +142,10 @@ def test_report_and_dump(tmp_path, reg):
 def test_reset(reg):
     a = SanitizedLock("t.a", reg=reg)
     with a:
-        pass
+        with pytest.raises(LockCheckError):
+            a.acquire()
     reg.reset()
-    assert reg.report()["acquisitions"] == 0
-    assert reg.edges() == {}
+    assert reg.report() == {"acquisitions": 0, "violations": []}
 
 
 def test_timeout_and_nonblocking_acquire(reg):
