@@ -42,12 +42,13 @@ def main() -> None:
     async_store = CheckpointStore(root / "async")
     with AsyncCheckpointWriter(async_store) as writer:
         t0 = time.perf_counter()
-        for i in range(10):
-            writer.save(f"cand_{i}", weights)
+        saves = [writer.save(f"cand_{i}", weights) for i in range(10)]
         enqueue_s = (time.perf_counter() - t0) / 10
         t0 = time.perf_counter()
         writer.flush()
         drain_s = time.perf_counter() - t0
+    for save in saves:
+        save.result()             # each save's future raises its own error
     print(f"synchronous save:        {1000 * sync_s:7.1f} ms/checkpoint")
     print(f"write-behind enqueue:    {1000 * enqueue_s:7.1f} ms/checkpoint "
           f"(+{1000 * drain_s:.0f} ms off the critical path)")

@@ -41,7 +41,12 @@ debugging paid for, now machine-enforced:
            that lock — lexically or via entry-lock propagation.
  R008      Every lock is a leaf: no lock may be acquired while
            another is held, lexically or through the resolved call
-           graph (re-entering an ``RLock`` excepted).
+           graph (re-entering an ``RLock`` excepted).  The graph
+           follows ``self.attr.m()`` only for pinned types, and no
+           collaborator of a lock owner is pinned, so a nesting across
+           components (``SearchService`` calling its evaluator, store
+           or a session's driver) is not seen; the CI ``lockcheck``
+           job (tier-1 under ``REPRO_LOCKCHECK=1``) catches it.
 ========  ============================================================
 
 Rules R004, R007 and R008 come from the whole-program analyzer in

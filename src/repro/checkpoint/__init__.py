@@ -2,7 +2,7 @@
 still load) + in-memory provider cache and async write-behind
 extensions."""
 
-from .cache import DEFAULT_CACHE_BYTES, WeightCache, weights_nbytes
+from .cache import WeightCache
 from .multilevel import AsyncCheckpointWriter
 from .sharded import ShardBreaker, ShardedCheckpointStore, StoreUnavailableError
 from .store import CheckpointInfo, CheckpointStore, CorruptCheckpointError
@@ -16,6 +16,4 @@ __all__ = [
     "ShardBreaker",
     "ShardedCheckpointStore",
     "StoreUnavailableError",
-    "weights_nbytes",
-    "DEFAULT_CACHE_BYTES",
 ]

@@ -3,10 +3,11 @@
 Evolutionary search re-selects the same providers constantly (a fit
 parent breeds many children), so the same checkpoint is re-read and
 re-deserialized from disk once per child.  :class:`WeightCache` keeps
-recently touched weight dicts in memory under a byte budget, and
-optionally an entry cap: a hit skips disk entirely and costs a dict
-lookup.  The search driver caps its cache at the strategy's population,
-the only members a child's parent can come from.
+the ``max_entries`` most recently touched weight dicts in memory: a hit
+skips disk entirely and costs a dict lookup.  The search driver caps
+its cache at the strategy's population, the only members a child's
+parent can come from, so memory is bounded by that many of the largest
+checkpoints.
 
 Thread-safety: every operation takes the internal lock and acquires no
 other lock while holding it, so one cache may be shared between
@@ -21,133 +22,63 @@ cross-candidate corruption.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..analysis.lockcheck import make_lock
 
-#: Default byte budget: generous for the scaled-down reproduction
-#: (checkpoints are O(100 KB)); real deployments size this to node RAM.
-DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
-
 #: Lock-discipline assertion (lint R004/R007): every write to these
 #: attributes must hold ``self._lock``; the whole-program analyzer
 #: verifies the set matches what it infers from the AST.
-_GUARDED_ATTRS = ("_entries", "_nbytes", "hits", "misses", "evictions",
-                  "insertions", "oversize_rejects")
-
-
-def weights_nbytes(weights: dict) -> int:
-    """Total payload bytes of a named-tensor dict."""
-    return int(sum(np.asarray(arr).nbytes for arr in weights.values()))
-
-
-@dataclass
-class _Entry:
-    weights: dict
-    nbytes: int
+_GUARDED_ATTRS = ("_entries", "hits", "misses", "evictions", "insertions")
 
 
 class WeightCache:
-    """Size-bounded, thread-safe LRU over checkpoint weight dicts.
-    ``max_entries`` (None: no cap) bounds the entry count on top of the
-    byte budget."""
+    """Thread-safe LRU over checkpoint weight dicts, capped at
+    ``max_entries`` entries."""
 
-    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES,
-                 max_entries: Optional[int] = None):
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        if max_entries is not None and max_entries <= 0:
+    def __init__(self, max_entries: int):
+        if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        self.max_bytes = int(max_bytes)
-        self.max_entries = max_entries
+        self.max_entries = int(max_entries)
         self._lock = make_lock("WeightCache._lock")
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._nbytes = 0
+        self._entries: "OrderedDict[str, dict]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.insertions = 0
-        self.oversize_rejects = 0
 
-    # -- lookup ---------------------------------------------------------
     def get(self, key: str) -> Optional[dict]:
         """The cached weight dict (read-only array views), or ``None``."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            weights = self._entries.get(key)
+            if weights is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return dict(entry.weights)
+            return dict(weights)
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    # -- insert / evict -------------------------------------------------
-    def put(self, key: str, weights: dict) -> bool:
-        """Insert (or refresh) ``key``; returns False when the payload
-        alone exceeds the byte budget and was rejected."""
+    def put(self, key: str, weights: dict) -> None:
+        """Insert (or refresh) ``key`` as most recently used, evicting
+        the least recently used entries beyond the cap."""
         frozen = {}
-        nbytes = 0
         for name, arr in weights.items():
             view = np.asarray(arr).view()
             view.flags.writeable = False
             frozen[name] = view
-            nbytes += int(view.nbytes)
         with self._lock:
-            if nbytes > self.max_bytes:
-                self.oversize_rejects += 1
-                self._entries.pop(key, None)
-                self._recount()
-                return False
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._nbytes -= old.nbytes
-            self._entries[key] = _Entry(frozen, nbytes)
-            self._nbytes += nbytes
+            self._entries.pop(key, None)
+            self._entries[key] = frozen
             self.insertions += 1
-            max_entries = self.max_entries or float("inf")
-            while len(self._entries) > 1 and (
-                    self._nbytes > self.max_bytes
-                    or len(self._entries) > max_entries):
-                _, evicted = self._entries.popitem(last=False)
-                self._nbytes -= evicted.nbytes
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
                 self.evictions += 1
-            return True
-
-    def _recount(self) -> None:
-        self._nbytes = sum(e.nbytes for e in self._entries.values())
-
-    def discard(self, key: str) -> None:
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._nbytes -= entry.nbytes
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._nbytes = 0
-
-    # -- accounting -----------------------------------------------------
-    @property
-    def current_bytes(self) -> int:
-        with self._lock:
-            return self._nbytes
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def stats(self) -> dict:
         with self._lock:
@@ -156,17 +87,6 @@ class WeightCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "insertions": self.insertions,
-                "oversize_rejects": self.oversize_rejects,
                 "entries": len(self._entries),
-                "current_bytes": self._nbytes,
-                "max_bytes": self.max_bytes,
                 "max_entries": self.max_entries,
             }
-
-    def __repr__(self):
-        s = self.stats()
-        return (f"<WeightCache {s['entries']} entries "
-                f"{s['current_bytes']}/{s['max_bytes']}B "
-                f"hits={s['hits']} misses={s['misses']} "
-                f"evictions={s['evictions']}>")
-

@@ -2,7 +2,7 @@
 
 :class:`AsyncCheckpointWriter` — saves are snapshotted and handed to
 one process-wide writer thread so checkpoint I/O leaves the training
-critical path.  It is a context manager; exiting flushes.
+critical path.  It is a context manager; exiting closes it.
 
 One writer thread for the whole process, not one per writer: every
 new OS thread can take its own glibc malloc arena, so a thread per
@@ -13,32 +13,24 @@ for a writer's *last* submitted save waits for all of its saves, and a
 hung ``store.save`` delays the other writers' saves too (DESIGN.md
 "Checkpoint I/O pipeline").
 
-Error contract (tested in ``tests/test_checkpoint.py``): background
-write failures are captured, never lost.  The first captured exception
-is re-raised by the next :meth:`AsyncCheckpointWriter.flush` (or
-:meth:`close`) call, after this writer's saves have all been written;
-captured errors are cleared once raised, so a later flush of healthy
-writes succeeds.  Raising the first error does **not** discard the
-rest: every captured failure (key + exception repr) stays in
-:meth:`error_log`, which the scheduler's drain barrier surfaces as
-``trace.io_stats["writer_errors"]`` — a run that lost three
-checkpoints reports all three, not one.  Every counter is per writer.
-Each :meth:`~AsyncCheckpointWriter.save` also returns that save's own
-future, which resolves or raises for its key alone: the scheduler waits
-on it for one provider, and books each failed save as its own fault.
+Errors: each :meth:`~AsyncCheckpointWriter.save` returns the writer
+thread's future for that save, which resolves to ``(CheckpointInfo,
+write seconds)`` or raises that key's write error.  It is the only
+error channel: :meth:`~AsyncCheckpointWriter.flush` and
+:meth:`~AsyncCheckpointWriter.close` wait and never raise.  The
+scheduler books each failed save from its future.
 
-Backpressure: each writer's queue is bounded.  ``save(..., block=True)``
-(the default) blocks the caller once ``max_queue`` of its snapshots are
-waiting for the writer thread — the producer cannot run unboundedly
-ahead of the disk.  With ``block=False`` a full queue raises
-:class:`queue.Full` immediately.
+Backpressure: at most ``max_queue`` of a writer's saves are unwritten
+at a time; the next :meth:`~AsyncCheckpointWriter.save` blocks until
+the writer thread has written one, so the producer cannot run
+unboundedly ahead of the disk.
 """
 
 from __future__ import annotations
 
-import queue
+import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Optional
 
 import numpy as np
@@ -47,10 +39,10 @@ from ..analysis.lockcheck import make_lock
 from .store import CheckpointStore
 
 #: Lock-discipline assertion (lint R004/R007): state shared between the
-#: saving thread(s) and the writer thread.  Every write must hold
+#: threads that save, flush and close.  Every write must hold
 #: ``self._lock``; the whole-program analyzer verifies the set matches
 #: what it infers.
-_GUARDED_ATTRS = ("_errors", "_error_log", "_pending", "_closed", "_last")
+_GUARDED_ATTRS = ("_closed", "_last")
 
 #: The one writer thread every AsyncCheckpointWriter saves on; the
 #: executor starts it on the first save and keeps it for the process.
@@ -61,108 +53,58 @@ _WRITER = ThreadPoolExecutor(max_workers=1,
 class AsyncCheckpointWriter:
     def __init__(self, store: CheckpointStore, max_queue: int = 64):
         self.store = store
-        # snapshots handed over but not yet picked up by the writer thread
-        self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
+        # one slot per unwritten save; the writer thread frees it
+        self._slots = threading.Semaphore(max_queue)
         self._lock = make_lock("AsyncCheckpointWriter._lock")
-        self._errors: list[Exception] = []
-        self._error_log: list[tuple[str, str]] = []   # (key, repr) — kept
-        self._pending: set[str] = set()
         self._closed = False
         self._last: Optional[Future] = None   # this writer's latest save
 
-    def _write_next(self) -> None:
-        """Writer-thread task: write this writer's oldest queued save.
-        One task is submitted per queued snapshot, so there always is
-        one."""
-        key, weights, meta, done = self._queue.get_nowait()
-        t0 = time.perf_counter()
+    def _write(self, key: str, weights: dict, meta: dict | None):
+        """Writer-thread task: one save, timed."""
         try:
+            t0 = time.perf_counter()
             info = self.store.save(key, weights, meta)
-        except Exception as exc:  # re-raised by the next flush/close
-            with self._lock:
-                self._errors.append(exc)
-                self._error_log.append((key, repr(exc)))
-                self._pending.discard(key)
-            done.set_exception(exc)
-            return
-        seconds = time.perf_counter() - t0
-        with self._lock:
-            self._pending.discard(key)
-        done.set_result((info, seconds))
+            return info, time.perf_counter() - t0
+        finally:
+            self._slots.release()
 
-    def save(self, key: str, weights: dict, meta: dict | None = None,
-             block: bool = True, timeout: Optional[float] = None) -> Future:
-        """Enqueue; snapshots the arrays so later in-place training updates
-        don't race the writer.  Raises :class:`queue.Full` when the queue
-        is at ``max_queue`` and ``block`` is false (or ``timeout`` runs
-        out) — the backpressure contract.
+    def save(self, key: str, weights: dict,
+             meta: dict | None = None) -> Future:
+        """Snapshot the arrays (so later in-place training updates don't
+        race the writer) and queue the save; blocks while ``max_queue``
+        of this writer's saves are unwritten.  Raises ``RuntimeError``
+        once the writer is closed.
 
-        Returns this save's own future: it resolves to ``(CheckpointInfo,
+        Returns this save's future: it resolves to ``(CheckpointInfo,
         write seconds)`` once the checkpoint is on disk, or raises the
-        write error — so a caller can wait for one key alone, without
-        :meth:`flush` raising (and clearing) another key's error."""
-        if self._closed:
-            raise RuntimeError("writer is closed")
+        write error."""
         snapshot = {name: np.array(arr, copy=True)
                     for name, arr in weights.items()}
-        done: Future = Future()
+        self._slots.acquire()
         with self._lock:
-            self._pending.add(key)
-        try:
-            self._queue.put((key, snapshot, meta, done), block=block,
-                            timeout=timeout)
-        except queue.Full:
-            with self._lock:
-                self._pending.discard(key)
-            raise
-        with self._lock:
-            # submitted under the lock, so _last is always the newest
-            self._last = _WRITER.submit(self._write_next)
-        return done
+            # checked with the submit in one hold, so a close() that
+            # returned has flushed every save it did not refuse
+            if self._closed:
+                self._slots.release()
+                raise RuntimeError("writer is closed")
+            self._last = _WRITER.submit(self._write, key, snapshot, meta)
+            return self._last
 
-    # -- accounting ------------------------------------------------------
-    def pending_keys(self) -> set:
-        with self._lock:
-            return set(self._pending)
-
-    def error_log(self) -> list[tuple[str, str]]:
-        """Every write failure captured over the writer's lifetime as
-        ``(key, exception_repr)`` — unlike the flush contract's
-        raise-on-first-error, nothing is ever dropped from this log."""
-        with self._lock:
-            return list(self._error_log)
-
-    def _wait(self) -> None:
-        """Block until every save handed to this writer is written: the
-        writer thread runs saves in FIFO order, so the last one done
-        means all of them are."""
+    def flush(self) -> None:
+        """Block until every save handed to this writer is written or
+        failed: the writer thread runs saves in FIFO order, so the last
+        one done means all of them are."""
         with self._lock:
             last = self._last
         if last is not None:
-            last.result()
-
-    def flush(self) -> None:
-        """Block until this writer's saves are written; raise the first
-        captured write error (clearing it — but never :meth:`error_log`)
-        — raise-on-first-error."""
-        self._wait()
-        with self._lock:
-            errors, self._errors = self._errors, []
-        if errors:
-            raise errors[0]
+            wait((last,))
 
     def close(self) -> None:
-        """Flush and refuse further saves.  Idempotent: a second
-        ``close()`` (service shutdown racing session teardown) does not
-        raise again — but a *concurrent* second close still blocks until
-        every save is written instead of returning mid-drain."""
+        """Refuse further saves, then flush.  Idempotent, and every
+        concurrent ``close()`` returns only once all saves are done."""
         with self._lock:
-            first = not self._closed
             self._closed = True
-        if first:
-            self.flush()
-        else:
-            self._wait()
+        self.flush()
 
     def __enter__(self) -> "AsyncCheckpointWriter":
         return self

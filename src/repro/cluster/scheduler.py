@@ -30,7 +30,8 @@ are read through an LRU capped at the strategy's ``population_size``
 provider's checkpoint is CRC-checked before its first child inherits
 from it.  A load first waits for the provider's own save if it is
 still running, so a save that fails is a cold start whatever the
-writer thread's timing.
+writer thread's timing.  Each save's own future is the only place its
+error surfaces: the driver books it when the record lands.
 
 I/O accounting stays honest: ``record.overhead`` remains the *total*
 checkpoint I/O seconds (so Fig. 11 and the simulator calibration are
@@ -61,8 +62,9 @@ durable candidate with already-completed records bit-identical.  All
 fault counters serialize into ``trace.fault_stats``.  A candidate save
 that raises (e.g. every shard of a
 :class:`~repro.checkpoint.ShardedCheckpointStore` tripped its circuit
-breaker) is booked as one ``ckpt_write`` fault and the search
-continues — the candidate simply has no checkpoint to provide from.
+breaker) is booked as one ``ckpt_write`` fault, named in
+``trace.io_stats["writer_errors"]``, and the search continues — the
+candidate simply has no checkpoint to provide from.
 """
 
 from __future__ import annotations
@@ -232,6 +234,8 @@ class SearchDriver:
             if uses_store and population else None
         #: write-behind saves whose records are still held, by key
         self._saves: dict[str, Future] = {}
+        #: every failed save as ``"key: exc!r"``, in landing order
+        self._writer_errors: list[str] = []
         #: completed records not yet journaled, in completion order: a
         #: record waits here until its write-behind save has finished
         self._held: deque[TraceRecord] = deque()
@@ -450,8 +454,9 @@ class SearchDriver:
         write-behind save has finished, oldest first; stop at the first
         whose save is still running (``wait=True``: wait for it).  So a
         journaled record's checkpoint is on disk — or its save failed,
-        booked here as one ``ckpt_write`` fault — and a resume never
-        transfers from a provider the killed run had not saved yet.  An
+        booked here as one ``ckpt_write`` fault and one
+        ``writer_errors`` entry — and a resume never transfers from a
+        provider the killed run had not saved yet.  An
         ``on_record`` that raises does not hold back the records behind
         it: they land too, and the first error is raised afterwards."""
         error: Optional[Exception] = None
@@ -465,9 +470,10 @@ class SearchDriver:
                 del self._saves[key]
                 try:
                     info, seconds = save.result()
-                except Exception:
+                except Exception as exc:
                     # a failed save costs the checkpoint, not the search
                     self.fault_stats.record_fault("ckpt_write")
+                    self._writer_errors.append(f"{key}: {exc!r}")
                 else:
                     record.ckpt_bytes = info.nbytes
                     record.add_io_hidden(seconds)
@@ -649,13 +655,9 @@ class SearchDriver:
         finally:
             if writer is not None:
                 io_stats["drain_seconds"] = time.perf_counter() - drain0
-                # every captured write failure, not just the first raised
-                errors = writer.error_log()
-                if errors:
-                    io_stats["writer_errors"] = [
-                        f"{key}: {msg}" for key, msg in errors]
-                with contextlib.suppress(Exception):
-                    writer.close()    # errors already in writer_errors
+                if self._writer_errors:
+                    io_stats["writer_errors"] = list(self._writer_errors)
+                writer.close()
         if self.weight_cache is not None:
             io_stats["cache"] = self.weight_cache.stats()
         if io_stats:

@@ -44,7 +44,9 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
 
     ``provider_weights`` (if given) are selectively transferred into the
     fresh model before training; ``keep_weights`` returns the trained
-    weights so the caller can checkpoint them.
+    weights so the caller can checkpoint them.  They are the model's own
+    arrays, not copies: nothing else holds the model, so the write-behind
+    writer's snapshot is the one defensive copy.
 
     ``supernet`` (a :class:`repro.transfer.SupernetTransferBackend`)
     selects the zero-copy path instead: the model is *bound* to shared
@@ -96,8 +98,7 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
     return EstimationResult(
         ok=True, score=float(score), epochs=epochs,
         num_params=model.num_parameters(),
-        weights=model.get_weights(copy=supernet is None)
-        if keep_weights else None,
+        weights=model.get_weights(copy=False) if keep_weights else None,
         transfer_stats=stats,
     )
 

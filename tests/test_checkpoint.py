@@ -1,7 +1,6 @@
 """CheckpointStore, AsyncCheckpointWriter."""
 
 import json
-import queue
 import sys
 import tempfile
 import threading
@@ -137,7 +136,7 @@ class FlakyStore(CheckpointStore):
 
 
 class SlowStore(CheckpointStore):
-    """Blocks every save on an event — lets tests fill the queue."""
+    """Blocks every save on an event — lets tests hold the writer thread."""
 
     def __init__(self, root):
         super().__init__(root)
@@ -148,51 +147,86 @@ class SlowStore(CheckpointStore):
         return super().save(key, weights, meta)
 
 
-def test_async_writer_raises_first_error_on_flush(tmp_path):
+def test_async_writer_errors_surface_only_on_each_save_future(tmp_path):
     store = FlakyStore(tmp_path, fail=1)
     writer = AsyncCheckpointWriter(store)
-    writer.save("bad", weights(0))
-    writer.save("good", weights(1))
-    with pytest.raises(OSError, match="disk full"):
-        writer.flush()
-    # errors are cleared once raised; healthy writes flush cleanly
-    writer.flush()
+    bad = writer.save("bad", weights(0))
+    good = writer.save("good", weights(1))
+    writer.flush()                               # waits, never raises
+    with pytest.raises(OSError, match="disk full while writing bad"):
+        bad.result()
+    assert good.result()[0].key == "good"
     assert store.exists("good") and not store.exists("bad")
-    writer.close()
-
-
-def test_async_writer_close_raises_after_draining(tmp_path):
-    store = FlakyStore(tmp_path, fail=1)
-    writer = AsyncCheckpointWriter(store)
-    writer.save("bad", weights(0))
-    writer.save("good", weights(1))
-    with pytest.raises(OSError):
-        writer.close()
-    # the error surfaced only after every save was handled
-    assert store.exists("good") and writer.pending_keys() == set()
-    writer.close()                               # idempotent after error
+    writer.close()                               # waits, never raises
     with pytest.raises(RuntimeError):
         writer.save("late", weights())
 
 
-def test_async_writer_queue_full_backpressure(tmp_path):
+def test_async_writer_backpressure_blocks_the_next_save(tmp_path):
+    """With ``max_queue=1`` a second save blocks until the writer thread
+    has written the first."""
     store = SlowStore(tmp_path)
     writer = AsyncCheckpointWriter(store, max_queue=1)
-    writer.save("k0", weights(0))                # picked up by the worker
-    for attempt in range(200):                   # fill the 1-slot queue
-        try:
-            writer.save("k1", weights(1), block=False)
-            break
-        except queue.Full:  # pragma: no cover - depends on thread timing
-            time.sleep(0.005)                    # let the worker take k0
-    with pytest.raises(queue.Full):
-        writer.save("k2", weights(2), block=False)
-    with pytest.raises(queue.Full):
-        writer.save("k3", weights(3), timeout=0.01)
-    assert "k3" not in writer.pending_keys()
+    writer.save("k0", weights(0))
+    written_on_return = []
+
+    def second():
+        writer.save("k1", weights(1))
+        written_on_return.append(store.exists("k0"))
+
+    thread = threading.Thread(target=second)
+    thread.start()
+    thread.join(timeout=0.2)
+    assert thread.is_alive() and not store.exists("k0")
     store.gate.set()                             # release the writer
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert written_on_return == [True]
     writer.close()
     assert store.exists("k0") and store.exists("k1")
+
+
+class _BlockingArray:
+    """An array-like whose ``__array__`` waits on ``release``, so a save
+    can be held inside its snapshot."""
+
+    def __init__(self, arr):
+        self.arr = arr
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __array__(self, dtype=None, copy=None):
+        self.entered.set()
+        self.release.wait(timeout=10.0)
+        return self.arr
+
+
+def test_save_racing_close_is_refused_not_written_late(tmp_path):
+    """A save still snapshotting when ``close()`` runs must not reach
+    the store after ``close()`` has returned: it raises instead."""
+    store = CheckpointStore(tmp_path)
+    writer = AsyncCheckpointWriter(store)
+    blocking = _BlockingArray(np.ones(4, dtype=np.float32))
+    outcome = []
+
+    def late_save():
+        try:
+            writer.save("late", {"a": blocking})
+            outcome.append("queued")
+        except RuntimeError:
+            outcome.append("refused")
+
+    thread = threading.Thread(target=late_save)
+    thread.start()
+    assert blocking.entered.wait(timeout=10.0)
+    writer.close()
+    blocking.release.set()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    with AsyncCheckpointWriter(store) as probe:  # FIFO: runs after "late"
+        probe.save("probe", weights())
+    assert outcome == ["refused"]
+    assert not store.exists("late")
 
 
 def test_async_writer_snapshots_arrays_and_records_results(tmp_path):
@@ -207,7 +241,6 @@ def test_async_writer_snapshots_arrays_and_records_results(tmp_path):
     info, seconds = done.result()
     assert info.key == "k" and info.nbytes == store.nbytes("k")
     assert seconds > 0.0
-    assert writer.pending_keys() == set()
     writer.close()
 
 
@@ -318,7 +351,7 @@ def test_async_writer_concurrent_close_from_two_threads(tmp_path):
             writer.close()
         except Exception as exc:             # pragma: no cover
             errors.append(exc)
-        on_return.append((len(store.keys()), writer.pending_keys()))
+        on_return.append(len(store.keys()))
 
     threads = [threading.Thread(target=closer) for _ in range(4)]
     for t in threads:
@@ -328,7 +361,7 @@ def test_async_writer_concurrent_close_from_two_threads(tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     # every closer returned only after all eight saves were on disk
-    assert on_return == [(8, set())] * 4
+    assert on_return == [8] * 4
 
 
 class ThreadRecordingStore(CheckpointStore):
@@ -372,7 +405,7 @@ def test_concurrent_writers_keep_their_own_accounting(tmp_path):
                  for i, key in enumerate(sorted(keys))}
         writer.flush()
         if not all(f.done() and f.result()[0].key == k
-                   for k, f in saves.items()) or writer.pending_keys() \
+                   for k, f in saves.items()) \
                 or not all(store.exists(k) for k in keys):
             failures.append(w)
         writer.close()

@@ -8,10 +8,13 @@ fully synchronous loop of a one-GPU :class:`SimulatedCluster`, also when
 saves fail, and ``overhead`` always equals ``io_blocked + io_hidden``.
 """
 
+import tempfile
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.checkpoint import CheckpointStore
 from repro.cluster import (
@@ -204,6 +207,31 @@ def test_failed_write_behind_save_costs_the_checkpoint_not_the_search(
     assert trace.fault_stats["by_kind"]["ckpt_write"] == 4
     assert len(trace.io_stats["writer_errors"]) == 4
     assert all(r.ckpt_bytes == 0 for r in trace.records[:4])
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fail_ids=st.sets(st.integers(0, 11)), threads=st.booleans())
+def test_writer_errors_name_each_failed_save_once(problem, space, fail_ids,
+                                                  threads):
+    """Whatever set of saves fails, ``io_stats["writer_errors"]`` names
+    each failed key exactly once, and there are as many entries as
+    ``ckpt_write`` faults."""
+    fail = {checkpoint_key(i) for i in fail_ids}
+    with tempfile.TemporaryDirectory() as root, \
+            (ThreadPoolEvaluator(2) if threads else SerialEvaluator()) \
+            as evaluator:
+        trace = run_search(problem, evolution(space), 12, scheme="lcs",
+                           store=_FailingStore(root, fail),
+                           evaluator=evaluator, seed=0)
+    failed = sorted(checkpoint_key(r.candidate_id)
+                    for r in trace.ok_records()
+                    if checkpoint_key(r.candidate_id) in fail)
+    errors = trace.io_stats.get("writer_errors", [])
+    assert sorted(e.split(": ", 1)[0] for e in errors) == failed
+    assert all("disk gone for" in e for e in errors)
+    faults = (trace.fault_stats or {}).get("by_kind", {})
+    assert len(errors) == faults.get("ckpt_write", 0)
 
 
 class _LateFailingStore(_FailingStore):

@@ -11,11 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import (
-    AsyncCheckpointWriter,
-    CheckpointStore,
-    CorruptCheckpointError,
-)
+from repro.checkpoint import CheckpointStore, CorruptCheckpointError
 from repro.cluster import (
     ChaosEvaluator,
     FaultModel,
@@ -329,30 +325,6 @@ def test_live_run_and_its_resume_agree_under_a_corrupting_store(
     assert set(store.quarantined_keys()) <= asked
     assert len(store.quarantined_keys()) == \
         killed.fault_stats["quarantined"] + resumed.fault_stats["quarantined"]
-
-
-def test_writer_error_log_keeps_every_failure(tmp_path):
-    class FlakyStore(CheckpointStore):
-        def save(self, key, weights, meta=None):
-            if key.startswith("fail"):
-                raise OSError(f"disk gone for {key}")
-            return super().save(key, weights, meta)
-
-    w = {"a": np.ones(2, dtype=np.float32)}
-    writer = AsyncCheckpointWriter(FlakyStore(tmp_path))
-    fail1 = writer.save("fail1", w)
-    ok = writer.save("ok", w)
-    writer.save("fail2", w)
-    with pytest.raises(OSError):
-        writer.flush()                      # raise-on-first-error contract
-    writer.flush()                          # errors cleared; healthy again
-    writer.close()
-    log = writer.error_log()
-    assert [k for k, _ in log] == ["fail1", "fail2"]    # both kept
-    assert all("disk gone" in msg for _, msg in log)
-    assert ok.result()[0].key == "ok"
-    with pytest.raises(OSError, match="fail1"):
-        fail1.result()                      # each save's own outcome
 
 
 # ---------------------------------------------------------------------------

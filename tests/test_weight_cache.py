@@ -1,11 +1,14 @@
-"""WeightCache (LRU byte budget and entry cap, counters, thread-safety)."""
+"""WeightCache (LRU entry cap, counters, read-only views, thread-safety)."""
 
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.checkpoint import WeightCache, weights_nbytes
+from repro.checkpoint import WeightCache
 
 
 def weights(seed=0, n=64):
@@ -14,24 +17,21 @@ def weights(seed=0, n=64):
             "d.bias": rng.normal(size=4).astype(np.float32)}
 
 
-ENTRY_BYTES = weights_nbytes(weights())
-
-
 def test_hit_miss_counters_and_round_trip():
-    cache = WeightCache(max_bytes=10 * ENTRY_BYTES)
+    cache = WeightCache(max_entries=4)
     assert cache.get("a") is None
     w = weights(1)
-    assert cache.put("a", w)
+    cache.put("a", w)
     got = cache.get("a")
     assert all(np.array_equal(got[k], w[k]) for k in w)
     assert (cache.hits, cache.misses) == (1, 1)
-    assert cache.hit_rate == 0.5
-    assert "a" in cache and "b" not in cache
-    assert cache.current_bytes == ENTRY_BYTES
+    assert cache.stats() == {"hits": 1, "misses": 1, "evictions": 0,
+                             "insertions": 1, "entries": 1,
+                             "max_entries": 4}
 
 
 def test_handed_out_views_are_read_only():
-    cache = WeightCache(max_bytes=10 * ENTRY_BYTES)
+    cache = WeightCache(max_entries=4)
     src = weights()
     cache.put("a", src)
     got = cache.get("a")
@@ -43,61 +43,66 @@ def test_handed_out_views_are_read_only():
     assert src["d.kernel"].flags.writeable
 
 
-def test_lru_eviction_at_byte_budget():
-    cache = WeightCache(max_bytes=3 * ENTRY_BYTES)
-    for i, key in enumerate("abc"):
-        cache.put(key, weights(i))
-    assert len(cache) == 3
-    cache.get("a")                       # refresh "a" → "b" is now LRU
-    cache.put("d", weights(3))
-    assert "b" not in cache
-    assert all(k in cache for k in "acd")
-    assert cache.evictions == 1
-    assert cache.current_bytes <= cache.max_bytes
-
-
 def test_lru_eviction_at_entry_cap():
-    cache = WeightCache(max_bytes=10 * ENTRY_BYTES, max_entries=2)
+    cache = WeightCache(max_entries=2)
     cache.put("a", weights(0))
     cache.put("b", weights(1))
     cache.get("a")                       # refresh "a" → "b" is now LRU
     cache.put("c", weights(2))
-    assert "b" not in cache and len(cache) == 2
+    assert cache.get("b") is None and len(cache) == 2
     assert cache.evictions == 1
     assert cache.stats()["max_entries"] == 2
 
 
-def test_oversize_payload_rejected():
-    cache = WeightCache(max_bytes=ENTRY_BYTES // 2)
-    assert not cache.put("big", weights())
-    assert "big" not in cache
-    assert cache.oversize_rejects == 1
-    assert cache.current_bytes == 0
+# one operation: ("get", key) or ("put", key, payload seed)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("get"), st.integers(0, 11)),
+    st.tuples(st.just("put"), st.integers(0, 11), st.integers(0, 3))),
+    max_size=60)
 
 
-def test_refresh_replaces_and_keeps_budget_exact():
-    cache = WeightCache(max_bytes=10 * ENTRY_BYTES)
-    cache.put("a", weights(0))
-    cache.put("a", weights(1, n=32))     # smaller refresh
-    assert cache.current_bytes == weights_nbytes(weights(1, n=32))
-    assert len(cache) == 1
-
-
-def test_stats_and_discard_and_clear():
-    cache = WeightCache(max_bytes=10 * ENTRY_BYTES)
-    cache.put("a", weights(0))
-    cache.put("b", weights(1))
-    cache.discard("a")
-    assert "a" not in cache
-    assert cache.current_bytes == ENTRY_BYTES
-    s = cache.stats()
-    assert s["entries"] == 1 and s["insertions"] == 2
-    cache.clear()
-    assert len(cache) == 0 and cache.current_bytes == 0
+@settings(max_examples=200, deadline=None)
+@given(cap=st.integers(1, 8), ops=_OPS)
+def test_matches_an_ordered_dict_lru(cap, ops):
+    """On any get/put sequence the cache agrees with an ``OrderedDict``
+    LRU of ``cap`` entries: the same hits, misses and evictions, the
+    same contents in the same recency order, and every hit is a
+    read-only view of what was last put under its key."""
+    cache = WeightCache(max_entries=cap)
+    ref: OrderedDict = OrderedDict()
+    hits = misses = evictions = 0
+    for op in ops:
+        key = f"k{op[1]}"
+        if op[0] == "get":
+            got = cache.get(key)
+            if key in ref:
+                hits += 1
+                ref.move_to_end(key)
+                assert got is not None
+                for name, arr in ref[key].items():
+                    assert np.array_equal(got[name], arr)
+                    assert not got[name].flags.writeable
+            else:
+                misses += 1
+                assert got is None
+        else:
+            w = weights(op[2], n=2)
+            cache.put(key, w)
+            ref.pop(key, None)
+            ref[key] = w
+            while len(ref) > cap:
+                ref.popitem(last=False)
+                evictions += 1
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["evictions"]) == \
+        (hits, misses, evictions)
+    assert stats["insertions"] == sum(op[0] == "put" for op in ops)
+    assert stats["entries"] == len(cache) == len(ref)
+    assert list(cache._entries) == list(ref)
 
 
 def test_thread_safety_under_concurrent_get_put():
-    cache = WeightCache(max_bytes=8 * ENTRY_BYTES)
+    cache = WeightCache(max_entries=8)
     errors = []
 
     def hammer(tid):
@@ -118,16 +123,14 @@ def test_thread_safety_under_concurrent_get_put():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=30.0)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert cache.current_bytes <= cache.max_bytes
-    assert cache.current_bytes == sum(
-        e.nbytes for e in cache._entries.values())
-
+    stats = cache.stats()
+    assert stats["entries"] == len(cache) <= 8
+    assert stats["insertions"] >= stats["entries"] + stats["evictions"]
 
 
 def test_non_positive_budget_is_rejected():
-    with pytest.raises(ValueError, match="max_bytes"):
-        WeightCache(max_bytes=0)
     with pytest.raises(ValueError, match="max_entries"):
         WeightCache(max_entries=0)
