@@ -9,9 +9,9 @@ Two halves:
   check.
 - **Invariant linter** (:mod:`repro.analysis.lint`, run as
   ``python -m repro.analysis.lint src/repro``): AST rules R001-R008
-  enforcing the repo's dtype discipline, frozen reference kernels,
-  allocation-free optimizer steps, reference-kernel import hygiene,
-  view-copy bans in the supernet transfer path, and — via the
+  (R006 retired) enforcing the repo's dtype discipline, frozen
+  reference kernels, allocation-free optimizer steps, reference-kernel
+  import hygiene, and — via the
   whole-program concurrency analyzer
   (:mod:`repro.analysis.concurrency`) — inferred lock guards matching
   every ``_GUARDED_ATTRS`` declaration and *every lock is a leaf* (no

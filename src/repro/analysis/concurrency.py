@@ -19,9 +19,7 @@ concurrency structure of the whole program from the stdlib AST:
   (``with self._lock:`` / between ``.acquire()`` and ``.release()``) or
   inherited from every caller (a helper only ever invoked under the
   lock is guarded by propagation).  Violations are **R007**.
-  Classes without locks are out of scope by design: lock-free hogwild
-  training (see ``repro/transfer/supernet.py``) is a documented choice,
-  not a bug.
+  Classes without locks are out of scope by design.
 - **Declared-vs-inferred assertion** (R004): a module-level
   ``_GUARDED_ATTRS`` tuple is no longer the source of truth but an
   *assertion* the inference must reproduce — an attribute declared but

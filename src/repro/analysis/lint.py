@@ -29,12 +29,7 @@ debugging paid for, now machine-enforced:
  R005      ``repro.tensor.reference_ops`` may only be imported from
            tests and benchmarks — production code must never fall back
            to the slow frozen kernels.
- R006      No ``np.copy(...)``/``.copy()`` in the supernet transfer
-           path (``repro/transfer/supernet.py``): the backend's entire
-           claim is zero-copy view re-binding, so copying a superweight
-           view silently severs entanglement — writes land in a private
-           array instead of shared storage.  In-place ``np.copyto``
-           (re-init/scrub *into* the store) is the sanctioned tool.
+ R006      Retired, with the zero-copy transfer path it guarded.
  R007      Shared mutable state (inferred: touched by thread-escaping
            code, accessed under the owning class's lock, or declared
            in ``_GUARDED_ATTRS``) may only be written while holding
@@ -52,7 +47,7 @@ debugging paid for, now machine-enforced:
 Rules R004, R007 and R008 come from the whole-program analyzer in
 :mod:`repro.analysis.concurrency`, which runs over every non-test file
 in the linted set at once (guard inference needs the cross-module call
-graph).  R001-R003, R005 and R006 are single-file checks.
+graph).  R001-R003 and R005 are single-file checks.
 
 Suppression: append ``# lint: ignore[R001]`` (or a comma-separated
 list, or bare ``# lint: ignore``) to the offending line.
@@ -96,7 +91,6 @@ RULES = {
     "R003": "allocation inside an optimizer step body",
     "R004": "_GUARDED_ATTRS declaration disagrees with the inference",
     "R005": "reference_ops imported outside tests/benchmarks",
-    "R006": "superweight view copied in the supernet transfer path",
     "R007": "shared mutable state written outside the owning lock (inferred)",
     "R008": "lock acquired while another is held (every lock is a leaf)",
 }
@@ -218,30 +212,6 @@ class _R003Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class _R006Visitor(ast.NodeVisitor):
-    """``np.copy(...)`` and ``<expr>.copy()`` calls — both materialise a
-    private array where the supernet path must hand out live views."""
-
-    def __init__(self):
-        self.findings: list[tuple[int, int, str]] = []
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if _is_numpy_attr(node.func, {"copy"}):
-            self.findings.append((
-                node.lineno, node.col_offset,
-                "np.copy materialises a private array in the zero-copy "
-                "supernet path — bind views and mutate in place "
-                "(np.copyto) instead"))
-        elif isinstance(node.func, ast.Attribute) and \
-                node.func.attr == "copy":
-            self.findings.append((
-                node.lineno, node.col_offset,
-                ".copy() severs view entanglement in the supernet "
-                "transfer path — training writes would land in a "
-                "private array, not the shared store"))
-        self.generic_visit(node)
-
-
 class _R005Visitor(ast.NodeVisitor):
     """Any import path reaching ``reference_ops``."""
 
@@ -291,7 +261,7 @@ def _is_test_path(path: Path) -> bool:
 
 
 def lint_file(path: Path) -> list[Finding]:
-    """Single-file findings (R001-R003, R005-R006), suppressions applied.
+    """Single-file findings (R001-R003, R005), suppressions applied.
 
     The whole-program rules (R004, R007, R008) are added by
     :func:`lint_paths`, which sees the full file set at once."""
@@ -335,11 +305,6 @@ def lint_file(path: Path) -> list[Finding]:
         r005 = _R005Visitor()
         r005.visit(tree)
         raw.extend(("R005", *f) for f in r005.findings)
-
-    if "repro/transfer/" in posix and path.name == "supernet.py":
-        r006 = _R006Visitor()
-        r006.visit(tree)
-        raw.extend(("R006", *f) for f in r006.findings)
 
     suppressed = _suppressed_lines(source)
     findings = []

@@ -248,19 +248,17 @@ class CheckpointStore:
     def _load_npz(self, key: str, path: Path,
                   sidecar: dict | None) -> dict[str, np.ndarray]:
         """The legacy read path: an npz archive, order from the sidecar
-        or (older still) from an embedded object array."""
+        or else from the zip entries (npz member order is insertion
+        order).  Older archives also embed the order as a pickled object
+        array; it names the zip-entry order and is skipped, never
+        unpickled."""
         if sidecar is not None:
             self._check_crc(key, path, sidecar, path.read_bytes())
-        if sidecar is not None and _ORDER_KEY in sidecar:
-            order = [str(n) for n in sidecar[_ORDER_KEY]]
-            with np.load(path) as data:    # allow_pickle stays False
-                return {name: data[name] for name in order}
-        with np.load(path) as data:
-            if _ORDER_KEY not in data.files:
-                # npz member order is zip-entry order == insertion order
-                return {name: data[name] for name in data.files}
-        with np.load(path, allow_pickle=True) as data:
-            order = [str(n) for n in data[_ORDER_KEY]]
+        with np.load(path) as data:        # allow_pickle stays False
+            if sidecar is not None and _ORDER_KEY in sidecar:
+                order = [str(n) for n in sidecar[_ORDER_KEY]]
+            else:
+                order = [n for n in data.files if n != _ORDER_KEY]
             return {name: data[name] for name in order}
 
     # -- corrupt-checkpoint quarantine ----------------------------------

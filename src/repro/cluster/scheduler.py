@@ -88,7 +88,6 @@ from ..checkpoint import (
 )
 from ..nas.estimation import FAILURE_SCORE, estimate_candidate
 from ..transfer.policy import get_policy
-from ..transfer.supernet import SuperNet, SupernetTransferBackend
 from .evaluator import SerialEvaluator
 from .resilience import (
     ChaosEvaluator,
@@ -113,41 +112,6 @@ class _Pending:
     task: Callable[[], object]
     attempt: int = 1
     deadline: Optional[float] = None      # monotonic, None = no deadline
-
-
-def _evaluate_supernet_task(problem, arch_seq, seed, backend, descriptor):
-    """The zero-copy evaluation task: instead of a weight payload the
-    worker receives a tiny :class:`~repro.transfer.SliceDescriptor` and
-    resolves it by binding the candidate to shared superweight views —
-    training writes through in place, so nothing is copied and nothing
-    is checkpointed."""
-    provider_seq = None if descriptor is None else \
-        descriptor.provider_arch_seq
-    return estimate_candidate(
-        problem, arch_seq, seed=seed, supernet=backend,
-        provider_seq=provider_seq, keep_weights=True,
-    )
-
-
-def _resolve_supernet_backend(transfer_backend, problem, scheme,
-                              seed) -> Optional[SupernetTransferBackend]:
-    """Normalise the ``transfer_backend`` knob: ``"checkpoint"`` → None
-    (the copy path), ``"supernet"`` / a SuperNet / a configured backend
-    → the zero-copy backend."""
-    if isinstance(transfer_backend, SupernetTransferBackend):
-        return transfer_backend
-    matcher = scheme if scheme in ("lp", "lcs") else "lcs"
-    if isinstance(transfer_backend, SuperNet):
-        return SupernetTransferBackend(transfer_backend, matcher=matcher)
-    if transfer_backend == "supernet":
-        return SupernetTransferBackend(SuperNet(problem.space, seed=seed),
-                                       matcher=matcher)
-    if transfer_backend != "checkpoint":
-        raise ValueError(
-            f"unknown transfer_backend {transfer_backend!r}, expected "
-            f"'checkpoint', 'supernet', a SuperNet or a "
-            f"SupernetTransferBackend")
-    return None
 
 
 class SearchDriver:
@@ -185,7 +149,6 @@ class SearchDriver:
                  provider_policy="parent", seed: int = 0,
                  zero_cost: bool = False,
                  name: Optional[str] = None,
-                 transfer_backend="checkpoint",
                  retry: Optional[RetryPolicy] = None,
                  task_timeout: Optional[float] = None,
                  journal=None, resume=None,
@@ -206,13 +169,7 @@ class SearchDriver:
         self.on_record = on_record
 
         self.transfers = scheme != "baseline"
-        self.backend = _resolve_supernet_backend(transfer_backend, problem,
-                                                 scheme, seed)
-        if self.backend is not None and not self.transfers:
-            raise ValueError("transfer_backend='supernet' needs a transfer "
-                             "scheme ('lp' or 'lcs'); the baseline scheme "
-                             "never inherits weights")
-        if self.transfers and self.backend is None and store is None:
+        if self.transfers and store is None:
             raise ValueError(f"scheme {scheme!r} needs a checkpoint store")
         self.retry = retry or RetryPolicy(max_attempts=1)
         if not isinstance(zero_cost, bool):
@@ -225,13 +182,11 @@ class SearchDriver:
         self.evaluator = evaluator or SerialEvaluator()
 
         # -- checkpoint I/O: write-behind saves, providers read through a
-        # cache of the population (the supernet backend performs no
-        # checkpoint I/O at all, so it gets neither) --
-        uses_store = self.transfers and self.backend is None
-        self.writer = AsyncCheckpointWriter(store) if uses_store else None
+        # cache of the population --
+        self.writer = AsyncCheckpointWriter(store) if self.transfers else None
         population = getattr(strategy, "population_size", None)
         self.weight_cache = WeightCache(max_entries=population) \
-            if uses_store and population else None
+            if self.transfers and population else None
         #: write-behind saves whose records are still held, by key
         self._saves: dict[str, Future] = {}
         #: every failed save as ``"key: exc!r"``, in landing order
@@ -239,9 +194,7 @@ class SearchDriver:
         #: completed records not yet journaled, in completion order: a
         #: record waits here until its write-behind save has finished
         self._held: deque[TraceRecord] = deque()
-        self._arch_by_id: dict[int, tuple] = {}   # ok candidates
         self._xfer_copied_bytes = 0
-        self._xfer_resliced = 0
 
         self.rng = np.random.default_rng(seed)
         # jitter draws come from a dedicated stream so retries never
@@ -277,8 +230,6 @@ class SearchDriver:
                 self.trace.append(r)
                 self.completed += 1
                 self._next_id = max(self._next_id, r.candidate_id + 1)
-                if r.ok:
-                    self._arch_by_id[r.candidate_id] = tuple(r.arch_seq)
             self.resumed_records = len(replayed)
         if journal_path is not None:
             self._journal = TraceJournal(journal_path, name=self.trace.name,
@@ -390,24 +341,6 @@ class SearchDriver:
             parent_id=proposal.parent_id,
             start_time=time.perf_counter() - self._t0,
         )
-        if self.backend is not None:
-            # zero-copy path: the provider policy still picks whose
-            # training signal to inherit, but all the worker needs is a
-            # tiny slice descriptor — binding resolves it against the
-            # shared store, no weights ever cross the submit boundary
-            descriptor = None
-            provider = self.policy.select(proposal, self.trace.ok_records(),
-                                          self.rng)
-            if provider is not None and provider in self._arch_by_id:
-                record.provider_id = provider
-                descriptor = self.backend.describe(
-                    provider, self._arch_by_id[provider])
-            task = functools.partial(
-                _evaluate_supernet_task, self.problem, record.arch_seq,
-                self.seed + candidate_id, self.backend, descriptor,
-            )
-            self._dispatch(_Pending(record, task))
-            return
         provider_weights = None
         if self.transfers:
             provider = self.policy.select(proposal, self.trace.ok_records(),
@@ -440,8 +373,6 @@ class SearchDriver:
         record.end_time = time.perf_counter() - self._t0
         record.attempts = pend.attempt
         record_update(record)
-        if record.ok:
-            self._arch_by_id[record.candidate_id] = record.arch_seq
         self.strategy.tell(record.candidate_id, record.arch_seq,
                            record.score)
         self.trace.append(record)
@@ -524,12 +455,8 @@ class SearchDriver:
             if result.transfer_stats is not None:
                 record.transferred = result.transfer_stats.transferred
                 record.transfer_coverage = result.transfer_stats.coverage
-                self._xfer_copied_bytes += int(getattr(
-                    result.transfer_stats, "copied_bytes", 0))
-                self._xfer_resliced += int(getattr(
-                    result.transfer_stats, "resliced_params", 0))
-            # the supernet backend has nothing to checkpoint (no
-            # writer): the trained slices already live in its store
+                self._xfer_copied_bytes += \
+                    result.transfer_stats.copied_bytes
             if self.writer is not None and result.ok \
                     and result.weights is not None:
                 key = self._key(record.candidate_id)
@@ -663,19 +590,10 @@ class SearchDriver:
         if io_stats:
             self.trace.io_stats = io_stats
 
-        # -- transfer accounting: which backend moved the training
-        # signal and what it cost.  The supernet's whole claim is
-        # visible here: copied_bytes == 0, resliced_params > 0 ---------
+        # -- transfer accounting: what selective transfer copied -------
         if self.transfers:
-            transfer_stats: dict = {
-                "backend": "supernet" if self.backend is not None
-                else "checkpoint",
-                "copied_bytes": int(self._xfer_copied_bytes),
-                "resliced_params": int(self._xfer_resliced),
-            }
-            if self.backend is not None:
-                transfer_stats["store"] = self.backend.stats()
-            self.trace.transfer_stats = transfer_stats
+            self.trace.transfer_stats = {
+                "copied_bytes": int(self._xfer_copied_bytes)}
 
         # -- fault accounting: only attached when something actually
         # went wrong (or chaos was injected / a run was resumed), so
@@ -710,7 +628,6 @@ def run_search(problem, strategy, num_candidates: int, *,
                provider_policy="parent", seed: int = 0,
                zero_cost: bool = False,
                name: Optional[str] = None,
-               transfer_backend="checkpoint",
                retry: Optional[RetryPolicy] = None,
                task_timeout: Optional[float] = None,
                journal=None, resume=None) -> Trace:
@@ -740,22 +657,6 @@ def run_search(problem, strategy, num_candidates: int, *,
     checkpoint corrupted on disk after that read is not re-checked
     while it stays cached.
 
-    ``transfer_backend`` selects how the provider's training signal
-    reaches the candidate.  ``"checkpoint"`` (default) is the paper's
-    copy path: load the provider checkpoint, selectively copy matched
-    tensors, save the candidate's own checkpoint.  ``"supernet"`` is the
-    zero-copy path (DESIGN.md "Supernet weight entanglement"): one
-    entangled parameter store per search space, candidates train through
-    leading-corner views of shared superweights, and "transfer" is view
-    re-binding — no store is required, per-transfer blocked I/O is ~0,
-    and ``copied_bytes`` is 0 by construction.  A :class:`SuperNet` or
-    configured :class:`SupernetTransferBackend` may be passed to share a
-    store across runs.  Supernet runs need a transfer scheme
-    (``"lp"``/``"lcs"``, which still picks the provider and the
-    match), and perform no checkpoint I/O.  ``resume=`` replays
-    recorded scores but the store itself restarts cold — weights are
-    views, never serialized.
-
     ``retry`` / ``task_timeout`` / ``journal`` / ``resume`` select the
     fault-tolerance layer (module docstring).  Containment is always
     on — a crashing worker yields a failed record, never a crashed
@@ -767,8 +668,7 @@ def run_search(problem, strategy, num_candidates: int, *,
     driver = SearchDriver(
         problem, strategy, num_candidates, scheme=scheme, store=store,
         evaluator=evaluator, provider_policy=provider_policy, seed=seed,
-        zero_cost=zero_cost, name=name,
-        transfer_backend=transfer_backend, retry=retry,
+        zero_cost=zero_cost, name=name, retry=retry,
         task_timeout=task_timeout, journal=journal, resume=resume,
     )
     try:

@@ -247,11 +247,8 @@ class SimulatedCluster:
 
         drain(float("inf"))
         if transfers:
-            # the real driver's schema; resliced_params belongs to the
-            # supernet backend, which the simulator does not model
-            trace.transfer_stats = {"backend": "checkpoint",
-                                    "copied_bytes": int(copied_bytes),
-                                    "resliced_params": 0}
+            # the real driver's schema
+            trace.transfer_stats = {"copied_bytes": int(copied_bytes)}
         if faults is not None:
             trace.fault_stats = fault_stats.as_dict()
         return trace

@@ -87,10 +87,9 @@ class Trace:
     #: quarantined checkpoints, chaos-injection stats)
     #: when any fault was contained or injected; None otherwise
     fault_stats: Optional[dict] = None
-    #: transfer-backend accounting (``backend``, ``copied_bytes``,
-    #: ``resliced_params``, plus the entangled-store summary under
-    #: ``"store"`` for supernet runs) when the search transferred
-    #: weights; None for baseline runs
+    #: transfer accounting (``copied_bytes``: what selective transfer
+    #: copied into candidates) when the search transferred weights;
+    #: None for baseline runs
     transfer_stats: Optional[dict] = None
 
     def append(self, record: TraceRecord) -> None:

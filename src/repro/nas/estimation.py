@@ -37,9 +37,7 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
                        epochs: Optional[int] = None,
                        provider_weights: Optional[dict] = None,
                        matcher: str = "lcs",
-                       keep_weights: bool = False,
-                       supernet=None,
-                       provider_seq=None) -> EstimationResult:
+                       keep_weights: bool = False) -> EstimationResult:
     """One partial-training evaluation of ``arch_seq``.
 
     ``provider_weights`` (if given) are selectively transferred into the
@@ -47,20 +45,7 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
     weights so the caller can checkpoint them.  They are the model's own
     arrays, not copies: nothing else holds the model, so the write-behind
     writer's snapshot is the one defensive copy.
-
-    ``supernet`` (a :class:`repro.transfer.SupernetTransferBackend`)
-    selects the zero-copy path instead: the model is *bound* to shared
-    superweight views — layers matched against ``provider_seq`` (the
-    provider's arch_seq) inherit the store's trained values, the rest
-    re-initialise their slices — and trains through them in place.
-    Nothing is copied and nothing needs checkpointing afterwards; with
-    ``keep_weights`` the result carries the live views.  A failed
-    training run scrubs the candidate's slices so the shared store is
-    never left with non-finite values.
     """
-    if supernet is not None and provider_weights is not None:
-        raise ValueError("pass provider_weights (copy-transfer) or "
-                         "supernet (view-transfer), not both")
     epochs = problem.estimation_epochs if epochs is None else epochs
     ds = problem.dataset
     try:
@@ -69,9 +54,7 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
         return EstimationResult(ok=False, score=FAILURE_SCORE,
                                 error=str(exc))
     stats = None
-    if supernet is not None:
-        stats = supernet.bind(model, provider_seq)
-    elif provider_weights is not None:
+    if provider_weights is not None:
         stats = transfer_weights(model, provider_weights, matcher=matcher)
     try:
         fit(
@@ -84,14 +67,10 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
         )
         score = evaluate(model, ds.x_val, ds.y_val, problem.objective)
     except (FloatingPointError, ValueError) as exc:
-        if supernet is not None:
-            supernet.scrub(model)
         return EstimationResult(ok=False, score=FAILURE_SCORE,
                                 num_params=model.num_parameters(),
                                 transfer_stats=stats, error=str(exc))
     if not np.isfinite(score):
-        if supernet is not None:
-            supernet.scrub(model)
         return EstimationResult(ok=False, score=FAILURE_SCORE,
                                 num_params=model.num_parameters(),
                                 transfer_stats=stats, error="non-finite score")

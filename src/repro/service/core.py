@@ -102,6 +102,8 @@ _GUARDED_ATTRS = ("_sessions", "_queued", "_tenant_rotor", "_draining",
                   "_driving", "_seq")
 
 _RECORD_DONE = object()          # per-session stream sentinel
+#: ``SessionSpec.extra_driver_kwargs`` keys checked but never forwarded
+_KEPT_DRIVER_NAMES = frozenset({"async_io", "transfer_backend"})
 
 
 class AdmissionError(Exception):
@@ -162,6 +164,12 @@ class SessionSpec:
     chaos: Optional[dict] = None
     #: optional per-record callback (in addition to ``stream``)
     on_record: Optional[Callable[[TraceRecord], None]] = None
+    #: forwarded to the session's ``SearchDriver``, except the kept
+    #: names in ``_KEPT_DRIVER_NAMES``, checked and dropped:
+    #: ``"async_io"`` (see ``cache``) and ``"transfer_backend"``
+    #: (``"checkpoint"`` or ``"supernet"``; the supernet backend is
+    #: retired, so every session transfers through checkpoints).  Both
+    #: go once svc-mix stops setting them (ROADMAP.md item 1 step 1)
     extra_driver_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -174,6 +182,11 @@ class SessionSpec:
                                 "async_io", False))):
             if not isinstance(value, bool):
                 raise TypeError(f"{name} must be a bool, got {value!r}")
+        backend = self.extra_driver_kwargs.get("transfer_backend",
+                                               "checkpoint")
+        if backend not in ("checkpoint", "supernet"):
+            raise ValueError(f"unknown transfer_backend {backend!r}, "
+                             f"expected 'checkpoint' or 'supernet'")
 
 
 @dataclass(frozen=True)
@@ -375,7 +388,7 @@ class SearchService:
             key_prefix=f"{session_id}--",
             on_record=on_record,
             **{k: v for k, v in spec.extra_driver_kwargs.items()
-               if k != "async_io"},
+               if k not in _KEPT_DRIVER_NAMES},
         )
         session = _Session(session_id, spec, driver)
         holder["session"] = session

@@ -175,8 +175,7 @@ class Network:
     def get_weights(self, copy: bool = True) -> dict[str, np.ndarray]:
         """Ordered ``{"layer.param": array}`` — copies by default, safe
         to mutate.  ``copy=False`` returns the live parameter arrays
-        (zero-copy): views of the shared store when the network is bound
-        to one via :meth:`bind_weights`."""
+        (zero-copy); the caller must not mutate them."""
         out: dict[str, np.ndarray] = {}
         for layer in self._layers:
             for pname, arr in layer.params.items():
@@ -203,42 +202,6 @@ class Network:
             self._by_name[lname].params[pname] = (
                 np.asarray(arr, dtype=target.dtype).copy()
             )
-
-    def bind_weights(self, weights: dict[str, np.ndarray],
-                     strict: bool = True) -> None:
-        """Zero-copy re-binding: point named parameters at the *given*
-        arrays without copying.  The layer then trains through them —
-        in-place optimizer steps and batch-norm running-stat updates
-        write straight through to the arrays' base storage (this is the
-        substrate of supernet weight entanglement; see
-        ``repro.transfer.supernet``).  Arrays must match the current
-        tensor's shape and dtype exactly and be writable."""
-        names = set()
-        for layer in self._layers:
-            for pname in layer.params:
-                names.add(f"{layer.name}.{pname}")
-        for key, arr in weights.items():
-            if key not in names:
-                if strict:
-                    raise KeyError(f"no tensor named {key!r} in {self.name}")
-                continue
-            if not isinstance(arr, np.ndarray):
-                raise TypeError(f"{key}: bind_weights needs ndarrays, "
-                                f"got {type(arr).__name__}")
-            lname, pname = key.rsplit(".", 1)
-            target = self._by_name[lname].params[pname]
-            if target.shape != arr.shape:
-                raise ValueError(
-                    f"{key}: shape mismatch {arr.shape} vs {target.shape}"
-                )
-            if target.dtype != arr.dtype:
-                raise ValueError(
-                    f"{key}: dtype mismatch {arr.dtype} vs {target.dtype}"
-                )
-            if not arr.flags.writeable:
-                raise ValueError(f"{key}: bound array must be writable "
-                                 f"(training updates it in place)")
-            self._by_name[lname].params[pname] = arr
 
     def num_parameters(self) -> int:
         return sum(l.num_parameters for l in self._layers)

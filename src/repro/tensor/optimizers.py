@@ -7,7 +7,7 @@ A step is one pass over flat buffers: the step's gradients are gathered
 into one contiguous vector (``np.concatenate(..., out=)``), the update
 rule runs once over flat moment / velocity / delta buffers, and the
 delta is scattered back with one ``param -= view`` per tensor — which
-also works for non-contiguous (supernet) parameter views.  The rules
+also works for non-contiguous parameter views.  The rules
 apply the same ufunc sequence per element as a per-tensor loop would,
 so results are bit-identical to stepping each tensor on its own.  The
 flat layout is built outside the step and rebuilt only when the ordered

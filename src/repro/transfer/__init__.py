@@ -15,12 +15,6 @@ from .shapeseq import (
     group_layers,
     shape_sequence,
 )
-from .supernet import (
-    BindStats,
-    SliceDescriptor,
-    SuperNet,
-    SupernetTransferBackend,
-)
 from .transfer import TransferStats, transfer_weights
 
 __all__ = [
@@ -30,5 +24,4 @@ __all__ = [
     "TransferStats", "transfer_weights", "partial_transfer_weights",
     "ProviderPolicy", "ParentProvider", "NearestProvider", "RandomProvider",
     "get_policy",
-    "BindStats", "SliceDescriptor", "SuperNet", "SupernetTransferBackend",
 ]

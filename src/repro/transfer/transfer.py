@@ -47,14 +47,8 @@ class TransferStats:
     @property
     def copied_bytes(self) -> int:
         """Bytes materialised by copy-transfer (all repo tensors are
-        float32).  The supernet backend's BindStats reports 0 here —
-        that is the whole point."""
+        float32)."""
         return int(self.transferred_elements) * 4
-
-    @property
-    def resliced_params(self) -> int:
-        """View rebindings (always 0 on the copy path; see BindStats)."""
-        return 0
 
 
 @lru_cache(maxsize=4096)

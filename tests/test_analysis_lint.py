@@ -38,9 +38,8 @@ def test_fixture_triggers_every_rule(fixture_tree):
     # genuine unguarded shared write (R007)
     ("cluster/evaluator.py", {"R004", "R007"}),
     ("uses_reference.py", {"R005"}),
-    ("transfer/supernet.py", {"R006"}),
-    ("cluster/racy.py", {"R007"}),
     ("cluster/locks_cycle.py", {"R008"}),
+    ("cluster/racy.py", {"R007"}),
 ])
 def test_each_fixture_file_yields_exactly_its_rules(fixture_tree, rel, codes):
     findings = lint_paths([fixture_tree / "repro" / rel])
@@ -60,11 +59,11 @@ def test_suppression_comment_silences_finding(fixture_tree):
     assert lint_paths([fixture_tree / "repro" / "suppressed.py"]) == []
 
 
-def test_r006_suppression(fixture_tree):
-    path = fixture_tree / "repro" / "transfer" / "supernet.py"
+def test_r005_suppression(fixture_tree):
+    path = fixture_tree / "repro" / "uses_reference.py"
     source = path.read_text().replace(
-        "return view.copy()",
-        "return view.copy()  # lint: ignore[R006]")
+        "import reference_ops  # noqa: F401",
+        "import reference_ops  # noqa: F401  # lint: ignore[R005]")
     path.write_text(source)
     assert lint_paths([path]) == []
 

@@ -102,6 +102,37 @@ def test_legacy_object_array_archive_still_loads(tmp_path):
     assert store.load_meta("k") == {"score": 0.7}
 
 
+#: names unpickled from a checkpoint's embedded ``__order__``
+_UNPICKLED: list = []
+
+
+def _unpickle_name(name):
+    _UNPICKLED.append(name)
+    return name
+
+
+class _TrippedName:
+    """Unpickles to its name, noting that it was unpickled."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __reduce__(self):
+        return _unpickle_name, (self.name,)
+
+
+def test_legacy_object_array_is_never_unpickled(tmp_path):
+    store = CheckpointStore(tmp_path)
+    w = weights()
+    order = np.array([_TrippedName(n) for n in w], dtype=object)
+    np.savez(store.path("k"), __order__=order, **w)
+    _UNPICKLED.clear()
+    loaded = store.load("k")                    # zip-entry order
+    assert _UNPICKLED == []
+    assert list(loaded) == list(w)
+    assert all(np.array_equal(loaded[k], w[k]) for k in w)
+
+
 def test_legacy_archive_without_order_index_loads(tmp_path):
     store = CheckpointStore(tmp_path)
     w = weights()

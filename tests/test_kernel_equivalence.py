@@ -259,7 +259,8 @@ def test_flat_step_is_layout_independent(name, clipnorm):
     networks bit for bit.  With clipnorm the lone networks get the
     gradients clipped by the joint norm, which is what the joint step
     clips by.  The joint network's first parameter is a non-contiguous
-    leading-corner view, as the supernet backend binds them."""
+    leading-corner view: the step must not assume contiguous
+    parameters."""
     rng = _rng(6)
     shapes = [(5, 3), (3,), (2, 2, 4)]
     params = [rng.normal(size=s).astype(np.float32) for s in shapes]

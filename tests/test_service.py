@@ -87,16 +87,20 @@ def test_submit_poll_result_single_session(space, problem, tmp_path):
 
 
 def test_io_spec_names_change_no_decision(space, problem, tmp_path):
-    """``SessionSpec.cache`` / ``prefetch`` and an ``async_io`` driver
-    kwarg survive only as names: every store-backed session already
-    saves write-behind and reads providers through a population-sized
-    cache, so setting them decides nothing differently."""
+    """``SessionSpec.cache`` / ``prefetch`` and the ``async_io`` and
+    ``transfer_backend`` driver kwargs survive only as names: every
+    store-backed session already saves write-behind, reads providers
+    through a population-sized cache and transfers through checkpoints
+    (the supernet backend is retired), so setting them decides nothing
+    differently.  ``run_search`` no longer takes ``transfer_backend``."""
     svc = SearchService(evaluator=SerialEvaluator(),
                         store=ShardedCheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
     named = svc.submit(_spec(space, problem, 0, n=8, cache=True,
                              prefetch=True,
-                             extra_driver_kwargs={"async_io": True}))
+                             extra_driver_kwargs={
+                                 "async_io": True,
+                                 "transfer_backend": "supernet"}))
     plain = svc.submit(_spec(space, problem, 0, n=8, tenant="u"))
     svc.drive()
     for handle in (named, plain):
@@ -106,6 +110,14 @@ def test_io_spec_names_change_no_decision(space, problem, tmp_path):
         assert io_stats["cache"]["hits"] > 0
     assert [_record_key(r) for r in named.result()] == \
         [_record_key(r) for r in plain.result()]
+    assert any(r.provider_id is not None for r in named.result())
+    with pytest.raises(ValueError, match="transfer_backend"):
+        _spec(space, problem, 0,
+              extra_driver_kwargs={"transfer_backend": "gpu"})
+    with pytest.raises(TypeError, match="transfer_backend"):
+        run_search(problem, _strategy(space, 0), 2, scheme="lcs",
+                   store=CheckpointStore(tmp_path / "c"),
+                   transfer_backend="checkpoint")
 
 
 def test_plan_engine_spec_decides_what_an_eager_one_does(space, problem,

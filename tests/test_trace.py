@@ -49,9 +49,7 @@ def test_jsonl_round_trip(tmp_path):
 
 def test_transfer_stats_round_trip(tmp_path):
     trace = sample_trace()
-    trace.transfer_stats = {"backend": "supernet", "copied_bytes": 0,
-                            "resliced_params": 42,
-                            "store": {"tensors": 7, "grows": 2}}
+    trace.transfer_stats = {"copied_bytes": 4096}
     loaded = Trace.load_jsonl(trace.save_jsonl(tmp_path / "t.jsonl"))
     assert loaded.transfer_stats == trace.transfer_stats
     # absent on traces that never transferred
