@@ -6,7 +6,7 @@ Two halves:
   parameter accounting and structural diagnostics over architecture
   sequences, asking each layer's own ``infer`` for its shapes.
   :class:`PreflightGate` wraps it as the NAS loop's free validity
-  check.
+  check and only admission tier.
 - **Invariant linter** (:mod:`repro.analysis.lint`, run as
   ``python -m repro.analysis.lint src/repro``): AST rules R001-R008
   (R006 retired) enforcing the repo's dtype discipline, frozen
@@ -24,20 +24,9 @@ Two halves:
 from .gate import GateStats, PreflightGate
 from .interp import analyze
 from .report import Diagnostic, GraphReport, LayerReport
-from .zerocost import (
-    SCORERS,
-    GradNormScorer,
-    NTKTraceScorer,
-    SynflowScorer,
-    ZeroCostGate,
-    ZeroCostScorer,
-    get_scorer,
-)
 
 __all__ = [
     "analyze",
     "GraphReport", "LayerReport", "Diagnostic",
     "PreflightGate", "GateStats",
-    "ZeroCostScorer", "GradNormScorer", "SynflowScorer", "NTKTraceScorer",
-    "SCORERS", "get_scorer", "ZeroCostGate",
 ]

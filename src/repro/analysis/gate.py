@@ -7,13 +7,8 @@ impossible geometry, parameter-budget blowups) are rejected *for free*
 resamples.  Rejections are tallied in :class:`GateStats`, which
 ``run_search`` copies onto the trace so search-efficiency accounting
 can separate "statically rejected" from "evaluated and failed".
-
-:class:`repro.analysis.zerocost.ZeroCostGate` extends the gate into a
-two-tier cascade by overriding :meth:`PreflightGate._admit_scored`,
-the hook that sees only statically valid candidates.  The accounting
-invariant ``checked == admitted + rejected`` holds for every subclass:
-``static_rejected + proxy_rejected == rejected`` partitions the
-rejections by tier.
+Every screened candidate is booked exactly once:
+``checked == admitted + rejected``.
 """
 
 from __future__ import annotations
@@ -28,21 +23,13 @@ from .report import GraphReport
 
 @dataclass
 class GateStats:
-    """What the gate screened.  ``by_code`` counts rejection reasons by
-    diagnostic code (a candidate with several errors counts once per
-    distinct code).  The ``proxy_*`` counters stay zero for a purely
-    static gate; ``proxy_scored`` counts *fresh* proxy computations
-    (cache hits are free) and ``proxy_seconds`` their total wall-clock.
-    """
+    """What the gate screened: ``checked == admitted + rejected``.
+    ``by_code`` counts rejection reasons by diagnostic code (a candidate
+    with several errors counts once per distinct code)."""
 
     checked: int = 0
     admitted: int = 0
     rejected: int = 0
-    static_rejected: int = 0
-    proxy_checked: int = 0
-    proxy_rejected: int = 0
-    proxy_scored: int = 0
-    proxy_seconds: float = 0.0
     by_code: dict = field(default_factory=dict)
 
     @property
@@ -86,7 +73,7 @@ class PreflightGate:
         return report
 
     def admits(self, arch_seq) -> bool:
-        """True when ``arch_seq`` passes every tier; updates stats."""
+        """True when ``arch_seq`` is statically valid; updates stats."""
         report = self.analyze(arch_seq)
         rejecting = report.errors()
         if self.reject_warnings:
@@ -94,16 +81,9 @@ class PreflightGate:
         self.stats.checked += 1
         if rejecting:
             self.stats.rejected += 1
-            self.stats.static_rejected += 1
             for code in {d.code for d in rejecting}:
                 self.stats.by_code[code] = self.stats.by_code.get(code, 0) + 1
             return False
-        return self._admit_scored(arch_seq)
-
-    def _admit_scored(self, arch_seq) -> bool:
-        """Hook for further (non-static) tiers; sees only statically
-        valid candidates.  Must book exactly one of ``admitted`` /
-        ``rejected`` to preserve ``checked == admitted + rejected``."""
         self.stats.admitted += 1
         return True
 

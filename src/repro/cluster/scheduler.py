@@ -147,7 +147,6 @@ class SearchDriver:
     def __init__(self, problem, strategy, num_candidates: int, *,
                  scheme: str = "baseline", store=None, evaluator=None,
                  provider_policy="parent", seed: int = 0,
-                 zero_cost: bool = False,
                  name: Optional[str] = None,
                  retry: Optional[RetryPolicy] = None,
                  task_timeout: Optional[float] = None,
@@ -172,12 +171,6 @@ class SearchDriver:
         if self.transfers and store is None:
             raise ValueError(f"scheme {scheme!r} needs a checkpoint store")
         self.retry = retry or RetryPolicy(max_attempts=1)
-        if not isinstance(zero_cost, bool):
-            raise TypeError(f"zero_cost must be a bool, got {zero_cost!r}; "
-                            f"pass a configured gate as the strategy's gate=")
-        if zero_cost and strategy.gate is None:
-            from ..analysis.zerocost import ZeroCostGate
-            strategy.gate = ZeroCostGate(problem)
         self.policy = get_policy(provider_policy, space=problem.space)
         self.evaluator = evaluator or SerialEvaluator()
 
@@ -626,7 +619,6 @@ class SearchDriver:
 def run_search(problem, strategy, num_candidates: int, *,
                scheme: str = "baseline", store=None, evaluator=None,
                provider_policy="parent", seed: int = 0,
-               zero_cost: bool = False,
                name: Optional[str] = None,
                retry: Optional[RetryPolicy] = None,
                task_timeout: Optional[float] = None,
@@ -637,16 +629,10 @@ def run_search(problem, strategy, num_candidates: int, *,
     (construct, ``step()`` until done, ``finalize()``), with the exact
     historical contract.
 
-    ``zero_cost=True`` attaches the two-tier admission cascade
-    :class:`repro.analysis.ZeroCostGate` with its defaults (grad-norm
-    scorer, bottom 30% rejected) to the strategy, unless it already has
-    a gate: static analysis first, then an init-time proxy score with
-    quantile admission, so partial training is spent only on candidates
-    the proxy does not rank at the bottom.  A static-only
-    :class:`repro.analysis.PreflightGate` or a configured cascade goes
-    on the strategy's own ``gate=`` parameter instead.  Either way the
-    gate's per-tier counters (``static_rejected`` / ``proxy_rejected``
-    / ``proxy_seconds``) land in ``trace.static_stats``.
+    A static :class:`repro.analysis.PreflightGate` goes on the
+    strategy's own ``gate=`` parameter; its counters (``checked`` /
+    ``admitted`` / ``rejected`` / ``by_code``) land in
+    ``trace.static_stats``.
 
     A store-backed search saves write-behind and reads providers
     through a population-sized cache (module docstring).  It makes the
@@ -668,8 +654,8 @@ def run_search(problem, strategy, num_candidates: int, *,
     driver = SearchDriver(
         problem, strategy, num_candidates, scheme=scheme, store=store,
         evaluator=evaluator, provider_policy=provider_policy, seed=seed,
-        zero_cost=zero_cost, name=name, retry=retry,
-        task_timeout=task_timeout, journal=journal, resume=resume,
+        name=name, retry=retry, task_timeout=task_timeout,
+        journal=journal, resume=resume,
     )
     try:
         while not driver.done:

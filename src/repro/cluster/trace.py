@@ -76,7 +76,8 @@ class Trace:
     name: str = "trace"
     scheme: str = "baseline"
     records: list = field(default_factory=list)
-    #: pre-flight gate accounting (checked/admitted/rejected/by_code)
+    #: the strategy's pre-flight gate accounting (checked / admitted /
+    #: rejected / by_code, checked == admitted + rejected)
     #: when the search ran with static screening; None otherwise
     static_stats: Optional[dict] = None
     #: checkpoint I/O fast-path accounting (cache/writer stats

@@ -35,7 +35,6 @@ from .fig9 import format_fig9, run_fig9
 from .fig10 import format_fig10, run_fig10
 from .fig11 import format_fig11, run_fig11
 from .scorecard import format_scorecard, run_scorecard
-from .zerocost import format_ablation_zerocost, run_ablation_zerocost
 from .table1 import format_table1, run_table1
 from .table3 import format_table3, run_table3
 from .table4 import format_table4, run_table4
@@ -60,8 +59,6 @@ EXPERIMENTS = {
         run_ablation_policies(ctx, ctx.config.apps)),
     "ablation-faults": lambda ctx: format_ablation_faults(
         run_ablation_faults(ctx, ctx.config.apps)),
-    "ablation-zerocost": lambda ctx: format_ablation_zerocost(
-        run_ablation_zerocost(ctx, ctx.config.apps)),
     "scorecard": lambda ctx: format_scorecard(run_scorecard(ctx)),
 }
 

@@ -103,7 +103,8 @@ _GUARDED_ATTRS = ("_sessions", "_queued", "_tenant_rotor", "_draining",
 
 _RECORD_DONE = object()          # per-session stream sentinel
 #: ``SessionSpec.extra_driver_kwargs`` keys checked but never forwarded
-_KEPT_DRIVER_NAMES = frozenset({"async_io", "transfer_backend"})
+_KEPT_DRIVER_NAMES = frozenset({"async_io", "transfer_backend",
+                                "zero_cost"})
 
 
 class AdmissionError(Exception):
@@ -166,10 +167,13 @@ class SessionSpec:
     on_record: Optional[Callable[[TraceRecord], None]] = None
     #: forwarded to the session's ``SearchDriver``, except the kept
     #: names in ``_KEPT_DRIVER_NAMES``, checked and dropped:
-    #: ``"async_io"`` (see ``cache``) and ``"transfer_backend"``
+    #: ``"async_io"`` (see ``cache``), ``"transfer_backend"``
     #: (``"checkpoint"`` or ``"supernet"``; the supernet backend is
-    #: retired, so every session transfers through checkpoints).  Both
-    #: go once svc-mix stops setting them (ROADMAP.md item 1 step 1)
+    #: retired, so every session transfers through checkpoints) and
+    #: ``"zero_cost"`` (a bool; the zero-cost gate is retired, so every
+    #: session screens candidates by its strategy's own gate only).
+    #: All three go once svc-mix stops setting them (ROADMAP.md item 1
+    #: step 1)
     extra_driver_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -179,7 +183,9 @@ class SessionSpec:
         for name, value in (("cache", self.cache),
                             ("prefetch", self.prefetch),
                             ("async_io", self.extra_driver_kwargs.get(
-                                "async_io", False))):
+                                "async_io", False)),
+                            ("zero_cost", self.extra_driver_kwargs.get(
+                                "zero_cost", False))):
             if not isinstance(value, bool):
                 raise TypeError(f"{name} must be a bool, got {value!r}")
         backend = self.extra_driver_kwargs.get("transfer_backend",

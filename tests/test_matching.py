@@ -1,7 +1,11 @@
 """LP/LCS matchers against a brute-force LCS oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.transfer import Match, get_matcher, lcs_match, longest_prefix_match
 
@@ -26,6 +30,31 @@ def assert_valid_alignment(match: Match, a, b):
         assert a[i] == b[j]
         assert i > prev_i and j > prev_j
         prev_i, prev_j = i, j
+
+
+def brute_force_lcs_length(a, b):
+    """Longest subsequence of ``a`` that is also one of ``b``, found by
+    trying every index subset of ``a`` from the longest down."""
+    def is_subsequence(sub, seq):
+        it = iter(seq)
+        return all(any(x == y for y in it) for x in sub)
+
+    for k in range(min(len(a), len(b)), 0, -1):
+        if any(is_subsequence([a[i] for i in idx], b)
+               for idx in itertools.combinations(range(len(a)), k)):
+            return k
+    return 0
+
+
+#: a small alphabet of layer shape signatures, so equal layers recur
+_SIGNATURES = st.sampled_from([
+    ((3, 3, 1, 8), (8,)),
+    ((3, 3, 8, 8), (8,)),
+    ((72, 8), (8,)),
+    ((8, 4), (4,)),
+    (),
+])
+_SHAPE_SEQS = st.lists(_SIGNATURES, min_size=0, max_size=8).map(tuple)
 
 
 def test_empty_sequences():
@@ -81,6 +110,30 @@ def test_lcs_matches_oracle_on_random_sequences():
         lp = longest_prefix_match(a, b)
         assert lp.length <= match.length
         assert_valid_alignment(lp, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_SHAPE_SEQS, b=_SHAPE_SEQS)
+def test_lcs_length_is_brute_force_lcs(a, b):
+    assert lcs_match(a, b).length == brute_force_lcs_length(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_SHAPE_SEQS, b=_SHAPE_SEQS)
+def test_matcher_pairs_increase_and_join_equal_signatures(a, b):
+    for matcher in (lcs_match, longest_prefix_match):
+        assert_valid_alignment(matcher(a, b), a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_SHAPE_SEQS, b=_SHAPE_SEQS)
+def test_prefix_match_is_common_prefix_within_lcs(a, b):
+    prefix = 0
+    while prefix < min(len(a), len(b)) and a[prefix] == b[prefix]:
+        prefix += 1
+    lp = longest_prefix_match(a, b)
+    assert lp.length == prefix
+    assert lp.length <= lcs_match(a, b).length
 
 
 def test_lcs_works_on_shape_signatures():

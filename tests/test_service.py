@@ -87,12 +87,14 @@ def test_submit_poll_result_single_session(space, problem, tmp_path):
 
 
 def test_io_spec_names_change_no_decision(space, problem, tmp_path):
-    """``SessionSpec.cache`` / ``prefetch`` and the ``async_io`` and
-    ``transfer_backend`` driver kwargs survive only as names: every
-    store-backed session already saves write-behind, reads providers
-    through a population-sized cache and transfers through checkpoints
-    (the supernet backend is retired), so setting them decides nothing
-    differently.  ``run_search`` no longer takes ``transfer_backend``."""
+    """``SessionSpec.cache`` / ``prefetch`` and the ``async_io``,
+    ``transfer_backend`` and ``zero_cost`` driver kwargs survive only as
+    names: every store-backed session already saves write-behind, reads
+    providers through a population-sized cache, transfers through
+    checkpoints and screens by its strategy's own gate (the supernet
+    backend and the zero-cost gate are retired), so setting them decides
+    nothing differently.  ``run_search`` takes neither
+    ``transfer_backend`` nor ``zero_cost``."""
     svc = SearchService(evaluator=SerialEvaluator(),
                         store=ShardedCheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
@@ -100,7 +102,8 @@ def test_io_spec_names_change_no_decision(space, problem, tmp_path):
                              prefetch=True,
                              extra_driver_kwargs={
                                  "async_io": True,
-                                 "transfer_backend": "supernet"}))
+                                 "transfer_backend": "supernet",
+                                 "zero_cost": True}))
     plain = svc.submit(_spec(space, problem, 0, n=8, tenant="u"))
     svc.drive()
     for handle in (named, plain):
@@ -114,10 +117,12 @@ def test_io_spec_names_change_no_decision(space, problem, tmp_path):
     with pytest.raises(ValueError, match="transfer_backend"):
         _spec(space, problem, 0,
               extra_driver_kwargs={"transfer_backend": "gpu"})
-    with pytest.raises(TypeError, match="transfer_backend"):
-        run_search(problem, _strategy(space, 0), 2, scheme="lcs",
-                   store=CheckpointStore(tmp_path / "c"),
-                   transfer_backend="checkpoint")
+    with pytest.raises(TypeError, match="zero_cost"):
+        _spec(space, problem, 0, extra_driver_kwargs={"zero_cost": "yes"})
+    for kwarg in ({"transfer_backend": "checkpoint"}, {"zero_cost": True}):
+        with pytest.raises(TypeError, match=next(iter(kwarg))):
+            run_search(problem, _strategy(space, 0), 2, scheme="lcs",
+                       store=CheckpointStore(tmp_path / "c"), **kwarg)
 
 
 def test_plan_engine_spec_decides_what_an_eager_one_does(space, problem,

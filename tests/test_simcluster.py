@@ -4,7 +4,7 @@ import pytest
 
 from repro.checkpoint import CheckpointStore
 from repro.cluster import CostModel, SimulatedCluster, run_search
-from repro.nas import RegularizedEvolution
+from repro.nas import RandomSearch, RegularizedEvolution
 
 
 def make_cluster(problem, tmp_path, gpus=4, store=True, **kw):
@@ -102,3 +102,10 @@ def test_one_gpu_simulation_matches_run_search(problem, tmp_path, scheme):
     assert view(simulated) == view(real)
     if scheme != "baseline":
         assert any(r.transferred for r in real)
+
+
+def test_simcluster_without_gate_keeps_stats_unset(problem, tmp_path):
+    """The simulator attaches no admission accounting to its trace."""
+    trace = make_cluster(problem, tmp_path, gpus=2).run(
+        RandomSearch(problem.space, rng=0), 3, scheme="lcs", seed=0)
+    assert trace.static_stats is None
