@@ -4,7 +4,7 @@ extensions."""
 
 from .cache import WeightCache
 from .multilevel import AsyncCheckpointWriter
-from .sharded import ShardBreaker, ShardedCheckpointStore, StoreUnavailableError
+from .sharded import ShardedCheckpointStore
 from .store import CheckpointInfo, CheckpointStore, CorruptCheckpointError
 
 __all__ = [
@@ -13,7 +13,5 @@ __all__ = [
     "CorruptCheckpointError",
     "AsyncCheckpointWriter",
     "WeightCache",
-    "ShardBreaker",
     "ShardedCheckpointStore",
-    "StoreUnavailableError",
 ]

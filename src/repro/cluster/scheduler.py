@@ -60,11 +60,9 @@ and ``resume=`` replays such a journal — restoring strategy state via
 :meth:`Strategy.restore` — so a killed run continues from its last
 durable candidate with already-completed records bit-identical.  All
 fault counters serialize into ``trace.fault_stats``.  A candidate save
-that raises (e.g. every shard of a
-:class:`~repro.checkpoint.ShardedCheckpointStore` tripped its circuit
-breaker) is booked as one ``ckpt_write`` fault, named in
-``trace.io_stats["writer_errors"]``, and the search continues — the
-candidate simply has no checkpoint to provide from.
+that raises (a full or failing disk) is booked as one ``ckpt_write``
+fault, named in ``trace.io_stats["writer_errors"]``, and the search
+continues — the candidate simply has no checkpoint to provide from.
 """
 
 from __future__ import annotations
@@ -596,15 +594,8 @@ class SearchDriver:
             fault_dict["resumed_records"] = self.resumed_records
         if isinstance(self.evaluator, ChaosEvaluator):
             fault_dict["chaos"] = self.evaluator.stats()
-        breaker_stats = getattr(self.store, "breaker_stats", None)
-        if callable(breaker_stats):
-            stats = breaker_stats()
-            if stats.get("trips") or stats.get("rerouted_writes"):
-                # a degraded store is a fault-domain event even when
-                # every search completed: make the degradation visible
-                fault_dict["store"] = stats
         if (self.fault_stats.total_faults or self.resumed_records
-                or "chaos" in fault_dict or "store" in fault_dict):
+                or "chaos" in fault_dict):
             self.trace.fault_stats = fault_dict
 
         gate = getattr(self.strategy, "gate", None)

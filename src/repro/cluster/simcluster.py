@@ -17,8 +17,10 @@ dispatched, but the time it is charged comes from a per-application
 Heterogeneous clusters (Table II's A100/K80 mix) are modelled with
 ``gpu_speeds`` — per-GPU multipliers on training throughput.
 
-Only the paper's configuration is simulated: the parent provider,
-synchronous checkpoints and no admission gate.  The loop is the same
+Only the paper's configuration is simulated: the parent provider and
+synchronous checkpoints.  A strategy's pre-flight gate screens
+proposals as it does under the real driver, and its accounting lands
+in ``trace.static_stats`` the same way.  The loop is the same
 ask → select → load → transfer → train → save → tell sequence as
 :func:`repro.cluster.run_search`, which saves write-behind and reads
 providers through a cache; at one GPU the two give identical records
@@ -251,4 +253,7 @@ class SimulatedCluster:
             trace.transfer_stats = {"copied_bytes": int(copied_bytes)}
         if faults is not None:
             trace.fault_stats = fault_stats.as_dict()
+        gate = getattr(strategy, "gate", None)
+        if gate is not None:
+            trace.static_stats = gate.stats.as_dict()
         return trace

@@ -80,13 +80,17 @@ class Trace:
     #: rejected / by_code, checked == admitted + rejected)
     #: when the search ran with static screening; None otherwise
     static_stats: Optional[dict] = None
-    #: checkpoint I/O fast-path accounting (cache/writer stats
-    #: + drain-barrier seconds) when the search ran with the
-    #: cache/async knobs; None otherwise
+    #: checkpoint I/O accounting (``drain_seconds`` of the write-behind
+    #: drain barrier, ``writer_errors`` naming failed saves, ``cache``:
+    #: the provider cache's stats) for every transferring search,
+    #: each of which is store-backed; None for baseline runs
     io_stats: Optional[dict] = None
-    #: fault-containment accounting (faults by taxonomy kind, retries,
-    #: quarantined checkpoints, chaos-injection stats)
-    #: when any fault was contained or injected; None otherwise
+    #: fault-containment accounting (``by_kind``, ``total_faults``,
+    #: ``retries``, ``failed_records``, ``quarantined``,
+    #: ``backoff_seconds``; plus ``chaos`` injection stats under a
+    #: chaos evaluator and ``resumed_records`` after a resume)
+    #: when any fault was contained or injected or the run resumed;
+    #: None otherwise
     fault_stats: Optional[dict] = None
     #: transfer accounting (``copied_bytes``: what selective transfer
     #: copied into candidates) when the search transferred weights;

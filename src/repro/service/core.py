@@ -274,8 +274,7 @@ class SearchService:
         to a :class:`SerialEvaluator`; any evaluator exposing
         ``submit`` / ``wait_any`` / ``abandon`` / ``num_workers`` works.
     store:
-        Shared checkpoint store (typically a
-        :class:`~repro.checkpoint.ShardedCheckpointStore`); sessions
+        Shared :class:`~repro.checkpoint.CheckpointStore`; sessions
         namespace their keys with ``"<session_id>--"``.  ``None`` is
         fine when every session runs the baseline scheme.
     journal_dir:

@@ -475,7 +475,7 @@ def test_real_tree_declarations_match_inference():
     declared_modules = [m for m in model.modules.values()
                         if m.declared_guards is not None]
     assert {m.name for m in declared_modules} == {
-        "cache", "multilevel", "evaluator", "sharded", "core"}
+        "cache", "multilevel", "evaluator", "core"}
     for m in declared_modules:
         assert model.module_inferred_guarded(m) == m.declared_guards, m.name
 
@@ -486,10 +486,9 @@ def test_real_tree_lock_graph_shape():
     assert model.lock_edges() == {}
     # ... and the analyzer sees every lock the tree builds
     assert {lock for cls in model.lock_owning_classes()
-            for lock in cls.lock_names()} >= {
-        "SearchService._lock", "ShardedCheckpointStore._lock",
-        "ThreadPoolEvaluator._lock", "WeightCache._lock",
-        "AsyncCheckpointWriter._lock"}
+            for lock in cls.lock_names()} == {
+        "SearchService._lock", "ThreadPoolEvaluator._lock",
+        "WeightCache._lock", "AsyncCheckpointWriter._lock"}
 
 
 def test_cli_exit_code_on_findings(tmp_path, capsys):

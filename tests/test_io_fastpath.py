@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import CheckpointStore
+from repro.checkpoint import CheckpointStore, ShardedCheckpointStore
 from repro.cluster import (
     SearchDriver,
     SerialEvaluator,
@@ -207,6 +207,33 @@ def test_failed_write_behind_save_costs_the_checkpoint_not_the_search(
     assert trace.fault_stats["by_kind"]["ckpt_write"] == 4
     assert len(trace.io_stats["writer_errors"]) == 4
     assert all(r.ckpt_bytes == 0 for r in trace.records[:4])
+
+
+def test_a_short_disk_fault_costs_only_its_own_saves(problem, space,
+                                                     tmp_path, monkeypatch):
+    """Saves failing for a window of three keys book three faults and
+    nothing else: a ``ShardedCheckpointStore`` decides exactly what a
+    plain store decides, and saves again as soon as the disk does."""
+    window = {checkpoint_key(i) for i in (2, 3, 4)}
+    disk_save = CheckpointStore.save
+
+    def save(self, key, weights, meta=None):
+        if key in window:
+            raise OSError(f"disk gone for {key}")
+        return disk_save(self, key, weights, meta)
+
+    monkeypatch.setattr(CheckpointStore, "save", save)
+    traces = [run_search(problem, evolution(space), 16, scheme="lcs",
+                         store=store, seed=0)
+              for store in (CheckpointStore(tmp_path / "plain"),
+                            ShardedCheckpointStore(tmp_path / "sharded",
+                                                   num_shards=4))]
+    plain, sharded = traces
+    assert decisions(sharded) == decisions(plain)
+    for trace in traces:
+        assert trace.fault_stats["by_kind"] == {"ckpt_write": 3}
+        assert [r.candidate_id for r in trace
+                if not r.ckpt_bytes] == [2, 3, 4]
 
 
 @settings(max_examples=25, deadline=None,

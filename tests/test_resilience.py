@@ -597,7 +597,6 @@ def test_concurrent_sessions_recover_bit_identically(space, problem,
     """Kill a service mid-run with several active sessions, recover,
     and check every session's replayed records are bit-identical to the
     records it had already journaled — then every session completes."""
-    from repro.checkpoint import ShardedCheckpointStore
     from repro.service import SearchService, SessionSpec, SessionState
 
     def spec(seed, **kw):
@@ -612,7 +611,7 @@ def test_concurrent_sessions_recover_bit_identically(space, problem,
     def record_key(r):
         return (r.candidate_id, r.arch_seq, r.score, r.provider_id, r.ok)
 
-    store = ShardedCheckpointStore(tmp_path / "store", num_shards=2)
+    store = CheckpointStore(tmp_path / "store")
     svc = SearchService(evaluator=SerialEvaluator(), store=store,
                         journal_dir=tmp_path / "j")
     landed = [0]

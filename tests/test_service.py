@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import CheckpointStore, ShardedCheckpointStore
+from repro.checkpoint import CheckpointStore
 from repro.cluster import (
     RetryPolicy,
     SerialEvaluator,
@@ -74,7 +74,7 @@ def _record_key(r):
 
 def test_submit_poll_result_single_session(space, problem, tmp_path):
     svc = SearchService(evaluator=SerialEvaluator(),
-                        store=ShardedCheckpointStore(tmp_path / "s"),
+                        store=CheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
     handle = svc.submit(_spec(space, problem, 0, n=4))
     assert handle.poll().state == SessionState.QUEUED
@@ -96,7 +96,7 @@ def test_io_spec_names_change_no_decision(space, problem, tmp_path):
     nothing differently.  ``run_search`` takes neither
     ``transfer_backend`` nor ``zero_cost``."""
     svc = SearchService(evaluator=SerialEvaluator(),
-                        store=ShardedCheckpointStore(tmp_path / "s"),
+                        store=CheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
     named = svc.submit(_spec(space, problem, 0, n=8, cache=True,
                              prefetch=True,
@@ -132,7 +132,7 @@ def test_plan_engine_spec_decides_what_an_eager_one_does(space, problem,
     zeros = {"hits": 0, "misses": 0, "traces": 0}
     assert get_plan_cache().stats() == zeros
     svc = SearchService(evaluator=SerialEvaluator(),
-                        store=ShardedCheckpointStore(tmp_path / "s"),
+                        store=CheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
     plan = svc.submit(_spec(space, problem, 0, n=8, engine="plan"))
     eager = svc.submit(_spec(space, problem, 0, n=8, tenant="u",
@@ -164,7 +164,7 @@ def test_unknown_session_raises_keyerror(tmp_path):
 def test_many_sessions_share_one_fleet(space, problem, tmp_path):
     evaluator = SerialEvaluator()
     svc = SearchService(evaluator=evaluator,
-                        store=ShardedCheckpointStore(tmp_path / "s"),
+                        store=CheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j",
                         max_active_sessions=8)
     handles = [svc.submit(_spec(space, problem, seed, n=3,
@@ -180,7 +180,7 @@ def test_many_sessions_share_one_fleet(space, problem, tmp_path):
 
 def test_checkpoint_keys_are_namespaced_per_session(space, problem,
                                                     tmp_path):
-    store = ShardedCheckpointStore(tmp_path / "s")
+    store = CheckpointStore(tmp_path / "s")
     svc = SearchService(evaluator=SerialEvaluator(), store=store,
                         journal_dir=tmp_path / "j")
     a = svc.submit(_spec(space, problem, 0, tenant="a", n=3))
@@ -201,10 +201,10 @@ def test_checkpoint_keys_are_namespaced_per_session(space, problem,
 def test_clean_tenant_is_bit_identical_to_solo_run(space, problem,
                                                    tmp_path):
     solo = run_search(problem, _strategy(space, 7), 5, scheme="lcs",
-                      store=ShardedCheckpointStore(tmp_path / "solo"),
+                      store=CheckpointStore(tmp_path / "solo"),
                       evaluator=SerialEvaluator(), seed=7)
     svc = SearchService(evaluator=SerialEvaluator(),
-                        store=ShardedCheckpointStore(tmp_path / "svc"),
+                        store=CheckpointStore(tmp_path / "svc"),
                         journal_dir=tmp_path / "j")
     clean = svc.submit(_spec(space, problem, 7, tenant="clean", n=5))
     for seed in (21, 22):
@@ -220,7 +220,7 @@ def test_clean_tenant_is_bit_identical_to_solo_run(space, problem,
 def test_chaos_lands_only_in_the_chaotic_sessions_stats(space, problem,
                                                         tmp_path):
     svc = SearchService(evaluator=SerialEvaluator(),
-                        store=ShardedCheckpointStore(tmp_path / "s"),
+                        store=CheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
     clean = svc.submit(_spec(space, problem, 0, tenant="clean", n=4))
     chaotic = svc.submit(_spec(space, problem, 1, tenant="chaotic", n=4,
@@ -550,7 +550,7 @@ def test_stream_yields_records_in_completion_order(space, problem,
 
 def test_drain_interrupts_and_journals_sessions(space, problem, tmp_path):
     svc = SearchService(evaluator=SerialEvaluator(),
-                        store=ShardedCheckpointStore(tmp_path / "s"),
+                        store=CheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
     handle = svc.submit(_draining_spec(space, problem, 7, svc, at=2, n=6))
     svc.drive()
@@ -569,9 +569,9 @@ def test_drain_interrupts_and_journals_sessions(space, problem, tmp_path):
 def test_recover_replays_bit_identically_and_completes(space, problem,
                                                        tmp_path):
     solo = run_search(problem, _strategy(space, 7), 6, scheme="lcs",
-                      store=ShardedCheckpointStore(tmp_path / "solo"),
+                      store=CheckpointStore(tmp_path / "solo"),
                       evaluator=SerialEvaluator(), seed=7)
-    store = ShardedCheckpointStore(tmp_path / "s")
+    store = CheckpointStore(tmp_path / "s")
     svc = SearchService(evaluator=SerialEvaluator(), store=store,
                         journal_dir=tmp_path / "j")
     handle = svc.submit(_draining_spec(space, problem, 7, svc, at=2, n=6))
@@ -597,12 +597,12 @@ def test_recover_replays_bit_identically_and_completes(space, problem,
 
 def test_recover_rejects_mismatched_spec(space, problem, tmp_path):
     svc = SearchService(evaluator=SerialEvaluator(),
-                        store=ShardedCheckpointStore(tmp_path / "s"),
+                        store=CheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
     handle = svc.submit(_draining_spec(space, problem, 7, svc, at=0, n=6))
     svc.drive()
     revived = SearchService(evaluator=SerialEvaluator(),
-                            store=ShardedCheckpointStore(tmp_path / "s"),
+                            store=CheckpointStore(tmp_path / "s"),
                             journal_dir=tmp_path / "j")
     with pytest.raises(ValueError, match="num_candidates"):
         revived.recover({handle.session_id: _spec(space, problem, 7, n=9)})
@@ -612,7 +612,7 @@ def test_sigterm_drains_background_service(space, problem, tmp_path):
     """The signal path end-to-end: SIGTERM to the process drains the
     service; in-flight work lands, sessions become INTERRUPTED."""
     svc = SearchService(evaluator=SerialEvaluator(),
-                        store=ShardedCheckpointStore(tmp_path / "s"),
+                        store=CheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
     replaced = svc.install_signal_handlers()
     if not replaced:                   # not the main thread: cannot test
@@ -688,7 +688,7 @@ def test_generated_interleavings_keep_the_service_invariants(
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         svc = SearchService(evaluator=SerialEvaluator(),
-                            store=ShardedCheckpointStore(root / "s"),
+                            store=CheckpointStore(root / "s"),
                             journal_dir=root / "j",
                             max_active_sessions=max_active)
         for i, (seed, n, crash) in enumerate(tenants):
@@ -719,7 +719,7 @@ def test_generated_interleavings_keep_the_service_invariants(
             elif not cancelled:
                 solo = run_search(
                     problem, _strategy(space, seed), n, scheme="lcs",
-                    store=ShardedCheckpointStore(root / f"solo{i}"),
+                    store=CheckpointStore(root / f"solo{i}"),
                     evaluator=SerialEvaluator(), seed=seed)
                 assert [_record_key(r) for r in trace] == \
                     [_record_key(r) for r in solo]
