@@ -1,12 +1,5 @@
-"""Static analysis for candidate graphs and repository invariants.
+"""Static analysis of the repository's invariants.
 
-Two halves:
-
-- **Graph analyzer** (:func:`analyze`): shape/dtype propagation,
-  parameter accounting and structural diagnostics over architecture
-  sequences, asking each layer's own ``infer`` for its shapes.
-  :class:`PreflightGate` wraps it as the NAS loop's free validity
-  check and only admission tier.
 - **Invariant linter** (:mod:`repro.analysis.lint`, run as
   ``python -m repro.analysis.lint src/repro``): AST rules R001-R008
   (R006 retired) enforcing the repo's dtype discipline, frozen
@@ -19,14 +12,11 @@ Two halves:
   sanitizer (:mod:`repro.analysis.lockcheck`) raises on any nested
   acquire of a lock built by :func:`~repro.analysis.lockcheck.make_lock`
   when ``REPRO_LOCKCHECK=1``.
+
+Candidate graphs are not screened here: the static shape sequence
+LP/LCS matching reads is inferred by
+:func:`repro.transfer.arch_shape_sequence`, and a candidate that
+cannot be built fails at ``build_network`` and is booked as a failed
+record (DESIGN.md "Pre-flight gate, retired" says why nothing screens
+it first).
 """
-
-from .gate import GateStats, PreflightGate
-from .interp import analyze
-from .report import Diagnostic, GraphReport, LayerReport
-
-__all__ = [
-    "analyze",
-    "GraphReport", "LayerReport", "Diagnostic",
-    "PreflightGate", "GateStats",
-]

@@ -598,9 +598,6 @@ class SearchDriver:
                 or "chaos" in fault_dict):
             self.trace.fault_stats = fault_dict
 
-        gate = getattr(self.strategy, "gate", None)
-        if gate is not None:
-            self.trace.static_stats = gate.stats.as_dict()
         self._finalized = self.trace
         if error is not None:
             raise error
@@ -619,11 +616,6 @@ def run_search(problem, strategy, num_candidates: int, *,
     The thin drive-to-completion wrapper over :class:`SearchDriver`
     (construct, ``step()`` until done, ``finalize()``), with the exact
     historical contract.
-
-    A static :class:`repro.analysis.PreflightGate` goes on the
-    strategy's own ``gate=`` parameter; its counters (``checked`` /
-    ``admitted`` / ``rejected`` / ``by_code``) land in
-    ``trace.static_stats``.
 
     A store-backed search saves write-behind and reads providers
     through a population-sized cache (module docstring).  It makes the

@@ -18,9 +18,7 @@ Heterogeneous clusters (Table II's A100/K80 mix) are modelled with
 ``gpu_speeds`` — per-GPU multipliers on training throughput.
 
 Only the paper's configuration is simulated: the parent provider and
-synchronous checkpoints.  A strategy's pre-flight gate screens
-proposals as it does under the real driver, and its accounting lands
-in ``trace.static_stats`` the same way.  The loop is the same
+synchronous checkpoints.  The loop is the same
 ask → select → load → transfer → train → save → tell sequence as
 :func:`repro.cluster.run_search`, which saves write-behind and reads
 providers through a cache; at one GPU the two give identical records
@@ -253,7 +251,4 @@ class SimulatedCluster:
             trace.transfer_stats = {"copied_bytes": int(copied_bytes)}
         if faults is not None:
             trace.fault_stats = fault_stats.as_dict()
-        gate = getattr(strategy, "gate", None)
-        if gate is not None:
-            trace.static_stats = gate.stats.as_dict()
         return trace

@@ -76,9 +76,9 @@ class Trace:
     name: str = "trace"
     scheme: str = "baseline"
     records: list = field(default_factory=list)
-    #: the strategy's pre-flight gate accounting (checked / admitted /
-    #: rejected / by_code, checked == admitted + rejected)
-    #: when the search ran with static screening; None otherwise
+    #: a kept name, always None: it held the retired pre-flight gate's
+    #: accounting, and the benchmark still reads it (ROADMAP.md item 1
+    #: step 1).  Old trace headers that carry it still load.
     static_stats: Optional[dict] = None
     #: checkpoint I/O accounting (``drain_seconds`` of the write-behind
     #: drain barrier, ``writer_errors`` naming failed saves, ``cache``:

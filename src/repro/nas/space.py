@@ -180,7 +180,7 @@ class SearchSpace:
     def chosen_ops(self, arch_seq) -> list[tuple[str, tuple, Op]]:
         """``(node_name, parent_refs, chosen_op)`` per node, in the
         topological (insertion) order ``build_network`` materialises —
-        the substrate :func:`repro.analysis.analyze` interprets."""
+        the substrate :func:`repro.transfer.arch_shape_sequence` walks."""
         return [
             (node.name, tuple(node.parents), op)
             for node, op in self._chosen_ops(arch_seq)

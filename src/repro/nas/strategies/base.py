@@ -4,18 +4,15 @@
 calls ``tell(candidate_id, arch_seq, score)`` when the result lands.
 Strategies must tolerate several ``ask()`` calls before the matching
 ``tell`` (asynchronous clusters evaluate many candidates in flight).
-
-Every strategy accepts an optional *pre-flight gate*
-(:class:`repro.analysis.PreflightGate`): when set, proposals are
-statically screened before they leave ``ask`` and invalid candidates
-are resampled — zero forward passes are spent on them, and the gate's
-stats record how many were rejected.
+Nothing screens a proposal before it is evaluated: a candidate that
+cannot be built fails at build time, and the strategy is told
+``FAILURE_SCORE`` for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,14 +36,10 @@ class Proposal:
 
 
 class Strategy:
-    #: resampling budget when the gate keeps rejecting proposals
-    MAX_GATE_RETRIES = 32
-
-    def __init__(self, space, rng=None, gate=None):
+    def __init__(self, space, rng=None):
         self.space = space
         self.rng = np.random.default_rng(rng) if not isinstance(
             rng, np.random.Generator) else rng
-        self.gate = gate
 
     def ask(self) -> Proposal:
         raise NotImplementedError
@@ -62,17 +55,3 @@ class Strategy:
         strategies with ask-side counters override to restore those too."""
         for r in records:
             self.tell(r.candidate_id, r.arch_seq, r.score)
-
-    def _admit(self, make_proposal: Callable[[], Proposal]) -> Proposal:
-        """Draw proposals until one passes the gate (or the retry budget
-        runs out — then the last draw is returned and the runtime
-        ``BuildError`` path handles it, so a fully-invalid neighbourhood
-        cannot live-lock the search)."""
-        proposal = make_proposal()
-        if self.gate is None:
-            return proposal
-        for _ in range(self.MAX_GATE_RETRIES):
-            if self.gate.admits(proposal.arch_seq):
-                return proposal
-            proposal = make_proposal()
-        return proposal

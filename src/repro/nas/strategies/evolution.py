@@ -26,12 +26,10 @@ class _Member:
 class RegularizedEvolution(Strategy):
     def __init__(self, space, rng=None, population_size: int = 16,
                  sample_size: int = 8, num_mutations: int = 1,
-                 tournament: str = "best", gate=None):
+                 tournament: str = "best"):
         """``tournament``: 'best' (Algorithm 1) or 'aging' (oldest of the
-        sample wins — an aging-tournament extension).  ``gate``: optional
-        :class:`repro.analysis.PreflightGate`; statically invalid
-        mutations are rejected for free and the parent is re-mutated."""
-        super().__init__(space, rng, gate=gate)
+        sample wins — an aging-tournament extension)."""
+        super().__init__(space, rng)
         if sample_size > population_size:
             raise ValueError("sample_size must be <= population_size")
         if tournament not in ("best", "aging"):
@@ -48,7 +46,7 @@ class RegularizedEvolution(Strategy):
         # random warmup until one full population has been *submitted*
         # (not completed — the cluster may have many evaluations in flight)
         if self._asked <= self.population_size or len(self.population) == 0:
-            return self._admit(lambda: Proposal(self.space.sample(self.rng)))
+            return Proposal(self.space.sample(self.rng))
         k = min(self.sample_size, len(self.population))
         idx = self.rng.choice(len(self.population), size=k, replace=False)
         sample = [self.population[int(i)] for i in idx]
@@ -56,11 +54,11 @@ class RegularizedEvolution(Strategy):
             parent = max(sample, key=lambda m: m.score)
         else:  # aging: the oldest sampled member breeds
             parent = min(sample, key=lambda m: m.candidate_id)
-        return self._admit(lambda: Proposal(
+        return Proposal(
             self.space.mutate(parent.arch_seq, self.rng,
                               num_mutations=self.num_mutations),
             parent_id=parent.candidate_id,
-        ))
+        )
 
     def tell(self, candidate_id, arch_seq, score) -> None:
         # failed evaluations stay out of the FIFO: a FAILURE_SCORE member

@@ -1,4 +1,4 @@
-"""Random search: uniform i.i.d. samples of the space (gate-screened)."""
+"""Random search: uniform i.i.d. samples of the space."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from .base import Proposal, Strategy
 
 class RandomSearch(Strategy):
     def ask(self) -> Proposal:
-        return self._admit(lambda: Proposal(self.space.sample(self.rng)))
+        return Proposal(self.space.sample(self.rng))
 
     def tell(self, candidate_id, arch_seq, score) -> None:
         pass

@@ -170,8 +170,8 @@ class SessionSpec:
     #: ``"async_io"`` (see ``cache``), ``"transfer_backend"``
     #: (``"checkpoint"`` or ``"supernet"``; the supernet backend is
     #: retired, so every session transfers through checkpoints) and
-    #: ``"zero_cost"`` (a bool; the zero-cost gate is retired, so every
-    #: session screens candidates by its strategy's own gate only).
+    #: ``"zero_cost"`` (a bool; the zero-cost gate is retired, so no
+    #: session screens candidates before training them).
     #: All three go once svc-mix stops setting them (ROADMAP.md item 1
     #: step 1)
     extra_driver_kwargs: dict = field(default_factory=dict)

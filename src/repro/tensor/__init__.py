@@ -1,8 +1,9 @@
 """From-scratch NumPy deep-learning framework (the TF/Keras substitute).
 
 Each layer's ``infer`` is its one shape rule: ``Layer.build`` and the
-static analyzer (:mod:`repro.analysis`) both call it, so a new layer
-kind is visible to shape inference as soon as it defines ``infer``.
+static shape sequence (:func:`repro.transfer.arch_shape_sequence`) both
+call it, so a new layer kind is visible to shape inference as soon as
+it defines ``infer``.
 """
 
 from .layers import (

@@ -5,8 +5,9 @@ their gradients (``grads``).  ``infer(input_shape)`` is the layer's one
 shape rule: it returns the output shape and the parameter shapes without
 allocating anything.  ``build(input_shape, rng)`` runs ``infer`` and then
 initialises the parameters from ``rng`` in declaration order; building
-twice is an error.  The static analyzer (:mod:`repro.analysis`) calls
-``infer`` too, so no shape rule exists twice.  Shapes exclude the batch
+twice is an error.  The static shape sequence
+(:func:`repro.transfer.arch_shape_sequence`) calls ``infer`` too, so no
+shape rule exists twice.  Shapes exclude the batch
 axis.
 
 ``BuildError`` signals an architecture that cannot be instantiated (e.g. a

@@ -11,8 +11,9 @@ attached to their kernels, and stops the ubiquitous head-bias shape from
 making every pair "shareable" (which would collapse Figure 2 to 100%).
 
 :func:`arch_shape_sequence` derives the sequence *statically* from an
-architecture sequence via :func:`repro.analysis.analyze` — no network
-instantiation, no tensor allocation — and LRU-caches the result, so
+architecture sequence — it asks each chosen op's layer for its shapes
+through ``layer.infer``, the rule ``Layer.build`` runs, with no network
+instantiation and no tensor allocation — and LRU-caches the result, so
 LP/LCS matching inside the search loop never pays a build.
 """
 
@@ -22,6 +23,8 @@ from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
+
+from ..tensor import BuildError, Concatenate
 
 Signature = tuple  # tuple of shape tuples
 ShapeSequence = tuple  # tuple of Signatures
@@ -42,24 +45,38 @@ def arch_shape_sequence(space, arch_seq) -> ShapeSequence:
 
     Identical to ``shape_sequence(space.build_network(arch_seq))`` (the
     cross-validation tests pin this) but never instantiates the network.
-    Raises ``ValueError`` when the candidate is statically invalid —
-    the same architectures for which ``build_network`` raises
-    ``BuildError``.  Cached by ``(space, arch_seq)`` identity.
+    Raises ``ValueError`` for a malformed sequence and when the
+    candidate is statically invalid: the architectures for which
+    ``build_network`` raises ``BuildError``, and a non-concat node with
+    several inputs.  Cached by ``(space, arch_seq)`` identity.
     """
     return _arch_shape_sequence(space, space.validate_seq(arch_seq))
 
 
 @lru_cache(maxsize=4096)
 def _arch_shape_sequence(space, arch_seq: tuple) -> ShapeSequence:
-    from ..analysis import analyze
-
-    report = analyze(space, arch_seq)
-    if not report.ok:
-        raise ValueError(
-            f"statically invalid architecture {arch_seq}: "
-            + "; ".join(str(d) for d in report.errors())
-        )
-    return report.shape_sequence
+    shapes = {f"input:{i}": tuple(s) for i, s in enumerate(space.input_shapes)}
+    sequence: list[Signature] = []
+    for node, parents, op in space.chosen_ops(arch_seq):
+        layer = op.to_layer(op.layer_name(node))
+        in_shapes = tuple(shapes[p] for p in parents)
+        if isinstance(layer, Concatenate):
+            input_shape = in_shapes
+        elif len(in_shapes) == 1:
+            input_shape = in_shapes[0]
+        else:
+            raise ValueError(
+                f"statically invalid architecture {arch_seq}: {node}: only "
+                f"concat accepts multiple inputs, got {len(in_shapes)}")
+        try:
+            shapes[node], params = layer.infer(input_shape)
+        except BuildError as exc:
+            raise ValueError(
+                f"statically invalid architecture {arch_seq}: {node}: {exc}"
+            ) from None
+        if params:
+            sequence.append(tuple(params.values()))
+    return tuple(sequence)
 
 
 def arch_shape_sequence_cache_info():

@@ -1,8 +1,10 @@
-"""Unit tests for the static graph analyzer (``repro.analysis``)."""
+"""Hand-picked cases of static shape inference
+(:func:`repro.transfer.arch_shape_sequence`): the cases generated inputs
+do not reach — malformed sequences, fan-in, concat widths — and the
+impossible geometries named one by one."""
 
 import pytest
 
-from repro.analysis import analyze
 from repro.nas import (
     ConcatenateOp,
     Conv2DOp,
@@ -12,36 +14,37 @@ from repro.nas import (
     MaxPool2DOp,
     SearchSpace,
 )
+from repro.tensor import BuildError
+from repro.transfer import arch_shape_sequence, shape_sequence
+from repro.transfer.shapeseq import arch_shape_sequence_cache_info
 
 
-def codes(report):
-    return {d.code for d in report.diagnostics}
-
-
-def test_analyze_matches_known_shapes(space):
-    report = analyze(space, (1, 1, 1))
-    assert report.ok
-    # dense0(8) -> dense1(8) -> head(4); activations carry no parameters
-    assert report.shape_sequence == (
-        ((72, 8), (8,)),
-        ((8, 8), (8,)),
-        ((8, 4), (4,)),
-    )
-    assert report.output_shape == (4,)
-    assert report.total_params == (72 * 8 + 8) + (8 * 8 + 8) + (8 * 4 + 4)
-
-
-def test_strict_conv_too_large_is_diagnosed():
+def bad_conv_space() -> SearchSpace:
     space = SearchSpace("bad-conv", (4, 4, 1))
     space.add_variable("conv", [
         IdentityOp(), Conv2DOp(2, 5, padding="valid"),
     ])
     space.add_fixed(FlattenOp(), name="flatten")
     space.add_fixed(DenseOp(2), name="head")
-    report = analyze(space, (1,))
-    assert not report.ok
-    assert "shape-mismatch" in codes(report)
-    assert analyze(space, (0,)).ok
+    return space
+
+
+def test_analyze_matches_known_shapes(space):
+    # dense0(8) -> dense1(8) -> head(4); activations carry no parameters
+    assert arch_shape_sequence(space, (1, 1, 1)) == (
+        ((72, 8), (8,)),
+        ((8, 8), (8,)),
+        ((8, 4), (4,)),
+    )
+
+
+def test_strict_conv_too_large_is_diagnosed():
+    space = bad_conv_space()
+    with pytest.raises(ValueError, match="conv"):
+        arch_shape_sequence(space, (1,))
+    with pytest.raises(BuildError):
+        space.build_network((1,), rng=0)
+    assert arch_shape_sequence(space, (0,)) == (((16, 2), (2,)),)
 
 
 def test_strict_pool_larger_than_input_is_diagnosed():
@@ -49,68 +52,30 @@ def test_strict_pool_larger_than_input_is_diagnosed():
     space.add_variable("pool", [IdentityOp(), MaxPool2DOp(8)])
     space.add_fixed(FlattenOp(), name="flatten")
     space.add_fixed(DenseOp(2), name="head")
-    report = analyze(space, (1,))
-    assert not report.ok
-    assert "shape-mismatch" in codes(report)
-
-
-def test_param_budget_violation(space):
-    report = analyze(space, (1, 1, 1), param_budget=10)
-    assert not report.ok
-    assert "param-budget" in codes(report)
-    assert analyze(space, (1, 1, 1), param_budget=10**6).ok
-
-
-def test_float64_input_warns_and_promotes(space):
-    report = analyze(space, (1, 0, 0), input_dtype="float64")
-    assert report.ok  # warning, not error
-    assert "float64-promotion" in codes(report)
-    assert report.output_dtype == "float64"
-    assert analyze(space, (1, 0, 0)).output_dtype == "float32"
-
-
-def test_unsupported_dtype_raises(space):
-    with pytest.raises(ValueError):
-        analyze(space, (0, 0, 0), input_dtype="float16")
+    with pytest.raises(ValueError, match="pool"):
+        arch_shape_sequence(space, (1,))
+    with pytest.raises(BuildError):
+        space.build_network((1,), rng=0)
 
 
 def test_malformed_sequence_raises(space):
     with pytest.raises(ValueError):
-        analyze(space, (0, 0))  # wrong length
+        arch_shape_sequence(space, (0, 0))  # wrong length
     with pytest.raises(ValueError):
-        analyze(space, (99, 0, 0))  # out-of-range choice
-
-
-def test_signature_key_stable_and_distinct(space):
-    a1 = analyze(space, (1, 1, 1)).signature_key
-    a2 = analyze(space, (1, 1, 1)).signature_key
-    b = analyze(space, (2, 0, 0)).signature_key
-    assert a1 == a2
-    assert a1 != b
+        arch_shape_sequence(space, (99, 0, 0))  # out-of-range choice
 
 
 def test_shape_sequence_refuses_failed_report():
-    space = SearchSpace("bad-conv", (4, 4, 1))
-    space.add_variable("conv", [
-        IdentityOp(), Conv2DOp(2, 5, padding="valid"),
-    ])
-    space.add_fixed(FlattenOp(), name="flatten")
-    space.add_fixed(DenseOp(2), name="head")
-    report = analyze(space, (1,))
-    with pytest.raises(ValueError):
-        report.shape_sequence
-
-
-def test_dead_node_is_warned_not_errored():
-    space = SearchSpace("branchy", (4, 4, 1))
-    space.add_fixed(FlattenOp(), name="flatten")
-    space.add_fixed(DenseOp(4), name="a", after="flatten")
-    space.add_fixed(DenseOp(4), name="b", after="flatten")
-    space.add_fixed(DenseOp(2), name="head", after="a")
-    report = analyze(space, ())
-    assert report.ok
-    dead = [d for d in report.diagnostics if d.code == "dead-node"]
-    assert [d.node for d in dead] == ["b"]
+    """An invalid candidate raises on every call: the LRU keeps no
+    entry for it, so a later lookup cannot return a stale sequence."""
+    space = bad_conv_space()
+    for _ in range(2):
+        before = arch_shape_sequence_cache_info()
+        with pytest.raises(ValueError):
+            arch_shape_sequence(space, (1,))
+        after = arch_shape_sequence_cache_info()
+        assert after.currsize == before.currsize
+        assert after.hits == before.hits
 
 
 def test_multi_input_non_concat_is_error():
@@ -119,9 +84,8 @@ def test_multi_input_non_concat_is_error():
     space.add_fixed(DenseOp(4), name="a", after="flatten")
     space.add_fixed(DenseOp(4), name="b", after="flatten")
     space.add_fixed(DenseOp(2), name="head", after=["a", "b"])
-    report = analyze(space, ())
-    assert not report.ok
-    assert "shape-mismatch" in codes(report)
+    with pytest.raises(ValueError, match="only concat"):
+        arch_shape_sequence(space, ())
 
 
 def test_concat_adds_feature_dims():
@@ -131,7 +95,6 @@ def test_concat_adds_feature_dims():
     space.add_fixed(DenseOp(6), name="b", after="flatten")
     space.add_fixed(ConcatenateOp(), name="cat", after=["a", "b"])
     space.add_fixed(DenseOp(2), name="head", after="cat")
-    report = analyze(space, ())
-    assert report.ok
-    cat = next(layer for layer in report.layers if layer.node == "cat")
-    assert cat.output_shape == (10,)
+    seq = arch_shape_sequence(space, ())
+    assert seq[-1] == ((10, 2), (2,))   # the head reads 4 + 6 features
+    assert seq == shape_sequence(space.build_network((), rng=0))

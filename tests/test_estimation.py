@@ -1,8 +1,8 @@
 """estimate_candidate / full_train."""
 
 import numpy as np
+import pytest
 
-from repro.analysis import analyze
 from repro.nas import (
     FAILURE_SCORE,
     Conv2DOp,
@@ -13,6 +13,7 @@ from repro.nas import (
     estimate_candidate,
     full_train,
 )
+from repro.transfer import arch_shape_sequence
 
 
 def test_estimate_returns_finite_score(space, problem):
@@ -92,4 +93,5 @@ def test_even_same_conv_fails_at_build_not_mid_training(dataset):
     assert not result.ok
     assert result.score == FAILURE_SCORE
     assert "odd kernel" in result.error
-    assert not analyze(space, seq).ok    # the pre-flight gate agrees
+    with pytest.raises(ValueError, match="odd kernel"):
+        arch_shape_sequence(space, seq)  # static inference agrees

@@ -91,8 +91,8 @@ def test_io_spec_names_change_no_decision(space, problem, tmp_path):
     ``transfer_backend`` and ``zero_cost`` driver kwargs survive only as
     names: every store-backed session already saves write-behind, reads
     providers through a population-sized cache, transfers through
-    checkpoints and screens by its strategy's own gate (the supernet
-    backend and the zero-cost gate are retired), so setting them decides
+    checkpoints and screens no candidate before training it (the
+    supernet backend and the zero-cost gate are retired), so setting them decides
     nothing differently.  ``run_search`` takes neither
     ``transfer_backend`` nor ``zero_cost``."""
     svc = SearchService(evaluator=SerialEvaluator(),
