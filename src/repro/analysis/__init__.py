@@ -1,17 +1,17 @@
 """Static analysis of the repository's invariants.
 
 - **Invariant linter** (:mod:`repro.analysis.lint`, run as
-  ``python -m repro.analysis.lint src/repro``): AST rules R001-R008
-  (R006 retired) enforcing the repo's dtype discipline, frozen
-  reference kernels, allocation-free optimizer steps, reference-kernel
-  import hygiene, and — via the
-  whole-program concurrency analyzer
-  (:mod:`repro.analysis.concurrency`) — inferred lock guards matching
-  every ``_GUARDED_ATTRS`` declaration and *every lock is a leaf* (no
-  lock acquired while another is held).  The companion runtime
-  sanitizer (:mod:`repro.analysis.lockcheck`) raises on any nested
-  acquire of a lock built by :func:`~repro.analysis.lockcheck.make_lock`
-  when ``REPRO_LOCKCHECK=1``.
+  ``python -m repro.analysis.lint src/repro``): per-file AST rules
+  R001-R008 (R006 retired) enforcing the repo's dtype discipline,
+  frozen reference kernels, allocation-free optimizer steps,
+  reference-kernel import hygiene, and the lock discipline of each
+  module: ``_GUARDED_ATTRS`` declarations match the writes that hold
+  the lock, shared attributes are written under it, and *every lock
+  is a leaf* (no lock acquired while another is held).  The companion
+  runtime sanitizer (:mod:`repro.analysis.lockcheck`) is the one check
+  across modules: it raises on any nested acquire of a lock built by
+  :func:`~repro.analysis.lockcheck.make_lock` when
+  ``REPRO_LOCKCHECK=1``.
 
 Candidate graphs are not screened here: the static shape sequence
 LP/LCS matching reads is inferred by

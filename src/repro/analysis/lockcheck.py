@@ -1,23 +1,22 @@
 """Runtime lock sanitizer: instrumented locks that enforce *every lock
 is a leaf*.
 
-The static analyzer (:mod:`repro.analysis.concurrency`) proves that no
-code path it can resolve acquires a lock while holding another, but it
-cannot see acquisitions that only materialize at runtime (a callback
-acquiring through an indirection, a test wiring two components the
-source never composes).  :class:`SanitizedLock` closes that gap: a
-drop-in replacement for ``threading.Lock`` / ``threading.RLock`` that
-keeps, per thread, the stack of sanitized locks currently held and
-raises :class:`LockCheckError` on any acquire made while that stack is
-non-empty.  Re-entering an ``RLock`` the thread already holds is the one
-sanctioned exception.  With no nesting there is no lock order, so no
-lock-order deadlock.
+The linter's R008 (:mod:`repro.analysis.lint`) checks one module at a
+time, so it cannot see a nesting across modules (a service calling its
+evaluator, store or driver while holding its own lock) or one that
+only materializes at runtime (a callback, a test wiring two components
+the source never composes).  :class:`SanitizedLock` is the one check
+for those: a drop-in replacement for ``threading.Lock`` that keeps,
+per thread, the stack of sanitized locks currently held and raises
+:class:`LockCheckError` on any acquire made while that stack is
+non-empty, re-entering the same lock included.  With no nesting there
+is no lock order, so no lock-order deadlock.
 
 Nesting is checked by object identity, not by name: two instances of
 one class (two ``WeightCache`` locks) nest as surely as two classes do.
 
 Every module that owns a lock creates it through :func:`make_lock`,
-which returns a plain ``threading.Lock``/``RLock`` (zero overhead)
+which returns a plain ``threading.Lock`` (zero overhead)
 unless checking is enabled — via the ``REPRO_LOCKCHECK=1`` environment
 variable (read at each ``make_lock`` call, so it must be set before the
 owning object is constructed; the CI ``lockcheck`` job exports it for
@@ -69,7 +68,7 @@ def force(on: bool) -> None:
 
 class LockCheckError(RuntimeError):
     """A lock acquired while the thread holds another sanitized lock, or
-    a non-reentrant lock re-acquired by the thread that holds it."""
+    re-acquired by the thread that holds it."""
 
 
 def _site(skip: int = 3) -> str:
@@ -110,14 +109,14 @@ class LockCheckRegistry:
     # -- the check -----------------------------------------------------
     def before_acquire(self, lock: "SanitizedLock") -> None:
         held = self._held()
-        if not held or (lock.reentrant and lock in held):
-            return                          # a leaf, or RLock re-entry
+        if not held:
+            return                          # a leaf
         thread = threading.current_thread().name
         site = _site()
         if lock in held:
             kind = "reentry"
-            message = (f"re-acquired non-reentrant lock {lock.name!r} it "
-                       f"already holds (at {site}) — this would deadlock")
+            message = (f"re-acquired lock {lock.name!r} it already holds "
+                       f"(at {site}) — this would deadlock")
         else:
             kind = "nested"
             message = (f"acquired {lock.name!r} while holding "
@@ -136,15 +135,13 @@ class LockCheckRegistry:
 
     def after_acquire(self, lock: "SanitizedLock") -> None:
         self._held().append(lock)
-        self.acquisitions += 1              # benign counter, stats only
+        with self._meta:
+            self.acquisitions += 1
 
     def on_release(self, lock: "SanitizedLock") -> None:
         held = self._held()
-        # remove the most recent entry (RLock re-entries stack up)
-        for i in range(len(held) - 1, -1, -1):
-            if held[i] is lock:
-                del held[i]
-                return
+        if lock in held:                    # not when another thread took it
+            held.remove(lock)
 
     # -- reporting -----------------------------------------------------
     def violations(self) -> list[dict]:
@@ -174,39 +171,32 @@ registry = LockCheckRegistry()
 
 
 class SanitizedLock:
-    """Instrumented (R)Lock: the leaf check around every acquire.
+    """Instrumented ``threading.Lock``: the leaf check around every
+    acquire.
 
     Supports the full ``threading.Lock`` surface used in this repo —
-    ``acquire(blocking, timeout)``, ``release()``, context manager —
-    so it is a drop-in replacement behind :func:`make_lock`.
+    ``acquire(blocking, timeout)``, ``release()``, ``locked()``, context
+    manager — so it is a drop-in replacement behind :func:`make_lock`.
     """
 
-    def __init__(self, name: str, reentrant: bool = False,
-                 reg: Optional[LockCheckRegistry] = None):
+    def __init__(self, name: str, reg: Optional[LockCheckRegistry] = None):
         self.name = name
-        self.reentrant = reentrant
         self._registry = reg if reg is not None else registry
-        self._inner = threading.RLock() if reentrant else threading.Lock()
-        self._count = 0                 # successful acquires - releases
+        self._inner = threading.Lock()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         self._registry.before_acquire(self)
         ok = self._inner.acquire(blocking, timeout)
         if ok:
-            self._count += 1            # under the lock: no write race
             self._registry.after_acquire(self)
         return ok
 
     def release(self) -> None:
-        self._count -= 1                # still under the lock
         self._inner.release()
         self._registry.on_release(self)
 
     def locked(self) -> bool:
-        # own counter, not the inner lock's probe: a same-thread
-        # non-blocking acquire on a held RLock *succeeds*, so probing
-        # would misreport a reentrant lock this thread holds as free
-        return self._count > 0
+        return self._inner.locked()
 
     def __enter__(self) -> bool:
         return self.acquire()
@@ -215,22 +205,21 @@ class SanitizedLock:
         self.release()
 
     def __repr__(self):
-        kind = "RLock" if self.reentrant else "Lock"
-        return f"<SanitizedLock {self.name} ({kind})>"
+        return f"<SanitizedLock {self.name}>"
 
 
-LockLike = Union[threading.Lock, threading.RLock, SanitizedLock]
+LockLike = Union[threading.Lock, SanitizedLock]
 
 
-def make_lock(name: str, reentrant: bool = False) -> LockLike:
+def make_lock(name: str) -> LockLike:
     """The repo's lock factory.
 
-    Returns a plain ``threading.Lock`` / ``threading.RLock`` (zero
-    instrumentation overhead) unless lock checking is enabled, in which
-    case a :class:`SanitizedLock` that raises on any acquire nested
-    inside another.  ``name`` is the class-qualified name the static
-    analyzer uses, e.g. ``"WeightCache._lock"``; it labels violations.
+    Returns a plain ``threading.Lock`` (zero instrumentation overhead)
+    unless lock checking is enabled, in which case a
+    :class:`SanitizedLock` that raises on any acquire nested inside
+    another.  ``name`` is the class-qualified name the linter's R008
+    uses, e.g. ``"WeightCache._lock"``; it labels violations.
     """
     if enabled():
-        return SanitizedLock(name, reentrant=reentrant)
-    return threading.RLock() if reentrant else threading.Lock()
+        return SanitizedLock(name)
+    return threading.Lock()

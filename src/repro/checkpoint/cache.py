@@ -29,8 +29,8 @@ import numpy as np
 from ..analysis.lockcheck import make_lock
 
 #: Lock-discipline assertion (lint R004/R007): every write to these
-#: attributes must hold ``self._lock``; the whole-program analyzer
-#: verifies the set matches what it infers from the AST.
+#: attributes must hold ``self._lock``; lint checks the set equals the
+#: attributes whose writes outside ``__init__`` all hold it.
 _GUARDED_ATTRS = ("_entries", "hits", "misses", "evictions", "insertions")
 
 

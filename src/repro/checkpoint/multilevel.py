@@ -40,8 +40,8 @@ from .store import CheckpointStore
 
 #: Lock-discipline assertion (lint R004/R007): state shared between the
 #: threads that save, flush and close.  Every write must hold
-#: ``self._lock``; the whole-program analyzer verifies the set matches
-#: what it infers.
+#: ``self._lock``; lint checks the set equals the attributes whose
+#: writes outside ``__init__`` all hold it.
 _GUARDED_ATTRS = ("_closed", "_last")
 
 #: The one writer thread every AsyncCheckpointWriter saves on; the

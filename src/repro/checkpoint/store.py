@@ -27,10 +27,10 @@ overwriting a key is atomic per file, not across the pair, and a reader
 caught between the two renames gets :class:`CorruptCheckpointError`
 from the CRC check.  Callers that layer mutable state on top
 (:class:`~repro.checkpoint.cache.WeightCache`,
-``AsyncCheckpointWriter``) bring their own locks; the whole-program
-concurrency analyzer checks their guarded writes (lint R007) and that
-each is a leaf (lint R008).  Store calls take no lock, so a caller may
-make them while holding its own.
+``AsyncCheckpointWriter``) bring their own locks; lint checks their
+guarded writes (R007) and that each is a leaf within its module (R008),
+and the runtime sanitizer checks the leaf rule across modules.  Store
+calls take no lock, so a caller may make them while holding its own.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ from .resilience import TaskFailure, WaitTimeout
 
 #: Lock-discipline assertion (lint R004/R007): shared mutable state that
 #: both the submitting thread and any thread calling ``wait_any`` touch.
-#: Every write must happen under ``self._lock``; the whole-program
-#: analyzer verifies this set matches what it infers from the AST.
+#: Every write must happen under ``self._lock``; lint checks the set
+#: equals the attributes whose writes outside ``__init__`` all hold it.
 _GUARDED_ATTRS = ("_futures", "_next")
 
 

@@ -37,7 +37,7 @@ def lockcheck_report():
     registry.  At session teardown, dump the machine-readable report
     (``REPRO_LOCKCHECK_REPORT=<path>``, default ``lockcheck_report.json``
     in the CWD) and fail the session on any recorded violation: a lock
-    acquired while another was held, or a non-reentrant re-entry.  Both
+    acquired while another was held, or one re-entered.  Both
     also raise at the acquire; the record catches a raise that worker
     failure containment swallowed.  Tests that *provoke* violations on
     purpose use private registries, so the global one stays clean.

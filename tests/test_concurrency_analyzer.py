@@ -1,33 +1,36 @@
-"""Whole-program concurrency analyzer: guard inference and the leaf rule.
+"""Lock discipline rules R004, R007 and R008, one module at a time.
 
-Synthetic-module tests pin each inference mechanism in isolation; the
-real-tree tests are the acceptance gate — the shipped ``src/repro``
-must analyze clean and every ``_GUARDED_ATTRS`` declaration must match
-the inference exactly.
+Synthetic-module tests pin each rule in isolation; the real-tree tests
+are the acceptance gate — the shipped ``src/repro`` must lint clean and
+every ``_GUARDED_ATTRS`` declaration must equal the set of attributes
+whose writes hold the lock.
 """
 
-import subprocess
-import sys
+import ast
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.concurrency import analyze_files, analyze_sources, main
+from repro.analysis.lint import lint_paths, lock_facts
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
 
-def codes(model):
-    return [f.code for f in model.findings()]
+def check(source):
+    return lock_facts(ast.parse(source), "m")
+
+
+def codes(facts):
+    return [code for code, *_ in facts.findings]
 
 
 # ----------------------------------------------------------------------
-# R007: guard inference
+# R007: shared attributes are written under the lock
 # ----------------------------------------------------------------------
 def test_unguarded_shared_write_is_flagged():
-    model = analyze_sources({"m.py": """
+    facts = check("""
 import threading
 
 class C:
@@ -41,15 +44,15 @@ class C:
     def read(self):
         with self._lock:
             return self.count
-"""})
-    found = model.findings()
-    assert [f.code for f in found] == ["R007"]
-    assert found[0].line == 10
-    assert "count" in found[0].message
+""")
+    found = facts.findings
+    assert [code for code, *_ in found] == ["R007"]
+    assert found[0][1] == 10
+    assert "count" in found[0][3]
 
 
 def test_guarded_writes_are_clean():
-    model = analyze_sources({"m.py": """
+    facts = check("""
 import threading
 
 class C:
@@ -60,36 +63,13 @@ class C:
     def bump(self):
         with self._lock:
             self.count += 1
-"""})
-    assert codes(model) == []
-
-
-def test_thread_escape_marks_attrs_shared():
-    # no lock usage around ``total`` reads at all — sharing is inferred
-    # purely from the Thread(target=...) escape
-    model = analyze_sources({"m.py": """
-import threading
-
-class C:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.total = 0
-        self._t = threading.Thread(target=self._run)
-
-    def _run(self):
-        self.total += 1
-
-    def also_writes(self):
-        self.total = 5
-"""})
-    found = model.findings()
-    assert {f.code for f in found} == {"R007"}
-    assert {f.line for f in found} == {11, 14}
+""")
+    assert codes(facts) == []
 
 
 def test_lock_free_class_is_out_of_scope():
     # hogwild by design: no lock attribute -> no R007, ever
-    model = analyze_sources({"m.py": """
+    facts = check("""
 import threading
 
 class Hogwild:
@@ -99,14 +79,15 @@ class Hogwild:
 
     def _run(self):
         self.total += 1
-"""})
-    assert codes(model) == []
+""")
+    assert codes(facts) == []
 
 
 def test_entry_lock_propagation_guards_private_helpers():
-    # _helper is only ever called with the lock held -> its writes are
-    # guarded by propagation, not lexically
-    model = analyze_sources({"m.py": """
+    # _helper is only ever called with the lock held, but ``n`` is never
+    # touched under the lock lexically, so it is not shared and the
+    # helper's write is not flagged ...
+    source = """
 import threading
 
 class C:
@@ -120,12 +101,44 @@ class C:
 
     def _helper(self):
         self.n += 1
-"""})
-    assert codes(model) == []
+"""
+    assert codes(check(source)) == []
+    # ... while once it is read under the lock, the write must hold the
+    # lock lexically: the rule does not infer a helper's caller's locks
+    facts = check(source + """
+    def read(self):
+        with self._lock:
+            return self.n
+""")
+    assert [(code, line) for code, line, *_ in facts.findings] == [
+        ("R007", 14)]
+
+
+def test_lock_is_known_by_its_constructor_not_its_name(tmp_path):
+    # the lock attribute need not contain "lock" in its name
+    path = tmp_path / "meta.py"
+    path.write_text("""
+import threading
+
+class Registry:
+    def __init__(self):
+        self._meta = threading.Lock()
+        self.count = 0
+
+    def bump(self):
+        self.count += 1          # line 10: unguarded
+
+    def report(self):
+        with self._meta:
+            return self.count
+""")
+    (found,) = lint_paths([path])
+    assert (found.code, found.line) == ("R007", 10)
+    assert "Registry._meta" in found.message
 
 
 def test_entry_locks_not_assumed_for_public_methods():
-    model = analyze_sources({"m.py": """
+    facts = check("""
 import threading
 
 class C:
@@ -143,36 +156,15 @@ class C:
     def read(self):
         with self._lock:
             return self.n
-"""})
-    assert codes(model) == ["R007"]
-
-
-def test_manual_acquire_release_counts_as_guarded():
-    model = analyze_sources({"m.py": """
-import threading
-
-class C:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.n = 0
-
-    def bump(self):
-        self._lock.acquire()
-        self.n += 1
-        self._lock.release()
-
-    def read(self):
-        with self._lock:
-            return self.n
-"""})
-    assert codes(model) == []
+""")
+    assert codes(facts) == ["R007"]
 
 
 # ----------------------------------------------------------------------
 # R004: declared-vs-inferred assertion
 # ----------------------------------------------------------------------
 def test_declared_but_not_inferred_is_flagged():
-    model = analyze_sources({"m.py": """
+    facts = check("""
 import threading
 
 _GUARDED_ATTRS = ("ghost",)
@@ -180,15 +172,15 @@ _GUARDED_ATTRS = ("ghost",)
 class C:
     def __init__(self):
         self._lock = threading.Lock()
-"""})
-    found = model.findings()
-    assert [f.code for f in found] == ["R004"]
-    assert "ghost" in found[0].message
-    assert found[0].line == 4            # reported at the declaration
+""")
+    found = facts.findings
+    assert [code for code, *_ in found] == ["R004"]
+    assert "ghost" in found[0][3]
+    assert found[0][1] == 4            # reported at the declaration
 
 
 def test_inferred_but_not_declared_is_flagged():
-    model = analyze_sources({"m.py": """
+    facts = check("""
 import threading
 
 _GUARDED_ATTRS = ()
@@ -201,14 +193,14 @@ class C:
     def bump(self):
         with self._lock:
             self.n += 1
-"""})
-    found = model.findings()
-    assert [f.code for f in found] == ["R004"]
-    assert "'n'" in found[0].message
+""")
+    found = facts.findings
+    assert [code for code, *_ in found] == ["R004"]
+    assert "'n'" in found[0][3]
 
 
 def test_matching_declaration_is_clean():
-    model = analyze_sources({"m.py": """
+    facts = check("""
 import threading
 
 _GUARDED_ATTRS = ("n",)
@@ -221,99 +213,15 @@ class C:
     def bump(self):
         with self._lock:
             self.n += 1
-"""})
-    assert codes(model) == []
+""")
+    assert codes(facts) == []
 
 
 # ----------------------------------------------------------------------
 # R008: every lock is a leaf
 # ----------------------------------------------------------------------
-CYCLE_A = """
-import threading
-from b import Beta
-
-class Alpha:
-    def __init__(self, beta: "Beta"):
-        self._lock = threading.Lock()
-        self.beta = beta
-
-    def kick(self):
-        with self._lock:
-            pass
-
-    def forward(self):
-        with self._lock:
-            self.beta.poke()
-"""
-
-CYCLE_B = """
-import threading
-
-class Beta:
-    def __init__(self, alpha: "Alpha"):
-        self._lock = threading.Lock()
-        self.alpha = alpha
-
-    def poke(self):
-        with self._lock:
-            pass
-
-    def reverse(self):
-        with self._lock:
-            self.alpha.kick()
-"""
-
-COUNTER = """
-import threading
-
-class C:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.n = 0
-
-    def bump(self):
-        with self._lock:
-            self.n += 1
-"""
-
-
-def test_cross_module_lock_cycle_detected():
-    model = analyze_sources({"a.py": CYCLE_A, "b.py": CYCLE_B})
-    assert codes(model) == ["R008", "R008"]
-    edges = model.lock_edges()
-    assert set(edges) == {("Alpha._lock", "Beta._lock"),
-                          ("Beta._lock", "Alpha._lock")}
-    assert edges[("Alpha._lock", "Beta._lock")]["kind"] == "call"
-
-
-def test_one_direction_nesting_is_flagged():
-    # no cycle, but a nesting all the same: every lock must be a leaf
-    model = analyze_sources({"a.py": CYCLE_A, "b.py": CYCLE_B.replace(
-        "self.alpha.kick()", "pass")})
-    assert list(model.lock_edges()) == [("Alpha._lock", "Beta._lock")]
-    (found,) = model.findings()
-    assert (found.code, found.path, found.line) == ("R008", "a.py", 16)
-    assert "Beta._lock acquired while holding Alpha._lock" in found.message
-
-
-def test_queries_on_a_fresh_model_run_the_analysis():
-    # any public query may come first, and none may cache the answer of
-    # a model whose passes never ran
-    model = analyze_sources({"a.py": CYCLE_A, "b.py": CYCLE_B})
-    assert len(model.lock_edges()) == 2
-    assert codes(model) == ["R008", "R008"]
-
-    model = analyze_sources({"m.py": COUNTER})
-    (module,) = model.modules.values()
-    assert model.module_inferred_guarded(module) == {"n"}
-    (cls,) = model.lock_owning_classes()
-    assert model.inferred_guarded(cls) == {"n"}
-    assert "n" in model.shared_attrs(cls)
-    assert codes(model) == []
-
-
 def test_lexical_nesting_cycle_detected():
-    model = analyze_sources({"m.py": """
+    facts = check("""
 import threading
 
 _a_lock = threading.Lock()
@@ -328,33 +236,14 @@ def bwd():
     with _b_lock:
         with _a_lock:
             pass
-"""})
-    assert codes(model) == ["R008", "R008"]
-    assert set(model.lock_edges()) == {("m._a_lock", "m._b_lock"),
+""")
+    assert codes(facts) == ["R008", "R008"]
+    assert facts.edges == {("m._a_lock", "m._b_lock"),
                                        ("m._b_lock", "m._a_lock")}
 
 
-def test_reentrant_self_nesting_is_sanctioned():
-    model = analyze_sources({"m.py": """
-import threading
-
-class C:
-    def __init__(self):
-        self._lock = threading.RLock()
-
-    def outer(self):
-        with self._lock:
-            self.inner()
-
-    def inner(self):
-        with self._lock:
-            pass
-"""})
-    assert "R008" not in codes(model)
-
-
 def test_nonreentrant_self_nesting_is_a_deadlock():
-    model = analyze_sources({"m.py": """
+    facts = check("""
 import threading
 
 class C:
@@ -368,8 +257,8 @@ class C:
     def inner(self):
         with self._lock:
             pass
-"""})
-    assert "R008" in codes(model)
+""")
+    assert "R008" in codes(facts)
 
 
 # ----------------------------------------------------------------------
@@ -450,68 +339,44 @@ def reaches_nested_acquire(program) -> bool:
 @settings(max_examples=200, deadline=None)
 @given(lock_programs())
 def test_leaf_rule_matches_brute_force_walk(program):
-    model = analyze_sources({"gen.py": render(program)})
+    facts = check(render(program))
     nested = reaches_nested_acquire(program)
-    assert bool(model.lock_edges()) == nested, render(program)
-    assert ("R008" in codes(model)) == nested
+    assert bool(facts.edges) == nested, render(program)
+    assert ("R008" in codes(facts)) == nested
 
 
 # ----------------------------------------------------------------------
 # the real tree (acceptance gate)
 # ----------------------------------------------------------------------
-def _real_model():
-    return analyze_files([SRC])
+def _real_tree():
+    return {path.relative_to(SRC).as_posix():
+            lock_facts(ast.parse(path.read_text()), path.stem)
+            for path in sorted(SRC.rglob("*.py"))}
 
 
 def test_real_tree_is_clean():
-    model = _real_model()
-    assert model.findings() == [], "\n".join(
-        f"{f.path}:{f.line} {f.code} {f.message}" for f in model.findings())
+    findings = lint_paths([SRC])
+    assert findings == [], "\n".join(str(f) for f in findings)
 
 
 def test_real_tree_declarations_match_inference():
-    model = _real_model()
-    model.findings()
-    declared_modules = [m for m in model.modules.values()
-                        if m.declared_guards is not None]
-    assert {m.name for m in declared_modules} == {
+    declared = {path: facts for path, facts in _real_tree().items()
+                if facts.declared is not None}
+    assert {Path(path).stem for path in declared} == {
         "cache", "multilevel", "evaluator", "core"}
-    for m in declared_modules:
-        assert model.module_inferred_guarded(m) == m.declared_guards, m.name
+    for path, facts in declared.items():
+        assert facts.guarded == facts.declared, path
 
 
 def test_real_tree_lock_graph_shape():
-    model = _real_model()
+    tree = _real_tree()
     # every lock is a leaf: none is acquired while another is held ...
-    assert model.lock_edges() == {}
-    # ... and the analyzer sees every lock the tree builds
-    assert {lock for cls in model.lock_owning_classes()
-            for lock in cls.lock_names()} == {
+    assert all(not facts.edges for facts in tree.values())
+    # ... the four locks the repo builds through make_lock are seen, and
+    # the only others are the sanitizer's own two plain locks
+    assert {lock for facts in tree.values() for lock in facts.locks} == {
         "SearchService._lock", "ThreadPoolEvaluator._lock",
-        "WeightCache._lock", "AsyncCheckpointWriter._lock"}
-
-
-def test_cli_exit_code_on_findings(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "import threading\n\n"
-        "class C:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "        self.n = 0\n\n"
-        "    def bump(self):\n"
-        "        self.n += 1\n\n"
-        "    def read(self):\n"
-        "        with self._lock:\n"
-        "            return self.n\n")
-    assert main([str(bad)]) == 1
-    assert "R007" in capsys.readouterr().out
-
-
-def test_module_cli_entrypoint():
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.concurrency", str(SRC)],
-        capture_output=True, text=True, cwd=REPO,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+        "WeightCache._lock", "AsyncCheckpointWriter._lock",
+        "LockCheckRegistry._meta", "SanitizedLock._inner"}
+    assert tree["analysis/lockcheck.py"].locks == {
+        "LockCheckRegistry._meta", "SanitizedLock._inner"}
