@@ -2,11 +2,11 @@
 
 One checkpoint = a ``<key>.bin`` payload plus a ``<key>.json`` sidecar.
 The payload is the tensors' raw C-contiguous bytes, concatenated in
-dict order (each offset aligned to its dtype), zlib-compressed as a
-whole when the store compresses.  The sidecar carries the tensor order
-(``__order__``), the per-tensor layout ``[dtype.str, shape, offset]``
-(``__layout__``), the codec, the optional user metadata (``__meta__``)
-and the payload's CRC32 (``__crc32__``).  A load is one sidecar read
+dict order (each offset aligned to its dtype).  The sidecar carries the
+tensor order (``__order__``), the per-tensor layout
+``[dtype.str, shape, offset]`` (``__layout__``), the codec (always
+``"raw"``), the optional user metadata (``__meta__``) and the payload's
+CRC32 (``__crc32__``).  A load is one sidecar read
 and one payload read into a writable buffer; each tensor comes back as
 an ``np.frombuffer`` view of it — no zip, no ``.npy`` headers, no
 pickle.  Sizes are real on-disk bytes — they feed Figure 11 and the
@@ -59,7 +59,7 @@ _CRC_KEY = "__crc32__"
 #: Sidecar key for the per-tensor ``[dtype.str, shape, offset]`` layout
 #: of a raw payload; its absence marks a legacy npz checkpoint.
 _LAYOUT_KEY = "__layout__"
-#: Sidecar key for the payload codec: ``"raw"`` or ``"zlib"``.
+#: Sidecar key for the payload codec; ``"raw"`` is the only one read.
 _CODEC_KEY = "__codec__"
 #: Sidecar directory corrupt checkpoints are quarantined into.
 QUARANTINE_DIR = ".quarantine"
@@ -122,7 +122,7 @@ def _decode(buf: bytearray, order: list, layout: list) -> dict:
 class CorruptCheckpointError(Exception):
     """``load`` found the checkpoint on disk but could not decode it
     (truncated payload, CRC mismatch, bad zip magic, missing member,
-    unreadable sidecar).
+    unreadable sidecar, unknown codec).
 
     Distinct from :class:`FileNotFoundError` — the caller's recovery is
     different: a corrupt checkpoint should be quarantined and the
@@ -144,10 +144,9 @@ class CheckpointInfo:
 
 
 class CheckpointStore:
-    def __init__(self, root, compress: bool = False):
+    def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.compress = compress
 
     # -- paths ----------------------------------------------------------
     def _payload(self, key: str, root: Path | None = None) -> Path | None:
@@ -187,16 +186,14 @@ class CheckpointStore:
         key, and a visible payload always has its sidecar.  The sidecar
         carries a CRC32 of the payload file; :meth:`load` verifies it."""
         payload, layout = _encode(weights)
-        blob = zlib.compress(payload) if self.compress else payload
         sidecar = {_ORDER_KEY: list(weights.keys()), _META_KEY: meta,
-                   _CRC_KEY: zlib.crc32(blob) & 0xFFFFFFFF,
-                   _LAYOUT_KEY: layout,
-                   _CODEC_KEY: "zlib" if self.compress else "raw"}
+                   _CRC_KEY: zlib.crc32(payload) & 0xFFFFFFFF,
+                   _LAYOUT_KEY: layout, _CODEC_KEY: "raw"}
         _atomic_write_bytes(self.meta_path(key),
                             json.dumps(sidecar).encode())
         path = self.root / f"{key}{_RAW_SUFFIX}"
-        _atomic_write_bytes(path, blob)
-        return CheckpointInfo(key, path, len(blob))
+        _atomic_write_bytes(path, payload)
+        return CheckpointInfo(key, path, len(payload))
 
     def _sidecar(self, key: str) -> dict | None:
         mp = self.meta_path(key)
@@ -209,17 +206,18 @@ class CheckpointStore:
 
         Raises :class:`CorruptCheckpointError` when the payload exists
         but cannot be decoded (truncated payload, garbage npz, missing
-        member, malformed sidecar) — or its bytes no longer match the
-        CRC32 recorded at save time — see :meth:`quarantine` for
-        recovery."""
+        member, malformed sidecar, a codec other than ``"raw"``) — or
+        its bytes no longer match the CRC32 recorded at save time — see
+        :meth:`quarantine` for recovery."""
         path = self.root / f"{key}{_RAW_SUFFIX}"
         try:
             sidecar = self._sidecar(key)
             if sidecar is not None and _LAYOUT_KEY in sidecar:
+                codec = sidecar.get(_CODEC_KEY, "raw")
+                if codec != "raw":
+                    raise ValueError(f"unknown codec {codec!r}")
                 buf = _read_into_buffer(path)
                 self._check_crc(key, path, sidecar, buf)
-                if sidecar.get(_CODEC_KEY) == "zlib":
-                    buf = bytearray(zlib.decompress(buf))
                 return _decode(buf, sidecar[_ORDER_KEY], sidecar[_LAYOUT_KEY])
             path = self._payload(key)
             if path is None:
@@ -231,8 +229,7 @@ class CheckpointStore:
         except (FileNotFoundError, CorruptCheckpointError):
             raise
         except (ValueError, TypeError, KeyError, OSError, EOFError,
-                zlib.error, zipfile.BadZipFile,
-                json.JSONDecodeError) as exc:
+                zipfile.BadZipFile, json.JSONDecodeError) as exc:
             raise CorruptCheckpointError(key, path, exc) from exc
 
     @staticmethod

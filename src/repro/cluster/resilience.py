@@ -343,9 +343,12 @@ class ChaosEvaluator:
     def __init__(self, evaluator, *, crash_prob: float = 0.0,
                  hang_prob: float = 0.0, corrupt_prob: float = 0.0,
                  hang_seconds: float = 0.25, seed: int = 0):
-        total = crash_prob + hang_prob + corrupt_prob
-        if not 0.0 <= total <= 1.0:
-            raise ValueError("fault probabilities must sum to [0, 1]")
+        for name, p in (("crash_prob", crash_prob), ("hang_prob", hang_prob),
+                        ("corrupt_prob", corrupt_prob)):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p}")
+        if crash_prob + hang_prob + corrupt_prob > 1.0:
+            raise ValueError("fault probabilities must sum to at most 1")
         self.evaluator = evaluator
         self.crash_prob = float(crash_prob)
         self.hang_prob = float(hang_prob)

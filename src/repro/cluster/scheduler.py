@@ -577,7 +577,10 @@ class SearchDriver:
                     io_stats["writer_errors"] = list(self._writer_errors)
                 writer.close()
         if self.weight_cache is not None:
+            # a finished driver may be kept for polling; its providers'
+            # weights are not needed any more
             io_stats["cache"] = self.weight_cache.stats()
+            self.weight_cache = None
         if io_stats:
             self.trace.io_stats = io_stats
 

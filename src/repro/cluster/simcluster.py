@@ -14,8 +14,8 @@ dispatched, but the time it is charged comes from a per-application
   from the real checkpoint byte sizes and modelled bandwidths; the
   baseline scheme performs no checkpoint I/O at all.
 
-Heterogeneous clusters (Table II's A100/K80 mix) are modelled with
-``gpu_speeds`` — per-GPU multipliers on training throughput.
+Every GPU runs at the same speed, as in the paper's homogeneous A100
+allocations.
 
 Only the paper's configuration is simulated: the parent provider and
 synchronous checkpoints.  The loop is the same
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -89,8 +89,8 @@ class CostModel:
     write_bandwidth: float = 200e6    # bytes/s, candidate -> store
     read_bandwidth: float = 400e6     # bytes/s, store -> candidate
 
-    def train_seconds(self, num_params: int, speed: float = 1.0) -> float:
-        return (self.base_seconds + self.seconds_per_param * num_params) / speed
+    def train_seconds(self, num_params: int) -> float:
+        return self.base_seconds + self.seconds_per_param * num_params
 
     def save_seconds(self, nbytes: int) -> float:
         return self.ckpt_latency + nbytes / self.write_bandwidth
@@ -103,19 +103,13 @@ class SimulatedCluster:
     """G virtual GPUs fed by a serial dispatcher; real model training."""
 
     def __init__(self, problem, store, *, num_gpus: int = 8,
-                 cost_model: Optional[CostModel] = None,
-                 gpu_speeds: Optional[Sequence[float]] = None):
+                 cost_model: Optional[CostModel] = None):
         if num_gpus < 1:
             raise ValueError("num_gpus must be >= 1")
         self.problem = problem
         self.store = store
         self.num_gpus = num_gpus
         self.cost = cost_model or CostModel()
-        if gpu_speeds is None:
-            gpu_speeds = [1.0] * num_gpus
-        if len(gpu_speeds) != num_gpus:
-            raise ValueError("need one speed factor per GPU")
-        self.gpu_speeds = [float(s) for s in gpu_speeds]
 
     def run(self, strategy, num_candidates: int, *,
             scheme: str = "baseline", seed: int = 0,
@@ -194,8 +188,7 @@ class SimulatedCluster:
                 record.transferred = result.transfer_stats.transferred
                 record.transfer_coverage = result.transfer_stats.coverage
                 copied_bytes += result.transfer_stats.copied_bytes
-            duration = self.cost.train_seconds(result.num_params,
-                                               self.gpu_speeds[gpu])
+            duration = self.cost.train_seconds(result.num_params)
 
             # -- fault injection, in virtual time -----------------------
             extra_seconds = 0.0

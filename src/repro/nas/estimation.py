@@ -61,7 +61,6 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
             model, ds.x_train, ds.y_train,
             epochs=epochs, batch_size=problem.batch_size,
             loss=problem.loss, metric=problem.objective,
-            optimizer=problem.optimizer,
             learning_rate=problem.learning_rate,
             rng=np.random.default_rng(seed + 1),
         )
@@ -117,7 +116,7 @@ def full_train(problem, arch_seq, *, seed: int = 0,
         model, ds.x_train, ds.y_train, x_val=ds.x_val, y_val=ds.y_val,
         epochs=max_epochs, batch_size=problem.batch_size,
         loss=problem.loss, metric=problem.objective,
-        optimizer=problem.optimizer, learning_rate=problem.learning_rate,
+        learning_rate=problem.learning_rate,
         rng=np.random.default_rng(seed + 1),
     )
     rule = EarlyStopping(problem.es_threshold, problem.es_patience,

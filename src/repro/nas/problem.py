@@ -23,7 +23,6 @@ class Problem:
     es_threshold: float = 0.005     # early-stopping threshold (§VIII-B)
     es_patience: int = 2
     es_min_epochs: int = 3
-    optimizer: str = "adam"
     extra: dict = field(default_factory=dict)
 
     @property

@@ -1,4 +1,4 @@
-"""Regularized evolution (the paper's Algorithm 1) with aging variants.
+"""Regularized evolution (the paper's Algorithm 1).
 
 Population = FIFO of the last ``population_size`` completed candidates.
 Each ``ask`` after the random warmup samples ``sample_size`` members,
@@ -25,19 +25,16 @@ class _Member:
 
 class RegularizedEvolution(Strategy):
     def __init__(self, space, rng=None, population_size: int = 16,
-                 sample_size: int = 8, num_mutations: int = 1,
-                 tournament: str = "best"):
-        """``tournament``: 'best' (Algorithm 1) or 'aging' (oldest of the
-        sample wins — an aging-tournament extension)."""
+                 sample_size: int = 8, num_mutations: int = 1):
         super().__init__(space, rng)
-        if sample_size > population_size:
-            raise ValueError("sample_size must be <= population_size")
-        if tournament not in ("best", "aging"):
-            raise ValueError(f"unknown tournament {tournament!r}")
+        if not 1 <= sample_size <= population_size:
+            raise ValueError(
+                f"need 1 <= sample_size <= population_size, got "
+                f"sample_size={sample_size}, "
+                f"population_size={population_size}")
         self.population_size = population_size
         self.sample_size = sample_size
         self.num_mutations = num_mutations
-        self.tournament = tournament
         self.population: deque[_Member] = deque(maxlen=population_size)
         self._asked = 0
 
@@ -50,10 +47,7 @@ class RegularizedEvolution(Strategy):
         k = min(self.sample_size, len(self.population))
         idx = self.rng.choice(len(self.population), size=k, replace=False)
         sample = [self.population[int(i)] for i in idx]
-        if self.tournament == "best":
-            parent = max(sample, key=lambda m: m.score)
-        else:  # aging: the oldest sampled member breeds
-            parent = min(sample, key=lambda m: m.candidate_id)
+        parent = max(sample, key=lambda m: m.score)
         return Proposal(
             self.space.mutate(parent.arch_seq, self.rng,
                               num_mutations=self.num_mutations),
@@ -62,11 +56,10 @@ class RegularizedEvolution(Strategy):
 
     def tell(self, candidate_id, arch_seq, score) -> None:
         # failed evaluations stay out of the FIFO: a FAILURE_SCORE member
-        # has no checkpoint, yet the aging tournament picks by *oldest
-        # candidate_id* — it would happily breed from (and point the
-        # scheduler's provider selection at) a candidate that never
-        # trained.  The trace still records the failure; the population
-        # only learns from real scores.
+        # has no checkpoint, and a sample of only failures would breed
+        # from (and point the scheduler's provider selection at) a
+        # candidate that never trained.  The trace still records the
+        # failure; the population only learns from real scores.
         if is_failure_score(score):
             return
         self.population.append(

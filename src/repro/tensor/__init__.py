@@ -25,8 +25,7 @@ from .layers import (
 )
 from .losses import get_loss, get_metric
 from .network import Network
-from .optimizers import SGD, Adam, Optimizer, RMSProp, get_optimizer
-from .schedules import CosineDecay, ExponentialDecay, StepDecay
+from .optimizers import Adam
 from .training import EarlyStopping, History, evaluate, fit, predict_batched
 
 
@@ -55,9 +54,8 @@ __all__ = [
     "Activation", "AvgPool1D", "AvgPool2D", "BatchNorm", "BuildError",
     "Concatenate", "Conv1D", "Conv2D", "Dense", "Dropout", "Flatten",
     "Identity", "Layer", "MaxPool1D", "MaxPool2D", "Network",
-    "Adam", "SGD", "RMSProp", "Optimizer", "get_optimizer",
+    "Adam",
     "get_loss", "get_metric",
     "EarlyStopping", "History", "evaluate", "fit", "predict_batched",
     "get_plan_cache",
-    "StepDecay", "ExponentialDecay", "CosineDecay",
 ]

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .losses import get_loss, get_metric
-from .optimizers import get_optimizer
+from .optimizers import Adam
 
 
 @dataclass
@@ -96,11 +96,10 @@ def evaluate(network, x, y, metric,
 
 def fit(network, x_train, y_train, *, x_val=None, y_val=None,
         epochs: int = 1, batch_size: int = 32, loss="categorical_crossentropy",
-        metric="accuracy", optimizer="adam", learning_rate: float = 1e-3,
-        clipnorm=None, schedule=None, early_stopping: EarlyStopping | None = None,
-        rng=0) -> History:
-    """Train ``network`` in place; returns a History with per-epoch
-    training loss and validation score.
+        metric="accuracy", learning_rate: float = 1e-3,
+        early_stopping: EarlyStopping | None = None, rng=0) -> History:
+    """Train ``network`` in place with Adam at a fixed ``learning_rate``;
+    returns a History with per-epoch training loss and validation score.
 
     ``x_train`` may be a single array or a list of arrays (multi-input).
     When ``early_stopping`` is given, training stops at the rule's epoch.
@@ -108,12 +107,10 @@ def fit(network, x_train, y_train, *, x_val=None, y_val=None,
     rng = np.random.default_rng(rng) if not isinstance(
         rng, np.random.Generator) else rng
     loss_fn = get_loss(loss)
-    opt = get_optimizer(optimizer, learning_rate, clipnorm)
+    opt = Adam(learning_rate)
     n = y_train.shape[0]
     history = History()
-    for epoch in range(epochs):
-        if schedule is not None:
-            opt.learning_rate = float(schedule(epoch))
+    for _ in range(epochs):
         epoch_loss, nb = 0.0, 0
         for idx in _batches(n, batch_size, rng):
             xb, yb = _take(x_train, idx), y_train[idx]

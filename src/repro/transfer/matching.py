@@ -13,7 +13,7 @@ in both coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ def lcs_match(a: Sequence, b: Sequence) -> Match:
 MATCHERS: dict = {"lp": longest_prefix_match, "lcs": lcs_match}
 
 
-def get_matcher(name: Union[str, Callable]) -> Callable[[Sequence, Sequence], Match]:
-    if callable(name):
-        return name
+def get_matcher(name: str) -> Callable[[Sequence, Sequence], Match]:
     try:
         return MATCHERS[name]
     except KeyError:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
-from .matching import MATCHERS, Match, get_matcher
+from .matching import Match, get_matcher
 from .shapeseq import group_layers
 
 
@@ -56,12 +56,11 @@ def _cached_match(matcher_name: str, provider_seq: tuple,
                   receiver_seq: tuple) -> Match:
     """Alignments memoized by (matcher, shape sequences).
 
-    Shape sequences are hashable tuples-of-tuples (the analyzer's
-    ``signature_key`` digests the same payload), and search loops
+    Shape sequences are hashable tuples-of-tuples, and search loops
     re-match the same provider/receiver shapes constantly — evolution
     mutates one node at a time, so sequences repeat across the run.
     """
-    return MATCHERS[matcher_name](provider_seq, receiver_seq)
+    return get_matcher(matcher_name)(provider_seq, receiver_seq)
 
 
 def match_cache_info():
@@ -70,19 +69,17 @@ def match_cache_info():
 
 
 def transfer_weights(receiver, provider_weights: Mapping[str, np.ndarray],
-                     matcher: Union[str, Callable] = "lcs") -> TransferStats:
+                     matcher: str = "lcs") -> TransferStats:
     """Copy matched layers of ``provider_weights`` into ``receiver``.
 
     ``receiver`` — a built Network; ``provider_weights`` — an ordered
     ``{"layer.param": array}`` mapping (e.g. ``Network.get_weights()`` or
-    ``CheckpointStore.load()``).  Returns :class:`TransferStats`.
+    ``CheckpointStore.load()``); ``matcher`` — ``"lp"``, ``"lcs"`` or
+    ``"partial"``.  Returns :class:`TransferStats`.
     """
     if matcher == "partial":  # extension: Net2Net-style overlap copying
         from .partial import partial_transfer_weights
         return partial_transfer_weights(receiver, provider_weights)
-    match_name = matcher if isinstance(matcher, str) else getattr(
-        matcher, "__name__", "custom")
-    matcher_fn = get_matcher(matcher)
 
     provider_groups = group_layers(provider_weights)
     receiver_layers = receiver.parameterized_layers()
@@ -90,7 +87,7 @@ def transfer_weights(receiver, provider_weights: Mapping[str, np.ndarray],
     receiver_seq = tuple(layer.signature() for layer in receiver_layers)
 
     stats = TransferStats(
-        matcher=match_name,
+        matcher=matcher,
         provider_layers=len(provider_groups),
         receiver_layers=len(receiver_layers),
         receiver_tensors=sum(len(l.params) for l in receiver_layers),
@@ -99,10 +96,7 @@ def transfer_weights(receiver, provider_weights: Mapping[str, np.ndarray],
         ),
     )
 
-    if isinstance(matcher, str) and matcher in MATCHERS:
-        match = _cached_match(matcher, provider_seq, receiver_seq)
-    else:
-        match = matcher_fn(provider_seq, receiver_seq)
+    match = _cached_match(matcher, provider_seq, receiver_seq)
     moved_names = []
     for i, j in match.pairs:
         src_names, _ = provider_groups[i]

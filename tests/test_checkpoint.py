@@ -73,16 +73,6 @@ def test_sharded_name_is_a_plain_store(tmp_path):
         ShardedCheckpointStore(tmp_path, num_shards=0)
 
 
-def test_compressed_store_is_smaller_for_redundant_data(tmp_path):
-    w = {"d.kernel": np.zeros((64, 64), dtype=np.float32)}
-    plain = CheckpointStore(tmp_path / "plain")
-    packed = CheckpointStore(tmp_path / "packed", compress=True)
-    plain.save("k", w)
-    packed.save("k", w)
-    assert packed.nbytes("k") < plain.nbytes("k")
-    assert np.array_equal(packed.load("k")["d.kernel"], w["d.kernel"])
-
-
 def test_load_never_needs_pickle(tmp_path, monkeypatch):
     store = CheckpointStore(tmp_path)
     w = weights()
@@ -366,14 +356,6 @@ def test_sidecar_without_crc_still_loads(tmp_path):
         store.load("m_000001")
 
 
-def test_crc_roundtrips_for_compressed_stores(tmp_path):
-    store = CheckpointStore(tmp_path, compress=True)
-    w = weights()
-    store.save("m_000001", w)
-    loaded = store.load("m_000001")
-    assert all(np.array_equal(loaded[k], w[k]) for k in w)
-
-
 # ---------------------------------------------------------------------------
 # idempotent close (service shutdown races session teardown)
 # ---------------------------------------------------------------------------
@@ -511,10 +493,10 @@ def _same_bits(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(w=_WEIGHTS, compress=st.booleans())
-def test_codec_round_trip_is_bit_exact(w, compress):
+@given(w=_WEIGHTS)
+def test_codec_round_trip_is_bit_exact(w):
     with tempfile.TemporaryDirectory() as root:
-        store = CheckpointStore(root, compress=compress)
+        store = CheckpointStore(root)
         info = store.save("k", w)
         assert info.nbytes == store.nbytes("k")
         loaded = store.load("k")
@@ -523,13 +505,23 @@ def test_codec_round_trip_is_bit_exact(w, compress):
 
 
 @settings(max_examples=60, deadline=None)
-@given(w=_WEIGHTS, compress=st.booleans(), data=st.data())
-def test_codec_rejects_truncated_or_flipped_payloads(w, compress, data):
+@given(w=_WEIGHTS, data=st.data())
+def test_codec_rejects_truncated_or_flipped_payloads(w, data):
+    """A truncated payload, a flipped byte, and a sidecar naming a codec
+    other than ``"raw"`` (such as the retired ``"zlib"``) all load as
+    :class:`CorruptCheckpointError`."""
     from repro.checkpoint import CorruptCheckpointError
 
     with tempfile.TemporaryDirectory() as root:
-        store = CheckpointStore(root, compress=compress)
+        store = CheckpointStore(root)
         store.save("k", w)
+        sidecar_path = store.meta_path("k")
+        sidecar = json.loads(sidecar_path.read_text())
+        assert sidecar["__codec__"] == "raw"
+        sidecar_path.write_text(json.dumps({**sidecar, "__codec__": "zlib"}))
+        with pytest.raises(CorruptCheckpointError, match="codec"):
+            store.load("k")
+        sidecar_path.write_text(json.dumps(sidecar))
         path = store.path("k")
         blob = path.read_bytes()
         assume(blob)                     # all-empty tensors: nothing to cut

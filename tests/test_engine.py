@@ -73,8 +73,7 @@ def _fit_one(prob, seq, rng=0, epochs=2):
     hist = fit(model, ds.x_train, ds.y_train, x_val=ds.x_val,
                y_val=ds.y_val, epochs=epochs, batch_size=prob.batch_size,
                loss=prob.loss, metric=prob.objective,
-               optimizer=prob.optimizer, learning_rate=prob.learning_rate,
-               rng=0)
+               learning_rate=prob.learning_rate, rng=0)
     return model, hist
 
 

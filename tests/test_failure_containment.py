@@ -50,20 +50,6 @@ def test_evolution_tell_excludes_failures(space):
     assert [m.candidate_id for m in strategy.population] == [1]
 
 
-def test_aging_tournament_never_breeds_failed_member(space):
-    """The aging tournament picks the *oldest* sampled member — before
-    the fix, a failed candidate 0 would win every aging tournament and
-    become mutation parent / weight provider forever."""
-    strategy = RegularizedEvolution(space, rng=0, population_size=4,
-                                    sample_size=4, tournament="aging")
-    for cid in range(5):
-        strategy.ask()
-        score = FAILURE_SCORE if cid == 0 else float(cid)
-        strategy.tell(cid, space.sample(np.random.default_rng(cid)), score)
-    for _ in range(8):
-        assert strategy.ask().parent_id != 0
-
-
 def test_restore_skips_failed_records(space):
     """Resume replays journaled records through restore; failed ones
     must not be re-admitted into the population (but still fast-forward
@@ -92,7 +78,7 @@ def test_chaos_failed_candidates_never_become_providers(problem, space,
     checkpoint was never written) or as a breeding parent_id."""
     store = CheckpointStore(tmp_path)
     strategy = RegularizedEvolution(space, rng=0, population_size=4,
-                                    sample_size=4, tournament="aging")
+                                    sample_size=4)
     ev = ChaosEvaluator(SerialEvaluator(), crash_prob=0.35, seed=5)
     trace = run_search(problem, strategy, 16, scheme="lcs", store=store,
                        evaluator=ev, seed=0,

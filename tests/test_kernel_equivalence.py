@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import repro.tensor.autodiff_ops as ops
 import repro.tensor.reference_ops as ref
-from repro.tensor.optimizers import SGD, Adam, RMSProp
+from repro.tensor.optimizers import Adam
 
 
 def _rng(seed=0):
@@ -216,51 +216,15 @@ def test_adam_trajectory_matches_reference(steps):
     np.testing.assert_allclose(p_new, p_ref, rtol=1e-5, atol=1e-7)
 
 
-@pytest.mark.parametrize("momentum", [0.0, 0.9])
-def test_sgd_trajectory_matches_reference(momentum):
-    rng = _rng(2)
-    param = rng.normal(size=(5, 3)).astype(np.float32)
-    grads = [rng.normal(size=param.shape).astype(np.float32)
-             for _ in range(5)]
-    p_new = _trajectory_new(SGD(learning_rate=1e-2, momentum=momentum),
-                            param, grads)
-    p_ref = _trajectory_ref(ref.sgd_update, param, grads,
-                            learning_rate=1e-2, momentum=momentum)
-    np.testing.assert_allclose(p_new, p_ref, rtol=1e-5, atol=1e-7)
-
-
-def test_rmsprop_trajectory_matches_reference():
-    rng = _rng(3)
-    param = rng.normal(size=(4, 4)).astype(np.float32)
-    grads = [rng.normal(size=param.shape).astype(np.float32)
-             for _ in range(5)]
-    p_new = _trajectory_new(RMSProp(learning_rate=1e-3), param, grads)
-    p_ref = _trajectory_ref(ref.rmsprop_update, param, grads,
-                            learning_rate=1e-3)
-    np.testing.assert_allclose(p_new, p_ref, rtol=1e-5, atol=1e-7)
-
-
 # ---------------------------------------------------------------------------
 # flat multi-tensor step: layout independence
 # ---------------------------------------------------------------------------
 
-_MAKERS = {
-    "adam": lambda clipnorm: Adam(1e-3, clipnorm=clipnorm),
-    "sgd-momentum": lambda clipnorm: SGD(1e-2, momentum=0.9,
-                                         clipnorm=clipnorm),
-    "rmsprop": lambda clipnorm: RMSProp(1e-3, clipnorm=clipnorm),
-}
-
-
-@pytest.mark.parametrize("clipnorm", [None, 1.0])
-@pytest.mark.parametrize("name", sorted(_MAKERS))
-def test_flat_step_is_layout_independent(name, clipnorm):
+def test_flat_step_is_layout_independent():
     """Stepping one 3-tensor network equals stepping three 1-tensor
-    networks bit for bit.  With clipnorm the lone networks get the
-    gradients clipped by the joint norm, which is what the joint step
-    clips by.  The joint network's first parameter is a non-contiguous
-    leading-corner view: the step must not assume contiguous
-    parameters."""
+    networks bit for bit.  The joint network's first parameter is a
+    non-contiguous leading-corner view: the step must not assume
+    contiguous parameters."""
     rng = _rng(6)
     shapes = [(5, 3), (3,), (2, 2, 4)]
     params = [rng.normal(size=s).astype(np.float32) for s in shapes]
@@ -272,14 +236,13 @@ def test_flat_step_is_layout_independent(name, clipnorm):
     joint = _Net([_Slot(corner, None)]
                  + [_Slot(p.copy(), None) for p in params[1:]])
     lone = [_Net([_Slot(p.copy(), None)]) for p in params]
-    joint_opt = _MAKERS[name](clipnorm)
-    lone_opts = [_MAKERS[name](None) for _ in params]
+    joint_opt = Adam(1e-3)
+    lone_opts = [Adam(1e-3) for _ in params]
     for grads in steps:
         for slot, g in zip(joint._slots, grads):
             slot.grads["w"] = g.copy()
         joint_opt.step(joint)
-        fed = ref.clip_gradients(grads, clipnorm) if clipnorm else grads
-        for net, opt, g in zip(lone, lone_opts, fed):
+        for net, opt, g in zip(lone, lone_opts, grads):
             net._slots[0].grads["w"] = g.copy()
             opt.step(net)
     for slot, net in zip(joint._slots, lone):
@@ -309,33 +272,3 @@ def test_relayout_keeps_surviving_state():
         grown_opt.step(grown)
     for a, b in zip(steady._slots, grown._slots):
         assert a.params["w"].tobytes() == b.params["w"].tobytes()
-
-
-# ---------------------------------------------------------------------------
-# clipnorm: in-place scaling vs the copying reference
-# ---------------------------------------------------------------------------
-
-
-def test_clipnorm_step_matches_copying_reference():
-    rng = _rng(4)
-    params = [rng.normal(size=(8, 8)).astype(np.float32) for _ in range(3)]
-    grads = [10.0 * rng.normal(size=(8, 8)).astype(np.float32)
-             for _ in range(3)]
-
-    net = _Net([_Slot(p.copy(), g.copy()) for p, g in zip(params, grads)])
-    SGD(learning_rate=1e-2, clipnorm=1.0).step(net)
-
-    clipped = ref.clip_gradients([g.copy() for g in grads], 1.0)
-    for slot, p, g in zip(net._slots, params, clipped):
-        np.testing.assert_allclose(slot.params["w"], p - 1e-2 * g,
-                                   rtol=1e-5, atol=1e-7)
-
-
-def test_clipnorm_below_threshold_leaves_gradients_untouched():
-    rng = _rng(5)
-    g = 1e-3 * rng.normal(size=(4, 4)).astype(np.float32)
-    net = _Net([_Slot(np.zeros((4, 4), np.float32), g)])
-    SGD(learning_rate=1.0, clipnorm=1e9).step(net)
-    # under the threshold the step must not rescale (or copy) the grad
-    np.testing.assert_array_equal(net._slots[0].grads["w"], g)
-    np.testing.assert_allclose(net._slots[0].params["w"], -g)

@@ -149,6 +149,5 @@ def test_lcs_works_on_shape_signatures():
 def test_get_matcher():
     assert get_matcher("lp") is longest_prefix_match
     assert get_matcher("lcs") is lcs_match
-    assert get_matcher(lcs_match) is lcs_match
     with pytest.raises(ValueError):
         get_matcher("fuzzy")

@@ -123,6 +123,20 @@ def test_failed_task_lands_as_failed_record(space, problem):
     assert fs["chaos"]["injected"]["crash"] == 3
 
 
+@pytest.mark.parametrize("probs", [
+    dict(crash_prob=-0.5, hang_prob=1.0),
+    dict(corrupt_prob=1.5, crash_prob=-0.5),
+    dict(hang_prob=-0.1),
+    dict(crash_prob=0.6, hang_prob=0.6),
+])
+def test_chaos_rejects_probabilities_outside_unit_interval(probs):
+    """Each probability must be in [0, 1] and their sum at most 1: a
+    negative crash rate must not hand its share to hangs."""
+    with pytest.raises(ValueError):
+        ChaosEvaluator(SerialEvaluator(), **probs)
+    ChaosEvaluator(SerialEvaluator(), crash_prob=0.5, hang_prob=0.5)
+
+
 # ---------------------------------------------------------------------------
 # chaos + retry: the search completes and stays deterministic
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Multi-tenant search service: multiplexing, isolation, drain/recover."""
 
+import gc
 import json
 import os
 import signal
@@ -7,6 +8,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -145,6 +147,36 @@ def test_plan_engine_spec_decides_what_an_eager_one_does(space, problem,
     assert decided(plan) == decided(eager)
     assert any(r.provider_id is not None for r in plan.result())
     assert get_plan_cache().stats() == zeros
+
+
+def test_finished_sessions_release_their_provider_weights(space, problem,
+                                                          tmp_path):
+    """The service keeps each finished session's driver for ``poll``;
+    the provider cache must not keep its checkpoints alive with it."""
+    loaded = []
+
+    class TrackingStore(CheckpointStore):
+        """Hands out arrays that own their memory, so a weak reference
+        to each says whether anything still holds it."""
+
+        def load(self, key):
+            weights = {k: a.copy() for k, a in super().load(key).items()}
+            loaded.extend(weakref.ref(a) for a in weights.values())
+            return weights
+
+    svc = SearchService(evaluator=SerialEvaluator(),
+                        store=TrackingStore(tmp_path / "s"),
+                        journal_dir=tmp_path / "j")
+    handles = [svc.submit(_spec(space, problem, seed, n=8))
+               for seed in (0, 1)]
+    svc.drive()
+    gc.collect()
+    assert loaded
+    assert not [ref for ref in loaded if ref() is not None]
+    for handle in handles:
+        assert handle.poll().state == SessionState.DONE
+        cache = handle.result().io_stats["cache"]
+        assert cache["hits"] > 0 and cache["max_entries"] == 4
 
 
 def test_result_before_terminal_raises(space, problem, tmp_path):

@@ -62,17 +62,10 @@ def test_evolution_tolerates_ask_before_tell(space):
 
 
 def test_evolution_validates_configuration(space):
-    with pytest.raises(ValueError):
-        RegularizedEvolution(space, population_size=2, sample_size=4)
-    with pytest.raises(ValueError):
-        RegularizedEvolution(space, tournament="roulette")
-
-
-def test_aging_tournament_picks_oldest(space):
-    strategy = RegularizedEvolution(space, rng=0, population_size=4,
-                                    sample_size=4, tournament="aging")
-    for cid in range(4):
-        strategy.ask()
-        strategy.tell(cid, space.sample(np.random.default_rng(cid)),
-                      float(cid))
-    assert strategy.ask().parent_id == 0
+    """``1 <= sample_size <= population_size``: a zero-sized sample has
+    no parent to breed from, and a zero-sized population never breeds."""
+    for population_size, sample_size in ((2, 4), (2, 0), (0, 0), (2, -1)):
+        with pytest.raises(ValueError, match="sample_size"):
+            RegularizedEvolution(space, population_size=population_size,
+                                 sample_size=sample_size)
+    RegularizedEvolution(space, population_size=1, sample_size=1)
