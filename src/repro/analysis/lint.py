@@ -65,7 +65,7 @@ from typing import Iterable, Optional, Sequence
 
 #: SHA-256 pin of the frozen legacy kernels (R002).
 REFERENCE_OPS_SHA256 = (
-    "d6761e40e6219f77248d26e2fd5dceab3cb7486367c5905f7132ad59839fe1cb"
+    "b63a1ee45db825ce591e6306a441930ab8ead5b535e0324ba3c41f82c8dbab87"
 )
 
 #: NumPy calls that allocate fresh float64 arrays when dtype is omitted.

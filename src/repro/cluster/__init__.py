@@ -9,7 +9,6 @@ from .resilience import (
     RetryPolicy,
     TaskError,
     TaskFailure,
-    TaskTimeout,
     TraceJournal,
     WaitTimeout,
 )
@@ -24,5 +23,5 @@ __all__ = [
     "Trace", "TraceRecord", "checkpoint_key",
     "ChaosEvaluator", "CorruptCheckpointError", "FaultStats",
     "InjectedFault", "RetryPolicy", "TaskError", "TaskFailure",
-    "TaskTimeout", "TraceJournal", "WaitTimeout",
+    "TraceJournal", "WaitTimeout",
 ]

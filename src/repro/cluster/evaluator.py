@@ -13,9 +13,9 @@ error and its taxonomy kind, so the scheduler books a failed record or a
 retry instead of crashing the search.  Two more resilience hooks:
 
 - ``wait_any(timeout=...)`` raises :class:`WaitTimeout` when nothing
-  completes in time — the scheduler's per-task deadline sweep;
-- ``abandon(ticket)`` disowns an in-flight task (a hung straggler past
-  its deadline); its eventual completion is silently discarded.
+  completes in time, so a wait ends when a backing-off retry falls due;
+- ``abandon(ticket)`` disowns an in-flight task (a failed service
+  session's teardown); its eventual completion is silently discarded.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class SerialEvaluator:
         return self._done.popleft()   # FIFO, O(1) (list.pop(0) was O(n))
 
     def abandon(self, ticket: int) -> None:
-        """Drop a completed-but-unclaimed ticket (deadline parity)."""
+        """Drop a completed-but-unclaimed ticket (interface parity)."""
         self._done = deque((t, r) for t, r in self._done if t != ticket)
 
     @property
@@ -117,7 +117,7 @@ class ThreadPoolEvaluator:
         """Next ``(ticket, result)``; a raising task yields a
         :class:`TaskFailure` result instead of raising here.  With a
         ``timeout``, raises :class:`WaitTimeout` when nothing completes
-        in time (the deadline sweep re-enters with a fresh budget)."""
+        in time (the caller dispatches its due retries and waits again)."""
         while True:
             # the emptiness check must also hold the lock: an unlocked
             # read races concurrent drains — two waiters could both
@@ -142,8 +142,8 @@ class ThreadPoolEvaluator:
                 return ticket, TaskFailure(exc)
 
     def abandon(self, ticket: int) -> None:
-        """Disown an in-flight task (deadline exceeded).  Queued tasks
-        are cancelled; a running task cannot be preempted, but its
+        """Disown an in-flight task (its session has ended).  Queued
+        tasks are cancelled; a running task cannot be preempted, but its
         eventual completion is discarded by ``wait_any``."""
         with self._lock:
             fut = next((f for f, t in self._futures.items()

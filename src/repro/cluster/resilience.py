@@ -5,7 +5,7 @@ At the paper's scale (32 A100s, multi-day campaigns) worker crashes,
 stragglers and corrupt checkpoints are the norm, not the exception.
 This module gives the scheduler everything it needs to survive them:
 
-- a **typed fault taxonomy** (:class:`TaskError`, :class:`TaskTimeout`,
+- a **typed fault taxonomy** (:class:`TaskError`,
   :class:`InjectedFault`, plus :class:`CorruptCheckpointError` from the
   checkpoint store) so failures are classified, counted and retried by
   kind instead of crashing the ask→submit→tell loop;
@@ -20,7 +20,7 @@ This module gives the scheduler everything it needs to survive them:
   records, flushed as each record lands, so a killed run resumes from
   its last durable candidate (``run_search(resume=path)``);
 - :class:`ChaosEvaluator` — a seeded fault-injection wrapper over any
-  evaluator (crash / hang / corrupt-result probabilities) for measuring
+  evaluator (crash / corrupt-result probabilities) for measuring
   search behaviour under controlled failure rates.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
@@ -39,7 +38,7 @@ from ..checkpoint.store import CorruptCheckpointError
 from .trace import Trace, TraceRecord
 
 __all__ = [
-    "TaskError", "TaskTimeout", "InjectedFault",
+    "TaskError", "InjectedFault",
     "CorruptCheckpointError", "WaitTimeout", "TaskFailure",
     "classify_failure", "RetryPolicy", "FaultStats", "TraceJournal",
     "ChaosEvaluator",
@@ -54,10 +53,6 @@ class TaskError(Exception):
     """A candidate-evaluation task raised — the generic contained fault."""
 
 
-class TaskTimeout(TaskError):
-    """A task exceeded its per-task deadline and was abandoned."""
-
-
 class InjectedFault(TaskError):
     """A fault deliberately injected by :class:`ChaosEvaluator`."""
 
@@ -65,14 +60,15 @@ class InjectedFault(TaskError):
 class WaitTimeout(Exception):
     """``wait_any(timeout=...)`` ran out of time with no completion.
 
-    Control-flow signal for the scheduler's deadline sweep — not a task
-    fault itself, so deliberately outside the :class:`TaskError` tree.
+    Control-flow signal: the scheduler bounds a wait by its earliest
+    backing-off retry and dispatches the retry once this is raised.
+    Not a task fault itself, so deliberately outside the
+    :class:`TaskError` tree.
     """
 
 
 #: kind labels used in FaultStats counters, keyed by taxonomy class
 _KIND_LABELS = (
-    (TaskTimeout, "timeout"),
     (InjectedFault, "injected"),
     (CorruptCheckpointError, "corrupt_checkpoint"),
 )
@@ -293,20 +289,15 @@ class _ChaosTask:
     injection is deterministic under any evaluator: the draw happens on
     the scheduler thread, never on a worker."""
 
-    __slots__ = ("task", "action", "hang_seconds")
+    __slots__ = ("task", "action")
 
-    def __init__(self, task, action: Optional[str],
-                 hang_seconds: float = 0.0):
+    def __init__(self, task, action: str):
         self.task = task
         self.action = action
-        self.hang_seconds = hang_seconds
 
     def __call__(self):
         if self.action == "crash":
             raise InjectedFault("chaos: injected worker crash")
-        if self.action == "hang":
-            time.sleep(self.hang_seconds)
-            return self.task()
         result = self.task()
         if self.action == "corrupt":
             return _corrupt_result(result)
@@ -331,9 +322,7 @@ class ChaosEvaluator:
 
     Each submitted task independently draws one fault action from the
     wrapper's own rng: ``crash`` (raises :class:`InjectedFault` on the
-    worker), ``hang`` (sleeps ``hang_seconds`` before running — pair
-    with ``run_search(task_timeout=...)`` to exercise the deadline
-    path), or ``corrupt`` (the result's score comes back NaN).  Retried
+    worker) or ``corrupt`` (the result's score comes back NaN).  Retried
     tasks re-draw, so with ``crash_prob=p`` and ``max_attempts=a`` a
     candidate is lost with probability ``p**a``.  Because the draw
     happens at submit time on the (serial) scheduler thread, a seeded
@@ -341,31 +330,25 @@ class ChaosEvaluator:
     """
 
     def __init__(self, evaluator, *, crash_prob: float = 0.0,
-                 hang_prob: float = 0.0, corrupt_prob: float = 0.0,
-                 hang_seconds: float = 0.25, seed: int = 0):
-        for name, p in (("crash_prob", crash_prob), ("hang_prob", hang_prob),
+                 corrupt_prob: float = 0.0, seed: int = 0):
+        for name, p in (("crash_prob", crash_prob),
                         ("corrupt_prob", corrupt_prob)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if crash_prob + hang_prob + corrupt_prob > 1.0:
+        if crash_prob + corrupt_prob > 1.0:
             raise ValueError("fault probabilities must sum to at most 1")
         self.evaluator = evaluator
         self.crash_prob = float(crash_prob)
-        self.hang_prob = float(hang_prob)
         self.corrupt_prob = float(corrupt_prob)
-        self.hang_seconds = float(hang_seconds)
         self.rng = np.random.default_rng(seed)
-        self.injected: dict[str, int] = {"crash": 0, "hang": 0,
-                                         "corrupt": 0}
+        self.injected: dict[str, int] = {"crash": 0, "corrupt": 0}
         self.submitted = 0
 
     def _draw_action(self) -> Optional[str]:
         u = float(self.rng.uniform())
         if u < self.crash_prob:
             return "crash"
-        if u < self.crash_prob + self.hang_prob:
-            return "hang"
-        if u < self.crash_prob + self.hang_prob + self.corrupt_prob:
+        if u < self.crash_prob + self.corrupt_prob:
             return "corrupt"
         return None
 
@@ -374,7 +357,7 @@ class ChaosEvaluator:
         action = self._draw_action()
         if action is not None:
             self.injected[action] += 1
-            task = _ChaosTask(task, action, self.hang_seconds)
+            task = _ChaosTask(task, action)
         return self.evaluator.submit(task)
 
     # -- delegation -----------------------------------------------------
@@ -400,7 +383,6 @@ class ChaosEvaluator:
             "submitted": self.submitted,
             "injected": dict(self.injected),
             "crash_prob": self.crash_prob,
-            "hang_prob": self.hang_prob,
             "corrupt_prob": self.corrupt_prob,
         }
 

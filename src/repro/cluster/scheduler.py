@@ -23,7 +23,7 @@ wrapper and keeps its historical contract exactly.
 Checkpoint I/O (DESIGN.md "Checkpoint I/O pipeline"), the loop's
 largest serial bottleneck, has one path.  Saves are write-behind: a
 record is told to the strategy at completion, but journaled and
-streamed (``on_record``) only once its save has landed, in completion
+handed to ``on_record`` only once its save has landed, in completion
 order, and :meth:`SearchDriver.finalize` drains the rest.  Providers
 are read through an LRU capped at the strategy's ``population_size``
 (no population, no cache) and filled only by disk reads, so a
@@ -50,10 +50,7 @@ unbuildable architecture has always been handled.  A backoff never
 sleeps inside ``complete``: the retry waits in a per-driver heap of due
 times, still counted in flight, and the driving loop resubmits it once
 it is due — so a multiplexing service keeps every other session
-running meanwhile.  ``task_timeout`` sets a per-task deadline (thread
-pools only: serial tasks run inline on submit); overdue tickets are
-abandoned and retried.  A corrupt
-provider checkpoint is quarantined into the store's ``.quarantine/``
+running meanwhile.  A corrupt provider checkpoint is quarantined into the store's ``.quarantine/``
 directory and the candidate cold-starts.  ``journal=`` appends every
 completed record durably to a jsonl :class:`TraceJournal` as it lands,
 and ``resume=`` replays such a journal — restoring strategy state via
@@ -92,7 +89,6 @@ from .resilience import (
     FaultStats,
     RetryPolicy,
     TaskFailure,
-    TaskTimeout,
     TraceJournal,
     WaitTimeout,
 )
@@ -104,12 +100,11 @@ SCHEMES = ("baseline", "lp", "lcs")
 @dataclass
 class _Pending:
     """One in-flight candidate: everything needed to finalize it — or
-    resubmit the very same task when its worker crashes or hangs."""
+    resubmit the very same task when its worker crashes."""
 
     record: TraceRecord
     task: Callable[[], object]
     attempt: int = 1
-    deadline: Optional[float] = None      # monotonic, None = no deadline
 
 
 class SearchDriver:
@@ -130,7 +125,7 @@ class SearchDriver:
       is the only record of its tickets; ``complete`` ignores tickets
       it does not own, so routing mistakes are inert.
     - :meth:`finalize` — drain barrier + stats attachment; returns the
-      :class:`Trace`.  Callable mid-run (a drained/cancelled session's
+      :class:`Trace`.  Callable mid-run (a drained or failed session's
       partial trace) and idempotent.
 
     Fault isolation is per-driver by construction: every counter
@@ -147,7 +142,6 @@ class SearchDriver:
                  provider_policy="parent", seed: int = 0,
                  name: Optional[str] = None,
                  retry: Optional[RetryPolicy] = None,
-                 task_timeout: Optional[float] = None,
                  journal=None, resume=None,
                  key_prefix: str = "",
                  on_record: Optional[Callable[[TraceRecord], None]] = None):
@@ -159,10 +153,9 @@ class SearchDriver:
         self.scheme = scheme
         self.store = store
         self.seed = seed
-        self.task_timeout = task_timeout
         self.key_prefix = key_prefix
         #: called with every completed record after it is journaled and
-        #: told to the strategy — the service's streaming surface
+        #: told to the strategy — the service's per-record callback
         self.on_record = on_record
 
         self.transfers = scheme != "baseline"
@@ -261,22 +254,15 @@ class SearchDriver:
         return ticket in self._pending
 
     @property
-    def next_deadline(self) -> Optional[float]:
-        """Earliest in-flight deadline (monotonic), None when none set."""
-        return min((p.deadline for p in self._pending.values()
-                    if p.deadline is not None), default=None)
-
-    @property
     def next_retry_due(self) -> Optional[float]:
         """When the earliest backing-off retry is due (monotonic), None
         when no retry is backing off."""
         return self._backoff[0][0] if self._backoff else None
 
     def _wait_budget(self) -> Optional[float]:
-        """Seconds until the next deadline or retry falls due, None when
-        neither is pending."""
-        due = min((t for t in (self.next_deadline, self.next_retry_due)
-                   if t is not None), default=None)
+        """Seconds until the next retry falls due, None when no retry is
+        backing off."""
+        due = self.next_retry_due
         return None if due is None else max(0.0, due - time.monotonic())
 
     def _key(self, candidate_id: int) -> str:
@@ -351,8 +337,6 @@ class SearchDriver:
 
     def _dispatch(self, pend: _Pending) -> None:
         """(Re)submit a pending candidate's task to the evaluator."""
-        if self.task_timeout is not None:
-            pend.deadline = time.monotonic() + self.task_timeout
         self._pending[self.evaluator.submit(pend.task)] = pend
 
     # -- completion side -------------------------------------------------
@@ -463,22 +447,6 @@ class SearchDriver:
                 record.add_io_blocked(time.perf_counter() - io0)
         self._finalize_record(pend, apply)
 
-    def sweep_deadlines(self) -> None:
-        """Abandon every overdue in-flight ticket and contain it as a
-        TaskTimeout (retry or failed record)."""
-        now = time.monotonic()
-        overdue = [t for t, p in self._pending.items()
-                   if p.deadline is not None and p.deadline <= now]
-        for ticket in overdue:
-            abandon = getattr(self.evaluator, "abandon", None)
-            if abandon is not None:
-                abandon(ticket)
-            pend = self._pending.pop(ticket)
-            self._contain_failure(pend, TaskFailure(TaskTimeout(
-                f"candidate {pend.record.candidate_id} exceeded "
-                f"{self.task_timeout}s deadline "
-                f"(attempt {pend.attempt})")))
-
     def dispatch_due_retries(self) -> None:
         """Resubmit every backing-off retry whose delay has run out."""
         now = time.monotonic()
@@ -512,13 +480,12 @@ class SearchDriver:
 
     def _wait_and_complete(self) -> None:
         """Wait for the next completion and consume it.  May complete
-        zero records (a retry, a deadline sweep, a retry falling due) —
-        the outer loop re-checks."""
+        zero records (a retry scheduled, or one falling due) — the outer
+        loop re-checks."""
         try:
             ticket, result = self.evaluator.wait_any(
                 timeout=self._wait_budget())
         except WaitTimeout:
-            self.sweep_deadlines()
             self.dispatch_due_retries()
             return
         self.complete(ticket, result)
@@ -554,7 +521,7 @@ class SearchDriver:
 
     def finalize(self) -> Trace:
         """Drain barrier + stats attachment; returns the trace.  Safe to
-        call mid-run (a drained or cancelled session finalizes its
+        call mid-run (a drained or failed session finalizes its
         partial trace) and idempotent.  An error from landing the last
         records is raised only after every stat is attached."""
         if self._finalized is not None:
@@ -612,7 +579,6 @@ def run_search(problem, strategy, num_candidates: int, *,
                provider_policy="parent", seed: int = 0,
                name: Optional[str] = None,
                retry: Optional[RetryPolicy] = None,
-               task_timeout: Optional[float] = None,
                journal=None, resume=None) -> Trace:
     """Run one NAS estimation phase; returns the completed :class:`Trace`.
 
@@ -629,7 +595,7 @@ def run_search(problem, strategy, num_candidates: int, *,
     checkpoint corrupted on disk after that read is not re-checked
     while it stays cached.
 
-    ``retry`` / ``task_timeout`` / ``journal`` / ``resume`` select the
+    ``retry`` / ``journal`` / ``resume`` select the
     fault-tolerance layer (module docstring).  Containment is always
     on — a crashing worker yields a failed record, never a crashed
     search; ``retry`` additionally resubmits contained faults
@@ -640,8 +606,7 @@ def run_search(problem, strategy, num_candidates: int, *,
     driver = SearchDriver(
         problem, strategy, num_candidates, scheme=scheme, store=store,
         evaluator=evaluator, provider_policy=provider_policy, seed=seed,
-        name=name, retry=retry, task_timeout=task_timeout,
-        journal=journal, resume=resume,
+        name=name, retry=retry, journal=journal, resume=resume,
     )
     try:
         while not driver.done:

@@ -48,7 +48,7 @@ class TraceRecord:
     transfer_coverage: float = 0.0
     ckpt_bytes: int = 0
     #: evaluation attempts consumed (1 = clean first try; >1 = the
-    #: fault-containment path retried a crashed/hung/corrupt evaluation)
+    #: fault-containment path retried a crashed or corrupt evaluation)
     attempts: int = 1
     #: taxonomy kind + message of the final fault for failed records
     #: (``None`` for clean evaluations)

@@ -3,9 +3,10 @@
 :class:`SearchService` turns the library's one-search ``run_search``
 into a long-lived service: tenants :meth:`~SearchService.submit`
 sessions, the service multiplexes every admitted session's candidate
-evaluations onto **one shared evaluator fleet**, and each session's
-results stream back through :meth:`~SearchService.poll` /
-:meth:`~SearchService.stream` / :meth:`~SearchService.result`.
+evaluations onto **one shared evaluator fleet** while the caller runs
+:meth:`~SearchService.drive`, and each session's results come back
+through its ``on_record`` callback, :meth:`~SearchService.poll` and
+:meth:`~SearchService.result`.
 
 The building block is the re-entrant
 :class:`repro.cluster.scheduler.SearchDriver`: the service never calls
@@ -42,41 +43,38 @@ Fault isolation, by construction:
   FIFO order, so a hung ``store.save`` delays the other sessions'
   saves — as it already stalls them on the store they all share.
   Counters, errors and ``flush`` stay per session.  A record reaches
-  the journal and :meth:`~SearchService.stream` only once its save
-  has landed; each drive turn lands those that have.
+  the journal and the session's ``on_record`` only once its save has
+  landed; each drive turn lands those that have.
 - **Crashes**: a driver that raises out of containment (a buggy
   strategy, a broken problem) marks *that session* FAILED; its tickets
   are abandoned and every other session keeps running.
 - **Teardown**: every session ends through one path — its tickets are
   abandoned, then its driver finalizes (landing held records, closing
   its journal) under containment, so a session whose last records
-  raise on landing ends with the error in its status, cancelled,
-  failed or interrupted alike, and never takes the drive loop down.
+  raise on landing ends with the error in its status, failed or
+  interrupted alike, and never takes the drive loop down.
 
 Admission control is reject-with-backpressure: a full session queue or
 an over-quota tenant gets an immediate :class:`AdmissionError` — the
 service never buffers unboundedly and never silently drops.
 
-Graceful shutdown: :meth:`~SearchService.request_drain` (wired to
-SIGTERM/SIGINT by :meth:`~SearchService.install_signal_handlers`) stops
+Graceful shutdown: :meth:`~SearchService.request_drain` — from an
+``on_record`` callback or from another thread while one drives — stops
 new submissions, lets every in-flight evaluation land (each completed
 record is journaled durably by its session's ``TraceJournal`` once its
-checkpoint is on disk), then marks unfinished sessions INTERRUPTED.  A
-later :meth:`~SearchService.recover` replays each interrupted session's
-journal and resumes it — completed records bit-identical, the search
-continuing from its last durable candidate.
+checkpoint is on disk), then marks unfinished sessions INTERRUPTED and
+returns from ``drive``.  A later :meth:`~SearchService.recover` replays
+each interrupted session's journal and resumes it — completed records
+bit-identical, the search continuing from its last durable candidate.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from ..analysis.lockcheck import make_lock
 from ..cluster.evaluator import SerialEvaluator
@@ -103,7 +101,6 @@ __all__ = [
 _GUARDED_ATTRS = ("_sessions", "_queued", "_tenant_rotor", "_draining",
                   "_driving", "_seq")
 
-_RECORD_DONE = object()          # per-session stream sentinel
 #: ``SessionSpec.extra_driver_kwargs`` keys checked but never forwarded
 _KEPT_DRIVER_NAMES = frozenset({"async_io", "transfer_backend",
                                 "zero_cost"})
@@ -121,14 +118,13 @@ class SessionState:
     QUEUED = "queued"            # admitted, waiting for an active slot
     RUNNING = "running"          # being multiplexed onto the fleet
     DONE = "done"                # all candidates landed
-    CANCELLED = "cancelled"      # tenant cancelled; partial trace kept
     FAILED = "failed"            # driver raised out of containment
     INTERRUPTED = "interrupted"  # drained mid-run; journal resumable
 
     #: states a session can still make progress from
     ACTIVE = frozenset({QUEUED, RUNNING})
     #: terminal states (the manifest's final word)
-    TERMINAL = frozenset({DONE, CANCELLED, FAILED, INTERRUPTED})
+    TERMINAL = frozenset({DONE, FAILED, INTERRUPTED})
 
 
 @dataclass
@@ -149,7 +145,6 @@ class SessionSpec:
     seed: int = 0
     provider_policy: object = "parent"
     retry: object = None
-    task_timeout: Optional[float] = None
     #: ``cache``, ``prefetch`` and an ``"async_io"`` driver kwarg are
     #: checked to be bools and never forwarded (every session has the
     #: one I/O path); they go once svc-mix stops setting them (ROADMAP.md
@@ -162,10 +157,11 @@ class SessionSpec:
     #: setting it (ROADMAP.md item 1)
     engine: str = "eager"
     #: per-session chaos: kwargs for ChaosEvaluator (crash_prob /
-    #: hang_prob / corrupt_prob / hang_seconds / seed) — faults drawn
-    #: from this session's own rng, invisible to every other session
+    #: corrupt_prob / seed) — faults drawn from this session's own rng,
+    #: invisible to every other session
     chaos: Optional[dict] = None
-    #: optional per-record callback (in addition to ``stream``)
+    #: optional per-record callback, on the drive thread, as each
+    #: record lands (after its journal append)
     on_record: Optional[Callable[[TraceRecord], None]] = None
     #: forwarded to the session's ``SearchDriver``, except the kept
     #: names in ``_KEPT_DRIVER_NAMES``, checked and dropped:
@@ -225,20 +221,14 @@ class SessionHandle:
     def result(self) -> Trace:
         return self._service.result(self.session_id)
 
-    def cancel(self) -> None:
-        self._service.cancel(self.session_id)
-
-    def stream(self) -> Iterator[TraceRecord]:
-        return self._service.stream(self.session_id)
-
     def __repr__(self):
         return f"<SessionHandle {self.session_id}>"
 
 
 class _Session:
     """Service-internal per-session state: the driver plus lifecycle
-    bookkeeping.  Mutated only on the drive thread (state transitions)
-    or under the service lock (flags)."""
+    bookkeeping.  Its state transitions happen on the drive thread
+    only."""
 
     def __init__(self, session_id: str, spec: SessionSpec,
                  driver: SearchDriver):
@@ -247,9 +237,7 @@ class _Session:
         self.driver = driver
         self.state = SessionState.QUEUED
         self.error: Optional[str] = None
-        self.cancel_requested = False
         self.trace: Optional[Trace] = None
-        self.records: "queue.SimpleQueue" = queue.SimpleQueue()
 
 
 def _tickets_by_tenant(running: list[_Session]) -> dict[str, int]:
@@ -297,6 +285,9 @@ class SearchService:
     max_in_flight:
         Global in-flight evaluation cap (default: the evaluator's
         ``num_workers``).
+
+    Every size must be at least 1: a zero quota or width admits
+    sessions that ``drive`` could never run.
     """
 
     def __init__(self, *, evaluator=None, store=None, journal_dir=None,
@@ -311,12 +302,20 @@ class SearchService:
             else None
         if self.journal_dir is not None:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
+        if max_in_flight is None:
+            max_in_flight = getattr(self.evaluator, "num_workers", 1)
+        for name, value in (("max_active_sessions", max_active_sessions),
+                            ("max_pending_sessions", max_pending_sessions),
+                            ("tenant_max_sessions", tenant_max_sessions),
+                            ("tenant_quota", tenant_quota),
+                            ("max_in_flight", max_in_flight)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         self.max_active_sessions = int(max_active_sessions)
         self.max_pending_sessions = int(max_pending_sessions)
         self.tenant_max_sessions = int(tenant_max_sessions)
         self.tenant_quota = int(tenant_quota)
-        self.max_in_flight = int(max_in_flight) if max_in_flight \
-            else getattr(self.evaluator, "num_workers", 1)
+        self.max_in_flight = int(max_in_flight)
 
         self._lock = make_lock("SearchService._lock")
         self._sessions: dict[str, _Session] = {}
@@ -324,9 +323,7 @@ class SearchService:
         self._draining = False
         self._driving = False
         self._seq = 0
-        self._drive_thread: Optional[threading.Thread] = None
         self._tenant_rotor = 0                  # drive-thread only
-        self._prev_handlers: dict[int, object] = {}  # main thread only
 
     # ------------------------------------------------------------------
     # admission (tenant-facing, any thread)
@@ -362,7 +359,7 @@ class SearchService:
             if session_id in self._sessions:
                 raise AdmissionError(f"session {session_id!r} exists")
         session = self._build_session(session_id, spec, resume=resume)
-        # the QUEUED manifest lands before the drive thread can see the
+        # the QUEUED manifest lands before the drive loop can see the
         # session: once published, _promote_queued writes the same file
         self._write_manifest(session)
         with self._lock:
@@ -378,31 +375,21 @@ class SearchService:
         journal = None
         if self.journal_dir is not None:
             journal = self.journal_dir / f"{session_id}.jsonl"
-        holder: dict[str, _Session] = {}
-
-        def on_record(record: TraceRecord) -> None:
-            holder["session"].records.put(record)
-            if spec.on_record is not None:
-                spec.on_record(record)
-
         driver = SearchDriver(
             spec.problem, spec.strategy, spec.num_candidates,
             scheme=spec.scheme, store=self.store, evaluator=evaluator,
             provider_policy=spec.provider_policy, seed=spec.seed,
             name=f"{session_id}-{spec.scheme}",
-            retry=spec.retry, task_timeout=spec.task_timeout,
-            journal=journal, resume=resume,
+            retry=spec.retry, journal=journal, resume=resume,
             key_prefix=f"{session_id}--",
-            on_record=on_record,
+            on_record=spec.on_record,
             **{k: v for k, v in spec.extra_driver_kwargs.items()
                if k not in _KEPT_DRIVER_NAMES},
         )
-        session = _Session(session_id, spec, driver)
-        holder["session"] = session
-        return session
+        return _Session(session_id, spec, driver)
 
     # ------------------------------------------------------------------
-    # tenant-facing observation / control (any thread)
+    # tenant-facing observation (any thread)
     # ------------------------------------------------------------------
     def _get(self, session_id: str) -> _Session:
         with self._lock:
@@ -422,32 +409,13 @@ class SearchService:
 
     def result(self, session_id: str) -> Trace:
         """The session's trace.  Terminal sessions only — a DONE
-        session's full trace, or the partial trace of a cancelled /
-        failed / interrupted one."""
+        session's full trace, or the partial trace of a failed or
+        interrupted one."""
         s = self._get(session_id)
         if s.state not in SessionState.TERMINAL or s.trace is None:
             raise RuntimeError(f"session {session_id!r} is {s.state}; "
                                f"no result yet")
         return s.trace
-
-    def stream(self, session_id: str) -> Iterator[TraceRecord]:
-        """Yield the session's records in completion order, blocking
-        until the next one lands; ends when the session reaches a
-        terminal state.  Safe from any thread (the records flow through
-        a per-session queue fed by the driver's ``on_record``)."""
-        s = self._get(session_id)
-        while True:
-            item = s.records.get()
-            if item is _RECORD_DONE:
-                return
-            yield item
-
-    def cancel(self, session_id: str) -> None:
-        """Request cancellation.  Takes effect on the drive thread
-        (between completions); a queued session is torn down on the
-        next drive turn without ever submitting."""
-        s = self._get(session_id)
-        s.cancel_requested = True
 
     def stats(self) -> dict:
         """Service-level aggregate (fleet + admission view)."""
@@ -470,19 +438,18 @@ class SearchService:
         }
 
     # ------------------------------------------------------------------
-    # the drive loop (single thread: caller's or the background one)
+    # the drive loop (one thread at a time: the caller's)
     # ------------------------------------------------------------------
     def drive(self) -> None:
         """Multiplex every admitted session to a terminal state (or
         until a drain is requested).  Synchronous: runs on the calling
-        thread; :meth:`start` runs the same loop in the background."""
+        thread, while other threads may still submit, poll or drain."""
         with self._lock:
             if self._driving:
                 raise RuntimeError("service is already being driven")
             self._driving = True
         try:
             while True:
-                self._process_cancellations()
                 self._promote_queued()
                 self._tend_running()
                 self._finish_completed()
@@ -506,16 +473,6 @@ class SearchService:
         finally:
             with self._lock:
                 self._driving = False
-
-    def start(self) -> None:
-        """Run :meth:`drive` on a background thread (returns at once)."""
-        self._drive_thread = threading.Thread(target=self.drive,
-                                              daemon=True)
-        self._drive_thread.start()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self._drive_thread is not None:
-            self._drive_thread.join(timeout)
 
     # -- scheduling helpers (drive thread only) -------------------------
     def _is_draining(self) -> bool:
@@ -573,8 +530,7 @@ class SearchService:
             # the retry is resubmitted; its fleet slot serves the other
             # sessions meanwhile
             runnable = [s for s in running
-                        if not s.cancel_requested
-                        and s.driver.wants_submit
+                        if s.driver.wants_submit
                         and s.driver.next_retry_due is None]
             tenants = sorted({s.spec.tenant for s in runnable})
             if not tenants:
@@ -604,8 +560,9 @@ class SearchService:
                 self._fail_session(pick, exc)
 
     def _tend_running(self) -> None:
-        """Per running session: journal and stream the records whose
-        write-behind save has landed, resubmit the retries now due."""
+        """Per running session: journal and hand to ``on_record`` the
+        records whose write-behind save has landed, resubmit the retries
+        now due."""
         for s in self._running():
             try:
                 s.driver.land()
@@ -615,18 +572,17 @@ class SearchService:
 
     def _wait_once(self) -> None:
         """Wait on the *shared* evaluator, route one completion to the
-        running session that owns its ticket; sweep deadlines on timeout
-        (a retry falling due is dispatched on the next loop turn)."""
-        budget = self._wait_budget()
+        running session that owns its ticket.  The wait ends early when
+        a retry falls due; the next loop turn dispatches it."""
         try:
-            ticket, result = self.evaluator.wait_any(timeout=budget)
+            ticket, result = self.evaluator.wait_any(
+                timeout=self._wait_budget())
         except WaitTimeout:
-            self._sweep_deadlines()
             return
         session = next((s for s in self._running()
                         if s.driver.owns(ticket)), None)
         if session is None:
-            return                       # abandoned/cancelled ticket
+            return                       # an abandoned ticket
         try:
             session.driver.complete(ticket, result)
         except Exception as exc:
@@ -636,22 +592,11 @@ class SearchService:
             self._finish(session, SessionState.DONE)
 
     def _wait_budget(self) -> Optional[float]:
-        """Seconds until any running session's next deadline or retry
-        falls due, None when none is pending."""
-        due = [t for s in self._running()
-               for t in (s.driver.next_deadline, s.driver.next_retry_due)
-               if t is not None]
+        """Seconds until any running session's next retry falls due,
+        None when no retry is backing off."""
+        due = [s.driver.next_retry_due for s in self._running()
+               if s.driver.next_retry_due is not None]
         return max(0.0, min(due) - time.monotonic()) if due else None
-
-    def _sweep_deadlines(self) -> None:
-        for s in self._running():
-            try:
-                s.driver.sweep_deadlines()
-            except Exception as exc:
-                self._fail_session(s, exc)
-                continue
-            if s.driver.done:
-                self._finish(s, SessionState.DONE)
 
     # -- lifecycle transitions (drive thread only) ----------------------
     def _finish(self, session: _Session, state: str) -> None:
@@ -670,7 +615,6 @@ class SearchService:
             session.error = session.error or repr(exc)
             session.trace = session.driver.trace
         self._write_manifest(session)
-        session.records.put(_RECORD_DONE)
 
     def _fail_session(self, session: _Session, exc: Exception) -> None:
         """Containment of last resort: the driver itself raised.  The
@@ -678,17 +622,6 @@ class SearchService:
         every other session untouched."""
         session.error = repr(exc)
         self._finish(session, SessionState.FAILED)
-
-    def _process_cancellations(self) -> None:
-        with self._lock:
-            requested = [s for s in self._sessions.values()
-                         if s.cancel_requested
-                         and s.state in SessionState.ACTIVE]
-            for s in requested:
-                if s.session_id in self._queued:
-                    self._queued.remove(s.session_id)
-        for s in requested:
-            self._finish(s, SessionState.CANCELLED)
 
     def _interrupt_active(self) -> None:
         """Drain epilogue: every non-terminal session becomes
@@ -702,41 +635,17 @@ class SearchService:
             self._finish(s, SessionState.INTERRUPTED)
 
     # ------------------------------------------------------------------
-    # drain / signals / recovery
+    # drain / recovery
     # ------------------------------------------------------------------
     def request_drain(self) -> None:
         """Stop submitting new evaluations; in-flight ones land (and
-        journal) normally, then unfinished sessions are INTERRUPTED.
-        Safe from any thread and from a signal handler."""
+        journal) normally, then unfinished sessions are INTERRUPTED and
+        ``drive`` returns.  Safe from any thread, including the drive
+        thread's ``on_record``.  It takes the service lock, so never
+        call it from a signal handler: one that interrupts a thread
+        holding that lock would wait on it forever."""
         with self._lock:
             self._draining = True
-
-    def install_signal_handlers(self) -> dict:
-        """Wire SIGTERM/SIGINT to :meth:`request_drain` (main thread
-        only — a no-op elsewhere).  Returns the replaced handlers."""
-        def _handler(signum, frame):
-            self.request_drain()
-        replaced = {}
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                replaced[sig] = signal.signal(sig, _handler)
-            except ValueError:          # not the main thread
-                break
-        self._prev_handlers = replaced
-        return replaced
-
-    def restore_signal_handlers(self) -> None:
-        for sig, handler in self._prev_handlers.items():
-            signal.signal(sig, handler)
-        self._prev_handlers = {}
-
-    def shutdown(self, drain: bool = True,
-                 timeout: Optional[float] = None) -> None:
-        """Drain (or hard-stop) a background-driven service and join
-        its drive thread."""
-        if drain:
-            self.request_drain()
-        self.join(timeout)
 
     # -- manifests ------------------------------------------------------
     def _manifest_path(self, session_id: str) -> Optional[Path]:
@@ -817,9 +726,3 @@ class SearchService:
                 resume=journal if journal.exists() else None,
                 _force=True))
         return handles
-
-    def __enter__(self) -> "SearchService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

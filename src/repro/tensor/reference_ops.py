@@ -1,7 +1,7 @@
 """Frozen reference kernels and optimizer math (pre-optimization).
 
 These are the original, obviously-correct implementations of the conv /
-pooling kernels and optimizer update rules that ``autodiff_ops`` and
+pooling kernels and the Adam update rule that ``autodiff_ops`` and
 ``optimizers`` shipped with before the memory-lean rework.  They are kept
 *verbatim* for the kernel-equivalence test suite
 (``tests/test_kernel_equivalence.py``), which asserts that the optimized
@@ -143,18 +143,8 @@ def maxpool1d_backward(gout, cache):
 
 
 # ---------------------------------------------------------------------------
-# optimizer update rules (allocating versions)
+# Adam update rule (allocating version)
 # ---------------------------------------------------------------------------
-
-
-def sgd_update(param, grad, state, *, learning_rate, momentum=0.0):
-    """Returns the new param; mutates ``state`` (dict) like the old class."""
-    if momentum:
-        v = state.get("v")
-        v = grad if v is None else momentum * v + grad
-        state["v"] = v
-        grad = v
-    return param - learning_rate * grad
 
 
 def adam_update(param, grad, state, *, learning_rate, beta1=0.9,
@@ -169,19 +159,3 @@ def adam_update(param, grad, state, *, learning_rate, beta1=0.9,
     mhat = m / (1 - beta1 ** t)
     vhat = v / (1 - beta2 ** t)
     return param - learning_rate * mhat / (np.sqrt(vhat) + eps)
-
-
-def rmsprop_update(param, grad, state, *, learning_rate, rho=0.9, eps=1e-7):
-    ms = state.get("ms", 0.0)
-    ms = rho * ms + (1 - rho) * grad * grad
-    state["ms"] = ms
-    return param - learning_rate * grad / (np.sqrt(ms) + eps)
-
-
-def clip_gradients(grads, clipnorm):
-    """The old copying clipnorm path: returns a *new* list of arrays."""
-    gnorm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-    if gnorm > clipnorm:
-        scale = clipnorm / (gnorm + 1e-12)
-        grads = [g * scale for g in grads]
-    return grads

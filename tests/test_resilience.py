@@ -21,7 +21,6 @@ from repro.cluster import (
     SerialEvaluator,
     SimulatedCluster,
     TaskFailure,
-    TaskTimeout,
     ThreadPoolEvaluator,
     TraceJournal,
     checkpoint_key,
@@ -46,7 +45,6 @@ def _const():
 # ---------------------------------------------------------------------------
 
 def test_classify_failure_taxonomy():
-    assert classify_failure(TaskTimeout("t")) == "timeout"
     assert classify_failure(InjectedFault("i")) == "injected"
     assert classify_failure(
         CorruptCheckpointError("k", "p", ValueError())) == "corrupt_checkpoint"
@@ -124,17 +122,17 @@ def test_failed_task_lands_as_failed_record(space, problem):
 
 
 @pytest.mark.parametrize("probs", [
-    dict(crash_prob=-0.5, hang_prob=1.0),
+    dict(crash_prob=-0.5, corrupt_prob=1.0),
     dict(corrupt_prob=1.5, crash_prob=-0.5),
-    dict(hang_prob=-0.1),
-    dict(crash_prob=0.6, hang_prob=0.6),
+    dict(corrupt_prob=-0.1),
+    dict(crash_prob=0.6, corrupt_prob=0.6),
 ])
 def test_chaos_rejects_probabilities_outside_unit_interval(probs):
     """Each probability must be in [0, 1] and their sum at most 1: a
-    negative crash rate must not hand its share to hangs."""
+    negative crash rate must not hand its share to corruptions."""
     with pytest.raises(ValueError):
         ChaosEvaluator(SerialEvaluator(), **probs)
-    ChaosEvaluator(SerialEvaluator(), crash_prob=0.5, hang_prob=0.5)
+    ChaosEvaluator(SerialEvaluator(), crash_prob=0.5, corrupt_prob=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +224,6 @@ def test_backoff_retries_replay_the_same_records(space, problem):
     assert [(r.candidate_id, r.arch_seq, r.score, r.attempts)
             for r in delayed] == \
         [(r.candidate_id, r.arch_seq, r.score, r.attempts) for r in eager]
-
-
-def test_task_timeout_abandons_hung_workers(space, problem):
-    ev = ChaosEvaluator(ThreadPoolEvaluator(2), hang_prob=1.0,
-                        hang_seconds=5.0, seed=0)
-    trace = run_search(problem, RandomSearch(space, rng=0), 2,
-                       scheme="baseline", evaluator=ev, seed=0,
-                       task_timeout=0.2)
-    assert len(trace) == 2
-    for r in trace:
-        assert not r.ok
-        assert r.error.startswith("timeout:")
-    assert trace.fault_stats["by_kind"]["timeout"] >= 2
 
 
 # ---------------------------------------------------------------------------

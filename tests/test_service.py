@@ -3,11 +3,9 @@
 import gc
 import json
 import os
-import signal
 import sys
 import tempfile
 import threading
-import time
 import weakref
 from pathlib import Path
 
@@ -317,35 +315,6 @@ def test_retry_backoff_does_not_stall_other_sessions(space, problem,
     assert clean.poll().state == SessionState.INTERRUPTED
 
 
-def test_deadline_sweep_on_the_shared_fleet(space, problem, tmp_path):
-    """Every task of one session hangs past its deadline on a shared
-    2-worker fleet: the sweep times each attempt out, retries it once
-    and lands it failed, while the other session's records come out as
-    they do solo and nothing is left counted in flight."""
-    n = 3                      # below the population: asks ignore order
-    solo = run_search(problem, _strategy(space, 1), n, scheme="baseline",
-                      evaluator=SerialEvaluator(), seed=1)
-    with ThreadPoolEvaluator(num_workers=2) as evaluator:
-        svc = SearchService(evaluator=evaluator, journal_dir=tmp_path / "j")
-        hung = svc.submit(_spec(
-            space, problem, 0, tenant="hung", n=n, scheme="baseline",
-            chaos={"hang_prob": 1.0, "hang_seconds": 0.3, "seed": 0},
-            task_timeout=0.05,
-            retry=RetryPolicy(2, base_delay=0, jitter=0)))
-        clean = svc.submit(_spec(space, problem, 1, tenant="clean", n=n,
-                                 scheme="baseline"))
-        svc.drive()
-        assert svc.stats()["in_flight"] == 0
-    assert hung.poll().state == clean.poll().state == SessionState.DONE
-    hung_trace = hung.result()
-    assert hung_trace.fault_stats["by_kind"] == {"timeout": 2 * n}
-    assert all(not r.ok and r.error.startswith("timeout")
-               for r in hung_trace)
-    got = sorted(clean.result().records, key=lambda r: r.candidate_id)
-    assert [_record_key(r) for r in got] == \
-        [_record_key(r) for r in solo.records]
-
-
 def test_queued_session_holds_no_open_journal(space, problem, tmp_path):
     svc = SearchService(evaluator=SerialEvaluator(),
                         journal_dir=tmp_path / "j")
@@ -410,6 +379,22 @@ def test_tenant_quota_caps_in_flight_share(space, problem, tmp_path):
     assert 1 <= peak["greedy"] <= 2
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tenant_quota", 0),
+    ("max_active_sessions", 0),
+    ("max_in_flight", -1),
+    ("max_in_flight", 0),
+    ("max_pending_sessions", 0),
+    ("tenant_max_sessions", 0),
+])
+def test_sizes_below_one_are_rejected_at_construction(tmp_path, name, value):
+    """A zero quota or width would admit sessions that ``drive`` could
+    never run (or reject every submission): refuse it up front."""
+    with pytest.raises(ValueError, match=name):
+        SearchService(evaluator=SerialEvaluator(),
+                      journal_dir=tmp_path / "j", **{name: value})
+
+
 def test_draining_service_rejects_submissions(space, problem, tmp_path):
     svc = SearchService(evaluator=SerialEvaluator(),
                         journal_dir=tmp_path / "j")
@@ -464,32 +449,8 @@ def test_submit_while_driving_keeps_manifests_consistent(space, problem,
 
 
 # ---------------------------------------------------------------------------
-# cancel + stream
+# teardown
 # ---------------------------------------------------------------------------
-
-def test_cancel_queued_session_never_submits(space, problem, tmp_path):
-    svc = SearchService(evaluator=SerialEvaluator(),
-                        journal_dir=tmp_path / "j")
-    victim = svc.submit(_spec(space, problem, 0, scheme="baseline"))
-    other = svc.submit(_spec(space, problem, 1, scheme="baseline"))
-    victim.cancel()
-    svc.drive()
-    assert victim.poll().state == SessionState.CANCELLED
-    assert victim.poll().submitted == 0
-    assert other.poll().state == SessionState.DONE
-
-
-def test_cancel_mid_run_keeps_partial_trace(space, problem, tmp_path):
-    svc = SearchService(evaluator=SerialEvaluator(),
-                        journal_dir=tmp_path / "j")
-    handle = svc.submit(_spec(space, problem, 0, n=6, scheme="baseline",
-                              on_record=lambda r: (r.candidate_id == 1
-                                                   and handle.cancel())))
-    svc.drive()
-    assert handle.poll().state == SessionState.CANCELLED
-    partial = handle.result()
-    assert 2 <= len(partial) < 6
-
 
 class _GatedStore(CheckpointStore):
     """A store whose saves wait until ``release`` is set."""
@@ -504,10 +465,10 @@ class _GatedStore(CheckpointStore):
         return super().save(key, weights, meta)
 
 
-@pytest.mark.parametrize("teardown", ["cancel", "drain"])
+@pytest.mark.parametrize("teardown", ["drain"])
 def test_teardown_contains_a_record_that_raises_on_landing(
         space, problem, tmp_path, teardown):
-    """A session torn down while its records wait on write-behind saves
+    """A session drained while its records wait on write-behind saves
     lands them as it ends; the tenant's ``on_record`` raising there ends
     that session with the error in its status, not the drive loop."""
     store = _GatedStore(tmp_path / "s")
@@ -527,30 +488,24 @@ def test_teardown_contains_a_record_that_raises_on_landing(
         if record.candidate_id != 2:             # the other's last record
             return
         held.append(victim.poll().completed)
-        if teardown == "cancel":
-            victim.cancel()
-            store.release.set()
-        else:
-            svc.request_drain()
+        svc.request_drain()
 
     other = svc.submit(_spec(space, problem, 1, tenant="other", n=3,
                              scheme="baseline", on_record=on_other))
-    if teardown == "drain":
-        # release the saves only once the drain epilogue ends the victim
-        interrupt = svc._interrupt_active
+    # release the saves only once the drain epilogue ends the victim
+    interrupt = svc._interrupt_active
 
-        def release_then_interrupt():
-            store.release.set()
-            interrupt()
-        svc._interrupt_active = release_then_interrupt
+    def release_then_interrupt():
+        store.release.set()
+        interrupt()
+    svc._interrupt_active = release_then_interrupt
     try:
         svc.drive()
     finally:
         store.release.set()
     assert held and held[0] >= 1        # a completed record was held
     status = victim.poll()
-    assert status.state == (SessionState.CANCELLED if teardown == "cancel"
-                            else SessionState.INTERRUPTED)
+    assert status.state == SessionState.INTERRUPTED
     assert "tenant callback bug" in status.error
     assert other.poll().state == SessionState.DONE
     # every held record landed behind the one that raised, and the
@@ -562,18 +517,6 @@ def test_teardown_contains_a_record_that_raises_on_landing(
         [r.candidate_id for r in trace]
     assert trace.io_stats is not None
     assert trace.transfer_stats is not None
-
-
-def test_stream_yields_records_in_completion_order(space, problem,
-                                                   tmp_path):
-    svc = SearchService(evaluator=SerialEvaluator(),
-                        journal_dir=tmp_path / "j")
-    handle = svc.submit(_spec(space, problem, 0, n=4, scheme="baseline"))
-    svc.start()
-    ids = [r.candidate_id for r in handle.stream()]
-    svc.join(timeout=30)
-    assert ids == [0, 1, 2, 3]
-    assert handle.poll().state == SessionState.DONE
 
 
 # ---------------------------------------------------------------------------
@@ -640,43 +583,63 @@ def test_recover_rejects_mismatched_spec(space, problem, tmp_path):
         revived.recover({handle.session_id: _spec(space, problem, 7, n=9)})
 
 
-def test_sigterm_drains_background_service(space, problem, tmp_path):
-    """The signal path end-to-end: SIGTERM to the process drains the
-    service; in-flight work lands, sessions become INTERRUPTED."""
+def test_drain_from_another_thread_interrupts_the_driven_session(
+        space, problem, tmp_path):
+    """``drive`` runs on this thread while a second thread requests the
+    drain: in-flight work lands, the session ends INTERRUPTED and its
+    journal holds exactly the records of its trace."""
     svc = SearchService(evaluator=SerialEvaluator(),
                         store=CheckpointStore(tmp_path / "s"),
                         journal_dir=tmp_path / "j")
-    replaced = svc.install_signal_handlers()
-    if not replaced:                   # not the main thread: cannot test
-        pytest.skip("signal handlers need the main thread")
+    landed, drained = threading.Event(), threading.Event()
+
+    def on_record(record):
+        if record.candidate_id == 1:
+            landed.set()
+            # hold the drive thread until the other thread has drained
+            assert drained.wait(30), "request_drain never returned"
+
+    def drainer():
+        if landed.wait(30):
+            svc.request_drain()
+            drained.set()
+
+    n = 40
+    handle = svc.submit(_spec(space, problem, 7, n=n, on_record=on_record))
+    thread = threading.Thread(target=drainer)
+    thread.start()
     try:
-        handle = svc.submit(_spec(
-            space, problem, 7, n=2000,
-            on_record=lambda r: time.sleep(0.001)))
-        svc.start()
-        deadline = time.monotonic() + 30
-        while handle.poll().completed < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        os.kill(os.getpid(), signal.SIGTERM)
-        svc.join(timeout=30)
-        status = handle.poll()
-        assert status.state == SessionState.INTERRUPTED
-        assert 2 <= status.completed < 2000
+        svc.drive()
     finally:
-        svc.restore_signal_handlers()
-        svc.request_drain()
-        svc.join(timeout=30)
+        landed.set()
+        thread.join(timeout=30)
+    assert drained.is_set() and not thread.is_alive()
+    status = handle.poll()
+    assert status.state == SessionState.INTERRUPTED
+    assert 2 <= status.completed < n and status.in_flight == 0
+    _, journaled = TraceJournal.replay(
+        tmp_path / "j" / f"{handle.session_id}.jsonl")
+    assert journaled == list(handle.result().records)
 
 
-def test_context_manager_drains_on_exit(space, problem, tmp_path):
-    with SearchService(evaluator=SerialEvaluator(),
-                       journal_dir=tmp_path / "j") as svc:
-        handle = svc.submit(_spec(space, problem, 0, n=3,
-                                  scheme="baseline"))
-        svc.start()
-        for _ in handle.stream():
-            pass
-    assert handle.poll().state == SessionState.DONE
+def test_cancelled_manifest_is_not_recoverable(space, problem, tmp_path):
+    """A manifest in the ``"cancelled"`` state, which an older service
+    wrote, names no session to recover."""
+    svc = SearchService(evaluator=SerialEvaluator(),
+                        store=CheckpointStore(tmp_path / "s"),
+                        journal_dir=tmp_path / "j")
+    handle = svc.submit(_draining_spec(space, problem, 7, svc, at=0, n=6))
+    svc.drive()
+    path = tmp_path / "j" / f"{handle.session_id}.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["state"] = "cancelled"
+    path.write_text(json.dumps(manifest))
+    revived = SearchService(evaluator=SerialEvaluator(),
+                            store=CheckpointStore(tmp_path / "s"),
+                            journal_dir=tmp_path / "j")
+    assert revived.recoverable_sessions() == {}
+    assert revived.recover(
+        {handle.session_id: _spec(space, problem, 7, n=6)}) == []
 
 
 # ---------------------------------------------------------------------------
@@ -692,20 +655,22 @@ _tenants = st.lists(
 
 @settings(max_examples=25, deadline=None)
 @given(tenants=_tenants, max_active=st.integers(1, 3),
-       cancel=st.none() | st.tuples(st.integers(0, 2), st.integers(1, 5)))
+       drain=st.none() | st.tuples(st.integers(0, 2), st.integers(1, 5)))
 def test_generated_interleavings_keep_the_service_invariants(
-        space, problem, tenants, max_active, cancel):
-    """Random tenant mixes, fair-share widths and self-cancellations on
-    one serial fleet: every session ends terminal, each record sees
-    ``submitted == completed + in_flight``, no candidate id repeats,
-    clean sessions match their solo runs and chaos sessions book exactly
-    the crashes injected into them."""
-    if cancel is not None:
-        cancel = (cancel[0] % len(tenants), cancel[1])
+        space, problem, tenants, max_active, drain):
+    """Random tenant mixes, fair-share widths and drain points on one
+    serial fleet: every session ends DONE or INTERRUPTED, each record
+    sees ``submitted == completed + in_flight``, an interrupted
+    session's journal holds exactly its trace, and recovering it lands
+    every candidate id once.  Clean sessions that finish match their
+    solo runs; chaos sessions book exactly the crashes injected into
+    them."""
+    if drain is not None:       # a record before some session's last
+        who = drain[0] % len(tenants)
+        drain = (who, 1 + (drain[1] - 1) % (tenants[who][1] - 1))
     violations: list = []
-    handles: list = []
 
-    def watch(i):
+    def watch(svc, handles, i, drain_at=None):
         seen = []
 
         def on_record(record):
@@ -713,9 +678,16 @@ def test_generated_interleavings_keep_the_service_invariants(
             status = handles[i].poll()
             if status.submitted != status.completed + status.in_flight:
                 violations.append((i, status))
-            if cancel is not None and cancel == (i, len(seen)):
-                handles[i].cancel()
+            if drain_at == len(seen):
+                svc.request_drain()
         return on_record
+
+    def spec(svc, handles, i, drain_at=None):
+        seed, n, crash = tenants[i]
+        chaos = {"crash_prob": crash, "seed": seed} if crash else None
+        return _spec(space, problem, seed, tenant=f"t{i}", n=n, chaos=chaos,
+                     retry=RetryPolicy(2, base_delay=0, jitter=0),
+                     on_record=watch(svc, handles, i, drain_at))
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -723,35 +695,56 @@ def test_generated_interleavings_keep_the_service_invariants(
                             store=CheckpointStore(root / "s"),
                             journal_dir=root / "j",
                             max_active_sessions=max_active)
-        for i, (seed, n, crash) in enumerate(tenants):
-            chaos = {"crash_prob": crash, "seed": seed} if crash else None
-            handles.append(svc.submit(_spec(
-                space, problem, seed, tenant=f"t{i}", n=n, chaos=chaos,
-                retry=RetryPolicy(2, base_delay=0, jitter=0),
-                on_record=watch(i))))
+        handles: list = []
+        for i in range(len(tenants)):
+            at = drain[1] if drain is not None and drain[0] == i else None
+            handles.append(svc.submit(spec(svc, handles, i, at)))
         svc.drive()
         assert violations == []
         assert svc.stats()["in_flight"] == 0
+        interrupted = {}
         for i, (seed, n, crash) in enumerate(tenants):
             status = handles[i].poll()
             assert status.state in (SessionState.DONE,
-                                    SessionState.CANCELLED), status
+                                    SessionState.INTERRUPTED), status
             trace = handles[i].result()
             ids = [r.candidate_id for r in trace]
             assert len(ids) == len(set(ids))
-            cancelled = cancel is not None and cancel[0] == i \
-                and cancel[1] < n
-            if not cancelled:
-                assert status.state == SessionState.DONE
-                assert ids == list(range(n))
             if crash:
                 faults = trace.fault_stats
                 assert faults["by_kind"].get("injected", 0) == \
                     faults["chaos"]["injected"]["crash"]
-            elif not cancelled:
+            if status.state == SessionState.INTERRUPTED:
+                _, journaled = TraceJournal.replay(
+                    root / "j" / f"{handles[i].session_id}.jsonl")
+                assert journaled == list(trace.records)
+                interrupted[handles[i].session_id] = i
+                continue
+            assert ids == list(range(n))
+            if not crash:
                 solo = run_search(
                     problem, _strategy(space, seed), n, scheme="lcs",
                     store=CheckpointStore(root / f"solo{i}"),
                     evaluator=SerialEvaluator(), seed=seed)
                 assert [_record_key(r) for r in trace] == \
                     [_record_key(r) for r in solo]
+        if drain is None:
+            assert not interrupted
+
+        revived = SearchService(evaluator=SerialEvaluator(),
+                                store=CheckpointStore(root / "s"),
+                                journal_dir=root / "j",
+                                max_active_sessions=max_active)
+        resumed: list = [None] * len(tenants)
+        for handle in revived.recover({
+                sid: spec(revived, resumed, i)
+                for sid, i in interrupted.items()}):
+            resumed[interrupted[handle.session_id]] = handle
+        assert sorted(h.session_id for h in resumed if h is not None) == \
+            sorted(interrupted)
+        revived.drive()
+        assert violations == []
+        for sid, i in interrupted.items():
+            assert resumed[i].poll().state == SessionState.DONE
+            ids = [r.candidate_id for r in resumed[i].result()]
+            assert sorted(ids) == list(range(tenants[i][1]))
