@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.apps import get_app
 from repro.checkpoint import CheckpointStore
-from repro.cluster import SimulatedCluster, checkpoint_key
+from repro.cluster import SimulatedCluster, checkpoint_key, run_search
 from repro.nas import RegularizedEvolution, full_train
 
 NUM_CANDIDATES = 36
@@ -40,13 +40,14 @@ def main() -> None:
     summaries = {}
     for scheme in ("baseline", "lp", "lcs"):
         store = CheckpointStore(workdir / scheme)
-        cluster = SimulatedCluster(
-            problem, store, num_gpus=8, cost_model=spec.cost_model()
-        )
         strategy = RegularizedEvolution(
             problem.space, rng=1, population_size=10, sample_size=5
         )
-        trace = cluster.run(strategy, num_candidates=NUM_CANDIDATES, scheme=scheme)
+        trace = run_search(
+            problem, strategy, NUM_CANDIDATES, scheme=scheme, store=store,
+            evaluator=SimulatedCluster(num_gpus=8,
+                                       cost_model=spec.cost_model()),
+        )
         print(f"[{scheme}] estimation done: virtual makespan "
               f"{trace.makespan:.0f}s on 8 GPUs")
 

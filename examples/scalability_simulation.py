@@ -2,7 +2,8 @@
 """Multi-GPU scalability simulation (the paper's Figure 10 scenario).
 
 Runs the candidate-estimation phase for two contrasting applications on a
-discrete-event cluster with 8, 16 and 32 simulated GPUs:
+virtual-clock cluster of 8, 16 and 32 simulated GPUs: the ordinary
+``run_search`` loop, with ``SimulatedCluster`` as its evaluator.
 
 * CIFAR-10-like — long training tasks: near-linear scaling, transfer
   overhead invisible;
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from repro.apps import get_app
 from repro.checkpoint import CheckpointStore
-from repro.cluster import SimulatedCluster
+from repro.cluster import SimulatedCluster, run_search
 from repro.nas import RegularizedEvolution
 
 NUM_CANDIDATES = 160
@@ -41,14 +42,14 @@ def main() -> None:
             makespans = {}
             for gpus in GPU_COUNTS:
                 store = CheckpointStore(workdir / f"{app}-{scheme}-{gpus}")
-                cluster = SimulatedCluster(
-                    problem, store, num_gpus=gpus, cost_model=spec.cost_model()
-                )
                 strategy = RegularizedEvolution(
                     problem.space, rng=0, population_size=8, sample_size=4
                 )
-                trace = cluster.run(
-                    strategy, num_candidates=NUM_CANDIDATES, scheme=scheme
+                trace = run_search(
+                    problem, strategy, NUM_CANDIDATES, scheme=scheme,
+                    store=store,
+                    evaluator=SimulatedCluster(
+                        num_gpus=gpus, cost_model=spec.cost_model()),
                 )
                 makespans[gpus] = trace.makespan
             base = makespans[GPU_COUNTS[0]]

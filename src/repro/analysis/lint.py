@@ -12,9 +12,8 @@ debugging paid for, now machine-enforced:
            of a literal) must pass an explicit ``dtype``; inside
            ``repro/tensor`` hot paths, float64 dtypes themselves are
            banned.
- R002      ``repro/tensor/reference_ops.py`` is frozen — its content
-           hash must match the pinned SHA-256 (the perf-equivalence
-           baseline must never drift).
+ R002      Retired: the frozen reference kernels moved to ``tests/``,
+           where the kernel-equivalence suite pins their SHA-256.
  R003      Optimizer ``step`` bodies must not allocate: no
            ``np.copy``/fresh-array/``.astype``/``.copy`` calls and no
            ``np.concatenate``/``np.stack`` without ``out=`` — all
@@ -24,9 +23,7 @@ debugging paid for, now machine-enforced:
            set of attributes whose writes outside ``__init__`` all
            hold the owning class's lock; a mismatch in either
            direction is a finding.
- R005      ``repro.tensor.reference_ops`` may only be imported from
-           tests and benchmarks — production code must never fall back
-           to the slow frozen kernels.
+ R005      Retired with R002: ``src/`` cannot import a test module.
  R006      Retired, with the zero-copy transfer path it guarded.
  R007      In a class that owns a lock, an attribute read or written
            under that lock, or declared in ``_GUARDED_ATTRS``, is
@@ -55,18 +52,12 @@ from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import json
 import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
-
-#: SHA-256 pin of the frozen legacy kernels (R002).
-REFERENCE_OPS_SHA256 = (
-    "b63a1ee45db825ce591e6306a441930ab8ead5b535e0324ba3c41f82c8dbab87"
-)
 
 #: NumPy calls that allocate fresh float64 arrays when dtype is omitted.
 _BARE_ALLOCATORS = frozenset({"zeros", "ones", "empty", "full"})
@@ -83,10 +74,8 @@ _IGNORE_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Za-z0-9,\s]+)\])?")
 
 RULES = {
     "R001": "dtype-unspecified / float64-promoting NumPy allocation",
-    "R002": "frozen reference_ops.py content drifted from its pin",
     "R003": "allocation inside an optimizer step body",
     "R004": "_GUARDED_ATTRS disagrees with the writes that hold the lock",
-    "R005": "reference_ops imported outside tests/benchmarks",
     "R007": "shared attribute written outside the owning lock",
     "R008": "lock acquired while another is held (every lock is a leaf)",
 }
@@ -206,31 +195,6 @@ class _R003Visitor(ast.NodeVisitor):
                     f".{node.func.attr}() allocates inside an optimizer "
                     f"step; use out= ufuncs and reused scratch buffers"))
         self.generic_visit(node)
-
-
-class _R005Visitor(ast.NodeVisitor):
-    """Any import path reaching ``reference_ops``."""
-
-    def __init__(self):
-        self.findings: list[tuple[int, int, str]] = []
-
-    def _flag(self, node: ast.AST) -> None:
-        self.findings.append((
-            node.lineno, node.col_offset,
-            "reference_ops (frozen slow kernels) may only be imported "
-            "from tests/ and benchmarks/"))
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name.split(".")[-1] == "reference_ops":
-                self._flag(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        if module.split(".")[-1] == "reference_ops":
-            self._flag(node)
-        elif any(alias.name == "reference_ops" for alias in node.names):
-            self._flag(node)
 
 
 # ----------------------------------------------------------------------
@@ -540,22 +504,7 @@ def lint_file(path: Path) -> list[Finding]:
     posix = path.as_posix()
     in_tests = _is_test_path(path)
     in_tensor = "repro/tensor/" in posix
-    is_reference = in_tensor and path.name == "reference_ops.py"
-
     raw: list[tuple[str, int, int, str]] = []  # (code, line, col, message)
-
-    if is_reference:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        if digest != REFERENCE_OPS_SHA256:
-            raw.append((
-                "R002", 1, 0,
-                f"reference_ops.py content hash {digest[:12]}... does not "
-                f"match the pin {REFERENCE_OPS_SHA256[:12]}... — the frozen "
-                f"kernels must not change (update the pin only with a "
-                f"re-validated perf baseline)"))
-        # frozen file: R001/R003 intentionally not applied
-        return [Finding(posix, line, col, code, msg)
-                for code, line, col, msg in raw]
 
     try:
         source = path.read_text()
@@ -574,9 +523,6 @@ def lint_file(path: Path) -> list[Finding]:
         raw.extend(("R003", *f) for f in r003.findings)
 
     if not in_tests:
-        r005 = _R005Visitor()
-        r005.visit(tree)
-        raw.extend(("R005", *f) for f in r005.findings)
         raw.extend(lock_facts(tree, path.stem).findings)
 
     suppressed = _suppressed_lines(source)

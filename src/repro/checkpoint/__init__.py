@@ -5,7 +5,12 @@ extensions."""
 from .cache import WeightCache
 from .multilevel import AsyncCheckpointWriter
 from .sharded import ShardedCheckpointStore
-from .store import CheckpointInfo, CheckpointStore, CorruptCheckpointError
+from .store import (
+    CheckpointInfo,
+    CheckpointStore,
+    CorruptCheckpointError,
+    payload_nbytes,
+)
 
 __all__ = [
     "CheckpointStore",
@@ -14,4 +19,5 @@ __all__ = [
     "AsyncCheckpointWriter",
     "WeightCache",
     "ShardedCheckpointStore",
+    "payload_nbytes",
 ]

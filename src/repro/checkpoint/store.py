@@ -103,6 +103,16 @@ def _encode(weights: dict) -> tuple[bytearray, list]:
     return buf, layout
 
 
+def payload_nbytes(weights: dict) -> int:
+    """Bytes of the raw payload :meth:`CheckpointStore.save` writes for
+    ``weights`` (the length :func:`_encode` lays out), without writing
+    it."""
+    end = 0
+    for arr in weights.values():
+        end += -end % arr.dtype.alignment + arr.nbytes
+    return end
+
+
 def _decode(buf: bytearray, order: list, layout: list) -> dict:
     """Views of ``buf`` per the layout; the buffer length must be
     exactly what the layout spans."""

@@ -13,13 +13,13 @@ from .resilience import (
     WaitTimeout,
 )
 from .scheduler import SCHEMES, SearchDriver, run_search
-from .simcluster import CostModel, FaultModel, SimulatedCluster
+from .simcluster import CostModel, SimulatedCluster
 from .trace import Trace, TraceRecord, checkpoint_key
 
 __all__ = [
     "run_search", "SCHEMES", "SearchDriver",
     "SerialEvaluator", "ThreadPoolEvaluator",
-    "SimulatedCluster", "CostModel", "FaultModel",
+    "SimulatedCluster", "CostModel",
     "Trace", "TraceRecord", "checkpoint_key",
     "ChaosEvaluator", "CorruptCheckpointError", "FaultStats",
     "InjectedFault", "RetryPolicy", "TaskError", "TaskFailure",

@@ -16,12 +16,20 @@ retry instead of crashing the search.  Two more resilience hooks:
   completes in time, so a wait ends when a backing-off retry falls due;
 - ``abandon(ticket)`` disowns an in-flight task (a failed service
   session's teardown); its eventual completion is silently discarded.
+
+Clock seam (DESIGN.md "One clock"): every evaluator carries a
+``clock``, and the scheduler and the service read every time they use
+through it — record stamps, checkpoint I/O seconds, retry due times
+and waits.  Real evaluators share :data:`MONOTONIC`, the process's
+monotonic clock; :class:`repro.cluster.SimulatedCluster` is its own
+clock and reads virtual time.
 """
 
 from __future__ import annotations
 
 import concurrent.futures as cf
 import queue
+import time
 from collections import deque
 from typing import Callable, Optional
 
@@ -35,6 +43,31 @@ from .resilience import TaskFailure, WaitTimeout
 _GUARDED_ATTRS = ("_futures", "_next")
 
 
+class MonotonicClock:
+    """Time as real workers see it: the monotonic clock, real sleeps,
+    and checkpoint I/O costing what it measured."""
+
+    def now(self) -> float:
+        return time.perf_counter()
+
+    #: when the candidate about to be proposed starts: at its ask
+    next_start = now
+
+    def sleep(self, seconds: float) -> None:
+        time.sleep(seconds)
+
+    def io_seconds(self, measured: float, nbytes: Optional[int] = None,
+                   write: bool = False) -> float:
+        """Seconds to book for a checkpoint read (or ``write``) that
+        took ``measured`` seconds and moved ``nbytes`` (None: nothing,
+        or a cost booked elsewhere)."""
+        return measured
+
+
+#: the clock every real evaluator reads
+MONOTONIC = MonotonicClock()
+
+
 class SerialEvaluator:
     """Run each task inline on submit; wait_any pops completed results.
 
@@ -43,6 +76,7 @@ class SerialEvaluator:
     it, exactly like the thread pool does."""
 
     num_workers = 1
+    clock = MONOTONIC
 
     def __init__(self):
         self._done: deque[tuple[int, object]] = deque()
@@ -87,6 +121,8 @@ class ThreadPoolEvaluator:
     ``wait_any`` is a single O(1) blocking get — the old implementation
     re-scanned every outstanding future with ``cf.wait`` on each call,
     O(n) per wait and O(n^2) over a run."""
+
+    clock = MONOTONIC
 
     def __init__(self, num_workers: int = 4):
         self.num_workers = num_workers

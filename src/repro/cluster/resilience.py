@@ -1,8 +1,8 @@
 """Fault-tolerant execution layer for cluster-scale NAS (DESIGN.md
 "Fault tolerance").
 
-At the paper's scale (32 A100s, multi-day campaigns) worker crashes,
-stragglers and corrupt checkpoints are the norm, not the exception.
+At the paper's scale (32 A100s, multi-day campaigns) worker crashes
+and corrupt checkpoints are the norm, not the exception.
 This module gives the scheduler everything it needs to survive them:
 
 - a **typed fault taxonomy** (:class:`TaskError`,
@@ -370,6 +370,10 @@ class ChaosEvaluator:
     @property
     def num_workers(self) -> int:
         return self.evaluator.num_workers
+
+    @property
+    def clock(self):
+        return self.evaluator.clock
 
     @property
     def in_flight(self) -> int:

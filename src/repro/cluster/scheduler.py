@@ -10,7 +10,11 @@
 
 ``scheme`` selects the paper's three configurations: ``"baseline"``
 (cold start, **no checkpointing at all** — see DESIGN.md), ``"lp"`` and
-``"lcs"``.  Wall-clock timestamps land in the returned :class:`Trace`.
+``"lcs"``.  Timestamps land in the returned :class:`Trace`, read on the
+evaluator's ``clock`` (DESIGN.md "One clock"): wall time on real
+workers, virtual time on a :class:`repro.cluster.SimulatedCluster`,
+which is how the figures' simulated searches run this same loop.  The
+driver reads no clock of its own.
 
 Re-entrant driver (DESIGN.md "Service architecture"): the loop itself
 lives in :class:`SearchDriver` — one ``step()`` submits what fits and
@@ -67,7 +71,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import heapq
-import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -80,6 +83,7 @@ from ..checkpoint import (
     AsyncCheckpointWriter,
     CorruptCheckpointError,
     WeightCache,
+    payload_nbytes,
 )
 from ..nas.estimation import FAILURE_SCORE, estimate_candidate
 from ..transfer.policy import get_policy
@@ -164,6 +168,8 @@ class SearchDriver:
         self.retry = retry or RetryPolicy(max_attempts=1)
         self.policy = get_policy(provider_policy, space=problem.space)
         self.evaluator = evaluator or SerialEvaluator()
+        #: where every time this search uses is read
+        self.clock = self.evaluator.clock
 
         # -- checkpoint I/O: write-behind saves, providers read through a
         # cache of the population --
@@ -188,9 +194,9 @@ class SearchDriver:
         self.fault_stats = FaultStats()
         self.trace = Trace(name=name or f"{problem.name}-{scheme}",
                            scheme=scheme)
-        self._t0 = time.perf_counter()
+        self._t0 = self.clock.now()
         self._pending: dict[int, _Pending] = {}   # ticket -> in-flight
-        #: retries backing off: (due monotonic, candidate id, pending) —
+        #: retries backing off: (due time, candidate id, pending) —
         #: in flight too, but holding no ticket until they are due
         self._backoff: list[tuple[float, int, _Pending]] = []
         #: id of the next proposal; a resumed journal may have gaps (a
@@ -255,15 +261,15 @@ class SearchDriver:
 
     @property
     def next_retry_due(self) -> Optional[float]:
-        """When the earliest backing-off retry is due (monotonic), None
-        when no retry is backing off."""
+        """When the earliest backing-off retry is due (on the clock),
+        None when no retry is backing off."""
         return self._backoff[0][0] if self._backoff else None
 
     def _wait_budget(self) -> Optional[float]:
         """Seconds until the next retry falls due, None when no retry is
         backing off."""
         due = self.next_retry_due
-        return None if due is None else max(0.0, due - time.monotonic())
+        return None if due is None else max(0.0, due - self.clock.now())
 
     def _key(self, candidate_id: int) -> str:
         return self.key_prefix + checkpoint_key(candidate_id)
@@ -279,9 +285,10 @@ class SearchDriver:
         does not hang on the writer thread's timing.  Only weights read
         back from disk enter the cache, so a provider's first child
         always reads its checkpoint and checks its CRC."""
-        store, weight_cache = self.store, self.weight_cache
+        store, weight_cache, clock = self.store, self.weight_cache, self.clock
         save = self._saves.get(key)
-        io0 = time.perf_counter()
+        io0 = clock.now()
+        nbytes = None                      # what was read, if anything
         try:
             if save is not None and save.exception() is not None:
                 return None        # a failed save: booked when it lands
@@ -289,9 +296,12 @@ class SearchDriver:
                 weights = weight_cache.get(key)
                 if weights is not None:
                     record.cache_hit = True
+                    nbytes = payload_nbytes(weights)
                     return weights
             weights = store.load(key)
+            nbytes = payload_nbytes(weights)
         except CorruptCheckpointError:
+            nbytes = store.nbytes(key)     # read before found corrupt
             self.fault_stats.record_fault("corrupt_checkpoint")
             self.fault_stats.quarantined += 1
             store.quarantine(key)
@@ -299,7 +309,8 @@ class SearchDriver:
         except FileNotFoundError:
             return None                    # never saved, or save failed
         finally:
-            record.add_io_blocked(time.perf_counter() - io0)
+            record.add_io_blocked(
+                clock.io_seconds(clock.now() - io0, nbytes))
         if weight_cache is not None:
             weight_cache.put(key, weights)
         return weights
@@ -316,7 +327,7 @@ class SearchDriver:
             candidate_id=candidate_id, arch_seq=tuple(proposal.arch_seq),
             score=float("nan"), scheme=self.scheme,
             parent_id=proposal.parent_id,
-            start_time=time.perf_counter() - self._t0,
+            start_time=self.clock.next_start() - self._t0,
         )
         provider_weights = None
         if self.transfers:
@@ -345,7 +356,7 @@ class SearchDriver:
         tell + append now, so write-behind never changes what the search
         decides; journal + ``on_record`` once it lands (:meth:`land`)."""
         record = pend.record
-        record.end_time = time.perf_counter() - self._t0
+        record.end_time = self.clock.now() - self._t0
         record.attempts = pend.attempt
         record_update(record)
         self.strategy.tell(record.candidate_id, record.arch_seq,
@@ -382,7 +393,7 @@ class SearchDriver:
                     self._writer_errors.append(f"{key}: {exc!r}")
                 else:
                     record.ckpt_bytes = info.nbytes
-                    record.add_io_hidden(seconds)
+                    record.add_io_hidden(self.clock.io_seconds(seconds))
             self._held.popleft()
             if self._journal is not None:
                 self._journal.append(record)
@@ -408,7 +419,7 @@ class SearchDriver:
                 # and the caller's loop dispatches it once it is due
                 self.fault_stats.backoff_seconds += delay
                 heapq.heappush(self._backoff,
-                               (time.monotonic() + delay,
+                               (self.clock.now() + delay,
                                 pend.record.candidate_id, pend))
             else:
                 self._dispatch(pend)
@@ -441,15 +452,18 @@ class SearchDriver:
                 # the payload write lands in io_hidden once the record
                 # lands, and a failed one costs the checkpoint, not the
                 # search (land() books it; children cold-start)
-                io0 = time.perf_counter()
+                clock = self.clock
+                io0 = clock.now()
                 self._saves[key] = self.writer.save(key, result.weights,
                                                     meta=meta)
-                record.add_io_blocked(time.perf_counter() - io0)
+                record.add_io_blocked(clock.io_seconds(
+                    clock.now() - io0, payload_nbytes(result.weights),
+                    write=True))
         self._finalize_record(pend, apply)
 
     def dispatch_due_retries(self) -> None:
         """Resubmit every backing-off retry whose delay has run out."""
-        now = time.monotonic()
+        now = self.clock.now()
         while self._backoff and self._backoff[0][0] <= now:
             self._dispatch(heapq.heappop(self._backoff)[2])
 
@@ -504,7 +518,7 @@ class SearchDriver:
             self.submit_next()
         if not self._pending and self._backoff:
             # only backoffs left: nothing can land before the next is due
-            time.sleep(self._wait_budget())
+            self.clock.sleep(self._wait_budget())
             self.dispatch_due_retries()
         self._wait_and_complete()
 
@@ -531,7 +545,7 @@ class SearchDriver:
         # record landed and journaled, before the journal closes -------
         io_stats: dict = {}
         writer = self.writer
-        drain0 = time.perf_counter()
+        drain0 = self.clock.now()
         error: Optional[Exception] = None
         try:
             self.close()
@@ -539,7 +553,7 @@ class SearchDriver:
             error = exc
         finally:
             if writer is not None:
-                io_stats["drain_seconds"] = time.perf_counter() - drain0
+                io_stats["drain_seconds"] = self.clock.now() - drain0
                 if self._writer_errors:
                     io_stats["writer_errors"] = list(self._writer_errors)
                 writer.close()

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..apps import get_app
 from ..checkpoint import CheckpointStore
-from ..cluster import SimulatedCluster, Trace, checkpoint_key
+from ..cluster import SimulatedCluster, Trace, checkpoint_key, run_search
 from ..nas import RegularizedEvolution, estimate_candidate, full_train
 from .config import ExperimentConfig, get_config
 
@@ -75,20 +75,19 @@ class ExperimentContext:
         if cache.exists():
             trace = Trace.load_jsonl(cache)
         else:
-            spec = get_app(app)
             problem = self.problem(app, seed=seed)
-            cluster = SimulatedCluster(
-                problem, self.store(app, scheme, gpus, seed),
-                num_gpus=gpus, cost_model=spec.cost_model(),
-            )
             strategy = RegularizedEvolution(
                 problem.space, rng=seed,
                 population_size=self.config.population_size,
                 sample_size=self.config.sample_size,
             )
-            trace = cluster.run(
-                strategy, self.config.num_candidates,
+            trace = run_search(
+                problem, strategy, self.config.num_candidates,
                 scheme=scheme, seed=seed,
+                store=self.store(app, scheme, gpus, seed),
+                evaluator=SimulatedCluster(
+                    num_gpus=gpus, cost_model=get_app(app).cost_model()),
+                name=f"{problem.name}-{scheme}-g{gpus}",
             )
             trace.save_jsonl(cache)
         self._traces[key] = trace

@@ -71,7 +71,6 @@ bit-identical, the search continuing from its last durable candidate.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -262,7 +261,9 @@ class SearchService:
     evaluator:
         The shared fleet every session's evaluations run on.  Defaults
         to a :class:`SerialEvaluator`; any evaluator exposing
-        ``submit`` / ``wait_any`` / ``abandon`` / ``num_workers`` works.
+        ``submit`` / ``wait_any`` / ``abandon`` / ``num_workers`` /
+        ``clock`` works.  Retry due times, waits and sleeps are read
+        on its ``clock``, the one its sessions' drivers stamp with.
     store:
         Shared :class:`~repro.checkpoint.CheckpointStore`; sessions
         namespace their keys with ``"<session_id>--"``.  ``None`` is
@@ -297,6 +298,7 @@ class SearchService:
                  tenant_quota: int = 4,
                  max_in_flight: Optional[int] = None):
         self.evaluator = evaluator or SerialEvaluator()
+        self.clock = self.evaluator.clock
         self.store = store
         self.journal_dir = Path(journal_dir) if journal_dir is not None \
             else None
@@ -461,7 +463,7 @@ class SearchService:
                 budget = self._wait_budget()
                 if budget is not None:
                     # nothing in flight but retries backing off
-                    time.sleep(budget)
+                    self.clock.sleep(budget)
                     continue
                 # nothing in flight: either everyone is terminal, or a
                 # drain left runnable sessions behind
@@ -596,7 +598,7 @@ class SearchService:
         None when no retry is backing off."""
         due = [s.driver.next_retry_due for s in self._running()
                if s.driver.next_retry_due is not None]
-        return max(0.0, min(due) - time.monotonic()) if due else None
+        return max(0.0, min(due) - self.clock.now()) if due else None
 
     # -- lifecycle transitions (drive thread only) ----------------------
     def _finish(self, session: _Session, state: str) -> None:

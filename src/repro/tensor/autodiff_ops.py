@@ -27,9 +27,10 @@ Performance contract (see DESIGN.md "Kernel layout & performance"):
   ``conv2d_backward`` scatters column gradients row-wise in an order
   that keeps every float32 sum bit-identical to the per-tap loop.
 
-The pre-optimization implementations are frozen in ``reference_ops`` and
-the two are compared op-by-op in ``tests/test_kernel_equivalence.py``
-(conv2d exactly, on generated shapes).
+The pre-optimization implementations are frozen in
+``tests/reference_ops.py`` and the two are compared op-by-op in
+``tests/test_kernel_equivalence.py`` (conv2d exactly, on generated
+shapes).
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ gets a gradient on every step, as in ``fit``.
 
 Gradients are consumed as-is: the gather casts them into the flat
 buffer's dtype, so float64 gradients never promote float32 parameters.
-The pre-optimization allocating rule is frozen in ``reference_ops``
-and compared against this one in ``tests/test_kernel_equivalence.py``.
+The pre-optimization allocating rule is frozen in
+``tests/reference_ops.py`` and compared against this one in
+``tests/test_kernel_equivalence.py``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The invariant linter: fixture violations, suppression, clean tree.
 
 Fixtures are copied to a tmp dir before linting because rule scoping is
-path-based — under ``tests/`` the linter deliberately relaxes R005."""
+path-based — under ``tests/`` the linter skips the lock rules."""
 
 import json
 import os
@@ -32,12 +32,10 @@ def test_fixture_triggers_every_rule(fixture_tree):
 
 @pytest.mark.parametrize("rel, codes", [
     ("bad_alloc.py", {"R001"}),
-    ("tensor/reference_ops.py", {"R002"}),
     ("tensor/optimizers.py", {"R003"}),
     # the stale declaration is both an assertion mismatch (R004) and a
     # genuine unguarded shared write (R007)
     ("cluster/evaluator.py", {"R004", "R007"}),
-    ("uses_reference.py", {"R005"}),
     ("cluster/locks_cycle.py", {"R008"}),
     ("cluster/racy.py", {"R007"}),
 ])
@@ -59,15 +57,6 @@ def test_suppression_comment_silences_finding(fixture_tree):
     assert lint_paths([fixture_tree / "repro" / "suppressed.py"]) == []
 
 
-def test_r005_suppression(fixture_tree):
-    path = fixture_tree / "repro" / "uses_reference.py"
-    source = path.read_text().replace(
-        "import reference_ops  # noqa: F401",
-        "import reference_ops  # noqa: F401  # lint: ignore[R005]")
-    path.write_text(source)
-    assert lint_paths([path]) == []
-
-
 def test_findings_carry_location_and_message(fixture_tree):
     finding, = lint_paths([fixture_tree / "repro" / "bad_alloc.py"])
     assert finding.line == 7
@@ -77,7 +66,7 @@ def test_findings_carry_location_and_message(fixture_tree):
 
 def test_main_exit_codes(fixture_tree, capsys):
     assert main([str(fixture_tree)]) == 1
-    assert "R002" in capsys.readouterr().out
+    assert "R003" in capsys.readouterr().out
     assert main([str(fixture_tree / "repro" / "suppressed.py")]) == 0
 
 

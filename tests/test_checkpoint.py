@@ -16,6 +16,7 @@ from repro.checkpoint import (
     AsyncCheckpointWriter,
     CheckpointStore,
     ShardedCheckpointStore,
+    payload_nbytes,
 )
 
 
@@ -36,6 +37,15 @@ def test_save_load_round_trip(tmp_path):
     assert list(loaded) == list(w)          # order preserved
     assert all(np.array_equal(loaded[k], w[k]) for k in w)
     assert store.load_meta("m_000001") == {"score": 0.5, "arch_seq": [1, 2]}
+
+
+def test_payload_nbytes_is_the_saved_payload_size(tmp_path):
+    """The size the simulated cluster charges a save for, before the
+    save: alignment padding between mixed dtypes included."""
+    w = {"a": np.ones(3, np.int8), "b": np.ones(2, np.float64),
+         "c": np.ones((2, 3), np.float32)}
+    info = CheckpointStore(tmp_path).save("m", w)
+    assert payload_nbytes(w) == info.nbytes == 8 + 16 + 24
 
 
 def test_keys_len_sizes_delete(tmp_path):

@@ -4,8 +4,8 @@ The contract under test (DESIGN.md "Checkpoint I/O pipeline"): a
 store-backed search saves write-behind and reads providers through a
 population-sized cache, which changes *when* I/O happens, never *what*
 the search computes — its traces are semantically identical to the
-fully synchronous loop of a one-GPU :class:`SimulatedCluster`, also when
-saves fail, and ``overhead`` always equals ``io_blocked + io_hidden``.
+fully synchronous loop in ``reference_loop.py``, and ``overhead``
+always equals ``io_blocked + io_hidden``.
 """
 
 import tempfile
@@ -15,12 +15,12 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_loop import synchronous_search
 
 from repro.checkpoint import CheckpointStore, ShardedCheckpointStore
 from repro.cluster import (
     SearchDriver,
     SerialEvaluator,
-    SimulatedCluster,
     ThreadPoolEvaluator,
     Trace,
     TraceJournal,
@@ -51,11 +51,10 @@ def search(problem, space, tmp_path, tag, n=10, **kw):
 
 
 def synchronous(problem, space, tmp_path, tag, n=10):
-    """The synchronous reference: a one-GPU simulated cluster loads and
-    saves every checkpoint on its dispatch loop, with no cache."""
-    cluster = SimulatedCluster(problem, CheckpointStore(tmp_path / tag),
-                               num_gpus=1)
-    return cluster.run(evolution(space), n, scheme="lcs", seed=0)
+    """The synchronous reference: loads and saves every checkpoint in
+    line, with no cache."""
+    return synchronous_search(problem, evolution(space), n,
+                              store=CheckpointStore(tmp_path / tag))
 
 
 EVALUATORS = pytest.mark.parametrize("make_evaluator", [

@@ -1,8 +1,9 @@
 """Optimized kernels vs the frozen pre-optimization reference kernels.
 
-``repro.tensor.reference_ops`` is a verbatim snapshot of the hot-path
-implementations before the perf rework; these tests pin the rework to
-bit-for-bit-ish (allclose) agreement on randomized shapes.
+``reference_ops.py`` (next to this file) is a verbatim snapshot of the
+hot-path implementations before the perf rework; these tests pin the
+rework to bit-for-bit-ish (allclose) agreement on randomized shapes,
+and pin the snapshot itself by its SHA-256 so it never drifts.
 
 Pooling note: the legacy 2-D max-pool mask tie-broke *non-uniquely*
 (its double-cumsum could keep several cells of a tied window), while the
@@ -13,18 +14,32 @@ case is exercised separately to document the new (correct) behaviour.
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+import reference_ops as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.tensor.autodiff_ops as ops
-import repro.tensor.reference_ops as ref
 from repro.tensor.optimizers import Adam
+
+#: SHA-256 of the frozen kernels: update it only with a re-validated
+#: perf baseline
+REFERENCE_OPS_SHA256 = (
+    "b63a1ee45db825ce591e6306a441930ab8ead5b535e0324ba3c41f82c8dbab87"
+)
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def test_reference_kernels_are_frozen():
+    source = Path(ref.__file__).read_bytes()
+    assert hashlib.sha256(source).hexdigest() == REFERENCE_OPS_SHA256
 
 
 # ---------------------------------------------------------------------------

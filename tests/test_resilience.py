@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_loop import synchronous_search
 
 from repro.checkpoint import CheckpointStore, CorruptCheckpointError
 from repro.cluster import (
     ChaosEvaluator,
-    FaultModel,
     InjectedFault,
     RetryPolicy,
     SearchDriver,
@@ -289,8 +289,8 @@ def test_live_run_and_its_resume_agree_under_a_corrupting_store(
         space, problem, tmp_path):
     """A provider's disk copy is CRC-checked before any child inherits
     from it, so the provider cache cannot hide a corrupt checkpoint: the
-    live run decides and quarantines what the synchronous one-GPU loop
-    does, and a killed run's resume — which starts with an empty cache
+    live run decides and quarantines what the synchronous reference
+    loop does, and a killed run's resume — which starts with an empty cache
     — cold-starts exactly as the run it continues."""
     def decisions(trace):
         return [(r.candidate_id, r.arch_seq, r.score, r.provider_id,
@@ -300,8 +300,8 @@ def test_live_run_and_its_resume_agree_under_a_corrupting_store(
     live = run_search(problem, _evolution(space), 10, scheme="lcs",
                       store=live_store, seed=0)
     sync_store = CorruptingStore(tmp_path / "sync")
-    sync = SimulatedCluster(problem, sync_store, num_gpus=1).run(
-        _evolution(space), 10, scheme="lcs", seed=0)
+    sync = synchronous_search(problem, _evolution(space), 10,
+                              store=sync_store)
     assert decisions(live) == decisions(sync)
     assert live_store.quarantined_keys() == sync_store.quarantined_keys()
     assert live.fault_stats["quarantined"] == \
@@ -507,45 +507,41 @@ def test_evolution_restore_fast_forwards_warmup(space):
 
 
 # ---------------------------------------------------------------------------
-# simulator fault model
+# faults on the simulated cluster: the same wrappers, on a virtual clock
 # ---------------------------------------------------------------------------
 
-def test_fault_model_validates():
-    with pytest.raises(ValueError):
-        FaultModel(crash_prob=1.5)
-    with pytest.raises(ValueError):
-        FaultModel(straggler_factor=0.5)
+def _sim_search(space, problem, store, n, evaluator, **kw):
+    strategy = RegularizedEvolution(space, rng=1, population_size=4,
+                                    sample_size=2)
+    if not isinstance(store, CheckpointStore):
+        store = CheckpointStore(store)
+    return run_search(problem, strategy, n, scheme="lcs", store=store,
+                      evaluator=evaluator, seed=1, **kw)
 
 
 def test_sim_zero_rate_faults_match_clean_run(space, problem, tmp_path):
-    def run(root, faults):
-        cluster = SimulatedCluster(problem, CheckpointStore(root),
-                                   num_gpus=2)
-        strategy = RegularizedEvolution(space, rng=1, population_size=4,
-                                        sample_size=2)
-        return cluster.run(strategy, 6, scheme="lcs", seed=1, faults=faults)
-
-    clean = run(tmp_path / "a", None)
-    zero = run(tmp_path / "b", FaultModel())
+    clean = _sim_search(space, problem, tmp_path / "a", 6,
+                        SimulatedCluster(num_gpus=2))
+    zero = _sim_search(space, problem, tmp_path / "b", 6, ChaosEvaluator(
+        SimulatedCluster(num_gpus=2), crash_prob=0.0, seed=1))
     assert [(r.arch_seq, r.score, r.end_time) for r in clean] == \
            [(r.arch_seq, r.score, r.end_time) for r in zero]
     assert clean.fault_stats is None
     assert zero.fault_stats["total_faults"] == 0
 
 
-def test_sim_crashes_cost_virtual_time(space, problem, tmp_path):
-    def run(root, faults):
-        cluster = SimulatedCluster(problem, CheckpointStore(root),
-                                   num_gpus=2)
-        strategy = RegularizedEvolution(space, rng=1, population_size=4,
-                                        sample_size=2)
-        return cluster.run(strategy, 8, scheme="lcs", seed=1, faults=faults,
-                           retry=RetryPolicy(max_attempts=8, base_delay=1.0,
-                                             jitter=0.0))
+def test_sim_crashes_cost_virtual_time(space, problem, tmp_path,
+                                       monkeypatch):
+    retry = RetryPolicy(max_attempts=8, base_delay=1.0, jitter=0.0)
+    clean = _sim_search(space, problem, tmp_path / "a", 8,
+                        SimulatedCluster(num_gpus=2), retry=retry)
 
-    clean = run(tmp_path / "a", None)
-    faulty = run(tmp_path / "b", FaultModel(crash_prob=0.5,
-                                            straggler_prob=0.2))
+    def no_sleep(seconds):
+        raise AssertionError(f"a simulated search slept {seconds}s")
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    faulty = _sim_search(space, problem, tmp_path / "b", 8, ChaosEvaluator(
+        SimulatedCluster(num_gpus=2), crash_prob=0.5, seed=1), retry=retry)
     assert len(faulty) == 8
     assert faulty.makespan > clean.makespan
     fs = faulty.fault_stats
@@ -553,25 +549,22 @@ def test_sim_crashes_cost_virtual_time(space, problem, tmp_path):
     assert fs["retries"] > 0
     # the retry budget absorbs every crash: no candidate is lost (faults
     # shift completion times, so the *trajectory* may legitimately differ
-    # from the clean run — only the zero-rate model is bit-identical)
+    # from the clean run — only the zero-rate wrapper is bit-identical)
     assert fs["failed_records"] == 0
     assert all(r.ok for r in faulty)
     assert fs["backoff_seconds"] > 0
 
 
 def test_sim_corrupt_writes_reach_quarantine(space, problem, tmp_path):
-    cluster = SimulatedCluster(problem, CheckpointStore(tmp_path),
-                               num_gpus=2)
-    strategy = RegularizedEvolution(space, rng=1, population_size=4,
-                                    sample_size=2)
-    trace = cluster.run(strategy, 12, scheme="lcs", seed=1,
-                        faults=FaultModel(corrupt_prob=1.0))
+    store = CorruptingStore(tmp_path)
+    trace = _sim_search(space, problem, store, 12,
+                        SimulatedCluster(num_gpus=2))
     assert len(trace) == 12
     fs = trace.fault_stats
-    assert fs["by_kind"]["corrupt_write"] > 0
     # every provider read of a truncated payload hit the quarantine path
-    assert fs["quarantined"] == fs["by_kind"].get("corrupt_checkpoint", 0)
-    assert fs["quarantined"] > 0
+    assert fs["quarantined"] == fs["by_kind"]["corrupt_checkpoint"] > 0
+    assert len(store.quarantined_keys()) == fs["quarantined"]
+    assert all(r.provider_id is None for r in trace)
 
 
 def test_fault_stats_roundtrip_trace_jsonl(space, problem, tmp_path):
