@@ -2,10 +2,9 @@
 
 - **Invariant linter** (:mod:`repro.analysis.lint`, run as
   ``python -m repro.analysis.lint src/repro``): per-file AST rules
-  R001-R008 (R006 retired) enforcing the repo's dtype discipline,
-  frozen reference kernels, allocation-free optimizer steps,
-  reference-kernel import hygiene, and the lock discipline of each
-  module: ``_GUARDED_ATTRS`` declarations match the writes that hold
+  R001, R003, R004, R007 and R008 enforcing the repo's dtype
+  discipline, allocation-free optimizer steps, and the lock discipline
+  of each module: ``_GUARDED_ATTRS`` declarations match the writes that hold
   the lock, shared attributes are written under it, and *every lock
   is a leaf* (no lock acquired while another is held).  The companion
   runtime sanitizer (:mod:`repro.analysis.lockcheck`) is the one check

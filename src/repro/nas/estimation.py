@@ -41,10 +41,12 @@ def estimate_candidate(problem, arch_seq, *, seed: int = 0,
     """One partial-training evaluation of ``arch_seq``.
 
     ``provider_weights`` (if given) are selectively transferred into the
-    fresh model before training; ``keep_weights`` returns the trained
-    weights so the caller can checkpoint them.  They are the model's own
-    arrays, not copies: nothing else holds the model, so the write-behind
-    writer's snapshot is the one defensive copy.
+    fresh model before it initialises, so the matched tensors are never
+    drawn (DESIGN.md "Transfer before init"); ``keep_weights`` returns
+    the trained weights so the caller can checkpoint them.  They are
+    views of the model's own buffer, not copies: nothing else holds the
+    model, so the write-behind writer's snapshot is the one defensive
+    copy.
     """
     epochs = problem.estimation_epochs if epochs is None else epochs
     ds = problem.dataset

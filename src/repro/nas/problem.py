@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..tensor import Network
 from .space import SearchSpace
 
@@ -36,8 +34,6 @@ class Problem:
     def build_model(self, arch_seq, rng: Optional[object] = 0,
                     name: Optional[str] = None) -> Network:
         """Materialise the candidate network (seeded init by default)."""
-        rng = np.random.default_rng(rng) if not isinstance(
-            rng, np.random.Generator) else rng
         return self.space.build_network(arch_seq, rng, name=name)
 
     def __repr__(self):

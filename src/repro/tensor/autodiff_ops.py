@@ -23,6 +23,11 @@ Performance contract (see DESIGN.md "Kernel layout & performance"):
 - the conv, dense and batch-norm backwards take ``need_gx``: with
   ``False`` (no ancestor trains, see ``Network.backward_liveness``) they
   skip the input-gradient work and return ``gx=None``;
+- the same backwards take the parameter-gradient arrays to write into
+  (``np.matmul(..., out=)``, ``np.add.reduce(..., out=)``): a network
+  passes the views of its one gradient buffer, so the optimizer reads
+  every gradient without a gather; ``None`` allocates, as a stand-alone
+  layer needs;
 - same-padding pads write into a zeroed buffer (no ``np.pad``), and
   ``conv2d_backward`` scatters column gradients row-wise in an order
   that keeps every float32 sum bit-identical to the per-tap loop.
@@ -48,12 +53,21 @@ def dense_forward(x, kernel, bias):
     return out, (x, kernel)
 
 
-def dense_backward(gout, cache, need_gx=True):
+def dense_backward(gout, cache, need_gx=True, gk=None, gb=None):
     x, kernel = cache
     gx = gout @ kernel.T if need_gx else None
-    gk = x.T @ gout
-    gb = gout.sum(axis=0)
+    gk = np.matmul(x.T, gout, out=gk)
+    gb = np.add.reduce(gout, axis=0, out=gb)
     return gx, gk, gb
+
+
+def _matmul_into(a, b, out, shape):
+    """``(a @ b).reshape(shape)``, written into ``out`` when given (a
+    contiguous array of ``shape``, so its 2-D reshape is a view)."""
+    if out is None:
+        return (a @ b).reshape(shape)
+    np.matmul(a, b, out=out.reshape(a.shape[0], b.shape[1]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +124,7 @@ def conv2d_forward(x, kernel, bias, padding="same"):
     return out, (xp, kernel, (ph, pw), x.shape)
 
 
-def conv2d_backward(gout, cache, need_gx=True):
+def conv2d_backward(gout, cache, need_gx=True, gk=None, gb=None):
     """``need_gx=False`` skips the column-gradient GEMM and scatter and
     returns ``gx=None``.
 
@@ -127,10 +141,10 @@ def conv2d_backward(gout, cache, need_gx=True):
     # one transient rebuild of the column matrix; measured faster than
     # tensordot/einsum over the 6-D view (those copy internally anyway)
     cols = im2col2d(xp, kh, kw).reshape(-1, kh * kw * cin)
-    gk = (cols.T @ g2).reshape(kh, kw, cin, cout)
+    gk = _matmul_into(cols.T, g2, gk, (kh, kw, cin, cout))
     # free the columns before the gcols GEMM allocates a matrix their size
     del cols
-    gb = g2.sum(axis=0)
+    gb = np.add.reduce(g2, axis=0, out=gb)
     if not need_gx:
         return None, gk, gb
     gcols = (g2 @ kernel.reshape(kh * kw * cin, cout).T).reshape(
@@ -190,14 +204,14 @@ def conv1d_forward(x, kernel, bias, padding="same"):
     return out, (cols, kernel, p, x.shape, xp.shape)
 
 
-def conv1d_backward(gout, cache, need_gx=True):
+def conv1d_backward(gout, cache, need_gx=True, gk=None, gb=None):
     cols, kernel, p, x_shape, xp_shape = cache
     k, cin, cout = kernel.shape
     n, lo, _ = gout.shape
     g2 = gout.reshape(-1, cout)
     c2 = cols.reshape(-1, k * cin)
-    gk = (c2.T @ g2).reshape(k, cin, cout)
-    gb = g2.sum(axis=0)
+    gk = _matmul_into(c2.T, g2, gk, (k, cin, cout))
+    gb = np.add.reduce(g2, axis=0, out=gb)
     if not need_gx:
         return None, gk, gb
     gcols = (g2 @ kernel.reshape(k * cin, cout).T).reshape(n, lo, k, cin)
@@ -316,11 +330,11 @@ def batchnorm_forward(x, gamma, beta, mean, var, eps=1e-5,
     return out, (xhat, gamma, inv, x.shape, batch_stats)
 
 
-def batchnorm_backward(gout, cache, need_gx=True):
+def batchnorm_backward(gout, cache, need_gx=True, ggamma=None, gbeta=None):
     xhat, gamma, inv, x_shape, batch_stats = cache
     axes = tuple(range(gout.ndim - 1))
-    ggamma = (gout * xhat).sum(axis=axes)
-    gbeta = gout.sum(axis=axes)
+    ggamma = np.add.reduce(gout * xhat, axis=axes, out=ggamma)
+    gbeta = np.add.reduce(gout, axis=axes, out=gbeta)
     if not need_gx:
         return None, ggamma, gbeta
     if not batch_stats:
@@ -406,12 +420,6 @@ ACTIVATIONS = {
 # ---------------------------------------------------------------------------
 # softmax cross-entropy (fused, numerically stable)
 # ---------------------------------------------------------------------------
-
-
-def softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits, onehot):

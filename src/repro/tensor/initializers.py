@@ -1,7 +1,8 @@
 """Weight initializers with seeded RNG plumbing.
 
-Every initializer is a callable ``init(shape, rng) -> np.ndarray`` so the
-caller controls determinism by passing a ``numpy.random.Generator``.
+Every initializer fills a preallocated tensor in place,
+``init(out, rng)``, so the caller controls determinism by passing a
+``numpy.random.Generator`` and decides where the tensor lives.
 """
 
 from __future__ import annotations
@@ -26,38 +27,25 @@ def _fans(shape) -> tuple[int, int]:
     return receptive * shape[-2], receptive * shape[-1]
 
 
-def glorot_uniform(shape, rng) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
+def glorot_uniform(out, rng) -> None:
+    """U(-l, l) with l = sqrt(6 / (fan_in + fan_out)): one float64 draw,
+    hence one 64-bit step of ``rng``'s bit generator, per element."""
+    fan_in, fan_out = _fans(out.shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return as_rng(rng).uniform(-limit, limit, size=shape).astype(np.float32)
+    out[...] = rng.uniform(-limit, limit, size=out.shape)
 
 
-def he_normal(shape, rng) -> np.ndarray:
-    fan_in, _ = _fans(shape)
-    std = np.sqrt(2.0 / max(fan_in, 1))
-    return (as_rng(rng).standard_normal(shape) * std).astype(np.float32)
+def zeros(out, rng=None) -> None:
+    out.fill(0.0)
 
 
-def zeros(shape, rng=None) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float32)
+def ones(out, rng=None) -> None:
+    out.fill(1.0)
 
 
-def ones(shape, rng=None) -> np.ndarray:
-    return np.ones(shape, dtype=np.float32)
-
-
-INITIALIZERS = {
-    "glorot_uniform": glorot_uniform,
-    "he_normal": he_normal,
-    "zeros": zeros,
-    "ones": ones,
-}
-
-
-def get_initializer(name_or_fn):
-    if callable(name_or_fn):
-        return name_or_fn
-    try:
-        return INITIALIZERS[name_or_fn]
-    except KeyError:
-        raise ValueError(f"unknown initializer {name_or_fn!r}") from None
+def skip(init, size: int, rng) -> None:
+    """Advance ``rng`` past the draws ``init`` makes for a tensor of
+    ``size`` elements, so every later tensor draws the bits it would
+    have drawn had this one been initialised."""
+    if init is glorot_uniform:
+        rng.bit_generator.advance(size)

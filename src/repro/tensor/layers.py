@@ -3,8 +3,11 @@
 A layer owns an ordered dict of named parameter tensors (``params``) and
 their gradients (``grads``).  ``infer(input_shape)`` is the layer's one
 shape rule: it returns the output shape and the parameter shapes without
-allocating anything.  ``build(input_shape, rng)`` runs ``infer`` and then
-initialises the parameters from ``rng`` in declaration order; building
+allocating anything.  ``declare(input_shape)`` runs ``infer`` and fixes
+the layer's shapes; a :class:`~repro.tensor.network.Network` then binds
+the parameters to views of its one buffer.  A layer on its own is built
+with ``build(input_shape, rng)``, which declares, allocates and
+initialises the parameters from ``rng`` in declaration order.  Building
 twice is an error.  The static shape sequence
 (:func:`repro.transfer.arch_shape_sequence`) calls ``infer`` too, so no
 shape rule exists twice.  Shapes exclude the batch
@@ -23,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff_ops as ops
-from .initializers import as_rng, get_initializer, ones, zeros
+from .initializers import as_rng, glorot_uniform, ones, zeros
 
 
 class BuildError(ValueError):
@@ -32,7 +35,11 @@ class BuildError(ValueError):
 
 class Layer:
     """Base class.  Subclasses override ``infer`` (and ``initializer``
-    when a parameter does not start at zero)."""
+    when a parameter is neither a glorot-uniform ``kernel`` nor zero).
+    ``TRAINABLE`` names the parameters the optimizer steps; ``None``
+    means all of them."""
+
+    TRAINABLE: Optional[tuple] = None
 
     def __init__(self, name: str):
         self.name = name
@@ -44,16 +51,26 @@ class Layer:
         self._cache = None
 
     # -- lifecycle ---------------------------------------------------------
-    def build(self, input_shape, rng) -> tuple:
+    def declare(self, input_shape) -> dict[str, tuple]:
+        """Fix the layer's shapes for ``input_shape``; returns
+        ``{param name: shape}`` in declaration order."""
         if self.built:
             raise RuntimeError(f"layer {self.name} built twice")
         self.input_shape = tuple(input_shape)
         self.output_shape, param_shapes = self.infer(self.input_shape)
-        rng = as_rng(rng)
-        for pname, shape in param_shapes.items():
-            self.params[pname] = self.initializer(pname)(shape, rng)
         self.built = True
+        return param_shapes
+
+    def build(self, input_shape, rng) -> tuple:
+        """Stand-alone build: declare, then initialise own arrays."""
+        rng = as_rng(rng)
+        for pname, shape in self.declare(input_shape).items():
+            self.params[pname] = np.empty(shape, dtype=np.float32)
+            self.initializer(pname)(self.params[pname], rng)
         return self.output_shape
+
+    def trains(self, param: str) -> bool:
+        return self.TRAINABLE is None or param in self.TRAINABLE
 
     def infer(self, input_shape) -> tuple[tuple, dict[str, tuple]]:
         """``(output_shape, {param name: shape})`` for ``input_shape``,
@@ -64,9 +81,10 @@ class Layer:
         return tuple(input_shape), {}
 
     def initializer(self, param: str):
-        """``init(shape, rng)`` for parameter ``param``; zeros unless a
-        layer says otherwise."""
-        return zeros
+        """``init(out, rng)`` for parameter ``param``: glorot-uniform for
+        a ``kernel``, zeros for anything else unless a layer says
+        otherwise."""
+        return glorot_uniform if param == "kernel" else zeros
 
     # -- execution ---------------------------------------------------------
     def forward(self, x, training: bool = False):
@@ -150,12 +168,10 @@ class Dropout(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, name: str, units: int, activation: Optional[str] = None,
-                 kernel_init="glorot_uniform"):
+    def __init__(self, name: str, units: int, activation: Optional[str] = None):
         super().__init__(name)
         self.units = int(units)
         self.activation = activation
-        self.kernel_init = kernel_init
         self._act_cache = None
 
     def infer(self, input_shape):
@@ -165,9 +181,6 @@ class Dense(Layer):
             )
         return (self.units,), {"kernel": (input_shape[0], self.units),
                                "bias": (self.units,)}
-
-    def initializer(self, param):
-        return get_initializer(self.kernel_init) if param == "kernel" else zeros
 
     def forward(self, x, training=False):
         out, self._cache = ops.dense_forward(
@@ -182,9 +195,11 @@ class Dense(Layer):
         if self.activation:
             _, bwd = ops.ACTIVATIONS[self.activation]
             gout = bwd(gout, self._act_cache)
-        gx, gk, gb = ops.dense_backward(gout, self._cache, need_gx)
-        self.grads["kernel"] = gk
-        self.grads["bias"] = gb
+        # a network bound the gradient views; a stand-alone layer reuses
+        # its last gradients, or the kernel allocates them
+        gx, self.grads["kernel"], self.grads["bias"] = ops.dense_backward(
+            gout, self._cache, need_gx,
+            self.grads.get("kernel"), self.grads.get("bias"))
         return gx
 
 
@@ -195,7 +210,7 @@ class _Conv(Layer):
 
     def __init__(self, name: str, filters: int, kernel_size: int,
                  padding: str = "same", activation: Optional[str] = None,
-                 adaptive: bool = False, kernel_init="glorot_uniform"):
+                 adaptive: bool = False):
         super().__init__(name)
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
@@ -204,7 +219,6 @@ class _Conv(Layer):
         self.padding = padding
         self.activation = activation
         self.adaptive = adaptive
-        self.kernel_init = kernel_init
         self._act_cache = None
         self._effective_padding = padding
 
@@ -236,9 +250,6 @@ class _Conv(Layer):
             "bias": (self.filters,),
         }
 
-    def initializer(self, param):
-        return get_initializer(self.kernel_init) if param == "kernel" else zeros
-
     def forward(self, x, training=False):
         out, self._cache = self.FORWARD(
             x, self.params["kernel"], self.params["bias"],
@@ -253,9 +264,9 @@ class _Conv(Layer):
         if self.activation:
             _, bwd = ops.ACTIVATIONS[self.activation]
             gout = bwd(gout, self._act_cache)
-        gx, gk, gb = self.BACKWARD(gout, self._cache, need_gx)
-        self.grads["kernel"] = gk
-        self.grads["bias"] = gb
+        gx, self.grads["kernel"], self.grads["bias"] = self.BACKWARD(
+            gout, self._cache, need_gx,
+            self.grads.get("kernel"), self.grads.get("bias"))
         return gx
 
 
@@ -391,10 +402,9 @@ class BatchNorm(Layer):
         return out
 
     def backward(self, gout, need_gx=True):
-        gx, ggamma, gbeta = ops.batchnorm_backward(gout, self._cache,
-                                                   need_gx)
-        self.grads["gamma"] = ggamma
-        self.grads["beta"] = gbeta
+        gx, self.grads["gamma"], self.grads["beta"] = ops.batchnorm_backward(
+            gout, self._cache, need_gx,
+            self.grads.get("gamma"), self.grads.get("beta"))
         return gx
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff_ops import softmax, softmax_cross_entropy, \
+from .autodiff_ops import softmax_cross_entropy, \
     softmax_cross_entropy_backward
 
 
@@ -76,7 +76,3 @@ def get_metric(name):
         return METRICS[name]
     except KeyError:
         raise ValueError(f"unknown metric {name!r}") from None
-
-
-def predict_proba(logits):
-    return softmax(logits)

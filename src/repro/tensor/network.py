@@ -10,14 +10,26 @@ Weights are exposed as an *ordered* ``{"layer.param": array}`` mapping
 (topological layer order, declaration order within a layer) — the exact
 substrate the shape-sequence/transfer machinery and the checkpoint store
 operate on.
+
+Every trainable tensor is a view of one contiguous float32 buffer,
+``flat_params``, and its gradient a view of a same-shaped buffer,
+``flat_grads``, that the backward kernels write into, so
+:class:`~repro.tensor.optimizers.Adam` steps the network as one vector.
+Initialisation is deferred to the first ``forward`` or ``get_weights``:
+a tensor copied in before it (``set_weights``, which
+``transfer_weights`` calls) skips its draws, and the build's stream is
+advanced past them, so every other tensor gets the bits an eager build
+gives it (DESIGN.md "Transfer before init").
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .initializers import skip
 from .layers import Concatenate, Layer
 
 
@@ -35,6 +47,10 @@ class Network:
         self._by_name: dict[str, Layer] = {}
         self._output: Optional[str] = None
         self._live: dict[str, bool] = {}
+        self._init_rng: Optional[np.random.Generator] = None
+        self._filled: set[str] = set()
+        self.flat_params = np.empty(0, dtype=np.float32)
+        self.flat_grads = np.empty(0, dtype=np.float32)
         self.built = False
 
     # ------------------------------------------------------------------
@@ -70,31 +86,69 @@ class Network:
         return ref in self._by_name
 
     def build(self, rng=None) -> "Network":
-        """Materialise every layer's tensors (topological order = add order,
-        which is topological by construction)."""
+        """Lay every layer's tensors out in the network's buffers
+        (topological order = add order, which is topological by
+        construction).  Initialisation from ``rng`` is deferred (see the
+        module docstring); ``rng`` itself is left where an eager build
+        leaves it."""
         if self.built:
             raise RuntimeError("network already built")
-        rng = np.random.default_rng(rng) if not isinstance(
-            rng, np.random.Generator) else rng
         shapes: dict[str, tuple] = {
             f"input:{i}": s for i, s in enumerate(self.input_shapes)
         }
+        tensors = []    # (layer, param name, shape), declaration order
         for layer in self._layers:
-            parents = self._inputs_of[layer.name]
-            in_shapes = [shapes[p] for p in parents]
-            if isinstance(layer, Concatenate):
-                out = layer.build(in_shapes, rng)
-            else:
+            in_shapes = [shapes[p] for p in self._inputs_of[layer.name]]
+            if not isinstance(layer, Concatenate):
                 if len(in_shapes) != 1:
                     raise ValueError(
                         f"{layer.name}: only Concatenate accepts multiple "
                         f"inputs"
                     )
-                out = layer.build(in_shapes[0], rng)
-            shapes[layer.name] = out
+                in_shapes = in_shapes[0]
+            tensors += [(layer, p, s)
+                        for p, s in layer.declare(in_shapes).items()]
+            shapes[layer.name] = layer.output_shape
+        n_train = sum(math.prod(s) for l, p, s in tensors if l.trains(p))
+        self.flat_params = np.empty(n_train, dtype=np.float32)
+        self.flat_grads = np.zeros(n_train, dtype=np.float32)
+        offset = 0
+        for layer, pname, shape in tensors:
+            if not layer.trains(pname):     # running statistics
+                layer.params[pname] = np.empty(shape, dtype=np.float32)
+                continue
+            span = slice(offset, offset + math.prod(shape))
+            layer.params[pname] = self.flat_params[span].reshape(shape)
+            layer.grads[pname] = self.flat_grads[span].reshape(shape)
+            offset = span.stop
+        if isinstance(rng, np.random.Generator):
+            # a caller's generator: the deferred draws come from a copy,
+            # and the caller's stream moves on as if they had been made
+            bits = type(rng.bit_generator)(0)
+            bits.state = rng.bit_generator.state
+            self._init_rng = np.random.Generator(bits)
+            for layer, pname, shape in tensors:
+                skip(layer.initializer(pname), math.prod(shape), rng)
+        else:
+            self._init_rng = np.random.default_rng(rng)
         self._live = self.backward_liveness()
         self.built = True
         return self
+
+    def initialize(self) -> None:
+        """Run the deferred initialisation (a no-op once done): draw every
+        tensor not copied in since :meth:`build`, in declaration order,
+        advancing the stream past the copied ones."""
+        rng, self._init_rng = self._init_rng, None
+        if rng is None:
+            return
+        for name, layer, pname in self._tensors():
+            init = layer.initializer(pname)
+            if name in self._filled:
+                skip(init, layer.params[pname].size, rng)
+            else:
+                init(layer.params[pname], rng)
+        self._filled = set()
 
     def backward_liveness(self) -> dict[str, bool]:
         """``{layer name: runs backward}`` for a built network.
@@ -107,9 +161,8 @@ class Network:
         """
         live: dict[str, bool] = {}
         for layer in self._layers:
-            trainable = getattr(layer, "TRAINABLE", None)
             live[layer.name] = any(
-                trainable is None or p in trainable for p in layer.params
+                layer.trains(p) for p in layer.params
             ) or any(live.get(p, False) for p in self._inputs_of[layer.name])
         return live
 
@@ -120,6 +173,7 @@ class Network:
         """``x``: one array, or a sequence of arrays (multi-input)."""
         if not self.built:
             raise RuntimeError("network not built")
+        self.initialize()
         if isinstance(x, (list, tuple)):
             acts = {f"input:{i}": a for i, a in enumerate(x)}
         else:
@@ -172,60 +226,47 @@ class Network:
     def parameterized_layers(self) -> list[Layer]:
         return [l for l in self._layers if l.params]
 
+    def _tensors(self) -> Iterable[tuple[str, Layer, str]]:
+        """``(tensor name, layer, param name)`` in declaration order."""
+        for layer in self._layers:
+            for pname in layer.params:
+                yield f"{layer.name}.{pname}", layer, pname
+
     def get_weights(self, copy: bool = True) -> dict[str, np.ndarray]:
         """Ordered ``{"layer.param": array}`` — copies by default, safe
         to mutate.  ``copy=False`` returns the live parameter arrays
-        (zero-copy); the caller must not mutate them."""
-        out: dict[str, np.ndarray] = {}
-        for layer in self._layers:
-            for pname, arr in layer.params.items():
-                out[f"{layer.name}.{pname}"] = arr.copy() if copy else arr
-        return out
+        (zero-copy views of the buffer); the caller must not mutate
+        them."""
+        self.initialize()
+        return {name: layer.params[p].copy() if copy else layer.params[p]
+                for name, layer, p in self._tensors()}
 
     def set_weights(self, weights: dict[str, np.ndarray],
                     strict: bool = True) -> None:
-        names = set()
-        for layer in self._layers:
-            for pname in layer.params:
-                names.add(f"{layer.name}.{pname}")
+        """Copy ``weights`` into the named tensors in place (cast to
+        their dtype).  Before initialisation, a tensor set here is not
+        drawn."""
         for key, arr in weights.items():
-            if key not in names:
+            lname, _, pname = key.rpartition(".")
+            layer = self._by_name.get(lname)
+            if layer is None or pname not in layer.params:
                 if strict:
                     raise KeyError(f"no tensor named {key!r} in {self.name}")
                 continue
-            lname, pname = key.rsplit(".", 1)
-            target = self._by_name[lname].params[pname]
-            if target.shape != arr.shape:
+            target = layer.params[pname]
+            if target.shape != np.shape(arr):
                 raise ValueError(
-                    f"{key}: shape mismatch {arr.shape} vs {target.shape}"
+                    f"{key}: shape mismatch {np.shape(arr)} vs {target.shape}"
                 )
-            self._by_name[lname].params[pname] = (
-                np.asarray(arr, dtype=target.dtype).copy()
-            )
+            target[...] = arr
+            if self._init_rng is not None:
+                self._filled.add(key)
 
     def num_parameters(self) -> int:
         return sum(l.num_parameters for l in self._layers)
 
     def trainable(self) -> Iterable[tuple[str, Layer, str]]:
         """Yield (tensor_name, layer, param_name) for trained tensors."""
-        for layer in self._layers:
-            trainable = getattr(layer, "TRAINABLE", None)
-            for pname in layer.params:
-                if trainable is not None and pname not in trainable:
-                    continue
-                yield f"{layer.name}.{pname}", layer, pname
-
-    def summary(self) -> str:
-        lines = [f"Network {self.name!r} — inputs {self.input_shapes}"]
-        for layer in self._layers:
-            lines.append(
-                f"  {layer.name:<24} {type(layer).__name__:<12} "
-                f"out={layer.output_shape} params={layer.num_parameters}"
-            )
-        lines.append(f"  total parameters: {self.num_parameters()}")
-        return "\n".join(lines)
-
-    def __repr__(self):
-        state = "built" if self.built else "unbuilt"
-        return (f"<Network {self.name} {state}: {len(self._layers)} layers, "
-                f"{len(self.input_shapes)} input(s)>")
+        for name, layer, pname in self._tensors():
+            if layer.trains(pname):
+                yield name, layer, pname

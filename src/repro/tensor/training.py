@@ -51,12 +51,6 @@ class EarlyStopping:
         return None
 
 
-def _batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
 def _take(x, idx):
     if isinstance(x, (list, tuple)):
         return [a[idx] for a in x]
@@ -103,21 +97,25 @@ def fit(network, x_train, y_train, *, x_val=None, y_val=None,
 
     ``x_train`` may be a single array or a list of arrays (multi-input).
     When ``early_stopping`` is given, training stops at the rule's epoch.
+    Each epoch permutes the training rows once and trains on contiguous
+    slices of that copy.
     """
     rng = np.random.default_rng(rng) if not isinstance(
         rng, np.random.Generator) else rng
     loss_fn = get_loss(loss)
-    opt = Adam(learning_rate)
+    opt = Adam(network, learning_rate)
     n = y_train.shape[0]
     history = History()
     for _ in range(epochs):
         epoch_loss, nb = 0.0, 0
-        for idx in _batches(n, batch_size, rng):
-            xb, yb = _take(x_train, idx), y_train[idx]
-            logits = network.forward(xb, training=True)
-            lval, grad = loss_fn(logits, yb)
+        order = rng.permutation(n)
+        xs, ys = _take(x_train, order), y_train[order]
+        for start in range(0, n, batch_size):
+            rows = slice(start, start + batch_size)
+            logits = network.forward(_take(xs, rows), training=True)
+            lval, grad = loss_fn(logits, ys[rows])
             network.backward(grad)
-            opt.step(network)
+            opt.step()
             epoch_loss += float(lval)
             nb += 1
         history.loss.append(epoch_loss / max(nb, 1))

@@ -38,7 +38,10 @@ def partial_transfer_weights(receiver,
     """Exact LCS transfer, then overlap-copy compatible unmatched layers.
 
     Unmatched provider/receiver layers are aligned greedily in sequence
-    order (an increasing alignment, like the exact match)."""
+    order (an increasing alignment, like the exact match).  An overlap
+    overwrites only part of a tensor, so the receiver is initialised
+    first."""
+    receiver.initialize()
     stats = transfer_weights(receiver, provider_weights, matcher="lcs")
     stats.matcher = "partial"
 

@@ -4,7 +4,10 @@
 shape sequences with LP or LCS and copies every tensor of each matched
 layer (shapes are identical by construction of the match).  Unmatched
 receiver layers keep their fresh initialisation — exactly the paper's
-selective scheme.
+selective scheme.  The copies go in place through
+``Network.set_weights``; on a receiver not yet initialised (a fresh
+build) the copied tensors are never drawn, and every other tensor draws
+the bits it would have drawn.
 """
 
 from __future__ import annotations
@@ -97,21 +100,15 @@ def transfer_weights(receiver, provider_weights: Mapping[str, np.ndarray],
     )
 
     match = _cached_match(matcher, provider_seq, receiver_seq)
-    moved_names = []
+    moved: dict[str, np.ndarray] = {}
     for i, j in match.pairs:
         src_names, _ = provider_groups[i]
         dst_layer = receiver_layers[j]
         for src_name, (pname, dst) in zip(src_names, dst_layer.params.items()):
-            src = np.asarray(provider_weights[src_name])
-            if src.shape != dst.shape:  # defensive; signatures matched
-                raise ValueError(
-                    f"matched layer shape mismatch: {src_name} {src.shape} "
-                    f"-> {dst_layer.name}.{pname} {dst.shape}"
-                )
-            dst_layer.params[pname] = src.astype(dst.dtype)
-            moved_names.append(f"{dst_layer.name}.{pname}")
-            stats.num_transferred += 1
-            stats.transferred_elements += int(src.size)
+            moved[f"{dst_layer.name}.{pname}"] = provider_weights[src_name]
+            stats.transferred_elements += int(dst.size)
         stats.num_layers_transferred += 1
-    stats.transferred_names = tuple(moved_names)
+    receiver.set_weights(moved)     # shape-checked; signatures matched
+    stats.num_transferred = len(moved)
+    stats.transferred_names = tuple(moved)
     return stats

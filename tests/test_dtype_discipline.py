@@ -16,8 +16,9 @@ import pytest
 import repro.tensor.autodiff_ops as ops
 from repro.apps.datasets import (make_image_dataset, make_multisource_dataset,
                                  make_profile_dataset)
+from repro.tensor import Dense
 from repro.tensor.optimizers import Adam
-from test_kernel_equivalence import _Net, _Slot
+from test_kernel_equivalence import _net
 
 F32 = np.float32
 
@@ -124,15 +125,20 @@ def test_kernels_preserve_float64_for_gradient_checks():
 
 
 def test_adam_keeps_param_dtype_with_float64_grads():
-    """``out=`` casting consumes float64 gradients without promoting the
-    float32 parameters (the old path paid an astype copy per step)."""
-    p = _r((4, 4))
-    g64 = np.random.default_rng(1).normal(size=(4, 4))
-    net = _Net([_Slot(p, g64)])
-    opt = Adam(1e-3)
-    opt.step(net)
-    opt.step(net)
-    assert p.dtype == F32
+    """A float64 backward writes its gradients into the network's
+    float32 gradient buffer (``out=`` casting), so the step never
+    promotes the float32 parameters."""
+    net = _net(4, Dense("d", 4))
+    x = np.random.default_rng(1).normal(size=(3, 4))
+    net.backward(np.ones_like(net.forward(x, training=True)))
+    layer = net.layers[0]
+    assert np.shares_memory(layer.grads["kernel"], net.flat_grads)
+    assert net.flat_grads.any()
+    opt = Adam(net, 1e-3)
+    opt.step()
+    opt.step()
+    assert net.flat_grads.dtype == net.flat_params.dtype == F32
+    assert layer.params["kernel"].dtype == F32
 
 
 def test_datasets_emit_float32():

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.tensor.autodiff_ops as ops
+from repro.tensor import BatchNorm, Dense, Network
 from repro.tensor.optimizers import Adam
 
 #: SHA-256 of the frozen kernels: update it only with a re-validated
@@ -187,28 +188,24 @@ def test_maxpool2d_tied_window_routes_gradient_once():
 # ---------------------------------------------------------------------------
 
 
-class _Slot:
-    def __init__(self, param, grad):
-        self.params = {"w": param}
-        self.grads = {"w": grad}
+def _net(input_dim, *layers):
+    """A built, initialised chain of ``layers`` over a flat input."""
+    net = Network((input_dim,))
+    for layer in layers:
+        net.add(layer)
+    net.build(0).initialize()
+    return net
 
 
-class _Net:
-    def __init__(self, slots):
-        self._slots = slots
-
-    def trainable(self):
-        for i, slot in enumerate(self._slots):
-            yield f"t{i}", slot, "w"
-
-
-def _trajectory_new(opt, param, grads):
-    slot = _Slot(param.copy(), None)
-    net = _Net([slot])
+def _trajectory_new(param, grads):
+    net = _net(param.shape[0], Dense("d", param.shape[1]))
+    net.set_weights({"d.kernel": param})
+    opt = Adam(net, learning_rate=1e-3)
+    layer = net.layers[0]
     for g in grads:
-        slot.grads["w"] = g.copy()
-        opt.step(net)
-    return slot.params["w"]
+        layer.grads["kernel"][...] = g
+        opt.step()
+    return layer.params["kernel"]
 
 
 def _trajectory_ref(update, param, grads, **hp):
@@ -225,7 +222,7 @@ def test_adam_trajectory_matches_reference(steps):
     param = rng.normal(size=(6, 4)).astype(np.float32)
     grads = [rng.normal(size=param.shape).astype(np.float32)
              for _ in range(steps)]
-    p_new = _trajectory_new(Adam(learning_rate=1e-3), param, grads)
+    p_new = _trajectory_new(param, grads)
     p_ref = _trajectory_ref(ref.adam_update, param, grads,
                             learning_rate=1e-3)
     np.testing.assert_allclose(p_new, p_ref, rtol=1e-5, atol=1e-7)
@@ -236,54 +233,35 @@ def test_adam_trajectory_matches_reference(steps):
 # ---------------------------------------------------------------------------
 
 def test_flat_step_is_layout_independent():
-    """Stepping one 3-tensor network equals stepping three 1-tensor
-    networks bit for bit.  The joint network's first parameter is a
-    non-contiguous leading-corner view: the step must not assume
-    contiguous parameters."""
+    """Stepping one network's flat buffer equals stepping each of its
+    layers as a network of its own, bit for bit, and leaves the
+    untrained batch-norm statistics (arrays outside the stepped buffer)
+    alone."""
     rng = _rng(6)
-    shapes = [(5, 3), (3,), (2, 2, 4)]
-    params = [rng.normal(size=s).astype(np.float32) for s in shapes]
-    steps = [[10.0 * rng.normal(size=s).astype(np.float32) for s in shapes]
-             for _ in range(4)]
-    base = np.zeros((7, 4), np.float32)
-    corner = base[:5, :3]
-    corner[...] = params[0]
-    joint = _Net([_Slot(corner, None)]
-                 + [_Slot(p.copy(), None) for p in params[1:]])
-    lone = [_Net([_Slot(p.copy(), None)]) for p in params]
-    joint_opt = Adam(1e-3)
-    lone_opts = [Adam(1e-3) for _ in params]
-    for grads in steps:
-        for slot, g in zip(joint._slots, grads):
-            slot.grads["w"] = g.copy()
-        joint_opt.step(joint)
-        for net, opt, g in zip(lone, lone_opts, grads):
-            net._slots[0].grads["w"] = g.copy()
-            opt.step(net)
-    for slot, net in zip(joint._slots, lone):
-        assert np.ascontiguousarray(slot.params["w"]).tobytes() == \
-            net._slots[0].params["w"].tobytes()
-    assert not base[5:].any() and not base[:, 3:].any()
-
-
-def test_relayout_keeps_surviving_state():
-    """A tensor joining the step rebuilds the flat layout; the tensors
-    already there keep their moments, bit for bit."""
-    rng = _rng(7)
-    params = [rng.normal(size=s).astype(np.float32)
-              for s in [(4, 3), (3,), (6,)]]
-    grads = [[rng.normal(size=p.shape).astype(np.float32) for p in params]
-             for _ in range(3)]
-    steady = _Net([_Slot(p.copy(), None) for p in params[:2]])
-    grown = _Net([_Slot(p.copy(), None) for p in params[:2]])
-    steady_opt, grown_opt = Adam(1e-2), Adam(1e-2)
-    for i, gs in enumerate(grads):
-        if i == 2:
-            grown._slots.append(_Slot(params[2].copy(), None))
-        for net in (steady, grown):
-            for slot, g in zip(net._slots, gs):
-                slot.grads["w"] = g.copy()
-        steady_opt.step(steady)
-        grown_opt.step(grown)
-    for a, b in zip(steady._slots, grown._slots):
-        assert a.params["w"].tobytes() == b.params["w"].tobytes()
+    joint = _net(5, Dense("a", 3), BatchNorm("bn"), Dense("b", 4))
+    lone = [_net(5, Dense("a", 3)), _net(3, BatchNorm("bn")),
+            _net(3, Dense("b", 4))]
+    start = {k: 10.0 * rng.normal(size=w.shape).astype(np.float32)
+             for k, w in joint.get_weights().items()}
+    joint.set_weights(start)
+    for net in lone:
+        net.set_weights(start, strict=False)
+    joint_opt = Adam(joint, 1e-3)
+    lone_opts = [Adam(net, 1e-3) for net in lone]
+    for _ in range(4):
+        grads = {}
+        for name, layer, pname in joint.trainable():
+            grads[name] = layer.grads[pname]
+            grads[name][...] = 10.0 * rng.normal(size=grads[name].shape)
+        for net in lone:
+            for name, layer, pname in net.trainable():
+                layer.grads[pname][...] = grads[name]
+        joint_opt.step()
+        for opt in lone_opts:
+            opt.step()
+    got = joint.get_weights()
+    for net in lone:
+        for key, w in net.get_weights().items():
+            assert got[key].tobytes() == w.tobytes(), key
+    for key in ("bn.moving_mean", "bn.moving_var"):
+        assert got[key].tobytes() == start[key].tobytes()

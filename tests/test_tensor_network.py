@@ -42,6 +42,31 @@ def test_same_seed_same_init(space, problem):
     assert all(np.array_equal(w0[k], w1[k]) for k in w0)
 
 
+def test_tensors_are_views_of_one_buffer(space, problem):
+    model = problem.build_model(space.validate_seq((1, 1, 1)), rng=0)
+    trained = list(model.trainable())
+    assert model.flat_params.size == model.flat_grads.size == sum(
+        layer.params[p].size for _, layer, p in trained)
+    for _, layer, p in trained:
+        assert np.shares_memory(layer.params[p], model.flat_params)
+        assert np.shares_memory(layer.grads[p], model.flat_grads)
+
+
+def test_deferred_init_leaves_a_shared_rng_where_an_eager_build_does(
+        space, problem):
+    """Two builds from one generator: the first draws the head of the
+    stream whichever network initialises first."""
+    seq = space.sample(np.random.default_rng(5))
+    rng = np.random.default_rng(0)
+    first = space.build_network(seq, rng)
+    second = space.build_network(seq, rng)
+    later = second.get_weights()
+    alone = problem.build_model(seq, rng=0).get_weights()
+    got = first.get_weights()
+    assert all(got[k].tobytes() == alone[k].tobytes() for k in alone)
+    assert any(later[k].tobytes() != alone[k].tobytes() for k in alone)
+
+
 def test_identity_choices_add_no_parameters():
     space = SearchSpace("t", (4, 4, 1))
     space.add_fixed(FlattenOp(), name="flatten")

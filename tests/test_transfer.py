@@ -1,8 +1,14 @@
 """transfer_weights: stats, selectivity, and the partial-shape extension."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.apps import get_app
+from repro.tensor import BuildError
 from repro.transfer import partial_transfer_weights, transfer_weights
 
 
@@ -87,3 +93,53 @@ def test_partial_copies_overlapping_block(space, problem):
     # dense0: provider 72x16, receiver 72x8 -> overlap is the first 8 cols
     assert np.array_equal(rw["dense0_dense.kernel"],
                           pw["dense0_dense.kernel"][:, :8])
+
+
+# ---------------------------------------------------------------------------
+# transfer before init: the fresh buffer is filled, then the rest is drawn
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _app_problem(app):
+    return get_app(app).problem(seed=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(app=st.sampled_from(["cifar10", "mnist", "nt3", "uno"]),
+       matcher=st.sampled_from(["lp", "lcs"]),
+       provider=st.sampled_from(["cold", "same", "mutant", "random"]),
+       seed=st.integers(0, 2**16))
+@example(app="uno", matcher="lcs", provider="cold", seed=0)
+@example(app="cifar10", matcher="lp", provider="same", seed=0)
+def test_transfer_before_init_matches_build_then_transfer(
+        app, matcher, provider, seed):
+    """Copying the provider's matched tensors into a fresh build before
+    it initialises gives every tensor the bits of the two-step sequence:
+    build and initialise, then transfer over the drawn values."""
+    problem = _app_problem(app)
+    space, rng = problem.space, np.random.default_rng(seed)
+    seq = space.sample(rng)
+    donor = {"cold": None, "same": seq, "mutant": space.mutate(seq, rng),
+             "random": space.sample(rng)}[provider]
+    try:
+        weights = {} if donor is None else problem.build_model(
+            donor, rng=seed + 1).get_weights()
+        reference = problem.build_model(seq, rng=seed + 2)
+    except BuildError:
+        return
+    reference.initialize()
+    want = transfer_weights(reference, weights, matcher=matcher)
+
+    fresh = problem.build_model(seq, rng=seed + 2)
+    got = transfer_weights(fresh, weights, matcher=matcher)
+
+    assert got == want
+    if provider == "same":
+        assert got.coverage == 1.0
+    if provider == "cold":
+        assert not got.transferred
+    ref_w, got_w = reference.get_weights(), fresh.get_weights()
+    assert list(got_w) == list(ref_w)
+    for key, w in ref_w.items():
+        assert got_w[key].tobytes() == w.tobytes(), key
