@@ -2,11 +2,11 @@
 
 - **Invariant linter** (:mod:`repro.analysis.lint`, run as
   ``python -m repro.analysis.lint src/repro``): per-file AST rules
-  R001, R003, R004, R007 and R008 enforcing the repo's dtype
-  discipline, allocation-free optimizer steps, and the lock discipline
-  of each module: ``_GUARDED_ATTRS`` declarations match the writes that hold
-  the lock, shared attributes are written under it, and *every lock
-  is a leaf* (no lock acquired while another is held).  The companion
+  R001, R004, R007 and R008 enforcing the repo's dtype discipline
+  and the lock discipline of each module: ``_GUARDED_ATTRS``
+  declarations match the writes that hold the lock, shared attributes
+  are written under it, and *every lock is a leaf* (no lock acquired
+  while another is held).  The companion
   runtime sanitizer (:mod:`repro.analysis.lockcheck`) is the one check
   across modules: it raises on any nested acquire of a lock built by
   :func:`~repro.analysis.lockcheck.make_lock` when

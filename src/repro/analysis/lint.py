@@ -14,11 +14,8 @@ debugging paid for, now machine-enforced:
            banned.
  R002      Retired: the frozen reference kernels moved to ``tests/``,
            where the kernel-equivalence suite pins their SHA-256.
- R003      Optimizer ``step`` bodies must not allocate: no
-           ``np.copy``/fresh-array/``.astype``/``.copy`` calls and no
-           ``np.concatenate``/``np.stack`` without ``out=`` — all
-           updates go through ``out=`` ufuncs and reused scratch
-           buffers.
+ R003      Retired: it guarded one optimizer ``step``, Adam's, whose
+           zero allocations a ``tracemalloc`` test now measures.
  R004      A module's ``_GUARDED_ATTRS`` declaration must equal the
            set of attributes whose writes outside ``__init__`` all
            hold the owning class's lock; a mismatch in either
@@ -61,20 +58,12 @@ from typing import Iterable, Optional, Sequence
 
 #: NumPy calls that allocate fresh float64 arrays when dtype is omitted.
 _BARE_ALLOCATORS = frozenset({"zeros", "ones", "empty", "full"})
-#: Additional allocators banned inside optimizer ``step`` bodies (R003).
-_STEP_ALLOCATORS = _BARE_ALLOCATORS | {
-    "array", "copy", "zeros_like", "ones_like", "empty_like", "full_like",
-}
-#: NumPy gathers that allocate inside optimizer ``step`` bodies (R003)
-#: unless they write into a preallocated ``out=`` buffer.
-_STEP_GATHERS = frozenset({"concatenate", "stack"})
 _NUMPY_NAMES = frozenset({"np", "numpy"})
 
 _IGNORE_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Za-z0-9,\s]+)\])?")
 
 RULES = {
     "R001": "dtype-unspecified / float64-promoting NumPy allocation",
-    "R003": "allocation inside an optimizer step body",
     "R004": "_GUARDED_ATTRS disagrees with the writes that hold the lock",
     "R007": "shared attribute written outside the owning lock",
     "R008": "lock acquired while another is held (every lock is a leaf)",
@@ -156,45 +145,6 @@ class _R001Visitor(ast.NodeVisitor):
             self.findings.append((
                 node.lineno, node.col_offset,
                 "'float64' literal in a repro.tensor hot path"))
-
-
-class _R003Visitor(ast.NodeVisitor):
-    """Allocating calls inside functions named ``step``."""
-
-    def __init__(self):
-        self.findings: list[tuple[int, int, str]] = []
-        self._in_step = 0
-
-    def _visit_func(self, node) -> None:
-        is_step = node.name == "step"
-        self._in_step += is_step
-        self.generic_visit(node)
-        self._in_step -= is_step
-
-    visit_FunctionDef = _visit_func
-    visit_AsyncFunctionDef = _visit_func
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._in_step:
-            name = _is_numpy_attr(node.func, _STEP_ALLOCATORS)
-            if name is not None:
-                self.findings.append((
-                    node.lineno, node.col_offset,
-                    f"np.{name} allocates inside an optimizer step; use "
-                    f"out= ufuncs and reused scratch buffers"))
-            elif (_is_numpy_attr(node.func, _STEP_GATHERS) is not None
-                  and not any(kw.arg == "out" for kw in node.keywords)):
-                self.findings.append((
-                    node.lineno, node.col_offset,
-                    f"np.{node.func.attr} without out= allocates inside an "
-                    f"optimizer step; gather into a preallocated buffer"))
-            elif (isinstance(node.func, ast.Attribute)
-                  and node.func.attr in ("copy", "astype")):
-                self.findings.append((
-                    node.lineno, node.col_offset,
-                    f".{node.func.attr}() allocates inside an optimizer "
-                    f"step; use out= ufuncs and reused scratch buffers"))
-        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------
@@ -517,11 +467,6 @@ def lint_file(path: Path) -> list[Finding]:
     r001.visit(tree)
     raw.extend(("R001", *f) for f in r001.findings)
 
-    if path.name == "optimizers.py" and "repro/tensor/" in posix:
-        r003 = _R003Visitor()
-        r003.visit(tree)
-        raw.extend(("R003", *f) for f in r003.findings)
-
     if not in_tests:
         raw.extend(lock_facts(tree, path.stem).findings)
 
@@ -553,7 +498,8 @@ def lint_paths(paths: Sequence) -> list[Finding]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Repository invariant linter (rules R001-R008).",
+        description="Repository invariant linter (rules R001, R004, "
+                    "R007, R008).",
     )
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to lint "

@@ -204,9 +204,6 @@ class SanitizedLock:
     def __exit__(self, *exc) -> None:
         self.release()
 
-    def __repr__(self):
-        return f"<SanitizedLock {self.name}>"
-
 
 LockLike = Union[threading.Lock, SanitizedLock]
 

@@ -35,10 +35,6 @@ class Dataset:
             else [self.x_train]
         return tuple(x.shape[1:] for x in xs)
 
-    def __repr__(self):
-        return (f"<Dataset {self.name}: n_train={len(self.y_train)} "
-                f"n_val={len(self.y_val)} metric={self.metric}>")
-
 
 #: every generator emits this dtype end-to-end; the kernels preserve it,
 #: so training never silently promotes to float64 (2x the matmul cost)

@@ -326,6 +326,3 @@ class CheckpointStore:
 
     def __len__(self) -> int:
         return len(self.keys())
-
-    def __repr__(self):
-        return f"<CheckpointStore {self.root} ({len(self)} checkpoints)>"

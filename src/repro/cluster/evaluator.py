@@ -10,12 +10,14 @@ Failure containment (DESIGN.md "Fault tolerance"): a raising task never
 escapes ``wait_any`` as an exception.  Its ticket comes back paired with
 a :class:`repro.cluster.resilience.TaskFailure` carrying the original
 error and its taxonomy kind, so the scheduler books a failed record or a
-retry instead of crashing the search.  Two more resilience hooks:
+retry instead of crashing the search.  ``wait_any(timeout=...)``
+raises :class:`WaitTimeout` when nothing completes in time, so a wait
+ends when a backing-off retry falls due.
 
-- ``wait_any(timeout=...)`` raises :class:`WaitTimeout` when nothing
-  completes in time, so a wait ends when a backing-off retry falls due;
-- ``abandon(ticket)`` disowns an in-flight task (a failed service
-  session's teardown); its eventual completion is silently discarded.
+Every submitted task comes back from ``wait_any`` exactly once, and
+``in_flight`` counts those that have not yet.  An evaluator never
+disowns a ticket: a multiplexer whose tenant has gone drops that
+tenant's completions itself (``SearchService._wait_once``).
 
 Clock seam (DESIGN.md "One clock"): every evaluator carries a
 ``clock``, and the scheduler and the service read every time they use
@@ -98,10 +100,6 @@ class SerialEvaluator:
             raise RuntimeError("no pending tasks")
         return self._done.popleft()   # FIFO, O(1) (list.pop(0) was O(n))
 
-    def abandon(self, ticket: int) -> None:
-        """Drop a completed-but-unclaimed ticket (interface parity)."""
-        self._done = deque((t, r) for t, r in self._done if t != ticket)
-
     @property
     def in_flight(self) -> int:
         return len(self._done)
@@ -154,40 +152,23 @@ class ThreadPoolEvaluator:
         :class:`TaskFailure` result instead of raising here.  With a
         ``timeout``, raises :class:`WaitTimeout` when nothing completes
         in time (the caller dispatches its due retries and waits again)."""
-        while True:
-            # the emptiness check must also hold the lock: an unlocked
-            # read races concurrent drains — two waiters could both
-            # observe a single outstanding future and the loser would
-            # block forever on an empty done-queue instead of raising
-            with self._lock:
-                if not self._futures:
-                    raise RuntimeError("no pending tasks")
-            try:
-                fut = self._done.get(timeout=timeout)
-            except queue.Empty:
-                raise WaitTimeout(f"no completion within {timeout}s")
-            with self._lock:
-                ticket = self._futures.pop(fut, None)
-            if ticket is None:
-                continue                  # abandoned ticket: discard
-            try:
-                return ticket, fut.result()
-            except cf.CancelledError as exc:   # BaseException since 3.8
-                return ticket, TaskFailure(exc)
-            except Exception as exc:
-                return ticket, TaskFailure(exc)
-
-    def abandon(self, ticket: int) -> None:
-        """Disown an in-flight task (its session has ended).  Queued
-        tasks are cancelled; a running task cannot be preempted, but its
-        eventual completion is discarded by ``wait_any``."""
+        # the emptiness check must also hold the lock: an unlocked read
+        # races concurrent drains — two waiters could both observe a
+        # single outstanding future and the loser would block forever on
+        # an empty done-queue instead of raising
         with self._lock:
-            fut = next((f for f, t in self._futures.items()
-                        if t == ticket), None)
-            if fut is not None:
-                del self._futures[fut]
-        if fut is not None:
-            fut.cancel()
+            if not self._futures:
+                raise RuntimeError("no pending tasks")
+        try:
+            fut = self._done.get(timeout=timeout)
+        except queue.Empty:
+            raise WaitTimeout(f"no completion within {timeout}s")
+        with self._lock:
+            ticket = self._futures.pop(fut)
+        try:
+            return ticket, fut.result()
+        except Exception as exc:
+            return ticket, TaskFailure(exc)
 
     @property
     def in_flight(self) -> int:

@@ -20,8 +20,8 @@ This module gives the scheduler everything it needs to survive them:
   records, flushed as each record lands, so a killed run resumes from
   its last durable candidate (``run_search(resume=path)``);
 - :class:`ChaosEvaluator` — a seeded fault-injection wrapper over any
-  evaluator (crash / corrupt-result probabilities) for measuring
-  search behaviour under controlled failure rates.
+  evaluator (a crash probability) for measuring search behaviour under
+  controlled failure rates.
 """
 
 from __future__ import annotations
@@ -133,10 +133,6 @@ class RetryPolicy:
         if self.jitter and rng is not None:
             backoff += float(rng.uniform(0.0, self.jitter))
         return min(backoff, self.max_delay)
-
-    def __repr__(self):
-        return (f"RetryPolicy(max_attempts={self.max_attempts}, "
-                f"base_delay={self.base_delay}, jitter={self.jitter})")
 
 
 # ---------------------------------------------------------------------------
@@ -284,88 +280,47 @@ class TraceJournal:
 # chaos fault injection
 # ---------------------------------------------------------------------------
 
-class _ChaosTask:
-    """Task wrapper carrying the fault decision made at submit time, so
-    injection is deterministic under any evaluator: the draw happens on
-    the scheduler thread, never on a worker."""
-
-    __slots__ = ("task", "action")
-
-    def __init__(self, task, action: str):
-        self.task = task
-        self.action = action
-
-    def __call__(self):
-        if self.action == "crash":
-            raise InjectedFault("chaos: injected worker crash")
-        result = self.task()
-        if self.action == "corrupt":
-            return _corrupt_result(result)
-        return result
-
-
-def _corrupt_result(result):
-    """Corrupt an estimation result the way a flaky node would: the
-    score comes back non-finite.  The scheduler's result validation
-    turns this into a contained ``task_error`` fault."""
-    if hasattr(result, "score"):
-        try:
-            result.score = float("nan")
-            return result
-        except AttributeError:      # frozen dataclass etc.
-            pass
-    return float("nan")
+def _crash():
+    raise InjectedFault("chaos: injected worker crash")
 
 
 class ChaosEvaluator:
     """Seeded fault-injection wrapper over any evaluator.
 
-    Each submitted task independently draws one fault action from the
-    wrapper's own rng: ``crash`` (raises :class:`InjectedFault` on the
-    worker) or ``corrupt`` (the result's score comes back NaN).  Retried
+    Each submitted task independently crashes with probability
+    ``crash_prob``, drawn from the wrapper's own rng: the evaluator runs
+    a task that raises :class:`InjectedFault` in its place.  Retried
     tasks re-draw, so with ``crash_prob=p`` and ``max_attempts=a`` a
     candidate is lost with probability ``p**a``.  Because the draw
     happens at submit time on the (serial) scheduler thread, a seeded
     chaos schedule is reproducible run-to-run.
+
+    A non-finite score, which a flaky node would return, is not injected
+    here: the scheduler's result validation contains it as a
+    ``corrupt_result`` fault whatever produced it.
     """
 
     def __init__(self, evaluator, *, crash_prob: float = 0.0,
-                 corrupt_prob: float = 0.0, seed: int = 0):
-        for name, p in (("crash_prob", crash_prob),
-                        ("corrupt_prob", corrupt_prob)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if crash_prob + corrupt_prob > 1.0:
-            raise ValueError("fault probabilities must sum to at most 1")
+                 seed: int = 0):
+        if not 0.0 <= crash_prob <= 1.0:
+            raise ValueError(f"crash_prob must be in [0, 1], "
+                             f"got {crash_prob}")
         self.evaluator = evaluator
         self.crash_prob = float(crash_prob)
-        self.corrupt_prob = float(corrupt_prob)
         self.rng = np.random.default_rng(seed)
-        self.injected: dict[str, int] = {"crash": 0, "corrupt": 0}
+        self.injected: dict[str, int] = {"crash": 0}
         self.submitted = 0
-
-    def _draw_action(self) -> Optional[str]:
-        u = float(self.rng.uniform())
-        if u < self.crash_prob:
-            return "crash"
-        if u < self.crash_prob + self.corrupt_prob:
-            return "corrupt"
-        return None
 
     def submit(self, task) -> int:
         self.submitted += 1
-        action = self._draw_action()
-        if action is not None:
-            self.injected[action] += 1
-            task = _ChaosTask(task, action)
+        if float(self.rng.uniform()) < self.crash_prob:
+            self.injected["crash"] += 1
+            task = _crash
         return self.evaluator.submit(task)
 
     # -- delegation -----------------------------------------------------
     def wait_any(self, timeout: Optional[float] = None):
         return self.evaluator.wait_any(timeout=timeout)
-
-    def abandon(self, ticket: int) -> None:
-        self.evaluator.abandon(ticket)
 
     @property
     def num_workers(self) -> int:
@@ -379,19 +334,9 @@ class ChaosEvaluator:
     def in_flight(self) -> int:
         return self.evaluator.in_flight
 
-    def close(self) -> None:
-        self.evaluator.close()
-
     def stats(self) -> dict:
         return {
             "submitted": self.submitted,
             "injected": dict(self.injected),
             "crash_prob": self.crash_prob,
-            "corrupt_prob": self.corrupt_prob,
         }
-
-    def __enter__(self) -> "ChaosEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -251,7 +251,7 @@ class SearchDriver:
 
     def pending_tickets(self) -> list[int]:
         """The tickets currently owned by this driver: what a
-        multiplexer counts as in flight and abandons at teardown."""
+        multiplexer counts against this search's fleet share."""
         return list(self._pending)
 
     def owns(self, ticket: int) -> bool:
@@ -470,7 +470,7 @@ class SearchDriver:
     def complete(self, ticket: int, result) -> bool:
         """Consume one completion routed to this driver.  Returns True
         when a record landed (False: a retry was scheduled, or the
-        ticket is not ours — abandoned, or routed to the wrong session).
+        ticket is not ours — routed to the wrong session).
 
         The submitted = completed + in_flight invariant means every
         submitted candidate lands as exactly one record, ok or failed."""
@@ -483,8 +483,8 @@ class SearchDriver:
             return self.completed > before
         if getattr(result, "ok", False) and \
                 not np.isfinite(getattr(result, "score", float("nan"))):
-            # corrupt result (a flaky node returned garbage): contained
-            # as a task_error, retried like any other fault
+            # corrupt result (a flaky node returned garbage, or training
+            # diverged): contained, retried like any other fault
             self._contain_failure(pend, TaskFailure(
                 Exception(f"corrupt result: non-finite score "
                           f"{result.score!r}"), kind="corrupt_result"))

@@ -120,10 +120,6 @@ class SimulatedCluster:
         self._now = max(self._now, end)
         return ticket, result
 
-    def abandon(self, ticket: int) -> None:
-        self._done = [d for d in self._done if d[1] != ticket]
-        heapq.heapify(self._done)
-
     @property
     def in_flight(self) -> int:
         """Undelivered tasks — or ``num_workers`` (full) while one is
@@ -131,9 +127,6 @@ class SimulatedCluster:
         if self._done and self._done[0][0] <= self._dispatch_at():
             return self.num_workers
         return len(self._done)
-
-    def close(self) -> None:
-        pass
 
     # -- clock -----------------------------------------------------------
     def now(self) -> float:

@@ -149,8 +149,6 @@ class Trace:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fh:
             header = {"name": self.name, "scheme": self.scheme}
-            if self.static_stats is not None:
-                header["static_stats"] = self.static_stats
             if self.io_stats is not None:
                 header["io_stats"] = self.io_stats
             if self.fault_stats is not None:

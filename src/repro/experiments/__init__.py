@@ -26,7 +26,7 @@ from .fig8 import Fig8Result, format_fig8, full_train_top, run_fig8
 from .fig9 import Fig9Result, format_fig9, run_fig9
 from .fig10 import Fig10Result, format_fig10, run_fig10
 from .fig11 import Fig11Result, format_fig11, run_fig11
-from .report import human_bytes, human_count, pct, save_csv, text_table
+from .report import human_bytes, human_count, pct, text_table
 from .scorecard import ScorecardResult, format_scorecard, run_scorecard
 from .table1 import Table1Result, format_table1, run_table1
 from .table3 import Table3Result, format_table3, run_table3
@@ -86,6 +86,5 @@ __all__ = [
     "run_table1",
     "run_table3",
     "run_table4",
-    "save_csv",
     "text_table",
 ]

@@ -108,12 +108,6 @@ class PartialRow:
 class PartialResult:
     rows: tuple
 
-    def row(self, app: str) -> PartialRow:
-        for r in self.rows:
-            if r.app == app:
-                return r
-        raise KeyError(app)
-
 
 def run_ablation_partial(ctx, apps, n_children: int) -> PartialResult:
     rows = []

@@ -163,7 +163,3 @@ class ExperimentContext:
             pairs.append(entry)
         self._pairs[key] = pairs
         return pairs
-
-    def __repr__(self):
-        return (f"<ExperimentContext scale={self.config.name} "
-                f"workdir={self.workdir}>")

@@ -31,12 +31,6 @@ class Fig8Result:
     rows: tuple
     speedups: dict          # {"lp": geomean, "lcs": geomean}
 
-    def row(self, app: str, scheme: str) -> Fig8Row:
-        for r in self.rows:
-            if r.app == app and r.scheme == scheme:
-                return r
-        raise KeyError((app, scheme))
-
 
 def full_train_top(ctx):
     """(app, scheme) -> [FullTrainResult] for the top-K of each run."""

@@ -22,12 +22,6 @@ class Fig9Row:
 class Fig9Result:
     rows: tuple
 
-    def row(self, app: str, scheme: str) -> Fig9Row:
-        for r in self.rows:
-            if r.app == app and r.scheme == scheme:
-                return r
-        raise KeyError((app, scheme))
-
 
 def _sample_records(records, n):
     """Evenly spaced sample across the completion order (includes the

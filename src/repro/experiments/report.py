@@ -1,13 +1,10 @@
-"""Text-table rendering + CSV export for the experiment harnesses.
+"""Text-table rendering for the experiment harnesses.
 
 The recorded EXPERIMENTS.md tables are rendered with :func:`text_table`;
 keep the format stable so regenerated reports diff cleanly against it.
 """
 
 from __future__ import annotations
-
-import csv
-from pathlib import Path
 
 
 def text_table(title: str, headers: list, rows: list) -> str:
@@ -25,16 +22,6 @@ def text_table(title: str, headers: list, rows: list) -> str:
     for r in cells:
         out.append(line(r, " | "))
     return "\n".join(out)
-
-
-def save_csv(path, headers: list, rows: list) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        writer.writerows(rows)
-    return path
 
 
 def human_count(n: float) -> str:

@@ -49,12 +49,6 @@ class ScorecardResult:
     def n_holds(self) -> int:
         return sum(1 for r in self.rows if r.holds)
 
-    def row(self, claim: str) -> ClaimRow:
-        for r in self.rows:
-            if r.claim == claim:
-                return r
-        raise KeyError(claim)
-
 
 def _tail_delta(fig7, app: str, scheme: str) -> float:
     return fig7.get(app, scheme).tail_mean() - fig7.get(app, "baseline").tail_mean()

@@ -28,24 +28,12 @@ class Op:
     def __repr__(self):
         return f"{type(self).__name__}({self.describe()})"
 
-    def __eq__(self, other):
-        return (type(self) is type(other)
-                and self.__dict__ == other.__dict__)
-
-    def __hash__(self):
-        return hash((type(self).__name__, tuple(sorted(
-            (k, v) for k, v in self.__dict__.items()
-        ))))
-
 
 class IdentityOp(Op):
     kind = "identity"
 
     def to_layer(self, name):
         return L.Identity(name)
-
-    def describe(self):
-        return "identity"
 
 
 class DenseOp(Op):
@@ -149,9 +137,6 @@ class BatchNormOp(Op):
     def to_layer(self, name):
         return L.BatchNorm(name)
 
-    def describe(self):
-        return "batchnorm"
-
 
 class ActivationOp(Op):
     kind = "activation"
@@ -185,15 +170,9 @@ class FlattenOp(Op):
     def to_layer(self, name):
         return L.Flatten(name)
 
-    def describe(self):
-        return "flatten"
-
 
 class ConcatenateOp(Op):
     kind = "concat"
 
     def to_layer(self, name):
         return L.Concatenate(name)
-
-    def describe(self):
-        return "concatenate"

@@ -35,7 +35,3 @@ class Problem:
                     name: Optional[str] = None) -> Network:
         """Materialise the candidate network (seeded init by default)."""
         return self.space.build_network(arch_seq, rng, name=name)
-
-    def __repr__(self):
-        return (f"<Problem {self.name}: space={self.space.name} "
-                f"loss={self.loss} objective={self.objective}>")

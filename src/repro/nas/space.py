@@ -51,12 +51,6 @@ class SearchSpace:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @property
-    def input_shape(self):
-        if len(self.input_shapes) != 1:
-            raise ValueError(f"{self.name} is multi-input: {self.input_shapes}")
-        return self.input_shapes[0]
-
     def _resolve_after(self, after) -> list[str]:
         if after is None:
             after = self._nodes[-1].name if self._nodes else "input:0"
@@ -95,11 +89,9 @@ class SearchSpace:
         self._add(_Node(name, choices, variable=True), after)
         return name
 
-    def add_fixed(self, op: Op, name: Optional[str] = None,
+    def add_fixed(self, op: Op, name: str,
                   after: Union[None, str, Sequence[str]] = None) -> str:
         """A fixed node (always ``op``); returns its name."""
-        if name is None:
-            name = f"fixed{len(self._nodes)}"
         self._add(_Node(name, [op], variable=False), after)
         return name
 
@@ -211,7 +203,3 @@ class SearchSpace:
             tag = "" if node.variable else " (fixed)"
             lines.append(f"{node.name}: {op.describe()}{tag}")
         return lines
-
-    def __repr__(self):
-        return (f"<SearchSpace {self.name}: {self.num_variable_nodes} "
-                f"variable nodes, size {self.size:.3g}>")

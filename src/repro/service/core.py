@@ -13,10 +13,12 @@ The building block is the re-entrant
 ``driver.step()`` — it calls ``driver.submit_next()`` when the fair-share
 scheduler grants the session a slot, waits on the *shared* evaluator,
 and routes each completion to the running session whose driver
-:meth:`~repro.cluster.scheduler.SearchDriver.owns` its ticket.  The
-drivers are the only record of which tickets are in flight: the fleet's
-and each tenant's in-flight counts are summed from them, never kept
-alongside.
+:meth:`~repro.cluster.scheduler.SearchDriver.owns` its ticket, dropping
+one that no running session owns.  The drivers are the only record of
+which tickets a session holds: each tenant's in-flight count is summed
+from them, never kept alongside.  Whether ``drive`` must still wait is
+the fleet's own ``in_flight``, so a failed session's last completions
+are drained too.
 
 Fault isolation, by construction:
 
@@ -46,13 +48,15 @@ Fault isolation, by construction:
   the journal and the session's ``on_record`` only once its save has
   landed; each drive turn lands those that have.
 - **Crashes**: a driver that raises out of containment (a buggy
-  strategy, a broken problem) marks *that session* FAILED; its tickets
-  are abandoned and every other session keeps running.
-- **Teardown**: every session ends through one path — its tickets are
-  abandoned, then its driver finalizes (landing held records, closing
-  its journal) under containment, so a session whose last records
-  raise on landing ends with the error in its status, failed or
-  interrupted alike, and never takes the drive loop down.
+  strategy, a tenant's ``on_record`` that raises) marks *that session*
+  FAILED and every other session keeps running.  Its tickets still in
+  flight complete on the fleet, and routing drops them: no running
+  session owns them.
+- **Teardown**: every session ends through one path — its driver
+  finalizes (landing held records, closing its journal) under
+  containment, so a session whose last records raise on landing ends
+  with the error in its status, failed or interrupted alike, and never
+  takes the drive loop down.
 
 Admission control is reject-with-backpressure: a full session queue or
 an over-quota tenant gets an immediate :class:`AdmissionError` — the
@@ -156,8 +160,8 @@ class SessionSpec:
     #: setting it (ROADMAP.md item 1)
     engine: str = "eager"
     #: per-session chaos: kwargs for ChaosEvaluator (crash_prob /
-    #: corrupt_prob / seed) — faults drawn from this session's own rng,
-    #: invisible to every other session
+    #: seed) — faults drawn from this session's own rng, invisible to
+    #: every other session
     chaos: Optional[dict] = None
     #: optional per-record callback, on the drive thread, as each
     #: record lands (after its journal append)
@@ -220,9 +224,6 @@ class SessionHandle:
     def result(self) -> Trace:
         return self._service.result(self.session_id)
 
-    def __repr__(self):
-        return f"<SessionHandle {self.session_id}>"
-
 
 class _Session:
     """Service-internal per-session state: the driver plus lifecycle
@@ -261,7 +262,7 @@ class SearchService:
     evaluator:
         The shared fleet every session's evaluations run on.  Defaults
         to a :class:`SerialEvaluator`; any evaluator exposing
-        ``submit`` / ``wait_any`` / ``abandon`` / ``num_workers`` /
+        ``submit`` / ``wait_any`` / ``in_flight`` / ``num_workers`` /
         ``clock`` works.  Retry due times, waits and sleeps are read
         on its ``clock``, the one its sessions' drivers stamp with.
     store:
@@ -482,7 +483,9 @@ class SearchService:
             return self._draining
 
     def _outstanding(self) -> bool:
-        return any(s.driver.pending_tickets() for s in self._running())
+        """Whether the fleet still owes a completion — a running
+        session's, or a failed one's that routing will drop."""
+        return self.evaluator.in_flight > 0
 
     def _any_active(self) -> bool:
         with self._lock:
@@ -584,7 +587,7 @@ class SearchService:
         session = next((s for s in self._running()
                         if s.driver.owns(ticket)), None)
         if session is None:
-            return                       # an abandoned ticket
+            return                       # its session has failed
         try:
             session.driver.complete(ticket, result)
         except Exception as exc:
@@ -602,14 +605,12 @@ class SearchService:
 
     # -- lifecycle transitions (drive thread only) ----------------------
     def _finish(self, session: _Session, state: str) -> None:
-        """The one way a session ends: abandon its tickets on the fleet,
-        then finalize its driver — landing held records and closing its
-        journal — under containment.  An error there is kept in the
-        session's status; it never escapes into the drive loop."""
-        abandon = getattr(self.evaluator, "abandon", None)
-        if abandon is not None:
-            for ticket in session.driver.pending_tickets():
-                abandon(ticket)
+        """The one way a session ends: finalize its driver — landing
+        held records and closing its journal — under containment.  An
+        error there is kept in the session's status; it never escapes
+        into the drive loop.  A failed session may still hold tickets;
+        once it is not RUNNING, :meth:`_wait_once` drops them as they
+        complete."""
         session.state = state
         try:
             session.trace = session.driver.finalize()
@@ -620,8 +621,8 @@ class SearchService:
 
     def _fail_session(self, session: _Session, exc: Exception) -> None:
         """Containment of last resort: the driver itself raised.  The
-        session dies alone — tickets abandoned, partial trace kept,
-        every other session untouched."""
+        session dies alone — partial trace kept, its in-flight tickets
+        left for routing to drop, every other session untouched."""
         session.error = repr(exc)
         self._finish(session, SessionState.FAILED)
 

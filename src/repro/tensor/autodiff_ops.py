@@ -399,21 +399,10 @@ def sigmoid_backward(gout, out):
     return gout * out * (1.0 - out)
 
 
-def elu_forward(x, alpha=1.0):
-    out = np.where(x > 0, x, alpha * (np.exp(np.clip(x, -60.0, 0.0)) - 1.0))
-    return out, (out, alpha)
-
-
-def elu_backward(gout, cache):
-    out, alpha = cache
-    return gout * np.where(out > 0, 1.0, out + alpha)
-
-
 ACTIVATIONS = {
     "relu": (relu_forward, relu_backward),
     "tanh": (tanh_forward, tanh_backward),
     "sigmoid": (sigmoid_forward, sigmoid_backward),
-    "elu": (elu_forward, elu_backward),
 }
 
 

@@ -10,16 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_rng(rng) -> np.random.Generator:
-    """Accept a Generator, a seed int, or None (fresh entropy)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _fans(shape) -> tuple[int, int]:
-    if len(shape) == 1:
-        return shape[0], shape[0]
     if len(shape) == 2:          # dense (in, out)
         return shape[0], shape[1]
     # conv kernels (..., Cin, Cout): receptive field x channels

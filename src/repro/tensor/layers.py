@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff_ops as ops
-from .initializers import as_rng, glorot_uniform, ones, zeros
+from .initializers import glorot_uniform, ones, zeros
 
 
 class BuildError(ValueError):
@@ -62,8 +62,8 @@ class Layer:
         return param_shapes
 
     def build(self, input_shape, rng) -> tuple:
-        """Stand-alone build: declare, then initialise own arrays."""
-        rng = as_rng(rng)
+        """Stand-alone build: declare, then initialise own arrays from
+        the generator ``rng``."""
         for pname, shape in self.declare(input_shape).items():
             self.params[pname] = np.empty(shape, dtype=np.float32)
             self.initializer(pname)(self.params[pname], rng)
@@ -105,9 +105,6 @@ class Layer:
         """The layer's shape signature: the tuple of its tensor shapes."""
         return tuple(tuple(p.shape) for p in self.params.values())
 
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.name} {self.signature()}>"
-
 
 class Identity(Layer):
     def forward(self, x, training=False):
@@ -147,17 +144,25 @@ class Activation(Layer):
 
 
 class Dropout(Layer):
+    """Inverted dropout.  Its mask stream is seeded by ``seed`` and
+    built at the first training forward that drops anything, so a layer
+    that never drops (evaluation only, or ``rate == 0``) never builds
+    one."""
+
     def __init__(self, name: str, rate: float, seed: int = 0):
         super().__init__(name)
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
 
     def forward(self, x, training=False):
         if not training or self.rate == 0.0:
             self._cache = None
             return x
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
         out, self._cache = ops.dropout_forward(x, self.rate, self._rng)
         return out
 

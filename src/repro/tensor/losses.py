@@ -70,8 +70,6 @@ METRICS = {"accuracy": accuracy, "r2": r2}
 
 
 def get_metric(name):
-    if callable(name):
-        return name
     try:
         return METRICS[name]
     except KeyError:

@@ -25,7 +25,7 @@ gives it (DESIGN.md "Transfer before init").
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class Network:
     # construction
     # ------------------------------------------------------------------
     def add(self, layer: Layer,
-            inputs: Union[None, str, Sequence[str]] = None) -> Layer:
+            inputs: Optional[Sequence[str]] = None) -> Layer:
         """Append ``layer``, wired to ``inputs`` (default: previous layer,
         or ``input:0`` for the first).  Input refs are layer names or
         ``"input:<i>"``."""
@@ -67,8 +67,6 @@ class Network:
             raise ValueError(f"duplicate layer name {layer.name!r}")
         if inputs is None:
             inputs = [self._layers[-1].name] if self._layers else ["input:0"]
-        elif isinstance(inputs, str):
-            inputs = [inputs]
         else:
             inputs = list(inputs)
         for ref in inputs:

@@ -1,23 +1,18 @@
-"""Fixture: R003 violations (allocations inside an optimizer step)."""
+"""Fixture: R001 in a ``repro/tensor`` hot path, one branch per marked
+line — ``np.array`` of a literal without dtype, the ``np.float64``
+attribute and the ``"float64"`` literal."""
 
 import numpy as np
 
 
-class BadSGD:
+class Float64Momentum:
     def __init__(self, lr):
         self.lr = lr
+        self.betas = np.array([0.9, 0.999])  # R001
+        self.accumulate_dtype = np.float64  # R001
+        self.betas32 = np.array([0.9, 0.999], dtype=np.float32)
 
     def step(self, params, grads):
         for name, g in grads.items():
-            params[name] = params[name] - self.lr * np.zeros_like(g)
-
-
-class FlatSGD:
-    def __init__(self, lr, size):
-        self.lr = lr
-        self.flat = np.empty(size, dtype=np.float32)
-
-    def step(self, params, grads):
-        flat = np.concatenate(list(grads.values()), axis=None)  # R003
-        np.concatenate(list(grads.values()), axis=None, out=self.flat)
-        np.multiply(flat, self.lr, out=flat)
+            wide = g.astype("float64")  # R001
+            params[name] -= (self.lr * wide).astype(params[name].dtype)

@@ -63,6 +63,7 @@ def test_image_dataset_shapes():
     ds = make_image_dataset(n_train=20, n_val=8, height=7, width=9,
                             channels=2, classes=5, seed=0)
     assert ds.x_train.shape == (20, 7, 9, 2)
+    assert ds.input_shapes == ((7, 9, 2),)
     assert ds.y_train.shape == (20, 5)
     assert np.allclose(ds.y_train.sum(axis=1), 1.0)   # one-hot
     assert ds.loss == "categorical_crossentropy"

@@ -161,6 +161,18 @@ def test_legacy_archive_without_order_index_loads(tmp_path):
     assert store.load_meta("k") is None
 
 
+def test_legacy_archive_takes_its_order_from_the_sidecar(tmp_path):
+    """An npz whose sidecar names the tensor order loads in that order,
+    not in its zip-entry order."""
+    store = CheckpointStore(tmp_path)
+    w = weights()
+    np.savez(store.path("k"), **dict(reversed(list(w.items()))))
+    (tmp_path / "k.json").write_text(json.dumps({"__order__": list(w)}))
+    loaded = store.load("k")
+    assert list(loaded) == list(w)
+    assert all(np.array_equal(loaded[k], w[k]) for k in w)
+
+
 def test_async_writer_flushes_to_store(tmp_path):
     store = CheckpointStore(tmp_path)
     with AsyncCheckpointWriter(store) as writer:

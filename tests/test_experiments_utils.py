@@ -1,5 +1,8 @@
 """Experiment plumbing: configs, report rendering, context caching."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -8,9 +11,9 @@ from repro.experiments import (
     human_bytes,
     human_count,
     pct,
-    save_csv,
     text_table,
 )
+from repro.experiments import runner
 
 
 def test_get_config_scales():
@@ -49,12 +52,6 @@ def test_pct():
     assert pct(0.5, 0) == "50%"
 
 
-def test_save_csv(tmp_path):
-    path = save_csv(tmp_path / "out" / "t.csv", ["a", "b"],
-                    [[1, 2], [3, 4]])
-    assert path.read_text().splitlines() == ["a,b", "1,2", "3,4"]
-
-
 def test_context_run_name_matches_recorded_layout(tmp_path):
     ctx = ExperimentContext("smoke", workdir=tmp_path)
     name = ctx.run_name("cifar10", "lcs", 8, 0)
@@ -62,6 +59,30 @@ def test_context_run_name_matches_recorded_layout(tmp_path):
     store = ctx.store("cifar10", "lcs", gpus=8, seed=0)
     assert store.root == tmp_path / "ckpt" / name
     assert ctx.store("cifar10", "baseline") is None
+
+
+def test_context_reruns_load_the_trace_cache(tmp_path, monkeypatch):
+    """A second context on the same workdir reads a search back from
+    its trace cache; with no workdir, a context works under
+    ``results/<scale>`` of the working directory."""
+    monkeypatch.chdir(tmp_path)
+    config = replace(get_config("smoke"), num_candidates=3)
+    first = ExperimentContext(config=config)
+    assert first.workdir == Path("results") / "smoke"
+    searched = first.trace("uno", "lcs")
+    assert len(searched) == 3
+    cached = ExperimentContext(config=config).trace("uno", "lcs")
+    assert cached.records == searched.records
+
+
+def test_runner_runs_named_experiments_and_rejects_unknown(tmp_path,
+                                                           capsys):
+    assert runner.main(["--workdir", str(tmp_path), "table1"]) == 0
+    assert "== table1 ==" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        runner.main(["--workdir", str(tmp_path), "fig99"])
+    assert exc.value.code == 2
+    assert "unknown experiment 'fig99'" in capsys.readouterr().err
 
 
 def test_context_caches_problems(tmp_path):

@@ -129,6 +129,7 @@ def test_provider_cache_never_outgrows_the_population(problem, space,
         driver.step()
         sizes.append(len(driver.weight_cache))
     trace = driver.finalize()
+    assert driver.finalize() is trace      # idempotent
     stats = trace.io_stats["cache"]
     assert max(sizes) == stats["max_entries"] == 4
     assert stats["evictions"] > 0

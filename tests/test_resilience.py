@@ -122,17 +122,16 @@ def test_failed_task_lands_as_failed_record(space, problem):
 
 
 @pytest.mark.parametrize("probs", [
-    dict(crash_prob=-0.5, corrupt_prob=1.0),
-    dict(corrupt_prob=1.5, crash_prob=-0.5),
-    dict(corrupt_prob=-0.1),
-    dict(crash_prob=0.6, corrupt_prob=0.6),
+    dict(crash_prob=-0.5),
+    dict(crash_prob=1.5),
+    dict(crash_prob=-0.1),
+    dict(crash_prob=float("nan")),
 ])
 def test_chaos_rejects_probabilities_outside_unit_interval(probs):
-    """Each probability must be in [0, 1] and their sum at most 1: a
-    negative crash rate must not hand its share to corruptions."""
+    """The crash probability must be in [0, 1]; NaN is not."""
     with pytest.raises(ValueError):
         ChaosEvaluator(SerialEvaluator(), **probs)
-    ChaosEvaluator(SerialEvaluator(), crash_prob=0.5, corrupt_prob=0.5)
+    ChaosEvaluator(SerialEvaluator(), crash_prob=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +174,23 @@ def test_chaos_crashes_do_not_perturb_scores(space, problem):
            [(r.arch_seq, r.score) for r in chaos]
 
 
-def test_chaos_corrupt_result_is_contained(space, problem):
-    ev = ChaosEvaluator(SerialEvaluator(), corrupt_prob=1.0, seed=0)
+class _NanScoreEvaluator(SerialEvaluator):
+    """A flaky node: every task's result comes back with a NaN score."""
+
+    def submit(self, task):
+        def flaky():
+            result = task()
+            result.score = float("nan")
+            return result
+        return super().submit(flaky)
+
+
+def test_non_finite_score_is_contained(space, problem):
+    """The scheduler's result validation books a non-finite score as a
+    ``corrupt_result`` fault and lands a failed record."""
     trace = run_search(problem, RandomSearch(space, rng=0), 2,
-                       scheme="baseline", evaluator=ev, seed=0)
+                       scheme="baseline", evaluator=_NanScoreEvaluator(),
+                       seed=0)
     assert len(trace) == 2
     for r in trace:
         assert not r.ok and r.score == FAILURE_SCORE

@@ -285,6 +285,58 @@ def test_buggy_session_fails_alone(space, problem, tmp_path):
     assert len(good.result()) == 3
 
 
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(2, 5), min_size=2, max_size=3),
+       victim=st.integers(0, 2), fail_at=st.integers(0, 3),
+       schemes=st.lists(st.sampled_from(["baseline", "lcs"]),
+                        min_size=3, max_size=3))
+def test_session_failing_with_tickets_in_flight_dies_alone(
+        space, problem, sizes, victim, fail_at, schemes):
+    """On a thread fleet, one session's ``on_record`` raises at a drawn
+    record, before its last.  The session holds a fleet share of two
+    tickets and the fleet has room for every share, so at least one of
+    its tickets is still in flight when it fails; the test checks that
+    rather than assuming it.  The session ends FAILED with the records
+    it landed kept, every other session lands ids ``0..n-1``, and
+    ``drive`` returns only once the fleet has nothing in flight: routing
+    dropped the failed session's last completions."""
+    victim %= len(sizes)
+    fail_at %= sizes[victim] - 1
+    landed: list = []
+    in_flight_at_failure: list = []
+    handles: list = []
+
+    def explode(record):
+        landed.append(record.candidate_id)
+        if len(landed) == fail_at + 1:
+            in_flight_at_failure.append(handles[victim].poll().in_flight)
+            raise RuntimeError("tenant callback bug")
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            ThreadPoolEvaluator(num_workers=2 * len(sizes)) as fleet:
+        svc = SearchService(evaluator=fleet,
+                            store=CheckpointStore(Path(tmp) / "s"),
+                            tenant_quota=2)
+        for i, n in enumerate(sizes):
+            handles.append(svc.submit(_spec(
+                space, problem, i, tenant=f"t{i}", n=n,
+                scheme="baseline" if i == victim else schemes[i],
+                on_record=explode if i == victim else None)))
+        svc.drive()
+        assert fleet.in_flight == 0
+    assert in_flight_at_failure and in_flight_at_failure[0] >= 1
+    status = handles[victim].poll()
+    assert status.state == SessionState.FAILED
+    assert "tenant callback bug" in status.error
+    assert [r.candidate_id for r in handles[victim].result()] == landed
+    for i, n in enumerate(sizes):
+        if i != victim:
+            assert handles[i].poll().state == SessionState.DONE
+            ids = sorted(r.candidate_id for r in handles[i].result())
+            assert ids == list(range(n))
+    assert svc.stats()["in_flight"] == 0
+
+
 def test_retry_backoff_does_not_stall_other_sessions(space, problem,
                                                      tmp_path):
     """While one session's retry backs off, the drive thread keeps
@@ -568,6 +620,45 @@ def test_recover_replays_bit_identically_and_completes(space, problem,
     assert [_record_key(r) for r in trace.records[:3]] == want
     # the manifest reflects the completed recovery
     assert revived.recoverable_sessions() == {}
+
+
+class _RefusingEvaluator(SerialEvaluator):
+    """A fleet that fails any session submitting to it."""
+
+    def submit(self, task):
+        raise AssertionError("a complete journal submits nothing")
+
+
+def test_recovering_a_complete_journal_finishes_without_submitting(
+        space, problem, tmp_path):
+    """A session whose journal already holds every candidate (a crash
+    after its last record was journaled, before its manifest said DONE)
+    replays it and ends DONE without asking the fleet for anything.
+    ``recover`` resumes only the sessions it is given a spec for."""
+    store = CheckpointStore(tmp_path / "s")
+    svc = SearchService(evaluator=SerialEvaluator(), store=store,
+                        journal_dir=tmp_path / "j")
+    done = svc.submit(_spec(space, problem, 7, n=3))
+    other = svc.submit(_spec(space, problem, 8, n=3))
+    svc.drive()
+    for handle in (done, other):
+        path = tmp_path / "j" / f"{handle.session_id}.manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(manifest, state="running")))
+
+    revived = SearchService(evaluator=_RefusingEvaluator(), store=store,
+                            journal_dir=tmp_path / "j")
+    handles = revived.recover({done.session_id: _spec(space, problem, 7,
+                                                      n=3)})
+    assert [h.session_id for h in handles] == [done.session_id]
+    revived.drive()
+    status = handles[0].poll()
+    assert status.state == SessionState.DONE, status.error
+    trace = handles[0].result()
+    assert [_record_key(r) for r in trace] == \
+        [_record_key(r) for r in done.result()]
+    assert trace.fault_stats["resumed_records"] == 3
+    assert list(revived.recoverable_sessions()) == [other.session_id]
 
 
 def test_recover_rejects_mismatched_spec(space, problem, tmp_path):

@@ -1,6 +1,8 @@
 """SimulatedCluster: virtual clock + real scores, under the one loop."""
 
 import heapq
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -49,6 +51,22 @@ def test_virtual_clock_advances(problem, tmp_path):
         assert r.end_time > r.start_time >= 0.0
     assert trace.makespan > 0.0
     assert trace.busy_time <= 2 * trace.makespan
+
+
+@settings(max_examples=40, deadline=None)
+@given(gpus=st.integers(1, 32), seed=st.integers(0, 99),
+       scheme=st.sampled_from(["baseline", "lp", "lcs"]),
+       n=st.integers(1, 12))
+def test_busy_time_fits_in_the_fleet(problem, gpus, seed, scheme, n):
+    """No fleet is busier than its GPUs over the makespan: ``busy_time
+    <= num_gpus * makespan``, so a utilisation (and Fig. 10's
+    work-normalised efficiency) never exceeds 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = simulate(problem, Path(tmp), n, gpus=gpus, scheme=scheme,
+                         seed=seed, strategy=strategy_for(problem.space,
+                                                          seed))
+    assert len(trace) == n
+    assert trace.busy_time <= gpus * trace.makespan
 
 
 def test_more_gpus_do_not_slow_the_run(problem, tmp_path):

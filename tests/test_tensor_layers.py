@@ -13,6 +13,7 @@ from repro.tensor import (
     Flatten,
     MaxPool2D,
 )
+from repro.tensor import autodiff_ops as ops
 
 
 def rng():
@@ -106,3 +107,27 @@ def test_dropout_only_active_in_training():
     assert (dropped == 0).any()
     # inverted dropout preserves the expectation
     assert dropped.mean() == pytest.approx(1.0, abs=0.2)
+
+
+def test_dropout_stream_is_built_lazily_and_draws_the_seeded_masks():
+    """The mask stream appears at the first training forward that drops
+    anything, and draws what ``default_rng(seed)`` draws."""
+    x = np.ones((4, 32), dtype=np.float32)
+    layer = Dropout("do", rate=0.5, seed=7)
+    layer.build((32,), rng())
+    assert layer._rng is None
+    layer.forward(x, training=False)
+    assert layer._rng is None            # evaluation draws nothing
+    masks = []
+    for _ in range(3):
+        layer.forward(x, training=True)
+        masks.append(layer._cache)
+    eager = np.random.default_rng(7)
+    for mask in masks:
+        _, expected = ops.dropout_forward(x, 0.5, eager)
+        assert np.array_equal(mask, expected)
+    idle = Dropout("idle", rate=0.0, seed=7)
+    idle.build((32,), rng())
+    assert idle.forward(x, training=True) is x
+    assert idle.backward(x) is x
+    assert idle._rng is None             # rate 0 never draws
