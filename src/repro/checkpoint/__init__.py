@@ -1,6 +1,5 @@
-"""Checkpoint store (raw payload + layout sidecar; legacy npz archives
-still load) + in-memory provider cache and async write-behind
-extensions."""
+"""Checkpoint store (raw payload + layout sidecar, the one format) +
+in-memory provider cache and async write-behind extensions."""
 
 from .cache import WeightCache
 from .multilevel import AsyncCheckpointWriter

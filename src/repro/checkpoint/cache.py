@@ -76,10 +76,6 @@ class WeightCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def stats(self) -> dict:
         with self._lock:
             return {

@@ -9,13 +9,10 @@ tensor order (``__order__``), the per-tensor layout
 CRC32 (``__crc32__``).  A load is one sidecar read
 and one payload read into a writable buffer; each tensor comes back as
 an ``np.frombuffer`` view of it — no zip, no ``.npy`` headers, no
-pickle.  Sizes are real on-disk bytes — they feed Figure 11 and the
-simulator's I/O cost model.
-
-Legacy ``<key>.npz`` archives (written by older stores, with or
-without a sidecar, or with the order index embedded as an object
-array) stay readable through ``np.load``; every method that enumerates,
-sizes, deletes or quarantines checkpoints sees either suffix.
+pickle.  This is the only format the store reads: a sidecar without the
+order, layout or CRC, or naming another codec, loads as corrupt.  A
+save reports its payload bytes, which each trace record keeps for
+Figure 11.
 
 Concurrency contract: the store itself is **lock-free** — it owns no
 shared in-memory state, and every file is committed by an atomic
@@ -38,26 +35,22 @@ from __future__ import annotations
 import json
 import math
 import os
-import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-#: Payload suffixes: the raw codec, and the legacy npz archive.
+#: Payload suffix of the raw codec.
 _RAW_SUFFIX = ".bin"
-_NPZ_SUFFIX = ".npz"
-#: Sidecar key for the tensor order (legacy archives embedded it as an
-#: object array under the same name, which needs pickle to read).
+#: Sidecar key for the tensor order.
 _ORDER_KEY = "__order__"
 #: Sidecar key for the user metadata.
 _META_KEY = "__meta__"
-#: Sidecar key for the CRC32 of the payload file (sidecars written
-#: before it existed load unchecked for backward compatibility).
+#: Sidecar key for the CRC32 of the payload file.
 _CRC_KEY = "__crc32__"
 #: Sidecar key for the per-tensor ``[dtype.str, shape, offset]`` layout
-#: of a raw payload; its absence marks a legacy npz checkpoint.
+#: of the payload.
 _LAYOUT_KEY = "__layout__"
 #: Sidecar key for the payload codec; ``"raw"`` is the only one read.
 _CODEC_KEY = "__codec__"
@@ -131,8 +124,9 @@ def _decode(buf: bytearray, order: list, layout: list) -> dict:
 
 class CorruptCheckpointError(Exception):
     """``load`` found the checkpoint on disk but could not decode it
-    (truncated payload, CRC mismatch, bad zip magic, missing member,
-    unreadable sidecar, unknown codec).
+    (truncated payload, CRC mismatch, a payload without a sidecar, an
+    unreadable sidecar or one missing the order, layout or CRC, an
+    unknown codec).
 
     Distinct from :class:`FileNotFoundError` — the caller's recovery is
     different: a corrupt checkpoint should be quarantined and the
@@ -159,33 +153,14 @@ class CheckpointStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     # -- paths ----------------------------------------------------------
-    def _payload(self, key: str, root: Path | None = None) -> Path | None:
-        """The key's payload file under ``root`` (default: the store),
-        raw before legacy npz; None when neither is on disk."""
-        root = self.root if root is None else root
-        for suffix in (_RAW_SUFFIX, _NPZ_SUFFIX):
-            path = root / f"{key}{suffix}"
-            if path.exists():
-                return path
-        return None
-
     def path(self, key: str) -> Path:
-        """The key's payload file: ``<key>.bin``, or a legacy
-        ``<key>.npz``, whichever is on disk — in the store, else in its
-        quarantine.  A key with neither resolves to the legacy name,
-        which is where ``np.savez`` puts an archive for it."""
-        return (self._payload(key) or self._payload(key, self.quarantine_root)
-                or self.root / f"{key}{_NPZ_SUFFIX}")
+        return self.root / f"{key}{_RAW_SUFFIX}"
 
     def meta_path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
     def exists(self, key: str) -> bool:
-        return self._payload(key) is not None
-
-    def keys(self) -> list[str]:
-        return sorted({p.stem for suffix in (_RAW_SUFFIX, _NPZ_SUFFIX)
-                       for p in self.root.glob(f"*{suffix}")})
+        return self.path(key).exists()
 
     # -- save / load ----------------------------------------------------
     def save(self, key: str, weights: dict[str, np.ndarray],
@@ -201,72 +176,44 @@ class CheckpointStore:
                    _LAYOUT_KEY: layout, _CODEC_KEY: "raw"}
         _atomic_write_bytes(self.meta_path(key),
                             json.dumps(sidecar).encode())
-        path = self.root / f"{key}{_RAW_SUFFIX}"
+        path = self.path(key)
         _atomic_write_bytes(path, payload)
         return CheckpointInfo(key, path, len(payload))
 
-    def _sidecar(self, key: str) -> dict | None:
-        mp = self.meta_path(key)
-        if not mp.exists():
-            return None
-        return json.loads(mp.read_text())
-
     def load(self, key: str) -> dict[str, np.ndarray]:
-        """Ordered named tensors, insertion order preserved.
+        """Ordered named tensors, insertion order preserved.  The
+        sidecar is checked before the payload is read.
 
-        Raises :class:`CorruptCheckpointError` when the payload exists
-        but cannot be decoded (truncated payload, garbage npz, missing
-        member, malformed sidecar, a codec other than ``"raw"``) — or
-        its bytes no longer match the CRC32 recorded at save time — see
-        :meth:`quarantine` for recovery."""
-        path = self.root / f"{key}{_RAW_SUFFIX}"
+        Raises :class:`FileNotFoundError` when the key has neither
+        sidecar nor payload, or a sound sidecar whose payload is not on
+        disk.  Raises :class:`CorruptCheckpointError` when the sidecar
+        is unreadable, lacks the order, layout or CRC, or names a codec
+        other than ``"raw"``; when a payload has no sidecar; or when the
+        payload's bytes do not match the layout or the CRC32 recorded at
+        save time — see :meth:`quarantine` for recovery."""
+        path = self.path(key)
         try:
-            sidecar = self._sidecar(key)
-            if sidecar is not None and _LAYOUT_KEY in sidecar:
-                codec = sidecar.get(_CODEC_KEY, "raw")
-                if codec != "raw":
-                    raise ValueError(f"unknown codec {codec!r}")
-                buf = _read_into_buffer(path)
-                self._check_crc(key, path, sidecar, buf)
-                return _decode(buf, sidecar[_ORDER_KEY], sidecar[_LAYOUT_KEY])
-            path = self._payload(key)
-            if path is None:
-                raise FileNotFoundError(f"no checkpoint {key!r} in "
-                                        f"{self.root}")
-            if path.suffix == _RAW_SUFFIX:
-                raise ValueError("raw payload without a layout sidecar")
-            return self._load_npz(key, path, sidecar)
-        except (FileNotFoundError, CorruptCheckpointError):
+            try:
+                sidecar = json.loads(self.meta_path(key).read_text())
+            except FileNotFoundError:
+                if path.exists():
+                    raise ValueError("payload without a sidecar") from None
+                raise
+            order, layout, crc = (sidecar[_ORDER_KEY], sidecar[_LAYOUT_KEY],
+                                  sidecar[_CRC_KEY])
+            codec = sidecar.get(_CODEC_KEY, "raw")
+            if codec != "raw":
+                raise ValueError(f"unknown codec {codec!r}")
+            buf = _read_into_buffer(path)
+            hashed = zlib.crc32(buf) & 0xFFFFFFFF
+            if hashed != crc:
+                raise ValueError(f"CRC32 mismatch: sidecar records "
+                                 f"{crc:#010x}, payload hashes {hashed:#010x}")
+            return _decode(buf, order, layout)
+        except FileNotFoundError:
             raise
-        except (ValueError, TypeError, KeyError, OSError, EOFError,
-                zipfile.BadZipFile, json.JSONDecodeError) as exc:
+        except (ValueError, TypeError, KeyError, OSError) as exc:
             raise CorruptCheckpointError(key, path, exc) from exc
-
-    @staticmethod
-    def _check_crc(key: str, path: Path, sidecar: dict, blob) -> None:
-        if _CRC_KEY not in sidecar:
-            return
-        crc = zlib.crc32(blob) & 0xFFFFFFFF
-        if crc != sidecar[_CRC_KEY]:
-            raise CorruptCheckpointError(key, path, ValueError(
-                f"CRC32 mismatch: sidecar records {sidecar[_CRC_KEY]:#010x}, "
-                f"payload hashes {crc:#010x}"))
-
-    def _load_npz(self, key: str, path: Path,
-                  sidecar: dict | None) -> dict[str, np.ndarray]:
-        """The legacy read path: an npz archive, order from the sidecar
-        or else from the zip entries (npz member order is insertion
-        order).  Older archives also embed the order as a pickled object
-        array; it names the zip-entry order and is skipped, never
-        unpickled."""
-        if sidecar is not None:
-            self._check_crc(key, path, sidecar, path.read_bytes())
-        with np.load(path) as data:        # allow_pickle stays False
-            if sidecar is not None and _ORDER_KEY in sidecar:
-                order = [str(n) for n in sidecar[_ORDER_KEY]]
-            else:
-                order = [n for n in data.files if n != _ORDER_KEY]
-            return {name: data[name] for name in order}
 
     # -- corrupt-checkpoint quarantine ----------------------------------
     @property
@@ -274,55 +221,20 @@ class CheckpointStore:
         return self.root / QUARANTINE_DIR
 
     def quarantine(self, key: str) -> Path:
-        """Move a corrupt checkpoint (payload + sidecar) into the
-        ``.quarantine/`` sidecar directory so it stops poisoning loads
-        but stays on disk for post-mortem; returns the quarantined
-        payload path.  After quarantine ``exists(key)`` is False and
-        the scheduler cold-starts the candidate."""
+        """Move a corrupt checkpoint (payload + sidecar, whichever is on
+        disk) into the ``.quarantine/`` sidecar directory so it stops
+        poisoning loads but stays on disk for post-mortem; returns the
+        quarantined payload path.  After quarantine ``exists(key)`` is
+        False and the scheduler cold-starts the candidate."""
         qroot = self.quarantine_root
         qroot.mkdir(parents=True, exist_ok=True)
-        dest = qroot / f"{key}{_RAW_SUFFIX}"
-        for suffix in (_NPZ_SUFFIX, _RAW_SUFFIX):
-            src = self.root / f"{key}{suffix}"
+        for src in (self.path(key), self.meta_path(key)):
             if src.exists():
-                dest = qroot / src.name
-                src.replace(dest)
-        mp = self.meta_path(key)
-        if mp.exists():
-            mp.replace(qroot / mp.name)
-        return dest
+                src.replace(qroot / src.name)
+        return qroot / self.path(key).name
 
     def quarantined_keys(self) -> list[str]:
-        if not self.quarantine_root.exists():
-            return []
-        return sorted({p.stem for suffix in (_RAW_SUFFIX, _NPZ_SUFFIX)
-                       for p in self.quarantine_root.glob(f"*{suffix}")})
+        return sorted({p.stem for p in self.quarantine_root.glob("*")})
 
-    def load_meta(self, key: str) -> dict | None:
-        sidecar = self._sidecar(key)
-        if sidecar is None:
-            return None
-        if _ORDER_KEY in sidecar:              # store-written sidecar
-            return sidecar.get(_META_KEY)
-        return sidecar                          # legacy: raw user meta
-
-    def delete(self, key: str) -> None:
-        for suffix in (_RAW_SUFFIX, _NPZ_SUFFIX):
-            (self.root / f"{key}{suffix}").unlink(missing_ok=True)
-        self.meta_path(key).unlink(missing_ok=True)
-
-    # -- size accounting ------------------------------------------------
     def nbytes(self, key: str) -> int:
-        path = self._payload(key)
-        if path is None:
-            raise FileNotFoundError(f"no checkpoint {key!r} in {self.root}")
-        return path.stat().st_size
-
-    def sizes(self) -> dict[str, int]:
-        return {key: self.nbytes(key) for key in self.keys()}
-
-    def total_bytes(self) -> int:
-        return sum(self.sizes().values())
-
-    def __len__(self) -> int:
-        return len(self.keys())
+        return self.path(key).stat().st_size

@@ -301,7 +301,8 @@ class SearchDriver:
             weights = store.load(key)
             nbytes = payload_nbytes(weights)
         except CorruptCheckpointError:
-            nbytes = store.nbytes(key)     # read before found corrupt
+            if store.exists(key):          # a payload is charged as read
+                nbytes = store.nbytes(key)
             self.fault_stats.record_fault("corrupt_checkpoint")
             self.fault_stats.quarantined += 1
             store.quarantine(key)

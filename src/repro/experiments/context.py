@@ -57,6 +57,12 @@ class ExperimentContext:
         return CheckpointStore(
             self.workdir / "ckpt" / self.run_name(app, scheme, gpus, seed))
 
+    def trace_path(self, app: str, scheme: str, gpus: int,
+                   seed: int) -> Path:
+        """Where the run's trace is cached."""
+        return self.workdir / "traces" / \
+            f"{self.run_name(app, scheme, gpus, seed)}.jsonl"
+
     @property
     def default_gpus(self) -> int:
         return self.config.gpu_counts[-1]
@@ -70,8 +76,7 @@ class ExperimentContext:
         key = (app, scheme, gpus, seed)
         if key in self._traces:
             return self._traces[key]
-        cache = self.workdir / "traces" / \
-            f"{self.run_name(app, scheme, gpus, seed)}.jsonl"
+        cache = self.trace_path(app, scheme, gpus, seed)
         if cache.exists():
             trace = Trace.load_jsonl(cache)
         else:
@@ -103,16 +108,24 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     def full(self, app: str, scheme: str, record, seed: int = 0):
         """Fully train a trace record's architecture, warm-started from
-        its partial-training checkpoint for the transfer schemes."""
+        its partial-training checkpoint for the transfer schemes.  A
+        record whose save failed (``ckpt_bytes == 0``) trains cold; one
+        whose checkpoint was saved but is gone raises
+        :class:`FileNotFoundError` rather than quietly training cold."""
         key = (app, scheme, record.candidate_id, seed)
         if key in self._full:
             return self._full[key]
         problem = self.problem(app, seed=seed)
         initial = None
         store = self.store(app, scheme, seed=seed)
-        if store is not None and \
-                store.exists(checkpoint_key(record.candidate_id)):
-            initial = store.load(checkpoint_key(record.candidate_id))
+        if store is not None and record.ckpt_bytes > 0:
+            ckpt = checkpoint_key(record.candidate_id)
+            if not store.exists(ckpt):
+                cache = self.trace_path(app, scheme, self.default_gpus, seed)
+                raise FileNotFoundError(
+                    f"checkpoint {ckpt!r} of {store.root} is gone; delete "
+                    f"the cached trace {cache} to rerun its search")
+            initial = store.load(ckpt)
         result = full_train(problem, record.arch_seq, seed=seed,
                             initial_weights=initial)
         self._full[key] = result

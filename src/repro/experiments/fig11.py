@@ -1,4 +1,5 @@
-"""Figure 11 — checkpoint sizes per application (real on-disk bytes)."""
+"""Figure 11 — checkpoint sizes per application (the payload bytes each
+LCS save wrote, as its trace record keeps them)."""
 
 from __future__ import annotations
 
@@ -32,10 +33,8 @@ class Fig11Result:
 def run_fig11(ctx) -> Fig11Result:
     rows = []
     for app in ctx.config.apps:
-        ctx.trace(app, "lcs")        # ensure the run (and its store) exists
-        store = ctx.store(app, "lcs")
-        sizes = np.array([store.nbytes(k) for k in store.keys()],
-                         dtype=np.float64)
+        sizes = np.array([r.ckpt_bytes for r in ctx.trace(app, "lcs")
+                          if r.ckpt_bytes > 0], dtype=np.float64)
         rows.append(Fig11Row(
             app=app, n_checkpoints=int(sizes.size),
             mean_bytes=float(sizes.mean()) if sizes.size else 0.0,

@@ -5,6 +5,8 @@ import sys
 import tempfile
 import threading
 import time
+import zlib
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -15,9 +17,12 @@ from hypothesis import strategies as st
 from repro.checkpoint import (
     AsyncCheckpointWriter,
     CheckpointStore,
+    CorruptCheckpointError,
     ShardedCheckpointStore,
     payload_nbytes,
 )
+from repro.cluster import checkpoint_key, run_search
+from repro.nas import RegularizedEvolution
 
 
 def weights(seed=0):
@@ -28,6 +33,16 @@ def weights(seed=0):
     }
 
 
+def saved_count(store):
+    """Checkpoints in ``store``: one ``.bin`` payload each."""
+    return len(list(store.root.glob("*.bin")))
+
+
+def saved_meta(store, key):
+    """The user metadata a save put in the key's sidecar."""
+    return json.loads(store.meta_path(key).read_text())["__meta__"]
+
+
 def test_save_load_round_trip(tmp_path):
     store = CheckpointStore(tmp_path)
     w = weights()
@@ -36,7 +51,7 @@ def test_save_load_round_trip(tmp_path):
     loaded = store.load("m_000001")
     assert list(loaded) == list(w)          # order preserved
     assert all(np.array_equal(loaded[k], w[k]) for k in w)
-    assert store.load_meta("m_000001") == {"score": 0.5, "arch_seq": [1, 2]}
+    assert saved_meta(store, "m_000001") == {"score": 0.5, "arch_seq": [1, 2]}
 
 
 def test_payload_nbytes_is_the_saved_payload_size(tmp_path):
@@ -48,24 +63,16 @@ def test_payload_nbytes_is_the_saved_payload_size(tmp_path):
     assert payload_nbytes(w) == info.nbytes == 8 + 16 + 24
 
 
-def test_keys_len_sizes_delete(tmp_path):
-    store = CheckpointStore(tmp_path)
-    for i in range(3):
-        store.save(f"m_{i:06d}", weights(i))
-    assert len(store) == 3
-    assert store.keys() == [f"m_{i:06d}" for i in range(3)]
-    assert all(n > 0 for n in store.sizes().values())
-    assert store.total_bytes() == sum(store.sizes().values())
-    store.delete("m_000001")
-    assert not store.exists("m_000001")
-    assert len(store) == 2
-
-
 def test_missing_key_raises(tmp_path):
     store = CheckpointStore(tmp_path)
     with pytest.raises(FileNotFoundError):
         store.load("nope")
-    assert store.load_meta("nope") is None
+    assert not store.exists("nope")
+    # a payload whose sidecar is missing is there, but unreadable
+    store.save("k", weights())
+    store.meta_path("k").unlink()
+    with pytest.raises(CorruptCheckpointError, match="without a sidecar"):
+        store.load("k")
 
 
 def test_sharded_name_is_a_plain_store(tmp_path):
@@ -107,80 +114,14 @@ def test_load_never_needs_pickle(tmp_path, monkeypatch):
     assert all(np.array_equal(loaded[k], w[k]) for k in w)
 
 
-def test_legacy_object_array_archive_still_loads(tmp_path):
-    store = CheckpointStore(tmp_path)
-    w = weights()
-    # old stores embedded the order as an object array and wrote the raw
-    # user meta (no __order__ wrapper) to the sidecar
-    order = np.array(list(w.keys()), dtype=object)
-    np.savez(store.path("k"), __order__=order, **w)
-    store.meta_path("k").write_text(json.dumps({"score": 0.7}))
-    loaded = store.load("k")
-    assert list(loaded) == list(w)
-    assert all(np.array_equal(loaded[k], w[k]) for k in w)
-    assert store.load_meta("k") == {"score": 0.7}
-
-
-#: names unpickled from a checkpoint's embedded ``__order__``
-_UNPICKLED: list = []
-
-
-def _unpickle_name(name):
-    _UNPICKLED.append(name)
-    return name
-
-
-class _TrippedName:
-    """Unpickles to its name, noting that it was unpickled."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def __reduce__(self):
-        return _unpickle_name, (self.name,)
-
-
-def test_legacy_object_array_is_never_unpickled(tmp_path):
-    store = CheckpointStore(tmp_path)
-    w = weights()
-    order = np.array([_TrippedName(n) for n in w], dtype=object)
-    np.savez(store.path("k"), __order__=order, **w)
-    _UNPICKLED.clear()
-    loaded = store.load("k")                    # zip-entry order
-    assert _UNPICKLED == []
-    assert list(loaded) == list(w)
-    assert all(np.array_equal(loaded[k], w[k]) for k in w)
-
-
-def test_legacy_archive_without_order_index_loads(tmp_path):
-    store = CheckpointStore(tmp_path)
-    w = weights()
-    np.savez(store.path("k"), **w)              # no sidecar, no __order__
-    loaded = store.load("k")                    # zip-entry order
-    assert list(loaded) == list(w)
-    assert store.load_meta("k") is None
-
-
-def test_legacy_archive_takes_its_order_from_the_sidecar(tmp_path):
-    """An npz whose sidecar names the tensor order loads in that order,
-    not in its zip-entry order."""
-    store = CheckpointStore(tmp_path)
-    w = weights()
-    np.savez(store.path("k"), **dict(reversed(list(w.items()))))
-    (tmp_path / "k.json").write_text(json.dumps({"__order__": list(w)}))
-    loaded = store.load("k")
-    assert list(loaded) == list(w)
-    assert all(np.array_equal(loaded[k], w[k]) for k in w)
-
-
 def test_async_writer_flushes_to_store(tmp_path):
     store = CheckpointStore(tmp_path)
     with AsyncCheckpointWriter(store) as writer:
         for i in range(5):
             writer.save(f"m_{i:06d}", weights(i), meta={"i": i})
         writer.flush()
-        assert len(store) == 5
-    assert store.load_meta("m_000003") == {"i": 3}
+        assert saved_count(store) == 5
+    assert saved_meta(store, "m_000003") == {"i": 3}
 
 
 class FlakyStore(CheckpointStore):
@@ -322,7 +263,7 @@ def test_interrupted_save_never_tears_existing_checkpoint(tmp_path,
                                                           monkeypatch):
     """A crash mid-save (simulated: os.replace raises) must leave the
     previously saved checkpoint fully intact — readers see old-or-new,
-    never a torn npz at the canonical name."""
+    never a torn payload at the canonical name."""
     import os as _os
 
     store = CheckpointStore(tmp_path)
@@ -344,37 +285,32 @@ def test_interrupted_save_never_tears_existing_checkpoint(tmp_path,
 
 
 def test_crc_mismatch_raises_corrupt_checkpoint(tmp_path):
-    from repro.checkpoint import CorruptCheckpointError
-
     store = CheckpointStore(tmp_path)
     store.save("m_000001", weights())
     path = store.path("m_000001")
-    # appended bytes keep the archive readable as a zip (the central
-    # directory is found by scanning from the end) but change its hash
     path.write_bytes(path.read_bytes() + b"\x00" * 16)
     with pytest.raises(CorruptCheckpointError, match="CRC32"):
         store.load("m_000001")
 
 
-def test_sidecar_without_crc_still_loads(tmp_path):
-    """Backward compatibility: sidecars without a __crc32__ key load
-    unchecked instead of erroring — and the layout's length check still
-    catches a truncated raw payload."""
-    from repro.checkpoint import CorruptCheckpointError
-
+def test_sidecar_without_crc_loads_as_corrupt(tmp_path):
+    """Every sidecar the store writes carries the payload's CRC32; one
+    without it is not a checkpoint this store wrote, and does not load
+    unchecked.  The layout's length check catches a truncated payload
+    before the CRC does."""
     store = CheckpointStore(tmp_path)
-    w = weights()
-    store.save("m_000001", w)
+    store.save("m_000001", weights())
     sidecar_path = store.meta_path("m_000001")
     sidecar = json.loads(sidecar_path.read_text())
-    assert "__layout__" in sidecar
-    del sidecar["__crc32__"]
-    sidecar_path.write_text(json.dumps(sidecar))
-    loaded = store.load("m_000001")
-    assert all(np.array_equal(loaded[k], w[k]) for k in w)
     path = store.path("m_000001")
     path.write_bytes(path.read_bytes()[:-4])
+    sidecar["__crc32__"] = zlib.crc32(path.read_bytes())
+    sidecar_path.write_text(json.dumps(sidecar))
     with pytest.raises(CorruptCheckpointError, match="layout spans"):
+        store.load("m_000001")
+    del sidecar["__crc32__"]
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(CorruptCheckpointError, match="__crc32__"):
         store.load("m_000001")
 
 
@@ -405,7 +341,7 @@ def test_async_writer_concurrent_close_from_two_threads(tmp_path):
             writer.close()
         except Exception as exc:             # pragma: no cover
             errors.append(exc)
-        on_return.append(len(store.keys()))
+        on_return.append(saved_count(store))
 
     threads = [threading.Thread(target=closer) for _ in range(4)]
     for t in threads:
@@ -440,7 +376,7 @@ def test_writers_share_one_writer_thread(tmp_path):
         writer.save(f"k{i}", weights(i))
     for writer in writers:
         writer.close()
-    assert len(store.keys()) == 20
+    assert saved_count(store) == 20
     assert len(set(store.threads)) == 1
     assert store.threads[0] is not threading.current_thread()
 
@@ -477,7 +413,7 @@ def test_concurrent_writers_keep_their_own_accounting(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    assert len(store.keys()) == 80
+    assert saved_count(store) == 80
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +468,6 @@ def test_codec_rejects_truncated_or_flipped_payloads(w, data):
     """A truncated payload, a flipped byte, and a sidecar naming a codec
     other than ``"raw"`` (such as the retired ``"zlib"``) all load as
     :class:`CorruptCheckpointError`."""
-    from repro.checkpoint import CorruptCheckpointError
-
     with tempfile.TemporaryDirectory() as root:
         store = CheckpointStore(root)
         store.save("k", w)
@@ -558,6 +492,102 @@ def test_codec_rejects_truncated_or_flipped_payloads(w, data):
         path.write_bytes(bytes(flipped))
         with pytest.raises(CorruptCheckpointError):
             store.load("k")
+
+
+#: one sidecar defect each: a key the store always writes is missing,
+#: the codec is foreign, or the sidecar holds only raw user metadata (as
+#: the retired npz stores wrote it)
+SIDECAR_DEFECTS = st.one_of(
+    st.tuples(st.just("drop"),
+              st.sampled_from(["__layout__", "__order__", "__crc32__"])),
+    st.tuples(st.just("codec"),
+              st.text(max_size=8).filter(lambda codec: codec != "raw")),
+    st.just(("legacy", None)))
+
+
+def break_sidecar(store, key, defect):
+    """Rewrite the key's sidecar with one ``SIDECAR_DEFECTS`` defect."""
+    kind, arg = defect
+    sidecar = json.loads(store.meta_path(key).read_text())
+    if kind == "drop":
+        del sidecar[arg]
+    elif kind == "codec":
+        sidecar["__codec__"] = arg
+    else:
+        sidecar = sidecar["__meta__"]
+    store.meta_path(key).write_text(json.dumps(sidecar))
+
+
+def swap_payload(store, key, payload, w):
+    """Leave the key's ``.bin`` (``"bin"``), replace it with an npz
+    archive of ``w`` (``"npz"``), or remove it (``None``)."""
+    if payload != "bin":
+        store.path(key).unlink()
+    if payload == "npz":
+        np.savez(store.root / f"{key}.npz", **w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=_WEIGHTS, defect=SIDECAR_DEFECTS,
+       payload=st.sampled_from(["bin", "npz", None]))
+def test_raw_bin_and_full_sidecar_is_the_only_format(w, defect, payload):
+    """A checkpoint whose sidecar lacks the layout, order or CRC, names
+    another codec, or is a legacy raw-meta sidecar loads as corrupt,
+    whatever payload sits beside it.  An npz archive with no sidecar is
+    no checkpoint at all."""
+    with tempfile.TemporaryDirectory() as root:
+        store = CheckpointStore(root)
+        store.save("k", w, meta={"score": 0.5})
+        break_sidecar(store, "k", defect)
+        swap_payload(store, "k", payload, w)
+        with pytest.raises(CorruptCheckpointError):
+            store.load("k")
+        np.savez(Path(root) / "bare.npz", **w)
+        assert not store.exists("bare")
+        with pytest.raises(FileNotFoundError):
+            store.load("bare")
+
+
+class SwappingStore(CheckpointStore):
+    """Breaks the sidecar, and swaps the payload, of the first provider
+    a search loads, just before it is read."""
+
+    def __init__(self, root, defect, payload):
+        super().__init__(root)
+        self.defect, self.payload, self.swapped = defect, payload, None
+
+    def load(self, key):
+        if self.swapped is None:
+            self.swapped = key
+            swap_payload(self, key, self.payload, super().load(key))
+            break_sidecar(self, key, self.defect)
+        return super().load(key)
+
+
+@settings(max_examples=20, deadline=None)
+@given(defect=SIDECAR_DEFECTS, payload=st.sampled_from(["bin", "npz", None]),
+       seed=st.integers(0, 3))
+def test_search_quarantines_a_provider_in_a_foreign_format(
+        space, problem, defect, payload, seed):
+    """A provider whose sidecar was swapped out is one
+    ``corrupt_checkpoint`` fault: it is quarantined, and its children
+    cold-start — also when no ``.bin`` is left beside the sidecar."""
+    with tempfile.TemporaryDirectory() as root:
+        store = SwappingStore(root, defect, payload)
+        strategy = RegularizedEvolution(space, rng=seed, population_size=4,
+                                        sample_size=2)
+        trace = run_search(problem, strategy, 8, scheme="lcs", store=store,
+                           seed=seed)
+        assert store.swapped is not None
+        assert store.quarantined_keys() == [store.swapped]
+    assert trace.fault_stats["by_kind"] == {"corrupt_checkpoint": 1}
+    assert trace.fault_stats["quarantined"] == 1
+    children = [r for r in trace if r.parent_id is not None
+                and checkpoint_key(r.parent_id) == store.swapped]
+    assert children
+    assert all(r.provider_id is None and not r.transferred
+               for r in children)
+    assert all(np.isfinite(r.score) for r in trace)
 
 
 def test_reader_never_sees_payload_without_sidecar(tmp_path):

@@ -1,10 +1,12 @@
 """Experiment plumbing: configs, report rendering, context caching."""
 
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.cluster import checkpoint_key
 from repro.experiments import (
     ExperimentContext,
     get_config,
@@ -73,6 +75,30 @@ def test_context_reruns_load_the_trace_cache(tmp_path, monkeypatch):
     assert len(searched) == 3
     cached = ExperimentContext(config=config).trace("uno", "lcs")
     assert cached.records == searched.records
+
+
+def test_full_warm_starts_from_each_saved_checkpoint(tmp_path,
+                                                     monkeypatch):
+    """Phase 2 warm-starts a record from the checkpoint its save wrote.
+    A record whose save failed (``ckpt_bytes == 0``) trains cold; one
+    whose checkpoint is gone from the workdir raises, naming the trace
+    cache to delete, rather than quietly training cold."""
+    monkeypatch.setattr("repro.experiments.context.full_train",
+                        lambda problem, arch_seq, seed, initial_weights:
+                        initial_weights)
+    config = replace(get_config("smoke"), num_candidates=3)
+    ctx = ExperimentContext(config=config, workdir=tmp_path)
+    first, second = [r for r in ctx.trace("uno", "lcs")
+                     if r.ckpt_bytes > 0][:2]
+    assert ctx.full("uno", "lcs", first) is not None
+    unsaved = replace(first, candidate_id=99, ckpt_bytes=0)
+    assert ctx.full("uno", "lcs", unsaved) is None
+    shutil.rmtree(tmp_path / "ckpt")
+    with pytest.raises(FileNotFoundError,
+                       match=checkpoint_key(second.candidate_id)) as exc:
+        ctx.full("uno", "lcs", second)
+    assert str(ctx.trace_path("uno", "lcs", ctx.default_gpus, 0)) \
+        in str(exc.value)
 
 
 def test_runner_runs_named_experiments_and_rejects_unknown(tmp_path,

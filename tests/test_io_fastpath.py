@@ -127,7 +127,7 @@ def test_provider_cache_never_outgrows_the_population(problem, space,
     sizes = []
     while not driver.done:
         driver.step()
-        sizes.append(len(driver.weight_cache))
+        sizes.append(driver.weight_cache.stats()["entries"])
     trace = driver.finalize()
     assert driver.finalize() is trace      # idempotent
     stats = trace.io_stats["cache"]

@@ -1,5 +1,7 @@
 """run_search: schemes, stores, evaluators, traces."""
 
+import json
+
 import pytest
 
 from repro.checkpoint import CheckpointStore
@@ -45,7 +47,7 @@ def test_baseline_does_not_checkpoint(space, problem, tmp_path):
     store = CheckpointStore(tmp_path)
     run_search(problem, RandomSearch(space, rng=0), 4, scheme="baseline",
                store=store, seed=0)
-    assert len(store) == 0
+    assert list(store.root.iterdir()) == []
 
 
 def test_lcs_run_checkpoints_and_transfers(space, problem, tmp_path):
@@ -55,13 +57,16 @@ def test_lcs_run_checkpoints_and_transfers(space, problem, tmp_path):
     trace = run_search(problem, strategy, 12, scheme="lcs", store=store,
                        seed=0)
     ok = trace.ok_records()
-    assert len(store) == len(ok)             # every success checkpointed
+    # every success checkpointed, and nothing else
+    assert {p.stem for p in store.root.glob("*.bin")} == \
+        {checkpoint_key(r.candidate_id) for r in ok}
     transferred = [r for r in ok if r.transferred]
     assert transferred                       # evolution children warm-start
     for r in transferred:
         assert r.provider_id is not None
         assert r.transfer_coverage > 0.0
-    meta = store.load_meta(checkpoint_key(ok[0].candidate_id))
+    sidecar = store.meta_path(checkpoint_key(ok[0].candidate_id))
+    meta = json.loads(sidecar.read_text())["__meta__"]
     assert meta["scheme"] == "lcs"
     assert tuple(meta["arch_seq"]) == tuple(ok[0].arch_seq)
 

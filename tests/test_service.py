@@ -216,7 +216,7 @@ def test_checkpoint_keys_are_namespaced_per_session(space, problem,
     a = svc.submit(_spec(space, problem, 0, tenant="a", n=3))
     b = svc.submit(_spec(space, problem, 0, tenant="b", n=3))
     svc.drive()
-    keys = store.keys()
+    keys = [p.stem for p in store.root.glob("*.bin")]
     assert any(k.startswith(a.session_id + "--") for k in keys)
     assert any(k.startswith(b.session_id + "--") for k in keys)
     # identical seeds, zero collisions: the namespace keeps them apart
