@@ -33,10 +33,10 @@ def build_space() -> SearchSpace:
     """One variable node decides whether the extra conv layer exists."""
     space = SearchSpace("figure3", (10, 10, 3))
     space.add_fixed(
-        Conv2DOp(16, 3, "same", activation="relu"), name="conv_a"
+        Conv2DOp(16, 3, activation="relu"), name="conv_a"
     )
     space.add_variable(
-        "maybe_conv", [IdentityOp(), Conv2DOp(16, 3, "same", activation="relu")]
+        "maybe_conv", [IdentityOp(), Conv2DOp(16, 3, activation="relu")]
     )
     space.add_fixed(FlattenOp(), name="flatten")
     space.add_fixed(DenseOp(10), name="head")

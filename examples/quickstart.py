@@ -37,9 +37,9 @@ def build_space() -> SearchSpace:
     space = SearchSpace("quickstart", (12, 12, 1))
     space.add_variable(
         "conv",
-        [Conv2DOp(f, 3, "same", activation="relu", adaptive=True) for f in (4, 8, 16)],
+        [Conv2DOp(f, 3, activation="relu") for f in (4, 8, 16)],
     )
-    space.add_variable("pool", [IdentityOp(), MaxPool2DOp(2, 2, adaptive=True)])
+    space.add_variable("pool", [IdentityOp(), MaxPool2DOp(2)])
     space.add_fixed(FlattenOp(), name="flatten")
     space.add_variable(
         "dense", [IdentityOp(), DenseOp(32), DenseOp(64), DenseOp(128)]

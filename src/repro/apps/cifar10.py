@@ -40,13 +40,13 @@ def build_space(height=12, width=12, channels=3, classes=10) -> SearchSpace:
         for half in range(2):
             tag = f"b{block}{'ab'[half]}"
             space.add_variable(f"{tag}_conv", [
-                Conv2DOp(f, k, "same", activation=a, adaptive=True)
+                Conv2DOp(f, k, activation=a)
                 for f, k, a in CONV_CHOICES
             ])
             space.add_variable(f"{tag}_pool", [
                 IdentityOp(),
-                MaxPool2DOp(2, 2, adaptive=True),
-                AvgPool2DOp(2, 2, adaptive=True),
+                MaxPool2DOp(2),
+                AvgPool2DOp(2),
             ])
             space.add_variable(f"{tag}_bn", [IdentityOp(), BatchNormOp()])
     space.add_fixed(FlattenOp(), name="flatten")

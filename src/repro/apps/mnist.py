@@ -31,11 +31,11 @@ def build_space(height=12, width=12, classes=10) -> SearchSpace:
     space = SearchSpace("mnist", (height, width, 1))
     for block in range(2):
         space.add_variable(f"b{block}_conv", [
-            Conv2DOp(f, k, "same", activation="relu", adaptive=True)
+            Conv2DOp(f, k, activation="relu")
             for f, k in CONV_CHOICES
         ])
         space.add_variable(f"b{block}_pool", [
-            IdentityOp(), MaxPool2DOp(2, 2, adaptive=True),
+            IdentityOp(), MaxPool2DOp(2),
         ])
         space.add_variable(f"b{block}_bn", [IdentityOp(), BatchNormOp()])
     space.add_fixed(FlattenOp(), name="flatten")

@@ -33,12 +33,12 @@ def build_space(length=512, classes=2) -> SearchSpace:
     space = SearchSpace("nt3", (length, 1))
     for block in range(2):
         space.add_variable(f"b{block}_conv", [
-            Conv1DOp(f, k, "same", activation="relu", adaptive=True)
+            Conv1DOp(f, k, activation="relu")
             for f, k in CONV_CHOICES
         ])
         space.add_variable(f"b{block}_pool", [
-            IdentityOp(), MaxPool1DOp(2, 2, adaptive=True),
-            AvgPool1DOp(2, 2, adaptive=True),
+            IdentityOp(), MaxPool1DOp(2),
+            AvgPool1DOp(2),
         ])
     space.add_fixed(FlattenOp(), name="flatten")
     space.add_variable("dense0", [IdentityOp()] + [

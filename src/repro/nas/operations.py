@@ -4,6 +4,9 @@ An operation describes *what* a variable node can become; calling
 ``op.to_layer(name)`` instantiates the concrete
 :mod:`repro.tensor.layers` layer named ``f"{node_name}_{op.kind}"`` —
 the naming that weight tensors inherit (e.g. ``head_dense.kernel``).
+Conv and pool ops carry no geometry options: the layers own the one
+rule (same padding, odd kernels, a window-sized pool step that passes
+an input smaller than the window through).
 """
 
 from __future__ import annotations
@@ -55,39 +58,31 @@ class Conv2DOp(Op):
     kind = "conv2d"
 
     def __init__(self, filters: int, kernel_size: int = 3,
-                 padding: str = "same", activation: Optional[str] = None,
-                 adaptive: bool = False):
+                 activation: Optional[str] = None):
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
-        self.padding = padding
         self.activation = activation
-        self.adaptive = adaptive
 
     def to_layer(self, name):
-        return L.Conv2D(name, self.filters, self.kernel_size, self.padding,
-                        self.activation, self.adaptive)
+        return L.Conv2D(name, self.filters, self.kernel_size, self.activation)
 
     def describe(self):
         act = f", {self.activation}" if self.activation else ""
         return (f"conv2d({self.filters}, {self.kernel_size}x"
-                f"{self.kernel_size}, {self.padding}{act})")
+                f"{self.kernel_size}{act})")
 
 
 class Conv1DOp(Op):
     kind = "conv1d"
 
     def __init__(self, filters: int, kernel_size: int = 3,
-                 padding: str = "same", activation: Optional[str] = None,
-                 adaptive: bool = False):
+                 activation: Optional[str] = None):
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
-        self.padding = padding
         self.activation = activation
-        self.adaptive = adaptive
 
     def to_layer(self, name):
-        return L.Conv1D(name, self.filters, self.kernel_size, self.padding,
-                        self.activation, self.adaptive)
+        return L.Conv1D(name, self.filters, self.kernel_size, self.activation)
 
     def describe(self):
         act = f", {self.activation}" if self.activation else ""
@@ -97,15 +92,11 @@ class Conv1DOp(Op):
 class _PoolOp(Op):
     layer_cls: type = L.MaxPool2D
 
-    def __init__(self, pool_size: int = 2, stride: Optional[int] = None,
-                 adaptive: bool = False):
+    def __init__(self, pool_size: int = 2):
         self.pool_size = int(pool_size)
-        self.stride = self.pool_size if stride is None else int(stride)
-        self.adaptive = adaptive
 
     def to_layer(self, name):
-        return self.layer_cls(name, self.pool_size, self.stride,
-                              self.adaptive)
+        return self.layer_cls(name, self.pool_size)
 
     def describe(self):
         return f"{self.kind}({self.pool_size})"

@@ -9,10 +9,13 @@ so insertion order is a topological order and the space is acyclic by
 construction.
 
 ``build_network(arch_seq, rng)`` materialises a concrete
-:class:`repro.tensor.Network`; strict operations raise
-:class:`repro.tensor.BuildError` for impossible geometry (the NAS
-estimation failure path), while ``adaptive=True`` operations degrade
-gracefully (DESIGN.md "Adaptive conv/pool guards").
+:class:`repro.tensor.Network`.  Conv and pool geometry fits any input
+(DESIGN.md "One conv/pool geometry"); a custom space can still chain
+layers that do not fit each other (a wrong input rank, ``Dense`` before
+``Flatten``), and the build raises :class:`repro.tensor.BuildError` for
+them, the NAS estimation failure path.  An op that no input can fix
+(an even kernel, a zero-sized window) raises ``ValueError`` when the
+space is defined.
 """
 
 from __future__ import annotations

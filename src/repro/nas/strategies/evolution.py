@@ -2,8 +2,8 @@
 
 Population = FIFO of the last ``population_size`` completed candidates.
 Each ``ask`` after the random warmup samples ``sample_size`` members,
-mutates the best one at ``num_mutations`` nodes (d = num_mutations; the
-paper uses 1, so the parent is a provider at distance 1 by construction)
+mutates the best one at one node (the paper's d = 1, so the parent is a
+provider at distance 1 by construction)
 and records the parent id so the scheduler can use the parent as the
 weight provider.
 """
@@ -25,7 +25,7 @@ class _Member:
 
 class RegularizedEvolution(Strategy):
     def __init__(self, space, rng=None, population_size: int = 16,
-                 sample_size: int = 8, num_mutations: int = 1):
+                 sample_size: int = 8):
         super().__init__(space, rng)
         if not 1 <= sample_size <= population_size:
             raise ValueError(
@@ -34,7 +34,6 @@ class RegularizedEvolution(Strategy):
                 f"population_size={population_size}")
         self.population_size = population_size
         self.sample_size = sample_size
-        self.num_mutations = num_mutations
         self.population: deque[_Member] = deque(maxlen=population_size)
         self._asked = 0
 
@@ -49,8 +48,7 @@ class RegularizedEvolution(Strategy):
         sample = [self.population[int(i)] for i in idx]
         parent = max(sample, key=lambda m: m.score)
         return Proposal(
-            self.space.mutate(parent.arch_seq, self.rng,
-                              num_mutations=self.num_mutations),
+            self.space.mutate(parent.arch_seq, self.rng),
             parent_id=parent.candidate_id,
         )
 

@@ -146,7 +146,7 @@ class SessionSpec:
     name: Optional[str] = None
     scheme: str = "lcs"
     seed: int = 0
-    provider_policy: object = "parent"
+    provider_policy: str = "parent"
     retry: object = None
     #: ``cache``, ``prefetch`` and an ``"async_io"`` driver kwarg are
     #: checked to be bools and never forwarded (every session has the

@@ -28,7 +28,7 @@ Performance contract (see DESIGN.md "Kernel layout & performance"):
   passes the views of its one gradient buffer, so the optimizer reads
   every gradient without a gather; ``None`` allocates, as a stand-alone
   layer needs;
-- same-padding pads write into a zeroed buffer (no ``np.pad``), and
+- convolution pads write into a zeroed buffer (no ``np.pad``), and
   ``conv2d_backward`` scatters column gradients row-wise in an order
   that keeps every float32 sum bit-identical to the per-tap loop.
 
@@ -105,19 +105,15 @@ def im2col2d(x, kh, kw):
         n, h - kh + 1, w - kw + 1, kh * kw * c)
 
 
-def conv2d_forward(x, kernel, bias, padding="same"):
-    """kernel: (kh, kw, Cin, Cout); stride 1; padding 'same' or 'valid'.
+def conv2d_forward(x, kernel, bias):
+    """kernel: (kh, kw, Cin, Cout), odd sizes; stride 1; same padding.
 
     The cache holds only the padded input (~1/(kh*kw) the size of the
     im2col matrix); backward rebuilds the patch view from it.
     """
     kh, kw, cin, cout = kernel.shape
-    if padding == "same":
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        xp = _pad2d(x, ph, pw)
-    else:
-        ph = pw = 0
-        xp = x
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xp = _pad2d(x, ph, pw)
     cols = im2col2d(xp, kh, kw)  # transient (N, Ho, Wo, kh*kw*cin)
     out = cols @ kernel.reshape(kh * kw * cin, cout)
     out += bias
@@ -182,8 +178,8 @@ def patch_view4d(x, k):
     )
 
 
-def conv1d_forward(x, kernel, bias, padding="same"):
-    """x: (N, L, C); kernel: (k, Cin, Cout); stride 1.
+def conv1d_forward(x, kernel, bias):
+    """x: (N, L, C); kernel: (k, Cin, Cout), odd k; stride 1; same padding.
 
     Native column kernel.  The old implementation routed through the
     2-D conv with singleton axes, which re-derived the patch matrix in
@@ -194,7 +190,7 @@ def conv1d_forward(x, kernel, bias, padding="same"):
     the backward rebuild entirely.
     """
     k, cin, cout = kernel.shape
-    p = (k - 1) // 2 if padding == "same" else 0
+    p = (k - 1) // 2
     xp = _pad1d(x, p)
     n, lp, _ = xp.shape
     lo = lp - k + 1

@@ -13,10 +13,14 @@ twice is an error.  The static shape sequence
 shape rule exists twice.  Shapes exclude the batch
 axis.
 
-``BuildError`` signals an architecture that cannot be instantiated (e.g. a
-valid-padding conv larger than its input).  NAS estimation converts it to
-``FAILURE_SCORE``; the *adaptive* flags on conv/pool layers degrade
-gracefully instead (see DESIGN.md "Adaptive conv/pool guards").
+Conv/pool geometry is one rule (DESIGN.md "One conv/pool geometry"): a
+convolution keeps its input's spatial extent (odd kernels only,
+``(k-1)//2`` zeros per side), and a pool divides each extent by its
+window, or passes through an input smaller than its window.
+
+``BuildError`` signals an architecture that cannot be instantiated (a
+wrong input rank, ``Dense`` before ``Flatten``, a concat of unflat
+inputs).  NAS estimation converts it to ``FAILURE_SCORE``.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ class Layer:
         """``(output_shape, {param name: shape})`` for ``input_shape``,
         parameters in declaration order.  Allocates nothing; raises
         :class:`BuildError` when the layer cannot consume the shape.  It
-        also sets the build-time state ``forward`` reads (padding
-        fallback, pool no-op, concat splits)."""
+        also sets the build-time state ``forward`` reads (pool
+        passthrough, concat splits)."""
         return tuple(input_shape), {}
 
     def initializer(self, param: str):
@@ -210,22 +214,22 @@ class Dense(Layer):
 
 class _Conv(Layer):
     """Stride-1 convolution over the ``NDIM - 1`` leading axes of a
-    channels-last input, with an optional fused activation.  Subclasses
-    set ``NDIM`` (input rank incl. channels) and the kernel pair."""
+    channels-last input that keeps their extent, with an optional fused
+    activation.  Subclasses set ``NDIM`` (input rank incl. channels) and
+    the kernel pair."""
 
     def __init__(self, name: str, filters: int, kernel_size: int,
-                 padding: str = "same", activation: Optional[str] = None,
-                 adaptive: bool = False):
+                 activation: Optional[str] = None):
         super().__init__(name)
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
-        if self.kernel_size < 1:
-            raise ValueError(f"kernel_size must be >= 1, got {kernel_size}")
-        self.padding = padding
+        # the kernels pad (k-1)//2 per side: an even kernel would lose a
+        # row, whatever the input
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ValueError(
+                f"kernel_size must be odd and >= 1, got {kernel_size}")
         self.activation = activation
-        self.adaptive = adaptive
         self._act_cache = None
-        self._effective_padding = padding
 
     def infer(self, input_shape):
         if len(input_shape) != self.NDIM:
@@ -234,32 +238,14 @@ class _Conv(Layer):
                 f"channels-last input, got {input_shape}"
             )
         *spatial, c = input_shape
-        k = self.kernel_size
-        self._effective_padding = self.padding
-        if self.padding == "valid" and any(k > s for s in spatial):
-            if not self.adaptive:
-                raise BuildError(
-                    f"{self.name}: valid size-{k} conv does not fit "
-                    f"{tuple(spatial)}"
-                )
-            self._effective_padding = "same"
-        if self._effective_padding == "same":
-            if k % 2 == 0:
-                raise BuildError(
-                    f"{self.name}: same padding needs an odd kernel, got {k}"
-                )
-        else:
-            spatial = [s - k + 1 for s in spatial]
         return (*spatial, self.filters), {
-            "kernel": (k,) * len(spatial) + (c, self.filters),
+            "kernel": (self.kernel_size,) * len(spatial) + (c, self.filters),
             "bias": (self.filters,),
         }
 
     def forward(self, x, training=False):
         out, self._cache = self.FORWARD(
-            x, self.params["kernel"], self.params["bias"],
-            self._effective_padding,
-        )
+            x, self.params["kernel"], self.params["bias"])
         if self.activation:
             fwd, _ = ops.ACTIVATIONS[self.activation]
             out, self._act_cache = fwd(out)
@@ -291,15 +277,11 @@ class _Pool(Layer):
     KIND = "max"
     NDIM = 3  # spatial input rank incl. channels
 
-    def __init__(self, name: str, pool_size: int, stride: Optional[int] = None,
-                 adaptive: bool = False):
+    def __init__(self, name: str, pool_size: int):
         super().__init__(name)
         self.pool_size = int(pool_size)
         if self.pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-        if stride is not None and int(stride) != self.pool_size:
-            raise ValueError("only stride == pool_size pooling is supported")
-        self.adaptive = adaptive
         self._noop = False
 
     def infer(self, input_shape):
@@ -310,12 +292,9 @@ class _Pool(Layer):
             )
         p = self.pool_size
         spatial = input_shape[:-1]
+        # an input smaller than the window passes through
         self._noop = any(p > s for s in spatial)
         if self._noop:
-            if not self.adaptive:
-                raise BuildError(
-                    f"{self.name}: pool {p} larger than input {spatial}"
-                )
             return input_shape, {}
         return tuple(s // p for s in spatial) + (input_shape[-1],), {}
 
@@ -368,11 +347,8 @@ class BatchNorm(Layer):
     """
 
     TRAINABLE = ("gamma", "beta")
-
-    def __init__(self, name: str, momentum: float = 0.9, eps: float = 1e-5):
-        super().__init__(name)
-        self.momentum = momentum
-        self.eps = eps
+    MOMENTUM = 0.9
+    EPS = 1e-5
 
     def infer(self, input_shape):
         if not input_shape:
@@ -389,7 +365,7 @@ class BatchNorm(Layer):
             axes = tuple(range(x.ndim - 1))
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            m = self.momentum
+            m = self.MOMENTUM
             # running stats updated in place (no realloc + astype copies);
             # float64 batch stats are cast by the in-place ops
             mm, mv = self.params["moving_mean"], self.params["moving_var"]
@@ -402,7 +378,7 @@ class BatchNorm(Layer):
             var = self.params["moving_var"]
         out, self._cache = ops.batchnorm_forward(
             x, self.params["gamma"], self.params["beta"], mean, var,
-            self.eps, batch_stats=training,
+            self.EPS, batch_stats=training,
         )
         return out
 

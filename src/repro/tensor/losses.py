@@ -23,21 +23,13 @@ def mse(pred, y):
     return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
 
-def mae(pred, y):
-    diff = pred - y
-    return float(np.mean(np.abs(diff))), np.sign(diff) / diff.size
-
-
 LOSSES = {
     "categorical_crossentropy": categorical_crossentropy,
     "mse": mse,
-    "mae": mae,
 }
 
 
-def get_loss(name):
-    if callable(name):
-        return name
+def get_loss(name: str):
     try:
         return LOSSES[name]
     except KeyError:

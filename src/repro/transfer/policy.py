@@ -10,7 +10,7 @@ candidate id of the provider, or ``None`` for a cold start, where
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -59,16 +59,13 @@ class RandomProvider(ProviderPolicy):
         return ok[int(rng.integers(len(ok)))].candidate_id
 
 
-def get_policy(name_or_policy: Union[str, ProviderPolicy],
-               space=None) -> ProviderPolicy:
-    if isinstance(name_or_policy, ProviderPolicy):
-        return name_or_policy
-    if name_or_policy == "parent":
+def get_policy(name: str, space=None) -> ProviderPolicy:
+    if name == "parent":
         return ParentProvider()
-    if name_or_policy == "nearest":
+    if name == "nearest":
         if space is None:
             raise ValueError("nearest policy needs the search space")
         return NearestProvider(space)
-    if name_or_policy == "random":
+    if name == "random":
         return RandomProvider()
-    raise ValueError(f"unknown provider policy {name_or_policy!r}")
+    raise ValueError(f"unknown provider policy {name!r}")

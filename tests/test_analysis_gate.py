@@ -1,13 +1,14 @@
-"""Strict spaces: impossible geometry is found statically and booked at
-run time.
+"""Strict spaces: layers that cannot follow each other are found
+statically and booked at run time.
 
-A *strict* (non-adaptive, valid-padding) space contains architectures
-whose geometry is impossible — ``build_network`` raises ``BuildError``
-for them.  Static shape inference (``arch_shape_sequence``) must raise
-``ValueError`` for exactly those (on a hand-built space and on
-generated ones), and a search that meets one books it as a failed
-record.  Malformed ops, which no input shape can fix, are rejected
-when the space is defined."""
+Conv and pool geometry fits any input, but a *strict* space chains
+choices that need a different input rank (a conv after a flatten, a 1-D
+conv on an image, a dense layer before the flatten), so
+``build_network`` raises ``BuildError`` for some architectures.  Static
+shape inference (``arch_shape_sequence``) must raise ``ValueError`` for
+exactly those (on a hand-built space and on generated ones), and a
+search that meets one books it as a failed record.  Malformed ops, which
+no input shape can fix, are rejected when the space is defined."""
 
 import itertools
 
@@ -42,15 +43,13 @@ from repro.transfer import arch_shape_sequence, shape_sequence
 def build_strict_space() -> SearchSpace:
     space = SearchSpace("strict", (6, 6, 1))
     space.add_variable("conv0", [
-        IdentityOp(),
-        Conv2DOp(4, 3, padding="valid"),
-        Conv2DOp(4, 5, padding="valid"),
+        IdentityOp(), Conv2DOp(4, 3), FlattenOp(),
     ])
     space.add_variable("pool0", [
         IdentityOp(), MaxPool2DOp(2), MaxPool2DOp(4),
     ])
     space.add_variable("conv1", [
-        IdentityOp(), Conv2DOp(8, 3, padding="valid"),
+        IdentityOp(), Conv2DOp(8, 3), Conv1DOp(8, 3),
     ])
     space.add_fixed(FlattenOp(), name="flatten")
     space.add_fixed(DenseOp(4), name="head")
@@ -119,22 +118,23 @@ _POOLS = {"maxpool2d": MaxPool2DOp, "avgpool2d": AvgPool2DOp,
 
 @st.composite
 def _ops(draw):
-    kind = draw(st.sampled_from(["identity", "conv2d", "conv1d", *_POOLS]))
+    kind = draw(st.sampled_from(
+        ["identity", "flatten", "dense", "conv2d", "conv1d", *_POOLS]))
     if kind == "identity":
         return IdentityOp()
-    size = draw(st.integers(1, 6))
-    adaptive = draw(st.booleans())
+    if kind == "flatten":
+        return FlattenOp()
+    if kind == "dense":
+        return DenseOp(draw(st.integers(1, 3)))
     if kind in _POOLS:
-        return _POOLS[kind](size, adaptive=adaptive)
+        return _POOLS[kind](draw(st.integers(1, 6)))
     conv = Conv2DOp if kind == "conv2d" else Conv1DOp
-    return conv(draw(st.integers(1, 3)), size,
-                padding=draw(st.sampled_from(["valid", "same"])),
-                adaptive=adaptive)
+    return conv(draw(st.integers(1, 3)), draw(st.sampled_from([1, 3, 5])))
 
 
 @st.composite
 def _spaces(draw):
-    """A chain of 1-3 two-choice conv/pool nodes over a 1-D or 2-D input
+    """A chain of 1-3 two-choice layer nodes over a 1-D or 2-D input
     with extents 1-8, then flatten and a dense head; plus a candidate."""
     spatial = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
     space = SearchSpace("generated", (*spatial, draw(st.integers(1, 3))))
@@ -156,11 +156,12 @@ def test_analyzer_agrees_with_builder_on_generated_spaces(case):
 @pytest.mark.parametrize("op", [
     ActivationOp("bogus"),
     DropoutOp(1.5),
-    MaxPool2DOp(2, stride=1),
     MaxPool2DOp(0),
     AvgPool1DOp(0),
-    Conv2DOp(2, 0, padding="valid"),
+    Conv2DOp(2, 0),
     Conv1DOp(2, 0),
+    Conv2DOp(2, 2),
+    Conv1DOp(2, 4),
 ], ids=repr)
 def test_malformed_op_fails_at_space_definition(op):
     space = SearchSpace("malformed", (4, 4, 1))

@@ -1,17 +1,17 @@
 """Hand-picked cases of static shape inference
 (:func:`repro.transfer.arch_shape_sequence`): the cases generated inputs
 do not reach — malformed sequences, fan-in, concat widths — and the
-impossible geometries named one by one."""
+layers of the wrong input rank named one by one."""
 
 import pytest
 
 from repro.nas import (
     ConcatenateOp,
-    Conv2DOp,
+    Conv1DOp,
     DenseOp,
     FlattenOp,
     IdentityOp,
-    MaxPool2DOp,
+    MaxPool1DOp,
     SearchSpace,
 )
 from repro.tensor import BuildError
@@ -21,9 +21,7 @@ from repro.transfer.shapeseq import arch_shape_sequence_cache_info
 
 def bad_conv_space() -> SearchSpace:
     space = SearchSpace("bad-conv", (4, 4, 1))
-    space.add_variable("conv", [
-        IdentityOp(), Conv2DOp(2, 5, padding="valid"),
-    ])
+    space.add_variable("conv", [IdentityOp(), Conv1DOp(2, 5)])
     space.add_fixed(FlattenOp(), name="flatten")
     space.add_fixed(DenseOp(2), name="head")
     return space
@@ -38,7 +36,7 @@ def test_analyze_matches_known_shapes(space):
     )
 
 
-def test_strict_conv_too_large_is_diagnosed():
+def test_conv_of_the_wrong_rank_is_diagnosed():
     space = bad_conv_space()
     with pytest.raises(ValueError, match="conv"):
         arch_shape_sequence(space, (1,))
@@ -47,9 +45,9 @@ def test_strict_conv_too_large_is_diagnosed():
     assert arch_shape_sequence(space, (0,)) == (((16, 2), (2,)),)
 
 
-def test_strict_pool_larger_than_input_is_diagnosed():
+def test_pool_of_the_wrong_rank_is_diagnosed():
     space = SearchSpace("bad-pool", (4, 4, 1))
-    space.add_variable("pool", [IdentityOp(), MaxPool2DOp(8)])
+    space.add_variable("pool", [IdentityOp(), MaxPool1DOp(2)])
     space.add_fixed(FlattenOp(), name="flatten")
     space.add_fixed(DenseOp(2), name="head")
     with pytest.raises(ValueError, match="pool"):

@@ -272,11 +272,6 @@ def test_plan_softmax_crossentropy_gradients():
         loss="categorical_crossentropy")
 
 
-def test_plan_mae_gradients():
-    _check_plan_gradients(
-        _fixed_space((5,), [DenseOp(6, "tanh"), DenseOp(2)]), loss="mae")
-
-
 def test_plan_conv2d_maxpool_gradients():
     _check_plan_gradients(
         _fixed_space((6, 6, 2), [
@@ -390,21 +385,6 @@ def test_ragged_tail_batch_falls_back_per_batch():
     model_s, _ = _tiny_fit(short, space)
     assert not all(np.array_equal(a, b) for a, b in zip(
         model.get_weights().values(), model_s.get_weights().values()))
-
-
-def test_callable_loss_falls_back_to_eager():
-    # a custom callable loss trains exactly as the named loss it wraps
-    ds, space = _tiny_dense_setup()
-    mse = get_loss("mse")
-
-    def custom(pred, y):
-        return mse(pred, y)
-
-    model_n, hist_n = _tiny_fit(ds, space, loss="mse")
-    model_c, hist_c = _tiny_fit(ds, space, loss=custom)
-    assert hist_c.loss == hist_n.loss
-    assert hist_c.val_score == hist_n.val_score
-    _assert_same_weights(model_n, model_c)
 
 
 def test_unsupported_engine_rejected(space, problem):

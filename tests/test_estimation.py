@@ -5,7 +5,7 @@ import pytest
 
 from repro.nas import (
     FAILURE_SCORE,
-    Conv2DOp,
+    Conv1DOp,
     DenseOp,
     FlattenOp,
     Problem,
@@ -81,17 +81,17 @@ def test_full_train_accepts_initial_weights(space, problem):
     assert warm.score != cold.score          # warm start changed the run
 
 
-def test_even_same_conv_fails_at_build_not_mid_training(dataset):
-    space = SearchSpace("even-kernel", (6, 6, 2))
-    space.add_fixed(Conv2DOp(3, kernel_size=2), name="conv")
+def test_unbuildable_candidate_fails_at_build_not_mid_training(dataset):
+    space = SearchSpace("wrong-rank", (6, 6, 2))
+    space.add_fixed(Conv1DOp(3, kernel_size=3), name="conv")
     space.add_fixed(FlattenOp(), name="flatten")
     space.add_fixed(DenseOp(4), name="head")
     seq = space.validate_seq(())
-    problem = Problem("even-kernel", space, dataset, batch_size=16,
+    problem = Problem("wrong-rank", space, dataset, batch_size=16,
                       estimation_epochs=1)
     result = estimate_candidate(problem, seq, seed=0)
     assert not result.ok
     assert result.score == FAILURE_SCORE
-    assert "odd kernel" in result.error
-    with pytest.raises(ValueError, match="odd kernel"):
+    assert "rank-2" in result.error
+    with pytest.raises(ValueError, match="rank-2"):
         arch_shape_sequence(space, seq)  # static inference agrees

@@ -64,7 +64,5 @@ def test_get_policy_by_name(space):
     assert isinstance(get_policy("parent"), ParentProvider)
     assert isinstance(get_policy("nearest", space=space), NearestProvider)
     assert isinstance(get_policy("random"), RandomProvider)
-    custom = ParentProvider()
-    assert get_policy(custom) is custom
     with pytest.raises(ValueError):
         get_policy("closest")

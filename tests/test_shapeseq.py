@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nas import Conv2DOp, DenseOp, FlattenOp, IdentityOp, SearchSpace
+from repro.nas import Conv1DOp, DenseOp, FlattenOp, IdentityOp, SearchSpace
 from repro.transfer import (
     arch_shape_sequence,
     format_sequence,
@@ -68,9 +68,7 @@ def test_arch_shape_sequence_is_cached(space):
 
 def test_arch_shape_sequence_rejects_invalid_geometry():
     space = SearchSpace("bad-geometry", (4, 4, 1))
-    space.add_variable("conv", [
-        IdentityOp(), Conv2DOp(2, 5, padding="valid"),
-    ])
+    space.add_variable("conv", [IdentityOp(), Conv1DOp(2, 5)])
     space.add_fixed(FlattenOp(), name="flatten")
     space.add_fixed(DenseOp(2), name="head")
     with pytest.raises(ValueError, match="conv"):

@@ -40,27 +40,18 @@ def test_conv2d_same_padding_keeps_spatial_dims():
     assert out.shape == (2, 6, 6, 5)
 
 
-@pytest.mark.parametrize("layer, shape", [
-    (Conv2D("c", filters=3, kernel_size=2), (6, 6, 2)),
-    (Conv1D("c", filters=3, kernel_size=2), (6, 2)),
-    # adaptive valid convs that do not fit fall back to same padding
-    (Conv2D("c", filters=3, kernel_size=4, padding="valid", adaptive=True),
-     (3, 3, 2)),
-    (Conv1D("c", filters=3, kernel_size=4, padding="valid", adaptive=True),
-     (3, 2)),
-])
-def test_even_kernel_with_same_padding_is_a_build_error(layer, shape):
-    # stride-1 same padding of an even kernel would need asymmetric
-    # padding; the kernels pad (k-1)//2 per side and lose one row
-    with pytest.raises(BuildError, match="odd kernel"):
-        layer.build(shape, rng())
+@pytest.mark.parametrize("conv", [Conv2D, Conv1D])
+def test_even_kernel_is_rejected_at_construction(conv):
+    # the kernels pad (k-1)//2 per side: an even kernel would lose one
+    # row whatever the input, so no shape can make it build
+    with pytest.raises(ValueError, match="odd"):
+        conv("c", filters=3, kernel_size=2)
 
 
-def test_even_kernel_with_valid_padding_builds():
-    layer = Conv2D("c", filters=3, kernel_size=2, padding="valid")
-    assert layer.build((6, 6, 2), rng()) == (5, 5, 3)
-    assert layer.forward(rng().normal(size=(2, 6, 6, 2))).shape == \
-        (2, 5, 5, 3)
+def test_conv_keeps_an_input_smaller_than_its_kernel():
+    layer = Conv1D("c", filters=3, kernel_size=7)
+    assert layer.build((3, 2), rng()) == (3, 3)
+    assert layer.forward(rng().normal(size=(2, 3, 2))).shape == (2, 3, 3)
 
 
 def test_maxpool_halves_spatial_dims():
@@ -70,6 +61,14 @@ def test_maxpool_halves_spatial_dims():
     out = layer.forward(x)
     assert out.shape == (2, 3, 3, 3)
     assert np.all(out >= x[:, ::2, ::2, :])   # max dominates top-left corner
+
+
+def test_pool_larger_than_input_passes_through():
+    layer = MaxPool2D("p", pool_size=4)
+    assert layer.build((3, 5, 2), rng()) == (3, 5, 2)
+    x = rng().normal(size=(2, 3, 5, 2))
+    assert layer.forward(x) is x
+    assert layer.backward(x) is x
 
 
 def test_flatten():
