@@ -16,16 +16,15 @@ debugging paid for, now machine-enforced:
            where the kernel-equivalence suite pins their SHA-256.
  R003      Retired: it guarded one optimizer ``step``, Adam's, whose
            zero allocations a ``tracemalloc`` test now measures.
- R004      A module's ``_GUARDED_ATTRS`` declaration must equal the
-           set of attributes whose writes outside ``__init__`` all
-           hold the owning class's lock; a mismatch in either
-           direction is a finding.
+ R004      Retired: a declared set of guarded attributes only
+           restated what R007 infers from the writes under the lock.
  R005      Retired with R002: ``src/`` cannot import a test module.
  R006      Retired, with the zero-copy transfer path it guarded.
  R007      In a class that owns a lock, an attribute read or written
-           under that lock, or declared in ``_GUARDED_ATTRS``, is
-           shared: every write to it outside ``__init__`` must hold
-           the lock lexically (``with self._lock:``).
+           under that lock is shared: every write to it outside
+           ``__init__`` must hold the lock lexically
+           (``with self._lock:``).  This inference is the only record
+           of what a lock guards.
  R008      Every lock is a leaf: no lock is acquired while one is held
            (re-entering the same lock included), by lexical ``with``
            nesting or by a call made under a lock to a function of
@@ -36,7 +35,7 @@ debugging paid for, now machine-enforced:
 Every rule reads one file at a time.  A lock is what a
 ``threading.Lock()``, ``threading.RLock()`` or ``make_lock(...)`` call
 assigns to ``self.<attr>`` or to a module global; no name convention
-is needed.  R004, R007 and R008 see only the module they lint, so a
+is needed.  R007 and R008 see only the module they lint, so a
 nesting across modules (a service calling its evaluator under its own
 lock) is left to the runtime sanitizer, :mod:`repro.analysis.lockcheck`,
 under which the CI ``lockcheck`` job runs the whole tier-1 suite.
@@ -49,10 +48,9 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -64,7 +62,6 @@ _IGNORE_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Za-z0-9,\s]+)\])?")
 
 RULES = {
     "R001": "dtype-unspecified / float64-promoting NumPy allocation",
-    "R004": "_GUARDED_ATTRS disagrees with the writes that hold the lock",
     "R007": "shared attribute written outside the owning lock",
     "R008": "lock acquired while another is held (every lock is a leaf)",
 }
@@ -148,7 +145,7 @@ class _R001Visitor(ast.NodeVisitor):
 
 
 # ----------------------------------------------------------------------
-# lock discipline (R004, R007, R008), one module at a time
+# lock discipline (R007, R008), one module at a time
 # ----------------------------------------------------------------------
 #: Calls that build a lock: ``threading.Lock()``, ``threading.RLock()``
 #: and the repo's factory ``make_lock(name)``.
@@ -182,16 +179,9 @@ def _self_attr(node: ast.AST) -> Optional[str]:
 
 @dataclass
 class LockFacts:
-    """What one module's locks guard and nest, and the findings.
-
-    ``guarded`` holds the attributes whose writes outside ``__init__``
-    all hold their class's lock; ``declared`` is ``_GUARDED_ATTRS`` (None
-    when the module has none)."""
+    """The locks one module builds, and its R007/R008 findings."""
 
     locks: set                      # "Class.attr" or "module.name"
-    declared: Optional[frozenset]
-    guarded: set
-    edges: set                      # (held, acquired) lock-name pairs
     findings: list                  # (code, line, col, message)
 
 
@@ -323,9 +313,7 @@ class _LockVisitor(ast.NodeVisitor):
 
 
 def lock_facts(tree: ast.Module, module: str) -> LockFacts:
-    """R004, R007 and R008 over one parsed module named ``module``."""
-    declared: Optional[frozenset] = None
-    declared_line = 1
+    """R007 and R008 over one parsed module named ``module``."""
     module_locks: dict[str, str] = {}
     classes: list[ast.ClassDef] = []
     functions: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
@@ -336,15 +324,7 @@ def lock_facts(tree: ast.Module, module: str) -> LockFacts:
             functions.append(node)
         elif isinstance(node, ast.Assign):
             for target in node.targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if target.id == "_GUARDED_ATTRS":
-                    try:
-                        declared = frozenset(ast.literal_eval(node.value))
-                    except ValueError:
-                        declared = frozenset()
-                    declared_line = node.lineno
-                elif _builds_lock(node.value):
+                if isinstance(target, ast.Name) and _builds_lock(node.value):
                     module_locks[target.id] = f"{module}.{target.id}"
     class_locks: dict[str, dict] = {}
     methods: dict[str, set] = {}
@@ -369,10 +349,8 @@ def lock_facts(tree: ast.Module, module: str) -> LockFacts:
                 visitor.scan(cls.name, fn)
 
     findings: list[tuple] = []
-    edges: set[tuple[str, str]] = set()
     # R008: lexical nesting, then calls under a lock to code that locks
     for lock, held, line, col in visitor.nested:
-        edges |= {(outer, lock) for outer in held}
         findings.append(("R008", line, col, (
             f"{lock} acquired while already held — the thread deadlocks "
             f"on itself" if lock in held else
@@ -389,41 +367,20 @@ def lock_facts(tree: ast.Module, module: str) -> LockFacts:
     for _, callee, held, line, col in visitor.calls:
         inner = sorted(acquires[callee])
         if held and inner:
-            edges |= {(outer, lock) for outer in held for lock in inner}
             findings.append(("R008", line, col, (
                 f"{callee[1]}() acquires {', '.join(inner)} while "
                 f"{', '.join(held)} is held — every lock must be a leaf")))
-    # R007 and R004 over the lock-owning classes
-    guarded: set[str] = set()
-    for cls, locks in class_locks.items():
-        if not locks:
-            continue
-        shared = visitor.shared.get(cls, set()) | (declared or frozenset())
-        holds: dict[str, bool] = {}
-        for owner, attr, verb, ok, line, col in visitor.writes:
-            if owner != cls:
-                continue
-            holds[attr] = holds.get(attr, True) and ok
-            if attr in shared and not ok:
-                findings.append(("R007", line, col, (
-                    f"self.{attr} {verb} outside "
-                    f"{'/'.join(sorted(locks.values()))}, but it is shared "
-                    f"(touched under the lock or declared in "
-                    f"_GUARDED_ATTRS)")))
-        guarded |= {attr for attr, ok in holds.items() if ok}
-    if declared is not None:
-        for attr in sorted(declared - guarded):
-            findings.append(("R004", declared_line, 0, (
-                f"_GUARDED_ATTRS declares {attr!r}, but it has a write "
-                f"outside __init__ that does not hold the lock, or none "
-                f"at all — fix the code or the declaration")))
-        for attr in sorted(guarded - declared):
-            findings.append(("R004", declared_line, 0, (
-                f"{attr!r} is written only under the lock but is missing "
-                f"from _GUARDED_ATTRS — declare it")))
+    # R007 over the lock-owning classes
+    for owner, attr, verb, ok, line, col in visitor.writes:
+        locks = class_locks[owner]
+        if locks and not ok and attr in visitor.shared.get(owner, ()):
+            findings.append(("R007", line, col, (
+                f"self.{attr} {verb} outside "
+                f"{'/'.join(sorted(locks.values()))}, but it is shared "
+                f"(touched under the lock)")))
     all_locks = set(module_locks.values()) | {
         lock for locks in class_locks.values() for lock in locks.values()}
-    return LockFacts(all_locks, declared, guarded, edges, findings)
+    return LockFacts(all_locks, findings)
 
 
 # ----------------------------------------------------------------------
@@ -442,17 +399,9 @@ def _suppressed_lines(source: str) -> dict[int, Optional[frozenset]]:
     return out
 
 
-def _is_test_path(path: Path) -> bool:
-    posix = path.as_posix()
-    return ("/tests/" in posix or "/benchmarks/" in posix
-            or path.name.startswith("test_")
-            or path.name == "conftest.py")
-
-
 def lint_file(path: Path) -> list[Finding]:
     """Findings of one file, suppressions applied."""
     posix = path.as_posix()
-    in_tests = _is_test_path(path)
     in_tensor = "repro/tensor/" in posix
     raw: list[tuple[str, int, int, str]] = []  # (code, line, col, message)
 
@@ -467,8 +416,7 @@ def lint_file(path: Path) -> list[Finding]:
     r001.visit(tree)
     raw.extend(("R001", *f) for f in r001.findings)
 
-    if not in_tests:
-        raw.extend(lock_facts(tree, path.stem).findings)
+    raw.extend(lock_facts(tree, path.stem).findings)
 
     suppressed = _suppressed_lines(source)
     findings = []
@@ -498,32 +446,17 @@ def lint_paths(paths: Sequence) -> list[Finding]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Repository invariant linter (rules R001, R004, "
-                    "R007, R008).",
+        description="Repository invariant linter (rules R001, R007, "
+                    "R008).",
     )
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to lint "
                              "(default: src/repro)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", dest="fmt",
-                        help="output format: human-readable lines "
-                             "(default) or a JSON array of "
-                             "{path,line,col,code,message} records")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule table and exit")
     args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for code, desc in sorted(RULES.items()):
-            print(f"{code}  {desc}")
-        return 0
-
     findings = lint_paths(args.paths)
-    if args.fmt == "json":
-        print(json.dumps([asdict(f) for f in findings], indent=2))
-    else:
-        for finding in findings:
-            print(finding)
+    for finding in findings:
+        print(finding)
     if findings:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1

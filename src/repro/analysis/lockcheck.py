@@ -26,7 +26,7 @@ A violation raises at the acquire, before the thread blocks, and is
 also recorded: code that contains worker exceptions (a task failure
 booked as a record) would otherwise hide it.  The test session's
 teardown fixture (see ``tests/conftest.py``) asserts the record is
-empty and dumps it as JSON (``REPRO_LOCKCHECK_REPORT=<path>``).
+empty and dumps it as JSON to ``lockcheck_report.json``.
 """
 
 from __future__ import annotations

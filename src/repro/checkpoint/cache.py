@@ -28,11 +28,6 @@ import numpy as np
 
 from ..analysis.lockcheck import make_lock
 
-#: Lock-discipline assertion (lint R004/R007): every write to these
-#: attributes must hold ``self._lock``; lint checks the set equals the
-#: attributes whose writes outside ``__init__`` all hold it.
-_GUARDED_ATTRS = ("_entries", "hits", "misses", "evictions", "insertions")
-
 
 class WeightCache:
     """Thread-safe LRU over checkpoint weight dicts, capped at

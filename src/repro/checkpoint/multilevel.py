@@ -38,12 +38,6 @@ import numpy as np
 from ..analysis.lockcheck import make_lock
 from .store import CheckpointStore
 
-#: Lock-discipline assertion (lint R004/R007): state shared between the
-#: threads that save, flush and close.  Every write must hold
-#: ``self._lock``; lint checks the set equals the attributes whose
-#: writes outside ``__init__`` all hold it.
-_GUARDED_ATTRS = ("_closed", "_last")
-
 #: The one writer thread every AsyncCheckpointWriter saves on; the
 #: executor starts it on the first save and keeps it for the process.
 _WRITER = ThreadPoolExecutor(max_workers=1,
@@ -55,6 +49,7 @@ class AsyncCheckpointWriter:
         self.store = store
         # one slot per unwritten save; the writer thread frees it
         self._slots = threading.Semaphore(max_queue)
+        # shared by the threads that save, flush and close
         self._lock = make_lock("AsyncCheckpointWriter._lock")
         self._closed = False
         self._last: Optional[Future] = None   # this writer's latest save

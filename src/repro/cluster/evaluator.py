@@ -38,12 +38,6 @@ from typing import Callable, Optional
 from ..analysis.lockcheck import make_lock
 from .resilience import TaskFailure, WaitTimeout
 
-#: Lock-discipline assertion (lint R004/R007): shared mutable state that
-#: both the submitting thread and any thread calling ``wait_any`` touch.
-#: Every write must happen under ``self._lock``; lint checks the set
-#: equals the attributes whose writes outside ``__init__`` all hold it.
-_GUARDED_ATTRS = ("_futures", "_next")
-
 
 class MonotonicClock:
     """Time as real workers see it: the monotonic clock, real sleeps,
@@ -128,9 +122,7 @@ class ThreadPoolEvaluator:
         self._futures: dict[cf.Future, int] = {}
         self._done: queue.SimpleQueue[cf.Future] = queue.SimpleQueue()
         self._next = 0
-        # guards _futures and the ticket counter: several scheduler
-        # threads may submit/drain the same evaluator concurrently
-        # (see _GUARDED_ATTRS / lint R004, R007)
+        # several scheduler threads may submit/drain concurrently
         self._lock = make_lock("ThreadPoolEvaluator._lock")
 
     def submit(self, task: Callable[[], object]) -> int:

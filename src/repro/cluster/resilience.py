@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from ..checkpoint.store import CorruptCheckpointError
-from .trace import Trace, TraceRecord
+from .trace import TraceRecord
 
 __all__ = [
     "TaskError", "InjectedFault",
@@ -232,12 +232,6 @@ class TraceJournal:
             self._closed = True
             self._fh.close()
 
-    def __enter__(self) -> "TraceJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- replay ---------------------------------------------------------
     @staticmethod
     def replay(path) -> tuple[dict, list[TraceRecord]]:
@@ -263,17 +257,6 @@ class TraceJournal:
             d["arch_seq"] = tuple(d["arch_seq"])
             records.append(TraceRecord(**d))
         return header, records
-
-    @staticmethod
-    def to_trace(path) -> Trace:
-        """Load a journal as a :class:`Trace` (e.g. for analysis of a
-        run that never reached its drain barrier)."""
-        header, records = TraceJournal.replay(path)
-        trace = Trace(name=header.get("name", "trace"),
-                      scheme=header.get("scheme", "baseline"))
-        for r in records:
-            trace.append(r)
-        return trace
 
 
 # ---------------------------------------------------------------------------

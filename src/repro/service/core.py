@@ -94,16 +94,6 @@ __all__ = [
     "SessionStatus",
 ]
 
-#: Lock-discipline assertion (lint R004/R007): the session table, the
-#: admission queue, the tenant rotor and the drain flag are shared
-#: between the drive thread and tenant-facing API calls.  Every write
-#: must hold ``self._lock``, a leaf like every lock in the repo:
-#: driver/evaluator/store calls happen outside it.  Lint checks the
-#: set; those calls live in other modules, so only the runtime
-#: sanitizer checks that they stay outside the lock.
-_GUARDED_ATTRS = ("_sessions", "_queued", "_tenant_rotor", "_draining",
-                  "_driving", "_seq")
-
 #: ``SessionSpec.extra_driver_kwargs`` keys checked but never forwarded
 _KEPT_DRIVER_NAMES = frozenset({"async_io", "transfer_backend",
                                 "zero_cost"})
@@ -284,9 +274,8 @@ class SearchService:
     tenant_quota:
         Per-tenant cap on simultaneously in-flight *evaluations* — the
         fair-share knob that stops one tenant saturating the fleet.
-    max_in_flight:
-        Global in-flight evaluation cap (default: the evaluator's
-        ``num_workers``).
+
+    The fleet's in-flight cap is the evaluator's ``num_workers``.
 
     Every size must be at least 1: a zero quota or width admits
     sessions that ``drive`` could never run.
@@ -296,8 +285,7 @@ class SearchService:
                  max_active_sessions: int = 8,
                  max_pending_sessions: int = 64,
                  tenant_max_sessions: int = 16,
-                 tenant_quota: int = 4,
-                 max_in_flight: Optional[int] = None):
+                 tenant_quota: int = 4):
         self.evaluator = evaluator or SerialEvaluator()
         self.clock = self.evaluator.clock
         self.store = store
@@ -305,21 +293,19 @@ class SearchService:
             else None
         if self.journal_dir is not None:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
-        if max_in_flight is None:
-            max_in_flight = getattr(self.evaluator, "num_workers", 1)
         for name, value in (("max_active_sessions", max_active_sessions),
                             ("max_pending_sessions", max_pending_sessions),
                             ("tenant_max_sessions", tenant_max_sessions),
-                            ("tenant_quota", tenant_quota),
-                            ("max_in_flight", max_in_flight)):
+                            ("tenant_quota", tenant_quota)):
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         self.max_active_sessions = int(max_active_sessions)
         self.max_pending_sessions = int(max_pending_sessions)
         self.tenant_max_sessions = int(tenant_max_sessions)
         self.tenant_quota = int(tenant_quota)
-        self.max_in_flight = int(max_in_flight)
+        self._max_in_flight = getattr(self.evaluator, "num_workers", 1)
 
+        # a leaf: driver, evaluator and store calls happen outside it
         self._lock = make_lock("SearchService._lock")
         self._sessions: dict[str, _Session] = {}
         self._queued: list[str] = []            # admission FIFO
@@ -420,26 +406,6 @@ class SearchService:
                                f"no result yet")
         return s.trace
 
-    def stats(self) -> dict:
-        """Service-level aggregate (fleet + admission view)."""
-        with self._lock:
-            sessions = list(self._sessions.values())
-            queued = len(self._queued)
-            draining = self._draining
-        by_state: dict[str, int] = {}
-        for s in sessions:
-            by_state[s.state] = by_state.get(s.state, 0) + 1
-        tenant_inflight = _tickets_by_tenant(
-            [s for s in sessions if s.state == SessionState.RUNNING])
-        return {
-            "sessions": len(sessions),
-            "by_state": by_state,
-            "queued": queued,
-            "in_flight": sum(tenant_inflight.values()),
-            "tenant_inflight": tenant_inflight,
-            "draining": draining,
-        }
-
     # ------------------------------------------------------------------
     # the drive loop (one thread at a time: the caller's)
     # ------------------------------------------------------------------
@@ -529,7 +495,7 @@ class SearchService:
         while True:
             running = self._running()
             tenant_inflight = _tickets_by_tenant(running)
-            if sum(tenant_inflight.values()) >= self.max_in_flight:
+            if sum(tenant_inflight.values()) >= self._max_in_flight:
                 return
             # a session backing off a retry proposes nothing new until
             # the retry is resubmitted; its fleet slot serves the other

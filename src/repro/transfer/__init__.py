@@ -11,7 +11,6 @@ from .policy import (
 )
 from .shapeseq import (
     arch_shape_sequence,
-    format_sequence,
     group_layers,
     shape_sequence,
 )
@@ -20,7 +19,6 @@ from .transfer import TransferStats, transfer_weights
 __all__ = [
     "Match", "lcs_match", "longest_prefix_match", "get_matcher",
     "shape_sequence", "arch_shape_sequence", "group_layers",
-    "format_sequence",
     "TransferStats", "transfer_weights", "partial_transfer_weights",
     "ProviderPolicy", "ParentProvider", "NearestProvider", "RandomProvider",
     "get_policy",

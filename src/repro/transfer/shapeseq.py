@@ -20,7 +20,7 @@ LP/LCS matching inside the search loop never pays a build.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -79,11 +79,6 @@ def _arch_shape_sequence(space, arch_seq: tuple) -> ShapeSequence:
     return tuple(sequence)
 
 
-def arch_shape_sequence_cache_info():
-    """Cache statistics of the static shape-sequence LRU."""
-    return _arch_shape_sequence.cache_info()
-
-
 def group_layers(weights: Mapping[str, np.ndarray]
                  ) -> list[tuple[list[str], Signature]]:
     """Group an ordered ``{"layer.param": array}`` mapping back into
@@ -106,8 +101,3 @@ def group_layers(weights: Mapping[str, np.ndarray]
     if names:
         groups.append((names, tuple(shapes)))
     return groups
-
-
-def format_sequence(seq: Union[ShapeSequence, Sequence]) -> str:
-    """Human-readable one-line-per-layer rendering."""
-    return "\n".join(str(sig) for sig in seq)

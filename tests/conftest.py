@@ -1,7 +1,5 @@
 """Shared fixtures: a tiny search space + problem that trains in ~10 ms."""
 
-import os
-
 import pytest
 
 from repro.apps import make_image_dataset
@@ -35,20 +33,19 @@ def lockcheck_report():
     """When the suite runs under ``REPRO_LOCKCHECK=1``, every lock built
     by ``make_lock`` is a :class:`SanitizedLock` wired into the global
     registry.  At session teardown, dump the machine-readable report
-    (``REPRO_LOCKCHECK_REPORT=<path>``, default ``lockcheck_report.json``
-    in the CWD) and fail the session on any recorded violation: a lock
-    acquired while another was held, or one re-entered.  Both
-    also raise at the acquire; the record catches a raise that worker
-    failure containment swallowed.  Tests that *provoke* violations on
-    purpose use private registries, so the global one stays clean.
+    to ``lockcheck_report.json`` in the CWD and fail the session on any
+    recorded violation: a lock acquired while another was held, or one
+    re-entered.  Both also raise at the acquire; the record catches a
+    raise that worker failure containment swallowed.  Tests that
+    *provoke* violations on purpose use private registries, so the
+    global one stays clean.
     """
     from repro.analysis import lockcheck
 
     yield
     if not lockcheck.enabled():
         return
-    report_path = os.environ.get("REPRO_LOCKCHECK_REPORT",
-                                 "lockcheck_report.json")
+    report_path = "lockcheck_report.json"
     lockcheck.registry.dump(report_path)
     violations = lockcheck.registry.violations()
     assert violations == [], (

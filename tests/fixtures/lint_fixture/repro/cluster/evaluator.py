@@ -1,8 +1,9 @@
-"""Fixture: one R004 violation (guarded attr written outside the lock)."""
+"""Fixture: one R007 violation (shared attr written outside the lock).
+
+``_futures`` is popped under the lock in ``drain``, so it is shared and
+``submit``'s unlocked write is flagged."""
 
 import threading
-
-_GUARDED_ATTRS = ("_futures",)
 
 
 class BadEvaluator:

@@ -2,7 +2,7 @@
 
 ``total`` is shared — written by the thread-escaping ``_run`` loop and
 read under the class's own lock — so the unguarded write must be
-flagged by the inference even without any ``_GUARDED_ATTRS``.
+flagged by the inference.
 """
 
 import threading

@@ -16,7 +16,7 @@ from repro.nas import (
 )
 from repro.tensor import BuildError
 from repro.transfer import arch_shape_sequence, shape_sequence
-from repro.transfer.shapeseq import arch_shape_sequence_cache_info
+from repro.transfer.shapeseq import _arch_shape_sequence
 
 
 def bad_conv_space() -> SearchSpace:
@@ -68,10 +68,10 @@ def test_shape_sequence_refuses_failed_report():
     entry for it, so a later lookup cannot return a stale sequence."""
     space = bad_conv_space()
     for _ in range(2):
-        before = arch_shape_sequence_cache_info()
+        before = _arch_shape_sequence.cache_info()
         with pytest.raises(ValueError):
             arch_shape_sequence(space, (1,))
-        after = arch_shape_sequence_cache_info()
+        after = _arch_shape_sequence.cache_info()
         assert after.currsize == before.currsize
         assert after.hits == before.hits
 

@@ -1,9 +1,9 @@
-"""Lock discipline rules R004, R007 and R008, one module at a time.
+"""Lock discipline rules R007 and R008, one module at a time.
 
 Synthetic-module tests pin each rule in isolation; the real-tree tests
-are the acceptance gate — the shipped ``src/repro`` must lint clean and
-every ``_GUARDED_ATTRS`` declaration must equal the set of attributes
-whose writes hold the lock.
+are the acceptance gate — the shipped ``src/repro`` must lint clean,
+and an unlocked write of any attribute its locks guard must be an R007
+finding.
 """
 
 import ast
@@ -161,63 +161,6 @@ class C:
 
 
 # ----------------------------------------------------------------------
-# R004: declared-vs-inferred assertion
-# ----------------------------------------------------------------------
-def test_declared_but_not_inferred_is_flagged():
-    facts = check("""
-import threading
-
-_GUARDED_ATTRS = ("ghost",)
-
-class C:
-    def __init__(self):
-        self._lock = threading.Lock()
-""")
-    found = facts.findings
-    assert [code for code, *_ in found] == ["R004"]
-    assert "ghost" in found[0][3]
-    assert found[0][1] == 4            # reported at the declaration
-
-
-def test_inferred_but_not_declared_is_flagged():
-    facts = check("""
-import threading
-
-_GUARDED_ATTRS = ()
-
-class C:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.n = 0
-
-    def bump(self):
-        with self._lock:
-            self.n += 1
-""")
-    found = facts.findings
-    assert [code for code, *_ in found] == ["R004"]
-    assert "'n'" in found[0][3]
-
-
-def test_matching_declaration_is_clean():
-    facts = check("""
-import threading
-
-_GUARDED_ATTRS = ("n",)
-
-class C:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.n = 0
-
-    def bump(self):
-        with self._lock:
-            self.n += 1
-""")
-    assert codes(facts) == []
-
-
-# ----------------------------------------------------------------------
 # R008: every lock is a leaf
 # ----------------------------------------------------------------------
 def test_lexical_nesting_cycle_detected():
@@ -237,9 +180,12 @@ def bwd():
         with _a_lock:
             pass
 """)
-    assert codes(facts) == ["R008", "R008"]
-    assert facts.edges == {("m._a_lock", "m._b_lock"),
-                                       ("m._b_lock", "m._a_lock")}
+    assert [(code, line) for code, line, *_ in facts.findings] == [
+        ("R008", 9), ("R008", 14)]
+    assert "m._b_lock acquired while holding m._a_lock" in \
+        facts.findings[0][3]
+    assert "m._a_lock acquired while holding m._b_lock" in \
+        facts.findings[1][3]
 
 
 def test_nonreentrant_self_nesting_is_a_deadlock():
@@ -341,8 +287,7 @@ def reaches_nested_acquire(program) -> bool:
 def test_leaf_rule_matches_brute_force_walk(program):
     facts = check(render(program))
     nested = reaches_nested_acquire(program)
-    assert bool(facts.edges) == nested, render(program)
-    assert ("R008" in codes(facts)) == nested
+    assert ("R008" in codes(facts)) == nested, render(program)
 
 
 # ----------------------------------------------------------------------
@@ -359,19 +304,85 @@ def test_real_tree_is_clean():
     assert findings == [], "\n".join(str(f) for f in findings)
 
 
-def test_real_tree_declarations_match_inference():
-    declared = {path: facts for path, facts in _real_tree().items()
-                if facts.declared is not None}
-    assert {Path(path).stem for path in declared} == {
-        "cache", "multilevel", "evaluator", "core"}
-    for path, facts in declared.items():
-        assert facts.guarded == facts.declared, path
+def _touched_under_own_lock(cls: ast.ClassDef, locks: set) -> set:
+    """``X`` of every ``self.X`` inside a ``with self.<lock>:`` block of
+    ``cls``, for the locks ``cls`` owns; a nested ``def`` or ``lambda``
+    runs later, so its body does not count."""
+    touched: set = set()
+
+    def walk(node, held):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)) and held:
+            return
+        if (held and isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            touched.add(node.attr)
+        if isinstance(node, ast.With) and any(
+                f"{cls.name}.{getattr(item.context_expr, 'attr', None)}"
+                in locks for item in node.items):
+            for item in node.items:
+                walk(item, held)
+            for stmt in node.body:
+                walk(stmt, True)
+            return
+        for child in ast.iter_child_nodes(node):
+            walk(child, held)
+
+    walk(cls, False)
+    return touched
+
+
+#: what each lock in the tree exists to guard; the inference must
+#: cover at least these
+GUARDED = {
+    "WeightCache": {"_entries", "hits", "misses", "evictions",
+                    "insertions"},
+    "AsyncCheckpointWriter": {"_closed", "_last"},
+    "ThreadPoolEvaluator": {"_futures", "_next"},
+    "SearchService": {"_sessions", "_queued", "_tenant_rotor",
+                      "_draining", "_driving", "_seq"},
+}
+
+
+def test_real_tree_flags_an_unlocked_write_of_every_shared_attr():
+    """For every lock-owning class in ``src/repro`` and every attribute
+    touched under its lock, a method that writes the attribute without
+    the lock is exactly one R007 finding, at that write."""
+    probed: dict = {}
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text()
+        facts = lock_facts(ast.parse(source), path.stem)
+        assert facts.findings == [], path
+        line = len(source.splitlines()) + 10
+        for cls in ast.parse(source).body:
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    lock.startswith(f"{cls.name}.")
+                    for lock in facts.locks)):
+                continue
+            shared = _touched_under_own_lock(cls, facts.locks)
+            probed[cls.name] = shared
+            for attr in sorted(shared):
+                tree = ast.parse(source)
+                owner, = (node for node in tree.body
+                          if isinstance(node, ast.ClassDef)
+                          and node.name == cls.name)
+                probe = ast.parse(
+                    f"def _probe(self):\n    self.{attr} = None\n").body[0]
+                ast.increment_lineno(probe, line - 1)
+                owner.body.append(probe)
+                found = lock_facts(tree, path.stem).findings
+                assert [(code, at) for code, at, *_ in found] == [
+                    ("R007", line + 1)], (cls.name, attr)
+    assert set(probed) >= set(GUARDED)
+    for cls, attrs in GUARDED.items():
+        assert attrs <= probed[cls], cls
 
 
 def test_real_tree_lock_graph_shape():
     tree = _real_tree()
     # every lock is a leaf: none is acquired while another is held ...
-    assert all(not facts.edges for facts in tree.values())
+    assert all("R008" not in codes(facts) for facts in tree.values())
     # ... the four locks the repo builds through make_lock are seen, and
     # the only others are the sanitizer's own two plain locks
     assert {lock for facts in tree.values() for lock in facts.locks} == {

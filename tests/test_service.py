@@ -205,7 +205,8 @@ def test_many_sessions_share_one_fleet(space, problem, tmp_path):
         assert h.poll().state == SessionState.DONE
         assert len(h.result()) == 3
     # one shared evaluator ran every candidate of every session
-    assert svc.stats()["by_state"] == {SessionState.DONE: 6}
+    assert all(svc._get(h.session_id).driver.evaluator is evaluator
+               for h in handles)
 
 
 def test_checkpoint_keys_are_namespaced_per_session(space, problem,
@@ -331,10 +332,11 @@ def test_session_failing_with_tickets_in_flight_dies_alone(
     assert [r.candidate_id for r in handles[victim].result()] == landed
     for i, n in enumerate(sizes):
         if i != victim:
-            assert handles[i].poll().state == SessionState.DONE
+            status = handles[i].poll()
+            assert status.state == SessionState.DONE
+            assert status.in_flight == 0
             ids = sorted(r.candidate_id for r in handles[i].result())
             assert ids == list(range(n))
-    assert svc.stats()["in_flight"] == 0
 
 
 def test_retry_backoff_does_not_stall_other_sessions(space, problem,
@@ -421,11 +423,11 @@ def test_tenant_quota_caps_in_flight_share(space, problem, tmp_path):
     def watched_submit_round():
         orig_submit_round()
         peak["greedy"] = max(peak["greedy"],
-                             svc.stats()["tenant_inflight"].get("greedy", 0))
+                             sum(h.poll().in_flight for h in handles))
     svc._submit_round = watched_submit_round
-    for seed in range(4):
-        svc.submit(_spec(space, problem, seed, tenant="greedy", n=3,
-                         scheme="baseline"))
+    handles = [svc.submit(_spec(space, problem, seed, tenant="greedy", n=3,
+                                scheme="baseline"))
+               for seed in range(4)]
     svc.drive()
     svc.evaluator.close()
     assert 1 <= peak["greedy"] <= 2
@@ -434,8 +436,6 @@ def test_tenant_quota_caps_in_flight_share(space, problem, tmp_path):
 @pytest.mark.parametrize("name, value", [
     ("tenant_quota", 0),
     ("max_active_sessions", 0),
-    ("max_in_flight", -1),
-    ("max_in_flight", 0),
     ("max_pending_sessions", 0),
     ("tenant_max_sessions", 0),
 ])
@@ -792,7 +792,7 @@ def test_generated_interleavings_keep_the_service_invariants(
             handles.append(svc.submit(spec(svc, handles, i, at)))
         svc.drive()
         assert violations == []
-        assert svc.stats()["in_flight"] == 0
+        assert all(h.poll().in_flight == 0 for h in handles)
         interrupted = {}
         for i, (seed, n, crash) in enumerate(tenants):
             status = handles[i].poll()

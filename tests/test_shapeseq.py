@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nas import Conv1DOp, DenseOp, FlattenOp, IdentityOp, SearchSpace
-from repro.transfer import (
-    arch_shape_sequence,
-    format_sequence,
-    group_layers,
-    shape_sequence,
-)
-from repro.transfer.shapeseq import arch_shape_sequence_cache_info
+from repro.transfer import arch_shape_sequence, group_layers, shape_sequence
+from repro.transfer.shapeseq import _arch_shape_sequence
 
 
 def test_shape_sequence_of_model_is_layer_level(space, problem):
@@ -60,10 +55,10 @@ def test_arch_shape_sequence_matches_build_path(space, problem):
 def test_arch_shape_sequence_is_cached(space):
     seq = space.validate_seq((1, 1, 1))
     first = arch_shape_sequence(space, seq)
-    hits_before = arch_shape_sequence_cache_info().hits
+    hits_before = _arch_shape_sequence.cache_info().hits
     second = arch_shape_sequence(space, seq)
     assert second is first  # LRU returns the identical tuple
-    assert arch_shape_sequence_cache_info().hits == hits_before + 1
+    assert _arch_shape_sequence.cache_info().hits == hits_before + 1
 
 
 def test_arch_shape_sequence_rejects_invalid_geometry():
@@ -73,9 +68,3 @@ def test_arch_shape_sequence_rejects_invalid_geometry():
     space.add_fixed(DenseOp(2), name="head")
     with pytest.raises(ValueError, match="conv"):
         arch_shape_sequence(space, (1,))
-
-
-def test_format_sequence_one_line_per_layer(space, problem):
-    model = problem.build_model(space.validate_seq((1, 0, 1)), rng=0)
-    text = format_sequence(shape_sequence(model))
-    assert len(text.splitlines()) == len(shape_sequence(model))

@@ -18,8 +18,10 @@ if _OUT:
     _MARK = os.sep + os.path.join("src", "repro") + os.sep
     _hits: dict = {}
 
-    def _tracer(frame, event, arg):
-        if _MARK not in frame.f_code.co_filename:
+    # bound as defaults: interpreter shutdown clears module globals
+    # while a thread may still be traced
+    def _tracer(frame, event, arg, _mark=_MARK, _hits=_hits):
+        if _mark not in frame.f_code.co_filename:
             return None
         lines = _hits.setdefault(frame.f_code.co_filename, set())
 
@@ -32,6 +34,8 @@ if _OUT:
         return _local
 
     def _dump():
+        sys.settrace(None)
+        threading.settrace(None)
         os.makedirs(_OUT, exist_ok=True)
         path = os.path.join(_OUT, f"{os.getpid()}.json")
         with open(path, "w") as f:
