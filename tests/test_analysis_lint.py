@@ -65,12 +65,15 @@ def test_main_exit_codes(capsys):
 
 def test_main_prints_one_line_per_finding(capsys):
     """Each finding is one ``path:line:col: code message`` line on
-    stdout; a clean file prints nothing."""
+    stdout."""
     path = FIXTURE / "repro" / "bad_alloc.py"
     assert main([str(path)]) == 1
     line, = capsys.readouterr().out.splitlines()
     assert line.startswith(f"{path.as_posix()}:7:11: R001 ")
     assert "dtype" in line
+
+
+def test_main_prints_nothing_for_a_clean_file(capsys):
     assert main([str(FIXTURE / "repro" / "suppressed.py")]) == 0
     assert capsys.readouterr().out == ""
 
